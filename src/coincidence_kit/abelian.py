@@ -140,6 +140,12 @@ def ker_psi_order(system: AbelianSystem) -> Cardinal:
     stacked = stacked_difference(system)
     if not cokernel_order(stacked).is_finite:
         raise ValueError("ker Psi is defined only when the multi-map number is finite")
+    return _ker_psi_order(system, stacked)
+
+
+def _ker_psi_order(system: AbelianSystem, stacked: IntMatrix) -> Cardinal:
+    """ker_psi_order for a caller that already knows the stacked cokernel of
+    the system is finite."""
     sub = [stacked.column(j) for j in range(stacked.cols)]
     super_vectors = _block_lattice_vectors(system)
     return lattice_index(sub, super_vectors, width=stacked.rows)
@@ -179,7 +185,7 @@ def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
         system = AbelianSystem(system)
     stacked = stacked_difference(system)
     snf = smith_normal_form(stacked)
-    value = cokernel_order(stacked)
+    value = snf.cokernel_order()
     pairwise = _pairwise(system)
     trace = [
         f"stacked difference has shape {stacked.rows}x{stacked.cols}",
@@ -190,8 +196,15 @@ def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
     ]
     ker = None
     if value.is_finite:
-        ker = ker_psi_order(system)
-        trace.append(f"|ker Psi| = {ker} (lattice index route)")
+        if all(p == Cardinal(1) for p in pairwise):
+            # Every block image is all of Z^n, so the lattice index would
+            # reduce the stacked matrix itself again: Psi is trivial and its
+            # kernel is the whole class set.
+            ker = value
+            trace.append(f"|ker Psi| = {ker} (every pairwise value is 1)")
+        else:
+            ker = _ker_psi_order(system, stacked)
+            trace.append(f"|ker Psi| = {ker} (lattice index route)")
     intermediates = {
         "pairwise": [p.to_json() for p in pairwise],
         "nielsen_note": NIELSEN_NOTE,
@@ -239,11 +252,18 @@ class DivisibilityReport:
     witness: str = ""
 
 
-def divisibility_report(system: AbelianSystem) -> DivisibilityReport:
+def divisibility_report(
+    system: AbelianSystem, report: ReidemeisterReport | None = None
+) -> DivisibilityReport:
+    """The divisibility facts of a system.  The value, the pairwise values
+    and |ker Psi| come from report, the system's reid_multi report, which is
+    computed here when not given; only the leave-one-out values are new."""
     if not isinstance(system, AbelianSystem):
         system = AbelianSystem(system)
-    value = cokernel_order(stacked_difference(system))
-    pairwise = _pairwise(system)
+    if report is None:
+        report = reid_multi(system)
+    value = report.value
+    pairwise = report.pairwise
     if not value.is_finite:
         return DivisibilityReport(
             applicable=False,
@@ -254,7 +274,7 @@ def divisibility_report(system: AbelianSystem) -> DivisibilityReport:
     product = cardinal_product(pairwise)
     divides = product.divides(value)
     quotient = value.divide_exact(product) if divides else None
-    ker = ker_psi_order(system)
+    ker = report.ker_psi_order
     report = DivisibilityReport(
         applicable=True,
         value=value,

@@ -4,21 +4,30 @@ Everything here runs on plain Python ints, so intermediate values may grow
 without bound and nothing ever rounds.  Matrices are immutable.  The Smith
 routine records its row and column operations in unimodular transforms and
 re-multiplies them against the input before returning, so a result that comes
-back at all is self-verified.
+back at all is self-verified.  Callers keep that result and read the
+cokernel order, the kernel and inverses off it rather than reducing the same
+matrix again: unimodular_inverse takes m^-1 = t @ s from the verified
+transforms of s @ m @ t == I and checks m @ m^-1 == I exactly.
 
 Two independent routes exist for the invariant factors: gcd-driven
 elimination (smith_normal_form) and gcds of k x k minors
-(elementary_divisors_via_minors).  Tests hold them against each other.
+(elementary_divisors_via_minors).  Tests hold them against each other.  The
+minors route forms C(rows + cols, rows) - 1 determinants, so it refuses
+shapes beyond MINORS_ORACLE_CAP before computing any of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, prod
+from math import comb, gcd, prod
 
 from .cardinal import Cardinal, INFINITE, cardinal_product
-from .errors import ContainmentError, ShapeError, SizeCapError
+from .errors import ConsistencyError, ContainmentError, ShapeError, SizeCapError
+
+# Most k x k minors, over all k, that elementary_divisors_via_minors will form:
+# a 9 x 9 input (48 619 minors, about 1.5 s) fits, a 10 x 10 (184 755) does not.
+MINORS_ORACLE_CAP = 50_000
 
 
 def _as_int(x, where: str) -> int:
@@ -191,6 +200,13 @@ class SnfResult:
     d: IntMatrix
     divisors: tuple[int, ...]
 
+    def cokernel_order(self) -> Cardinal:
+        """Order of Z^rows / (column lattice of m): infinite exactly when the
+        rank falls short of the row count, else the product of the divisors."""
+        if len(self.divisors) < self.d.rows:
+            return INFINITE
+        return Cardinal(prod(self.divisors, start=1))
+
 
 def _swap_rows(a, i, j):
     a[i], a[j] = a[j], a[i]
@@ -328,8 +344,6 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
 
 def _verify_snf(m, s, t, d, divisors):
-    from .errors import ConsistencyError
-
     if (s @ m) @ t != d:
         raise ConsistencyError("smith decomposition failed verification s@m@t != d")
     for i in range(d.rows):
@@ -355,8 +369,16 @@ def elementary_divisors_via_minors(m: IntMatrix) -> tuple[int, ...]:
     elimination route, so it serves as its oracle.
 
     d_k = gcd of all k x k minors, d_0 = 1, and the k-th divisor is
-    d_k / d_{k-1} while d_k is nonzero.
+    d_k / d_{k-1} while d_k is nonzero.  There are C(rows + cols, rows) - 1
+    minors in all; beyond MINORS_ORACLE_CAP of them a SizeCapError is raised
+    before any is computed.
     """
+    minors = comb(m.rows + m.cols, m.rows) - 1
+    if minors > MINORS_ORACLE_CAP:
+        raise SizeCapError(
+            f"gcd-of-minors oracle on a {m.rows}x{m.cols} matrix needs {minors} "
+            f"minors, over the cap of {MINORS_ORACLE_CAP}"
+        )
     limit = min(m.rows, m.cols)
     divisors = []
     prev = 1
@@ -397,25 +419,19 @@ def determinant(m: IntMatrix) -> int:
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1, via the adjugate."""
+    """Inverse of an integer matrix with determinant +-1, read off its Smith
+    form: s @ m @ t == I gives m^-1 = t @ s."""
     if not m.is_square:
         raise ShapeError("only square matrices invert")
-    det = determinant(m)
-    if det not in (1, -1):
-        raise ShapeError(f"matrix is not unimodular (det {det})")
-    n = m.rows
-    rows = list(range(n))
-    cols = list(range(n))
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor_rows = [r for r in rows if r != j]
-            minor_cols = [c for c in cols if c != i]
-            cof = _minor_det(m, minor_rows, minor_cols)
-            if (i + j) % 2:
-                cof = -cof
-            inv[i][j] = cof * det
-    return IntMatrix(inv, cols=n)
+    snf = smith_normal_form(m)
+    if len(snf.divisors) < m.rows or any(d != 1 for d in snf.divisors):
+        raise ShapeError(
+            f"matrix is not unimodular (invariant factors {snf.divisors})"
+        )
+    inv = snf.t @ snf.s
+    if m @ inv != IntMatrix.identity(m.rows):
+        raise ConsistencyError("unimodular inverse fails m @ inv == I")
+    return inv
 
 
 # --- Hermite machinery ------------------------------------------------------
@@ -503,26 +519,26 @@ def rank(m: IntMatrix) -> int:
     return len(hermite_basis(m.iter_rows(), m.cols))
 
 
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
+def kernel_basis(m: IntMatrix, snf: SnfResult | None = None) -> list[tuple[int, ...]]:
     """Basis of the full integer kernel lattice {v : m @ v = 0}, in canonical
     Hermite form.  The lattice is saturated: any rational kernel vector with
-    integer entries is an integer combination of the basis.
+    integer entries is an integer combination of the basis.  Pass snf, the
+    Smith form of m, when the caller already has it.
 
     >>> kernel_basis(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     [(1, -1, 2)]
     """
     if m.cols == 0:
         return []
-    snf = smith_normal_form(m)
+    if snf is None:
+        snf = smith_normal_form(m)
     r = len(snf.divisors)
     raw = [snf.t.column(j) for j in range(r, m.cols)]
-    basis = [list(v) for v in hermite_basis(raw, m.cols)]
+    basis = hermite_basis(raw, m.cols)
     for v in basis:
         if any(m.apply(v)):
-            from .errors import ConsistencyError
-
             raise ConsistencyError("kernel basis vector fails m @ v = 0")
-    return [tuple(v) for v in basis]
+    return list(basis)
 
 
 def cokernel_order(m: IntMatrix) -> Cardinal:
@@ -534,10 +550,7 @@ def cokernel_order(m: IntMatrix) -> Cardinal:
     >>> str(cokernel_order(IntMatrix([[2, 4, 1], [2, 6, 2]])))
     '2'
     """
-    snf = smith_normal_form(m)
-    if len(snf.divisors) < m.rows:
-        return INFINITE
-    return Cardinal(prod(snf.divisors, start=1))
+    return smith_normal_form(m).cokernel_order()
 
 
 def lattice_index(sub_vectors, super_vectors, *, width: int | None = None) -> Cardinal:
@@ -625,6 +638,7 @@ __all__ = [
     "SnfResult",
     "smith_normal_form",
     "elementary_divisors_via_minors",
+    "MINORS_ORACLE_CAP",
     "determinant",
     "unimodular_inverse",
     "hermite_basis",

@@ -37,10 +37,10 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    SnfResult,
+    cokernel_order,
     hermite_basis,
     kernel_basis,
-    lattice_coordinates,
-    cokernel_order,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -455,34 +455,36 @@ def central_extension_data(group: PcGroup) -> CentralExtensionData:
     z = group.n_central
     basis = hermite_basis(group.commutators.values(), z)
     r = len(basis)
-    if r == 0:
-        adapted = IntMatrix.identity(z)
+    unit_rows = all(
+        sum(1 for x in row if x) == 1 and max(row) == 1 for row in basis
+    )
+    if unit_rows:
+        # Distinct unit rows (none at all included) span a direct summand, and
+        # a permutation matrix is its own inverse transpose.
+        pivots = [next(l for l, x in enumerate(row) if x) for row in basis]
+        rest = [l for l in range(z) if l not in pivots]
+        eye = IntMatrix.identity(z)
+        adapted = IntMatrix([eye.row(l) for l in pivots + rest], cols=z)
+        coords = adapted
     else:
-        mat = IntMatrix(basis)
-        snf = smith_normal_form(mat)
+        snf = smith_normal_form(IntMatrix(basis))
         if any(d != 1 for d in snf.divisors):
             raise StructureError(
                 "the commutator subgroup is not a direct summand of the central "
                 f"lattice (invariant factors {snf.divisors}); the abelianized "
                 "group would have torsion, which this reduction does not support"
             )
-        unit_rows = all(
-            sum(1 for x in row if x) == 1 and max(row) == 1 for row in basis
-        )
-        if unit_rows:
-            pivots = [next(l for l, x in enumerate(row) if x) for row in basis]
-            rest = [l for l in range(z) if l not in pivots]
-            eye = IntMatrix.identity(z)
-            adapted = IntMatrix([eye.row(l) for l in pivots + rest], cols=z)
-        else:
-            adapted = unimodular_inverse(snf.t)
-        # Defense in depth: the chosen rows must span exactly the sublattice.
-        head = [adapted.row(s) for s in range(r)]
-        if hermite_basis(head, z) != basis:
-            raise ConsistencyError("adapted basis does not span the commutator sublattice")
-    coords = (
-        unimodular_inverse(adapted.transpose()) if z else IntMatrix.zeros(0, 0)
-    )
+        # s @ basis @ t == [I 0], so the first r rows of t^-1 span the
+        # sublattice and (t^-1)^T inverts to t^T.
+        adapted = unimodular_inverse(snf.t)
+        coords = snf.t.transpose()
+    # Defense in depth: the chosen rows must span exactly the sublattice, and
+    # coords must invert the transpose of the adapted basis.
+    head = [adapted.row(s) for s in range(r)]
+    if hermite_basis(head, z) != basis:
+        raise ConsistencyError("adapted basis does not span the commutator sublattice")
+    if coords @ adapted.transpose() != IntMatrix.identity(z):
+        raise ConsistencyError("coords do not invert the adapted basis transpose")
     return CentralExtensionData(
         group=group,
         a_rank=r,
@@ -555,17 +557,20 @@ def central_reduction(phi: PcHom, psi: PcHom) -> PairReduction:
     )
 
 
-def delta_image_vectors(red: PairReduction) -> list[tuple[int, ...]]:
+def delta_image_vectors(
+    red: PairReduction, snf_bar: SnfResult | None = None
+) -> list[tuple[int, ...]]:
     """Images of a basis of the quotient-level coincidence group under
     theta -> psi(theta) * phi(theta)^(-1), in sublattice coordinates.
 
     The coincidence group is the kernel of the induced difference on B; the
     lifted values are forced into A because the projections agree there.
+    snf_bar is the Smith form of that difference, when the caller has it.
     """
     d1, d2 = red.domain_data, red.codomain_data
     cod = d2.group
     vectors = []
-    for kappa in kernel_basis(red.psi_bar - red.phi_bar):
+    for kappa in kernel_basis(red.psi_bar - red.phi_bar, snf_bar):
         theta = d1.section(kappa)
         g = cod.multiply(red.psi.apply(theta), cod.inverse(red.phi.apply(theta)))
         if any(cod.noncentral_part(g)):
@@ -590,8 +595,8 @@ def reid_nilpotent(phi: PcHom, psi: PcHom) -> ReidemeisterReport:
     shared codomain, via the central extension reduction."""
     red = central_reduction(phi, psi)
     d1, d2 = red.domain_data, red.codomain_data
-    diff_bar = red.psi_bar - red.phi_bar
-    r_bar = cokernel_order(diff_bar)
+    snf_bar = smith_normal_form(red.psi_bar - red.phi_bar)
+    r_bar = snf_bar.cokernel_order()
     diff_prime = red.psi_prime - red.phi_prime
     r_prime = cokernel_order(diff_prime)
     trace = [
@@ -629,7 +634,7 @@ def reid_nilpotent(phi: PcHom, psi: PcHom) -> ReidemeisterReport:
             trace=tuple(trace),
             status=STATUS_UNSUPPORTED,
         )
-    deltas = delta_image_vectors(red)
+    deltas = delta_image_vectors(red, snf_bar)
     if deltas:
         augmented = diff_prime.hstack(
             IntMatrix.from_columns(deltas, rows=d2.a_rank)

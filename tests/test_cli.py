@@ -4,14 +4,19 @@ and every documented exit code is reachable."""
 
 from __future__ import annotations
 
+import importlib
 import json
+import random
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from coincidence_kit import cli
+import coincidence_kit
+from coincidence_kit import cli, exact_linalg
 from coincidence_kit.finite import cyclic_group, twisted_reidemeister, FiniteHom
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -446,6 +451,100 @@ class TestInputForms:
         code, _, err = run_cli(capsys, "compute", problem)
         assert code == 1
         assert "circular" in err
+
+
+# -- one Smith form per matrix ----------------------------------------------------------
+
+
+class TestSmithFormReuse:
+    """Each matrix is Smith-reduced at most once per compute or snf call.
+
+    cli, abelian and nilpotent import smith_normal_form by name, so the
+    counting wrapper replaces it in every namespace that binds it."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        namespaces = [coincidence_kit] + [
+            importlib.import_module(f"coincidence_kit.{name}")
+            for name in ("cli", "abelian", "exact_linalg", "finite", "nilpotent")
+        ]
+        original = exact_linalg.smith_normal_form
+        seen = Counter()
+
+        def counting(m):
+            seen[m] += 1
+            return original(m)
+
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, attr, counting)
+        return seen
+
+    def _assert_each_once(self, capsys, reductions, *argv):
+        reductions.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        repeated = [(m.rows, m.cols, n) for m, n in reductions.items() if n > 1]
+        assert not repeated, (argv, repeated)
+        return sum(reductions.values())
+
+    def test_shipped_problems(self, capsys, reductions):
+        for path in sorted(PROBLEMS.glob("*.json")):
+            self._assert_each_once(capsys, reductions, "compute", str(path))
+        self._assert_each_once(capsys, reductions, "snf", str(PROBLEMS / "snf_worked.json"))
+
+    def test_four_map_torus_system(self, capsys, reductions):
+        rng = random.Random(4)
+        maps = [
+            [[rng.randint(-4, 4) for _ in range(10)] for _ in range(3)]
+            for _ in range(4)
+        ]
+        problem = json.dumps({"kind": "abelian-multi", "maps": maps})
+        # stacked, three pairwise and three leave-one-out matrices
+        assert self._assert_each_once(capsys, reductions, "compute", problem) == 7
+        # pairwise values above 1 add the lattice-index reduction
+        total = self._assert_each_once(
+            capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json")
+        )
+        assert total == 8
+
+
+# -- the gcd-of-minors oracle cap --------------------------------------------------------
+
+
+class TestMinorsOracleCap:
+    BIG = json.dumps(
+        {
+            "kind": "snf",
+            "matrix": [
+                [(3 * i + 5 * j * j + i * j) % 11 - 5 for j in range(16)]
+                for i in range(16)
+            ],
+        }
+    )
+
+    def test_check_skips_minors_promptly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", self.BIG, "--format", "structured")
+        assert time.perf_counter() - start < 10
+        assert code == 0, err
+        doc = json.loads(out)
+        (check,) = doc["intermediates"]["checks"]
+        assert check["name"] == "divisors-vs-minors"
+        assert check["passed"] is True
+        assert check["detail"].startswith("skipped: ")
+        assert doc["oracle_status"] == "absent"
+
+    @pytest.mark.parametrize("command", ["compute", "snf"])
+    def test_oracle_flag_reports_the_skip(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, self.BIG, "--oracle", "--trace", "--format", "structured"
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["oracle_status"] == "absent"
+        assert doc["trace"][-1].startswith("oracle: skipped, ")
 
 
 # -- console entry point ---------------------------------------------------------------

@@ -6,6 +6,7 @@ independent oracles for the elimination-based Smith form.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from coincidence_kit.cardinal import Cardinal, INFINITE, cardinal_product
 from coincidence_kit.errors import ContainmentError, ShapeError, SizeCapError
 from coincidence_kit.exact_linalg import (
+    MINORS_ORACLE_CAP,
     IntMatrix,
     cokernel_order,
     cokernel_order_bruteforce,
@@ -96,11 +98,34 @@ class TestSmithWorkedValues:
     def test_zero_matrix(self):
         assert smith_normal_form(IntMatrix.zeros(2, 3)).divisors == ()
 
+    def test_cokernel_order_read_off_the_result(self):
+        assert smith_normal_form(WORKED).cokernel_order() == Cardinal.finite(2)
+        assert smith_normal_form(IntMatrix.zeros(2, 3)).cokernel_order() == INFINITE
+        assert smith_normal_form(IntMatrix([], cols=0)).cokernel_order() == Cardinal.finite(1)
+
     def test_transforms_reconstruct(self):
         res = smith_normal_form(WORKED)
         assert (res.s @ WORKED) @ res.t == res.d
         assert abs(determinant(res.s)) == 1
         assert abs(determinant(res.t)) == 1
+
+
+class TestMinorsOracleCap:
+    def test_cap_sits_between_shipped_sizes_and_ten_by_ten(self):
+        assert math.comb(12, 6) - 1 <= MINORS_ORACLE_CAP  # 6x6, 923 minors
+        assert math.comb(18, 9) - 1 <= MINORS_ORACLE_CAP  # 9x9
+        assert math.comb(20, 10) - 1 > MINORS_ORACLE_CAP  # 10x10
+
+    def test_oversized_input_refused_before_any_minor(self, monkeypatch):
+        import coincidence_kit.exact_linalg as el
+
+        def no_minors(*args):
+            raise AssertionError("a minor was computed")
+
+        monkeypatch.setattr(el, "_minor_det", no_minors)
+        for rows, cols in ((10, 10), (16, 16), (4, 40)):
+            with pytest.raises(SizeCapError, match="minors"):
+                elementary_divisors_via_minors(IntMatrix.zeros(rows, cols))
 
 
 class TestSmithProperties:
@@ -221,19 +246,39 @@ class TestDeterminant:
 
     def test_unimodular_inverse(self):
         rng = random.Random(41)
-        for _ in range(50):
+        for _ in range(60):
             # build a unimodular matrix from random elementary operations
-            n = rng.randint(1, 4)
+            n = rng.randint(1, 12)
             m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            for _ in range(8):
+            for _ in range(2 * n + 6):
                 i, j = rng.randrange(n), rng.randrange(n)
-                if i != j:
+                if i == j:
+                    m[i] = [-x for x in m[i]]
+                elif rng.random() < 0.2:
+                    m[i], m[j] = m[j], m[i]
+                else:
                     q = rng.randint(-3, 3)
                     for c in range(n):
                         m[i][c] += q * m[j][c]
             mat = IntMatrix(m)
             inv = unimodular_inverse(mat)
             assert mat @ inv == IntMatrix.identity(n)
+            assert inv @ mat == IntMatrix.identity(n)
+            assert determinant(mat) * determinant(inv) == 1
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            IntMatrix([[2, 0], [0, 1]]),  # det 2
+            IntMatrix([[3, 1], [1, 1]]),  # det 2, no divisor on the diagonal
+            IntMatrix([[1, 2], [2, 4]]),  # singular
+            IntMatrix.zeros(3, 3),
+            WORKED,  # not square
+        ],
+    )
+    def test_unimodular_inverse_refuses(self, m):
+        with pytest.raises(ShapeError):
+            unimodular_inverse(m)
 
 
 class TestLatticeIndex:

@@ -318,6 +318,26 @@ class TestCentralExtension:
             e = [0] * data.b_rank
             e[l] = 1
             assert data.project(data.section(e)) == tuple(e)
+        assert data.coords @ data.adapted.transpose() == IntMatrix.identity(2)
+
+    @pytest.mark.parametrize("spare", [[], ["w"]])
+    def test_free_class_two_adapted_basis_is_a_permutation(self, spare):
+        gens = ["x1", "x2", "x3", "x4"]
+        pairs = list(itertools.combinations(gens, 2))
+        # a spare central generator listed first moves every commutator pivot
+        central = spare + [f"c{i}{j}" for i, j in pairs]
+        group = PcGroup.from_presentation(
+            gens, central, {(i, j): {f"c{i}{j}": 1} for i, j in pairs}
+        )
+        data = central_extension_data(group)
+        z = len(central)
+        assert data.a_rank == 6
+        assert data.b_rank == 4 + len(spare)
+        assert sorted(data.adapted.entries) == [0] * (z * z - z) + [1] * z
+        assert all(sum(row) == 1 for row in data.adapted.iter_rows())
+        assert data.coords == data.adapted
+        assert data.coords @ data.adapted.transpose() == IntMatrix.identity(z)
+        assert (data.adapted == IntMatrix.identity(z)) == (not spare)
 
     def test_torsion_quotient_is_refused(self):
         torsion = PcGroup.from_presentation(
