@@ -151,12 +151,17 @@ def _ker_psi_order(system: AbelianSystem, stacked: IntMatrix) -> Cardinal:
     return lattice_index(sub, super_vectors, width=stacked.rows)
 
 
-def ker_psi_order_bruteforce(system: AbelianSystem, cap: int = 1_000_000) -> Cardinal:
+def ker_psi_order_bruteforce(system: AbelianSystem, cap: int = 1_000_000,
+                             classes=None) -> Cardinal:
     """Independent recount of |ker Psi|: enumerate the residue classes of the
-    stacked cokernel and test blockwise membership directly."""
-    stacked = stacked_difference(system)
-    if not cokernel_order(stacked).is_finite:
-        raise ValueError("ker Psi is defined only when the multi-map number is finite")
+    stacked cokernel and test blockwise membership directly.
+
+    A caller that already enumerated the stacked cokernel passes its classes.
+    An infinite cokernel raises ValueError from the enumeration; no Smith
+    form is computed.
+    """
+    if classes is None:
+        classes = enumerate_cokernel(stacked_difference(system), cap=cap)
     n = system.target_rank
     base = system.homs[0].matrix
     block_bases = []
@@ -166,7 +171,7 @@ def ker_psi_order_bruteforce(system: AbelianSystem, cap: int = 1_000_000) -> Car
             hermite_basis((diff.column(j) for j in range(diff.cols)), n)
         )
     count = 0
-    for rep in enumerate_cokernel(stacked, cap=cap):
+    for rep in classes:
         in_kernel = True
         for j, basis in enumerate(block_bases):
             block = rep[j * n : (j + 1) * n]

@@ -43,7 +43,7 @@ from .abelian import (
     reid_multi,
     stacked_difference,
 )
-from .cardinal import Cardinal, cardinal_product
+from .cardinal import Cardinal
 from .errors import (
     CoincidenceError,
     ConsistencyError,
@@ -61,7 +61,6 @@ from .exact_linalg import (
 )
 from .finite import (
     DEFAULT_CLOSURE_CAP,
-    FiniteDivisibilityReport,
     FiniteGroup,
     FiniteHom,
     binary_icosahedral_group,
@@ -70,7 +69,7 @@ from .finite import (
     cyclic_group,
     direct_product,
     identity_hom,
-    pairwise_values,
+    pairwise_divisibility_report,
     projection_hom,
     twisted_reidemeister,
 )
@@ -553,7 +552,7 @@ def _abelian_oracle(system: AbelianSystem, report) -> tuple[str, list[str]]:
     stacked = stacked_difference(system)
     try:
         classes = enumerate_cokernel(stacked, cap=ORACLE_ENUM_CAP)
-        ker = ker_psi_order_bruteforce(system, cap=ORACLE_ENUM_CAP)
+        ker = ker_psi_order_bruteforce(system, classes=classes)
     except SizeCapError as exc:
         return "absent", [f"oracle: skipped, {exc}"]
     notes = []
@@ -575,11 +574,8 @@ def _abelian_oracle(system: AbelianSystem, report) -> tuple[str, list[str]]:
 def run_finite(doc: dict, oracle: bool) -> dict:
     homs = _build_finite_maps(doc)
     partition = twisted_reidemeister(homs)
-    pairwise = pairwise_values(homs)
-    product = cardinal_product(pairwise)
-    div = FiniteDivisibilityReport(
-        partition.value, pairwise, product, product.divides(partition.value)
-    )
+    div = pairwise_divisibility_report(homs, partition)
+    pairwise = div.pairwise
     histogram: dict[int, int] = {}
     for s in partition.class_sizes:
         histogram[s] = histogram.get(s, 0) + 1
@@ -721,16 +717,9 @@ def run_check(doc: dict) -> dict:
         homs = _build_finite_maps(doc)
         partition = twisted_reidemeister(homs)
         out["value"] = partition.value.to_json()
-        pairwise = pairwise_values(homs)
-        out["pairwise"] = [p.to_json() for p in pairwise]
-        product = cardinal_product(pairwise)
-        add(
-            "pairwise-product-divisibility",
-            True,
-            FiniteDivisibilityReport(
-                partition.value, pairwise, product, product.divides(partition.value)
-            ).witness,
-        )
+        div = pairwise_divisibility_report(homs, partition)
+        out["pairwise"] = [p.to_json() for p in div.pairwise]
+        add("pairwise-product-divisibility", True, div.witness)
         second = twisted_reidemeister(homs, algorithm="union-find")
         add(
             "dual-algorithms-agree",

@@ -1,5 +1,11 @@
 """Twisted conjugacy counts on finite groups.
 
+A group is indices 0..order-1 behind one of two backings: a Cayley table
+(closures, cyclic groups, tables read from input) or, for every direct
+product, componentwise arithmetic on its two factors.  Input data is checked
+exactly against a greedy generating set: a table by Light's associativity
+test, an image table by multiplicativity on the generators.
+
 Tuples (alpha_2, ..., alpha_k) over the codomain are equivalent when some z
 in the domain sends every alpha_i to phi_1(z) * alpha_i * phi_i(z)^{-1}.
 With all maps equal this degenerates to plain conjugacy, which is why the
@@ -16,7 +22,6 @@ produce identical partitions.
 from __future__ import annotations
 
 import math
-import random
 
 from .cardinal import Cardinal, cardinal_product
 from .errors import (
@@ -31,17 +36,14 @@ DEFAULT_CLOSURE_CAP = 10_000
 DEFAULT_PRODUCT_CAP = 1_000_000
 DEFAULT_TUPLE_CAP = 10_000_000
 DEFAULT_WORK_CAP = 100_000_000
-_TABLE_CAP = 4096  # direct products above this stay implicit
-_SPOT_TRIPLES = 2000
-_SPOT_PAIRS = 2000
 
 
 class FiniteGroup:
-    """A finite group on indices 0..order-1 with 0-free identity position.
+    """A finite group on indices 0..order-1; identity is the index it names.
 
-    Backed either by an explicit Cayley table or, for large direct products,
-    by componentwise index arithmetic.  Both expose the same interface:
-    mul(i, j), inv(i), identity, order.
+    Backed either by an explicit Cayley table or, for a direct product, by
+    componentwise index arithmetic on its factors.  Both expose the same
+    interface: mul(i, j), inv(i), identity, order.
     """
 
     __slots__ = ("order", "identity", "_table", "_inv", "_pair", "elements", "labels")
@@ -74,11 +76,14 @@ class FiniteGroup:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_table(cls, table, labels=None, identity=None, rng_seed=0):
+    def from_table(cls, table, labels=None, identity=None):
         """Build from an explicit Cayley table, verifying the group laws.
 
-        Associativity is checked exhaustively for small orders and by seeded
-        random triples beyond that.
+        Rows and columns must be permutations and there must be a two-sided
+        identity (the given one, if any), so the table is a loop.  Associativity then follows, by Light's test,
+        from (x*s)*y == x*(s*y) for all x, y and every s of a generating set:
+        the elements s passing it are closed under the product.  The check
+        is exact and costs order^2 per generator.
         """
         table = [list(row) for row in table]
         n = len(table)
@@ -94,40 +99,30 @@ class FiniteGroup:
             col = sorted(table[i][j] for i in range(n))
             if col != list(range(n)):
                 raise StructureError(f"table column {j} is not a permutation")
+        identity = next(
+            (
+                e
+                for e in (range(n) if identity is None else [identity])
+                if e in range(n)
+                and all(table[e][x] == x and table[x][e] == x for x in range(n))
+            ),
+            None,
+        )
         if identity is None:
-            identity = next(
-                (
-                    e
-                    for e in range(n)
-                    if all(table[e][x] == x and table[x][e] == x for x in range(n))
-                ),
-                None,
-            )
-            if identity is None:
-                raise StructureError("table has no two-sided identity")
+            raise StructureError("table has no two-sided identity")
         group = cls(table=table, labels=labels, identity=identity)
-        group.spot_check_associativity(rng_seed=rng_seed)
+        for s in group.generators():
+            row_s = table[s]
+            for x, row_x in enumerate(table):
+                row_xs = table[row_x[s]]
+                for y in range(n):
+                    if row_xs[y] != row_x[row_s[y]]:
+                        raise StructureError(f"associativity fails at ({x}, {s}, {y})")
         return group
 
-    def spot_check_associativity(self, rng_seed=0, triples=_SPOT_TRIPLES):
-        """Exhaustive up to order 40, seeded random triples beyond."""
-        n = self.order
-        if n <= 40:
-            rng_range = range(n)
-            for a in rng_range:
-                for b in rng_range:
-                    ab = self.mul(a, b)
-                    for c in rng_range:
-                        if self.mul(ab, c) != self.mul(a, self.mul(b, c)):
-                            raise StructureError(
-                                f"associativity fails at ({a}, {b}, {c})"
-                            )
-        else:
-            rng = random.Random(rng_seed)
-            for _ in range(triples):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                    raise StructureError(f"associativity fails at ({a}, {b}, {c})")
+    def generators(self) -> list[int]:
+        """A greedy generating set, taken in index order."""
+        return _generating_set(range(self.order), self.identity, self.mul)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -312,29 +307,13 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *,
                    order_cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
     """Componentwise product; index of (a, b) is a * h.order + b.
 
-    Small products get an explicit table; larger ones stay implicit with
-    identical behavior.
+    No table is built: products are computed from the factors on demand.
     """
     combined = g.order * h.order
     if combined > order_cap:
         raise SizeCapError(
             f"direct product of order {combined} exceeds the cap {order_cap}"
         )
-    if combined <= _TABLE_CAP:
-        table = [
-            [
-                g.mul(i1, j1) * h.order + h.mul(i2, j2)
-                for j1 in range(g.order)
-                for j2 in range(h.order)
-            ]
-            for i1 in range(g.order)
-            for i2 in range(h.order)
-        ]
-        product = FiniteGroup(table=table, identity=g.identity * h.order + h.identity)
-        # keep the factor provenance so projections and labels work; the
-        # table still drives all arithmetic
-        product._pair = (g, h)
-        return product
     return FiniteGroup(pair=(g, h))
 
 
@@ -344,14 +323,17 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *,
 class FiniteHom:
     """A homomorphism as a full image table over domain indices.
 
-    Verified exhaustively when the domain is small, by seeded random pairs
-    beyond that; identity preservation is always checked.
+    With check=True the table is verified exactly: the identity maps to the
+    identity and phi(x*s) == phi(x)*phi(s) for every x and every s of a
+    generating set of the domain.  The elements s passing that test are
+    closed under the product, so phi is multiplicative everywhere.  The
+    check costs domain order times the number of generators.
     """
 
     __slots__ = ("domain", "codomain", "image")
 
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, image,
-                 check: bool = True, rng_seed: int = 0):
+                 check: bool = True):
         self.domain = domain
         self.codomain = codomain
         self.image = tuple(image)
@@ -363,30 +345,17 @@ class FiniteHom:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < codomain.order:
                 raise HomomorphismError(f"image entry {v!r} is not a codomain index")
         if check:
-            self.validate(rng_seed=rng_seed)
+            self.validate()
 
-    def validate(self, rng_seed: int = 0, pairs: int = _SPOT_PAIRS):
+    def validate(self):
         if self.image[self.domain.identity] != self.codomain.identity:
             raise HomomorphismError("identity does not map to identity")
-        n = self.domain.order
-        if n <= 1000:
-            for a in range(n):
-                fa = self.image[a]
-                for b in range(n):
-                    if self.image[self.domain.mul(a, b)] != self.codomain.mul(
-                        fa, self.image[b]
-                    ):
-                        raise HomomorphismError(
-                            f"multiplicativity fails at ({a}, {b})"
-                        )
-        else:
-            rng = random.Random(rng_seed)
-            for _ in range(pairs):
-                a, b = rng.randrange(n), rng.randrange(n)
-                if self.image[self.domain.mul(a, b)] != self.codomain.mul(
-                    self.image[a], self.image[b]
-                ):
-                    raise HomomorphismError(f"multiplicativity fails at ({a}, {b})")
+        image, dmul, cmul = self.image, self.domain.mul, self.codomain.mul
+        for s in self.domain.generators():
+            fs = image[s]
+            for x in range(self.domain.order):
+                if image[dmul(x, s)] != cmul(image[x], fs):
+                    raise HomomorphismError(f"multiplicativity fails at ({x}, {s})")
 
     def __call__(self, i: int) -> int:
         return self.image[i]
@@ -483,31 +452,30 @@ def _image_tuples(homs):
     return list(seen)
 
 
-def _tuple_group_generators(images, codomain, k):
-    """Greedy generating subset of the image subgroup of codomain^k."""
-    identity = tuple([codomain.identity] * k)
+def _generating_set(candidates, identity, mul):
+    """Greedy generating set: each candidate not yet reached becomes a
+    generator.
 
-    def mul(a, b):
-        return tuple(codomain.mul(x, y) for x, y in zip(a, b))
-
+    Adding generator c to the reached subgroup H reaches <H, c>, a union of
+    left cosets rH; each new coset is found by left multiplication with a
+    generator, so the work is about twice the group order overall.  Every
+    reached element is a product of earlier ones, which is all that Light's
+    test and the homomorphism check rely on.
+    """
     gens = []
-    closure = {identity}
-    for candidate in images:
-        if candidate in closure:
+    seen = {identity}
+    for c in candidates:
+        if c in seen:
             continue
-        gens.append(candidate)
-        frontier = list(closure)
-        closure.add(candidate)
-        frontier.append(candidate)
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for g in gens:
-                    for prod in (mul(el, g), mul(g, el)):
-                        if prod not in closure:
-                            closure.add(prod)
-                            nxt.append(prod)
-            frontier = nxt
+        gens.append(c)
+        subgroup = list(seen)
+        reps = [c]
+        while reps:
+            r = reps.pop()
+            if r in seen:
+                continue
+            seen.update(mul(r, h) for h in subgroup)
+            reps.extend(mul(g, r) for g in gens)
     return gens
 
 
@@ -585,9 +553,14 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
         return TwistedPartition(class_of, tuple_space, arity, domain.order)
 
     if algorithm == "union-find":
+        identity = tuple([codomain.identity] * k)
+
+        def mul(a, b):
+            return tuple(codomain.mul(x, y) for x, y in zip(a, b))
+
         gen_actions = [
             (img[0], tuple(codomain.inv(img[i]) for i in range(1, k)))
-            for img in _tuple_group_generators(images, codomain, k)
+            for img in _generating_set(images, identity, mul)
         ]
         parent = list(range(tuple_space))
 
@@ -640,14 +613,17 @@ class FiniteDivisibilityReport:
         self.witness = f"pairwise product {product} {verdict} {value}"
 
 
-def pairwise_divisibility_report(homs) -> FiniteDivisibilityReport:
+def pairwise_divisibility_report(homs, partition=None) -> FiniteDivisibilityReport:
     """Whether the product of pairwise values divides the multi-map value.
 
     For finite targets it need not: the sweep reports whichever way the
-    instance falls, with a witness string.
+    instance falls, with a witness string.  A caller that already swept the
+    tuples passes that partition instead of having the sweep rerun.
     """
     homs, _, _ = _check_homs(homs)
-    value = twisted_reidemeister(homs).value
+    if partition is None:
+        partition = twisted_reidemeister(homs)
+    value = partition.value
     pairwise = pairwise_values(homs)
     product = cardinal_product(pairwise)
     return FiniteDivisibilityReport(value, pairwise, product, product.divides(value))

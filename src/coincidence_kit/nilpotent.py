@@ -544,7 +544,7 @@ def central_reduction(phi: PcHom, psi: PcHom) -> PairReduction:
     if phi.codomain != psi.codomain:
         raise ShapeError("the two maps must share a codomain")
     d1 = central_extension_data(phi.domain)
-    d2 = central_extension_data(phi.codomain)
+    d2 = d1 if phi.codomain == phi.domain else central_extension_data(phi.codomain)
     return PairReduction(
         phi=phi,
         psi=psi,

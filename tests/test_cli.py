@@ -287,6 +287,47 @@ class TestExitCodes:
         assert code == 1
         assert "commutator relation" in err
 
+    def test_non_associative_table_exits_one(self, capsys):
+        # a Latin square with identity 0 that is not a group: Z/66 with 33
+        # added at rows {26, 59} x columns {3, 36}
+        table = [[(i + j) % 66 for j in range(66)] for i in range(66)]
+        for i in (26, 59):
+            for j in (3, 36):
+                table[i][j] = (table[i][j] + 33) % 66
+        problem = json.dumps(
+            {
+                "kind": "finite",
+                "groups": {"loop": {"table": table}},
+                "domain": "loop",
+                "codomain": "loop",
+                "maps": [{"identity": True}, {"constant": True}],
+            }
+        )
+        for command in ("compute", "check"):
+            code, out, err = run_cli(capsys, command, problem)
+            assert (code, out) == (1, ""), err
+            assert "associativity fails" in err
+
+    def test_non_homomorphic_images_exit_one(self, capsys):
+        # the first projection of the squared order-120 group, one entry moved
+        image = [i // 120 for i in range(14400)]
+        image[2] = 1
+        problem = json.dumps(
+            {
+                "kind": "finite",
+                "groups": {
+                    "bi": {"builtin": "binary-icosahedral"},
+                    "square": {"product": ["bi", "bi"]},
+                },
+                "domain": "square",
+                "codomain": "bi",
+                "maps": [{"images": image}, {"constant": True}],
+            }
+        )
+        code, out, err = run_cli(capsys, "compute", problem)
+        assert (code, out) == (1, ""), err
+        assert "multiplicativity fails" in err
+
 
 # -- environment override -------------------------------------------------------------
 
@@ -508,6 +549,23 @@ class TestSmithFormReuse:
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json")
         )
         assert total == 8
+
+    def test_abelian_oracle_enumerates_once(self, capsys, reductions, monkeypatch):
+        original = exact_linalg.enumerate_cokernel
+        enumerated = []
+
+        def counting(m, **kwargs):
+            enumerated.append(m)
+            return original(m, **kwargs)
+
+        for name in ("cli", "abelian", "exact_linalg"):
+            ns = importlib.import_module(f"coincidence_kit.{name}")
+            monkeypatch.setattr(ns, "enumerate_cokernel", counting)
+        total = self._assert_each_once(
+            capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json"), "--oracle"
+        )
+        assert total == 8  # the same Smith forms as without --oracle
+        assert len(enumerated) == 1
 
 
 # -- the gcd-of-minors oracle cap --------------------------------------------------------

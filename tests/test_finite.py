@@ -44,6 +44,17 @@ C2 = cyclic_group(2)
 C3 = cyclic_group(3)
 C4 = cyclic_group(4)
 C6 = cyclic_group(6)
+Z66_TABLE = [[(i + j) % 66 for j in range(66)] for i in range(66)]
+
+
+def z66_loop():
+    """Z/66 with 33 added at rows {26, 59} x columns {3, 36}: still a Latin
+    square with identity 0, but (1*26)*3 = 62 while 1*(26*3) = 29."""
+    table = [list(row) for row in Z66_TABLE]
+    for i in (26, 59):
+        for j in (3, 36):
+            table[i][j] = (table[i][j] + 33) % 66
+    return table
 
 
 def all_homs(domain: FiniteGroup, codomain: FiniteGroup):
@@ -188,16 +199,55 @@ class TestGroupConstruction:
         with pytest.raises(StructureError):
             FiniteGroup.from_table(loop5)
 
+    def test_from_table_rejects_order_66_loop(self):
+        assert FiniteGroup.from_table(Z66_TABLE).order == 66
+        with pytest.raises(StructureError, match="associativity"):
+            FiniteGroup.from_table(z66_loop())
+
+    def test_generators_reach_the_whole_group(self):
+        nested = direct_product(direct_product(C2, S3), C4)
+        klein = FiniteGroup.from_table(
+            [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+        )
+        groups = [
+            S3,
+            close_group([(1, 0, 2, 3), (1, 2, 3, 0)]),
+            ICOSA,
+            cyclic_group(1),
+            C6,
+            klein,
+            FiniteGroup.from_table(Z66_TABLE),
+            nested,
+            PROD,
+        ]
+        for g in groups:
+            gens = g.generators()
+            reached = {g.identity}
+            frontier = [g.identity]
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = g.mul(x, s)
+                    if y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+            assert len(reached) == g.order, g
+        assert cyclic_group(1).generators() == []
+        assert C6.generators() == [1]
+        assert len(nested.generators()) <= 4
+
     def test_from_table_accepts_klein_four(self):
         klein = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
         g = FiniteGroup.from_table(klein)
         assert g.order == 4
         assert g.identity == 0
         assert conjugacy_class_count(g) == 4
+        assert FiniteGroup.from_table(klein, identity=0).identity == 0
+        with pytest.raises(StructureError, match="identity"):
+            FiniteGroup.from_table(klein, identity=1)
 
-    def test_direct_product_small_is_table_backed(self):
+    def test_direct_product_small_follows_componentwise_law(self):
         g = direct_product(C2, C3)
-        assert g._table is not None
         assert g.order == 6
         # componentwise law: (a1,b1)(a2,b2) indexes must match the pair formula
         for i in range(6):
@@ -230,11 +280,11 @@ class TestHoms:
     def test_projection_and_constant(self):
         assert P1.image[14399] == 119
         assert P1.image[120] == 1
-        P1.validate(rng_seed=11)
+        P1.validate()
         p2 = projection_hom(PROD, 1)
         assert p2.image[14399] == 119
         assert p2.image[120] == 0
-        p2.validate(rng_seed=12)
+        p2.validate()
         assert set(CBAR.image) == {0}
         CBAR.validate()
         with pytest.raises(StructureError):
@@ -256,6 +306,15 @@ class TestHoms:
             FiniteHom(C4, C4, [0, 1, 2])  # wrong length
         with pytest.raises(HomomorphismError):
             FiniteHom(C4, C4, [0, 1, 2, True])  # bool is not an index
+
+    def test_rejects_non_hom_on_product_domain(self):
+        # the first projection with one entry moved: only products that
+        # involve element 2 expose it
+        image = [i // 120 for i in range(PROD.order)]
+        FiniteHom(PROD, ICOSA, image)
+        image[2] = 1
+        with pytest.raises(HomomorphismError, match="multiplicativity"):
+            FiniteHom(PROD, ICOSA, image)
 
     def test_exhaustive_hom_pools(self):
         # x -> a*x is an endomorphism of Z/4 for each a, and nothing else is

@@ -346,6 +346,14 @@ class TestCentralExtension:
         with pytest.raises(StructureError, match="direct summand"):
             central_extension_data(torsion)
 
+    def test_endomorphism_pair_shares_extension_data(self):
+        psi = PcHom(HEIS, HEIS, [(3, 0, 0), (0, -1, 0), (0, 0, -3)])
+        red = central_reduction(identity_pc_hom(HEIS), psi)
+        assert red.domain_data is red.codomain_data
+        phi1, phi2, _ = worked_triple(six_generator_domain(), HEIS)
+        red = central_reduction(phi1, phi2)
+        assert red.domain_data.group != red.codomain_data.group
+
 
 # -- the worked reduction ---------------------------------------------------------
 
