@@ -56,7 +56,6 @@ from .exact_linalg import (
     cokernel_order,
     elementary_divisors_via_minors,
     enumerate_cokernel,
-    hermite_basis,
     smith_normal_form,
 )
 from .finite import (
@@ -201,31 +200,35 @@ def _build_finite_group(name, spec, resolved, specs, building):
         )
     kind = keys[0]
     cap = _closure_cap()
-    if kind == "builtin":
-        if spec["builtin"] != "binary-icosahedral":
-            raise ProblemError(
-                f"{where}: unknown builtin {spec['builtin']!r}; "
-                "available: binary-icosahedral"
-            )
-        group = binary_icosahedral_group(cap=cap)
-    elif kind == "permutations":
-        gens = [
-            tuple(_to_vector(p, f"{where}.permutations[{i}]"))
-            for i, p in enumerate(spec["permutations"])
-        ]
-        group = close_group(gens, cap=cap)
-    elif kind == "matrices":
-        field = _to_int(_require(spec, "field", where), f"{where}.field")
-        gens = [
-            tuple(tuple(row) for row in _to_matrix(m, f"{where}.matrices[{i}]"))
-            for i, m in enumerate(spec["matrices"])
-        ]
-        group = close_group(gens, field=field, cap=cap)
-    elif kind == "table":
+    try:
+        if kind == "builtin":
+            if spec["builtin"] != "binary-icosahedral":
+                raise ProblemError(
+                    f"{where}: unknown builtin {spec['builtin']!r}; "
+                    "available: binary-icosahedral"
+                )
+            group = binary_icosahedral_group(cap=cap)
+        elif kind == "permutations":
+            gens = [
+                tuple(_to_vector(p, f"{where}.permutations[{i}]"))
+                for i, p in enumerate(spec["permutations"])
+            ]
+            group = close_group(gens, cap=cap)
+        elif kind == "matrices":
+            field = _to_int(_require(spec, "field", where), f"{where}.field")
+            gens = [
+                tuple(tuple(row) for row in _to_matrix(m, f"{where}.matrices[{i}]"))
+                for i, m in enumerate(spec["matrices"])
+            ]
+            group = close_group(gens, field=field, cap=cap)
+    except SizeCapError as exc:
+        # the closure cap is the one cap a user can set; name its knob
+        raise SizeCapError(f"{exc}; set {CLOSURE_CAP_ENV} to raise it") from None
+    if kind == "table":
         group = FiniteGroup.from_table(_to_matrix(spec["table"], f"{where}.table"))
     elif kind == "cyclic":
         group = cyclic_group(_to_int(spec["cyclic"], f"{where}.cyclic"))
-    else:  # product
+    elif kind == "product":
         factors = spec["product"]
         if not isinstance(factors, list) or len(factors) < 2:
             raise ProblemError(f"{where}.product: expected at least two factor names")
@@ -440,46 +443,22 @@ def _abelian_system(doc: dict, minimum: int, maximum: int | None) -> AbelianSyst
 
 
 def _nilpotent_recount(phi: PcHom, psi: PcHom, cap: int) -> Cardinal:
-    """Enumeration recount of the pair value: list the quotient-level and
-    sublattice-level classes, close the connecting-map image explicitly,
-    and combine the counts."""
+    """Enumeration recount of the pair value, combined by the same formula
+    as the reduction: quotient classes times central classes over |Im delta|.
+    Each class set is listed as a Hermite box; |Im delta| is the central
+    count over the count modulo the lattice enlarged by the delta-vectors."""
     red = central_reduction(phi, psi)
     quotient = enumerate_cokernel(red.psi_bar - red.phi_bar, cap=cap)
     diff_prime = red.psi_prime - red.phi_prime
     central = enumerate_cokernel(diff_prime, cap=cap)
-    width = diff_prime.rows
-    basis = hermite_basis(
-        [diff_prime.column(j) for j in range(diff_prime.cols)], width
-    )
-
-    def reduce_vec(vec):
-        v = list(vec)
-        for row in basis:
-            p = next(l for l, x in enumerate(row) if x)
-            q = v[p] // row[p]
-            if q:
-                for l in range(width):
-                    v[l] -= q * row[l]
-        return tuple(v)
-
-    deltas = delta_image_vectors(red)
-    subgroup = {reduce_vec([0] * width)}
-    frontier = list(subgroup)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for d in deltas:
-                for sign in (1, -1):
-                    h = reduce_vec([x + sign * y for x, y in zip(g, d)])
-                    if h not in subgroup:
-                        subgroup.add(h)
-                        nxt.append(h)
-        frontier = nxt
-    if len(central) % len(subgroup):
+    deltas = IntMatrix.from_columns(delta_image_vectors(red), rows=diff_prime.rows)
+    coarse = enumerate_cokernel(diff_prime.hstack(deltas), cap=cap)
+    im_delta = len(central) // len(coarse)
+    if len(central) % im_delta:
         raise ConsistencyError(
             "the connecting-map image does not evenly split the central classes"
         )
-    return Cardinal(len(central) // len(subgroup) * len(quotient))
+    return Cardinal(len(central) // im_delta * len(quotient))
 
 
 # -- runners ------------------------------------------------------------------------
@@ -663,8 +642,10 @@ def _check_orderings(values) -> tuple[bool, str]:
     )
 
 
-def _permutations(k: int):
-    return list(itertools.permutations(range(k)))
+def _reorderings(k: int):
+    """Every ordering of k maps except the identity, which the caller has
+    already solved."""
+    return list(itertools.permutations(range(k)))[1:]
 
 
 def run_check(doc: dict) -> dict:
@@ -705,9 +686,9 @@ def run_check(doc: dict) -> dict:
         else:
             add("pairwise-product-divides", True, div.witness)
         if system.k <= 4:
-            values = [
+            values = [report.value] + [
                 cokernel_order(stacked_difference(permute_system(system, sigma)))
-                for sigma in _permutations(system.k)
+                for sigma in _reorderings(system.k)
             ]
             ok, detail = _check_orderings(values)
             add("ordering-invariance", ok, detail)
@@ -729,9 +710,9 @@ def run_check(doc: dict) -> dict:
             else "the two algorithms produce different partitions",
         )
         if len(homs) <= 4:
-            values = [
+            values = [partition.value] + [
                 twisted_reidemeister([homs[i] for i in sigma]).value
-                for sigma in _permutations(len(homs))
+                for sigma in _reorderings(len(homs))
             ]
             ok, detail = _check_orderings(values)
             add("ordering-invariance", ok, detail)
@@ -758,9 +739,9 @@ def run_check(doc: dict) -> dict:
         else:
             add("counting-law", True, "skipped: no finite reduced value")
         if len(homs) <= 4:
-            reordered = [
+            reordered = [report] + [
                 reid_nilpotent_multi([homs[i] for i in sigma])
-                for sigma in _permutations(len(homs))
+                for sigma in _reorderings(len(homs))
             ]
             if all(r.status == STATUS_OK for r in reordered):
                 ok, detail = _check_orderings([r.value for r in reordered])

@@ -13,13 +13,15 @@ Two independent routes exist for the invariant factors: gcd-driven
 elimination (smith_normal_form) and gcds of k x k minors
 (elementary_divisors_via_minors).  Tests hold them against each other.  The
 minors route forms C(rows + cols, rows) - 1 determinants, so it refuses
-shapes beyond MINORS_ORACLE_CAP before computing any of them.
+shapes beyond MINORS_ORACLE_CAP before computing any of them.  The cokernel
+order has a third route that shares nothing with Smith: enumerate_cokernel
+lists the classes as the box under the pivots of the row-HNF basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd, prod
 
 from .cardinal import Cardinal, INFINITE, cardinal_product
@@ -588,45 +590,28 @@ def lattice_index(sub_vectors, super_vectors, *, width: int | None = None) -> Ca
 
 def enumerate_cokernel(m: IntMatrix, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     """All residue classes of Z^rows modulo the column lattice of m, as
-    canonical representatives, found by breadth-first closure from zero.
+    canonical representatives in lexicographic order.
 
-    This is the brute-force oracle for cokernel_order: it never touches the
-    Smith machinery.  Requires a finite cokernel; refuses beyond cap.
+    For a full-rank lattice the row-HNF basis is square, upper triangular,
+    with pivots h_1 ... h_n on its diagonal, and reducing a vector by it
+    leaves exactly one representative in the box 0 <= v_i < h_i per class
+    (Cohen, GTM 138, section 2.4).  So the classes are that box, listed
+    directly.  This is the brute-force oracle for cokernel_order: it never
+    touches the Smith machinery.  Requires a finite cokernel; refuses beyond
+    cap.
+
+    >>> enumerate_cokernel(IntMatrix([[2, 4, 1], [2, 6, 2]]))
+    [(0, 0), (0, 1)]
     """
     n = m.rows
     basis = hermite_basis((m.column(j) for j in range(m.cols)), n)
     if len(basis) < n:
         raise ValueError("cokernel is infinite; enumeration is impossible")
-    bound = prod((row[_pivot_col(row)] for row in basis), start=1)
+    pivots = [basis[i][i] for i in range(n)]
+    bound = prod(pivots, start=1)
     if bound > cap:
         raise SizeCapError(f"cokernel enumeration of size {bound} exceeds cap {cap}")
-
-    def reduce(vec):
-        v = list(vec)
-        for row in basis:
-            p = _pivot_col(row)
-            q = v[p] // row[p]
-            if q:
-                for j in range(n):
-                    v[j] -= q * row[j]
-        return tuple(v)
-
-    start = reduce([0] * n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(n):
-                for step in (1, -1):
-                    w = list(v)
-                    w[i] += step
-                    w = reduce(w)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-        frontier = nxt
-    return sorted(seen)
+    return list(product(*(range(h) for h in pivots)))
 
 
 def cokernel_order_bruteforce(m: IntMatrix, cap: int = 1_000_000) -> Cardinal:

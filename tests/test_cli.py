@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -340,6 +341,7 @@ class TestClosureCapEnv:
         )
         assert code == 1
         assert "cap of 50" in err
+        assert cli.CLOSURE_CAP_ENV in err
 
     def test_generous_cap_allows_builtin(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.CLOSURE_CAP_ENV, "200")
@@ -498,7 +500,7 @@ class TestInputForms:
 
 
 class TestSmithFormReuse:
-    """Each matrix is Smith-reduced at most once per compute or snf call.
+    """Each matrix is Smith-reduced at most once per compute, snf or check call.
 
     cli, abelian and nilpotent import smith_normal_form by name, so the
     counting wrapper replaces it in every namespace that binds it."""
@@ -550,6 +552,21 @@ class TestSmithFormReuse:
         )
         assert total == 8
 
+    def test_check_on_shipped_abelian_problems(self, capsys, reductions):
+        for path in sorted(PROBLEMS.glob("*.json")):
+            if json.loads(path.read_text())["kind"].startswith("abelian"):
+                self._assert_each_once(capsys, reductions, "check", str(path))
+
+    def test_check_on_four_map_torus_system(self, capsys, reductions):
+        rng = random.Random(4)
+        maps = [
+            [[rng.randint(-4, 4) for _ in range(10)] for _ in range(3)]
+            for _ in range(4)
+        ]
+        problem = json.dumps({"kind": "abelian-multi", "maps": maps})
+        # compute's 7, plus the 23 orderings other than the identity
+        assert self._assert_each_once(capsys, reductions, "check", problem) == 30
+
     def test_abelian_oracle_enumerates_once(self, capsys, reductions, monkeypatch):
         original = exact_linalg.enumerate_cokernel
         enumerated = []
@@ -566,6 +583,48 @@ class TestSmithFormReuse:
         )
         assert total == 8  # the same Smith forms as without --oracle
         assert len(enumerated) == 1
+
+
+class TestCheckSolvesEachOrderingOnce:
+    """check takes the identity ordering from the solve it already made, so
+    it solves k! orderings in all, not k! + 1."""
+
+    @pytest.mark.parametrize(
+        "name, solver, calls",
+        [
+            ("example1_poincare", "twisted_reidemeister", 6 + 1),  # + union-find
+            ("example3_nilmanifold", "reid_nilpotent_multi", 6),
+            ("heisenberg_pair", "reid_nilpotent_multi", 2),
+        ],
+    )
+    def test_solver_calls(self, capsys, monkeypatch, name, solver, calls):
+        original = getattr(cli, solver)
+        seen = []
+
+        def counting(homs, **kwargs):
+            seen.append(homs)
+            return original(homs, **kwargs)
+
+        monkeypatch.setattr(cli, solver, counting)
+        code, _, err = run_cli(capsys, "check", str(PROBLEMS / f"{name}.json"))
+        assert code == 0, err
+        assert len(seen) == calls
+
+
+# -- the cokernel oracle at scale -------------------------------------------------------
+
+
+def test_oracle_lists_a_third_of_a_million_classes_promptly(capsys):
+    # 6 * 7 * 8 * 9 * 10 * 11 = 332 640 classes, each one listed and tested
+    diagonal = [[6 + i if i == j else 0 for j in range(6)] for i in range(6)]
+    zero = [[0] * 6 for _ in range(6)]
+    problem = json.dumps({"kind": "abelian-pair", "maps": [zero, diagonal]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compute", problem, "--oracle")
+    assert time.perf_counter() - start < 5
+    assert code == 0, err
+    assert "value: 332640\n" in out
+    assert "oracle: agreed\n" in out
 
 
 # -- the gcd-of-minors oracle cap --------------------------------------------------------
@@ -609,11 +668,15 @@ class TestMinorsOracleCap:
 
 
 def test_module_entry_point_runs():
+    # src on the child's path, so it runs from a bare checkout too
+    src = str(PROBLEMS.parent / "src")
+    path = os.environ.get("PYTHONPATH")
     result = subprocess.run(
         [sys.executable, "-m", "coincidence_kit.cli", "compute",
          str(PROBLEMS / "snf_worked.json")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")},
     )
     assert result.returncode == 0
     assert "value: 2" in result.stdout

@@ -1,7 +1,8 @@
 """Exact linear algebra: frozen worked values, plus dual-route property tests.
 
 The gcd-of-minors routine and the brute-force cokernel enumerator act as
-independent oracles for the elimination-based Smith form.
+independent oracles for the elimination-based Smith form.  The enumerator
+lists the Hermite box; a breadth-first closure checks that listing.
 """
 
 from __future__ import annotations
@@ -31,6 +32,41 @@ from coincidence_kit.exact_linalg import (
 )
 
 WORKED = IntMatrix([[2, 4, 1], [2, 6, 2]])
+
+
+def bfs_cokernel(m, cap):
+    """Reference enumeration of Z^rows modulo the column lattice of m: close
+    {0} under unit steps, reducing each vector by the row-HNF basis."""
+    n = m.rows
+    basis = hermite_basis((m.column(j) for j in range(m.cols)), n)
+    if len(basis) < n:
+        raise ValueError("cokernel is infinite")
+    if math.prod(basis[i][i] for i in range(n)) > cap:
+        raise SizeCapError("over the cap")
+
+    def reduce(vec):
+        v = list(vec)
+        for row in basis:
+            p = next(j for j, x in enumerate(row) if x)
+            q = v[p] // row[p]
+            for j in range(n):
+                v[j] -= q * row[j]
+        return tuple(v)
+
+    start = reduce([0] * n)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(n):
+                for step in (1, -1):
+                    w = reduce(v[:i] + (v[i] + step,) + v[i + 1 :])
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+        frontier = nxt
+    return sorted(seen)
 
 
 def random_matrix(rng, max_dim=6, lo=-20, hi=20, rows=None, cols=None):
@@ -222,6 +258,26 @@ class TestCokernel:
     def test_empty_shapes(self):
         assert cokernel_order(IntMatrix([], cols=0)) == Cardinal.finite(1)
         assert cokernel_order(IntMatrix([[], [], []], cols=0)) == INFINITE
+
+    def test_box_matches_breadth_first_reference(self):
+        rng = random.Random(53)
+        shapes = [(0, 0), (0, 3), (2, 0), (1, 4), (2, 5), (3, 6)]
+        shapes += [(rng.randint(1, 4), rng.randint(1, 6)) for _ in range(300)]
+        listed = 0
+        for rows, cols in shapes:
+            m = IntMatrix(
+                [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)],
+                cols=cols,
+            )
+            try:
+                expected = bfs_cokernel(m, cap=5000)
+            except (ValueError, SizeCapError) as exc:
+                with pytest.raises(type(exc)):
+                    enumerate_cokernel(m, cap=5000)
+                continue
+            assert enumerate_cokernel(m, cap=5000) == expected
+            listed += 1
+        assert listed > 100
 
     def test_enumeration_refuses_infinite(self):
         with pytest.raises(ValueError):
