@@ -642,10 +642,23 @@ def _check_orderings(values) -> tuple[bool, str]:
     )
 
 
-def _reorderings(k: int):
-    """Every ordering of k maps except the identity, which the caller has
-    already solved."""
-    return list(itertools.permutations(range(k)))[1:]
+def _ordering_results(keys, first, solve) -> list:
+    """The result of every ordering of the maps, the identity first.
+
+    keys[i] is map i's data, so equal maps have equal keys and reorderings
+    that give the same key list give the same result.  first is the identity
+    ordering's result, which the caller already has; solve(sigma) runs once
+    for each other distinct key list.
+    """
+    keys = tuple(keys)
+    solved = {keys: first}
+    results = []
+    for sigma in itertools.permutations(range(len(keys))):
+        key = tuple(keys[i] for i in sigma)
+        if key not in solved:
+            solved[key] = solve(sigma)
+        results.append(solved[key])
+    return results
 
 
 def run_check(doc: dict) -> dict:
@@ -686,10 +699,13 @@ def run_check(doc: dict) -> dict:
         else:
             add("pairwise-product-divides", True, div.witness)
         if system.k <= 4:
-            values = [report.value] + [
-                cokernel_order(stacked_difference(permute_system(system, sigma)))
-                for sigma in _reorderings(system.k)
-            ]
+            values = _ordering_results(
+                system.homs,
+                report.value,
+                lambda sigma: cokernel_order(
+                    stacked_difference(permute_system(system, sigma))
+                ),
+            )
             ok, detail = _check_orderings(values)
             add("ordering-invariance", ok, detail)
         else:
@@ -710,10 +726,11 @@ def run_check(doc: dict) -> dict:
             else "the two algorithms produce different partitions",
         )
         if len(homs) <= 4:
-            values = [partition.value] + [
-                twisted_reidemeister([homs[i] for i in sigma]).value
-                for sigma in _reorderings(len(homs))
-            ]
+            values = _ordering_results(
+                [h.image for h in homs],
+                partition.value,
+                lambda sigma: twisted_reidemeister([homs[i] for i in sigma]).value,
+            )
             ok, detail = _check_orderings(values)
             add("ordering-invariance", ok, detail)
         else:
@@ -739,10 +756,11 @@ def run_check(doc: dict) -> dict:
         else:
             add("counting-law", True, "skipped: no finite reduced value")
         if len(homs) <= 4:
-            reordered = [report] + [
-                reid_nilpotent_multi([homs[i] for i in sigma])
-                for sigma in _reorderings(len(homs))
-            ]
+            reordered = _ordering_results(
+                [h.images for h in homs],
+                report,
+                lambda sigma: reid_nilpotent_multi([homs[i] for i in sigma]),
+            )
             if all(r.status == STATUS_OK for r in reordered):
                 ok, detail = _check_orderings([r.value for r in reordered])
                 add("ordering-invariance", ok, detail)

@@ -1,17 +1,24 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels, cokernels.
 
 Everything here runs on plain Python ints, so intermediate values may grow
-without bound and nothing ever rounds.  Matrices are immutable.  The Smith
-routine records its row and column operations in unimodular transforms and
-re-multiplies them against the input before returning, so a result that comes
-back at all is self-verified.  Callers keep that result and read the
-cokernel order, the kernel and inverses off it rather than reducing the same
-matrix again: unimodular_inverse takes m^-1 = t @ s from the verified
-transforms of s @ m @ t == I and checks m @ m^-1 == I exactly.
+without bound and nothing ever rounds.  Matrices are immutable.  Every Smith
+result that comes back is checked exactly, by one of two routes.  A
+nonsingular square matrix is reduced without transforms, and its divisors
+must number n, form a chain, multiply to |det m| (Bareiss elimination, which
+shares nothing with the Smith loop) and start with the gcd of the entries.
+That pins the cokernel order, the rank and the first divisor, not each
+middle divisor on its own.  Every other matrix, and any result whose s, t or
+d is read, is reduced with its row and column operations recorded in
+unimodular transforms, which are re-multiplied against the input:
+s @ m @ t == d.  Callers keep the result and read the cokernel order, the
+kernel and inverses off it rather than reducing the same matrix again:
+unimodular_inverse takes m^-1 = t @ s from the verified transforms of
+s @ m @ t == I and checks m @ m^-1 == I exactly.
 
 Two independent routes exist for the invariant factors: gcd-driven
 elimination (smith_normal_form) and gcds of k x k minors
-(elementary_divisors_via_minors).  Tests hold them against each other.  The
+(elementary_divisors_via_minors).  Tests hold them against each other, and
+against sympy's invariant factors where sympy is installed.  The
 minors route forms C(rows + cols, rows) - 1 determinants, so it refuses
 shapes beyond MINORS_ORACLE_CAP before computing any of them.  The cokernel
 order has a third route that shares nothing with Smith: enumerate_cokernel
@@ -20,7 +27,6 @@ lists the classes as the box under the pivots of the row-HNF basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, gcd, prod
 
@@ -189,23 +195,49 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
-@dataclass(frozen=True)
 class SnfResult:
-    """Smith decomposition s @ m @ t == d with unimodular s, t.
+    """Smith form of m: the chain of positive invariant factors
+    l1 | l2 | ... | lr, and the decomposition s @ m @ t == d with unimodular
+    s and t, where d carries the divisors on its diagonal followed by zeros.
 
-    divisors is the chain of positive invariant factors l1 | l2 | ... | lr;
-    d carries them on its diagonal followed by zeros.
+    The divisors are always present.  s, t and d are built once, on first
+    read, by the elimination that tracks transforms and checks
+    s @ m @ t == d, unless smith_normal_form already built them.
     """
 
-    s: IntMatrix
-    t: IntMatrix
-    d: IntMatrix
-    divisors: tuple[int, ...]
+    __slots__ = ("m", "divisors", "_transforms")
+
+    def __init__(self, m: IntMatrix, divisors: tuple[int, ...], transforms=None):
+        self.m = m
+        self.divisors = divisors
+        self._transforms = transforms
+
+    def _decomposition(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+        if self._transforms is None:
+            full = _smith_with_transforms(self.m)
+            if full.divisors != self.divisors:
+                raise ConsistencyError(
+                    f"smith routes disagree: {self.divisors} vs {full.divisors}"
+                )
+            self._transforms = full._transforms
+        return self._transforms
+
+    @property
+    def s(self) -> IntMatrix:
+        return self._decomposition()[0]
+
+    @property
+    def t(self) -> IntMatrix:
+        return self._decomposition()[1]
+
+    @property
+    def d(self) -> IntMatrix:
+        return self._decomposition()[2]
 
     def cokernel_order(self) -> Cardinal:
         """Order of Z^rows / (column lattice of m): infinite exactly when the
         rank falls short of the row count, else the product of the divisors."""
-        if len(self.divisors) < self.d.rows:
+        if len(self.divisors) < self.m.rows:
             return INFINITE
         return Cardinal(prod(self.divisors, start=1))
 
@@ -231,8 +263,10 @@ def _add_col(a, dst, src, mult):
         row[dst] += mult * row[src]
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Diagonalize m over the integers with a divisor chain on the diagonal.
+def _eliminate(a, s=None, t=None) -> tuple[int, ...]:
+    """Reduce the list-of-rows matrix a in place to Smith form and return its
+    divisor chain.  Row operations are mirrored on s and column operations on
+    t, when they are given.
 
     Pivoting always picks a smallest-magnitude nonzero entry of the working
     submatrix, then clears its row and column by Euclidean steps.  Before a
@@ -240,15 +274,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     violating row is folded into the pivot row, which strictly shrinks the
     pivot and so terminates.  That discipline is what makes the divisor chain
     come out sorted without a separate fixup pass.
-
-    >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
-    (1, 2)
     """
-    rows, cols = m.rows, m.cols
-    a = m.to_lists()
-    s = IntMatrix.identity(rows).to_lists()
-    t = IntMatrix.identity(cols).to_lists()
-
+    rows = len(a)
+    cols = len(a[0]) if a else 0
     k = 0
     limit = min(rows, cols)
     while k < limit:
@@ -264,10 +292,12 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         _, bi, bj = best
         if bi != k:
             _swap_rows(a, k, bi)
-            _swap_rows(s, k, bi)
+            if s is not None:
+                _swap_rows(s, k, bi)
         if bj != k:
             _swap_cols(a, k, bj)
-            _swap_cols(t, k, bj)
+            if t is not None:
+                _swap_cols(t, k, bj)
 
         while True:
             # Clear the pivot column by row operations.
@@ -281,13 +311,15 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 )
                 if low != k:
                     _swap_rows(a, k, low)
-                    _swap_rows(s, k, low)
+                    if s is not None:
+                        _swap_rows(s, k, low)
                 for i in range(k + 1, rows):
                     if a[i][k]:
                         q = a[i][k] // a[k][k]
                         if q:
                             _add_row(a, i, k, -q)
-                            _add_row(s, i, k, -q)
+                            if s is not None:
+                                _add_row(s, i, k, -q)
             # Clear the pivot row by column operations; a column swap here can
             # re-dirty the pivot column, hence the outer loop.
             while True:
@@ -300,13 +332,15 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 )
                 if low != k:
                     _swap_cols(a, k, low)
-                    _swap_cols(t, k, low)
+                    if t is not None:
+                        _swap_cols(t, k, low)
                 for j in range(k + 1, cols):
                     if a[k][j]:
                         q = a[k][j] // a[k][k]
                         if q:
                             _add_col(a, j, k, -q)
-                            _add_col(t, j, k, -q)
+                            if t is not None:
+                                _add_col(t, j, k, -q)
             if any(a[i][k] for i in range(k + 1, rows)):
                 continue
             # Divisibility sweep: the accepted pivot must divide everything
@@ -323,13 +357,15 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             if offender is None:
                 break
             _add_row(a, k, offender, 1)
-            _add_row(s, k, offender, 1)
+            if s is not None:
+                _add_row(s, k, offender, 1)
 
         if a[k][k] < 0:
             for j in range(cols):
                 a[k][j] = -a[k][j]
-            for j in range(rows):
-                s[k][j] = -s[k][j]
+            if s is not None:
+                for j in range(rows):
+                    s[k][j] = -s[k][j]
         k += 1
 
     diag = [a[i][i] for i in range(limit)]
@@ -338,11 +374,56 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         if v == 0:
             break
         divisors.append(v)
-    s_m = IntMatrix(s, cols=rows)
-    t_m = IntMatrix(t, cols=cols)
-    d_m = IntMatrix(a, cols=cols)
-    _verify_snf(m, s_m, t_m, d_m, tuple(divisors))
-    return SnfResult(s=s_m, t=t_m, d=d_m, divisors=tuple(divisors))
+    return tuple(divisors)
+
+
+def _smith_with_transforms(m: IntMatrix) -> SnfResult:
+    """Smith form with its transforms, verified by s @ m @ t == d."""
+    a = m.to_lists()
+    s = IntMatrix.identity(m.rows).to_lists()
+    t = IntMatrix.identity(m.cols).to_lists()
+    divisors = _eliminate(a, s, t)
+    s_m = IntMatrix(s, cols=m.rows)
+    t_m = IntMatrix(t, cols=m.cols)
+    d_m = IntMatrix(a, cols=m.cols)
+    _verify_snf(m, s_m, t_m, d_m, divisors)
+    return SnfResult(m, divisors, (s_m, t_m, d_m))
+
+
+def smith_normal_form(m: IntMatrix) -> SnfResult:
+    """Diagonalize m over the integers with a divisor chain on the diagonal.
+
+    A nonsingular square m is reduced without transforms.  Its divisors are
+    checked against invariants computed apart from the elimination: there
+    are n of them, they form a chain, their product is |det m| (Bareiss),
+    and the first is the gcd of the entries.  That pins the cokernel order,
+    the rank and d_1 exactly, not each middle divisor; s, t and d are built
+    only if read.  Every other shape is reduced with transforms and verified
+    by s @ m @ t == d at once.
+
+    >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
+    (1, 2)
+    """
+    if not m.is_square:
+        return _smith_with_transforms(m)
+    det = determinant(m)
+    if det == 0:
+        return _smith_with_transforms(m)
+    divisors = _eliminate(m.to_lists())
+    _check_chain(divisors)
+    if len(divisors) != m.rows:
+        raise ConsistencyError(
+            f"{len(divisors)} divisors for a nonsingular {m.rows}x{m.rows} matrix"
+        )
+    if prod(divisors, start=1) != abs(det):
+        raise ConsistencyError(
+            f"divisors {divisors} do not multiply to |det m| = {abs(det)}"
+        )
+    if divisors and divisors[0] != gcd(*m.entries):
+        raise ConsistencyError(
+            f"first divisor of {divisors} is not the gcd of the entries"
+        )
+    return SnfResult(m, divisors)
 
 
 def _verify_snf(m, s, t, d, divisors):
@@ -352,13 +433,17 @@ def _verify_snf(m, s, t, d, divisors):
         for j in range(d.cols):
             if i != j and d[i, j]:
                 raise ConsistencyError("smith form is not diagonal")
-    for a, b in zip(divisors, divisors[1:]):
-        if a <= 0 or b % a:
-            raise ConsistencyError(f"divisor chain broken: {divisors}")
+    _check_chain(divisors)
     lim = min(d.rows, d.cols)
     for i in range(len(divisors), lim):
         if d[i, i]:
             raise ConsistencyError("nonzero diagonal entry after a zero one")
+
+
+def _check_chain(divisors):
+    for a, b in zip(divisors, divisors[1:]):
+        if a <= 0 or b % a:
+            raise ConsistencyError(f"divisor chain broken: {divisors}")
 
 
 def _minor_det(m: IntMatrix, row_idx, col_idx) -> int:
@@ -425,7 +510,7 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     form: s @ m @ t == I gives m^-1 = t @ s."""
     if not m.is_square:
         raise ShapeError("only square matrices invert")
-    snf = smith_normal_form(m)
+    snf = _smith_with_transforms(m)
     if len(snf.divisors) < m.rows or any(d != 1 for d in snf.divisors):
         raise ShapeError(
             f"matrix is not unimodular (invariant factors {snf.divisors})"

@@ -586,13 +586,14 @@ class TestSmithFormReuse:
 
 
 class TestCheckSolvesEachOrderingOnce:
-    """check takes the identity ordering from the solve it already made, so
-    it solves k! orderings in all, not k! + 1."""
+    """check solves each distinct reordered map list once, and takes the
+    identity ordering from the solve it already made.  example1_poincare has
+    maps [p, p, c]: its 6 orderings hold 3 distinct lists."""
 
     @pytest.mark.parametrize(
         "name, solver, calls",
         [
-            ("example1_poincare", "twisted_reidemeister", 6 + 1),  # + union-find
+            ("example1_poincare", "twisted_reidemeister", 3 + 1),  # + union-find
             ("example3_nilmanifold", "reid_nilpotent_multi", 6),
             ("heisenberg_pair", "reid_nilpotent_multi", 2),
         ],
@@ -609,6 +610,74 @@ class TestCheckSolvesEachOrderingOnce:
         code, _, err = run_cli(capsys, "check", str(PROBLEMS / f"{name}.json"))
         assert code == 0, err
         assert len(seen) == calls
+
+    def test_torus_system_with_a_repeated_map(self, capsys, monkeypatch):
+        original = cli.cokernel_order
+        seen = []
+
+        def counting(m):
+            seen.append(m)
+            return original(m)
+
+        monkeypatch.setattr(cli, "cokernel_order", counting)
+        a = [[2, 1], [0, 3]]
+        b = [[1, 0], [4, -1]]
+        problem = json.dumps({"kind": "abelian-multi", "maps": [a, a, b]})
+        code, out, err = run_cli(capsys, "check", problem)
+        assert code == 0, err
+        assert "PASS ordering-invariance: all 6 orderings agree" in out
+        # [a, a, b], [a, b, a] and [b, a, a]; the first is compute's own
+        assert len(seen) == 2
+
+
+# -- Smith transforms only when read ----------------------------------------------------
+
+
+class TestLazySmithTransforms:
+    """Nonsingular square matrices are reduced without transforms; only the
+    shapes that need them take the elimination that tracks s and t."""
+
+    @pytest.fixture
+    def with_transforms(self, monkeypatch):
+        original = exact_linalg._smith_with_transforms
+        shapes = []
+
+        def counting(m):
+            shapes.append((m.rows, m.cols))
+            return original(m)
+
+        monkeypatch.setattr(exact_linalg, "_smith_with_transforms", counting)
+        return shapes
+
+    def test_square_snf_problem(self, capsys, with_transforms):
+        rng = random.Random(32)
+        matrix = [[rng.randint(-9, 9) for _ in range(32)] for _ in range(32)]
+        problem = json.dumps({"kind": "snf", "matrix": matrix})
+        code, out, err = run_cli(capsys, "compute", problem)
+        assert code == 0, err
+        assert "value: " in out and "value: infinite" not in out
+        assert with_transforms == []
+
+    def test_torus_system_stacked_matrix(self, capsys, with_transforms):
+        rng = random.Random(3)
+
+        def block(scale):
+            return [[scale * rng.randint(-4, 4) for _ in range(8)] for _ in range(4)]
+
+        # differences divisible by 2 and 3 make both pairwise values exceed
+        # 1, so |ker Psi| also takes the lattice-index route (8x8)
+        base = block(1)
+        maps = [base] + [
+            [[b + v for b, v in zip(rb, rv)] for rb, rv in zip(base, block(scale))]
+            for scale in (2, 3)
+        ]
+        problem = json.dumps({"kind": "abelian-multi", "maps": maps})
+        code, out, err = run_cli(capsys, "compute", problem, "--trace")
+        assert code == 0, err
+        assert "pairwise: 16, 81\n" in out
+        assert "(lattice index route)" in out
+        # the two wide pairwise matrices; never the 8x8 stacked one
+        assert with_transforms == [(4, 8), (4, 8)]
 
 
 # -- the cokernel oracle at scale -------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exact linear algebra: frozen worked values, plus dual-route property tests.
 
 The gcd-of-minors routine and the brute-force cokernel enumerator act as
-independent oracles for the elimination-based Smith form.  The enumerator
+independent oracles for the elimination-based Smith form, and sympy's
+invariant factors a third one where sympy is installed.  The enumerator
 lists the Hermite box; a breadth-first closure checks that listing.
 """
 
@@ -13,7 +14,12 @@ import random
 import pytest
 
 from coincidence_kit.cardinal import Cardinal, INFINITE, cardinal_product
-from coincidence_kit.errors import ContainmentError, ShapeError, SizeCapError
+from coincidence_kit.errors import (
+    ConsistencyError,
+    ContainmentError,
+    ShapeError,
+    SizeCapError,
+)
 from coincidence_kit.exact_linalg import (
     MINORS_ORACLE_CAP,
     IntMatrix,
@@ -73,6 +79,29 @@ def random_matrix(rng, max_dim=6, lo=-20, hi=20, rows=None, cols=None):
     r = rows if rows is not None else rng.randint(1, max_dim)
     c = cols if cols is not None else rng.randint(1, max_dim)
     return IntMatrix([[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)])
+
+
+def random_unimodular(rng, n):
+    """A unimodular matrix built from random elementary operations."""
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(2 * n + 6):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            m[i] = [-x for x in m[i]]
+        elif rng.random() < 0.2:
+            m[i], m[j] = m[j], m[i]
+        else:
+            q = rng.randint(-3, 3)
+            for c in range(n):
+                m[i][c] += q * m[j][c]
+    return IntMatrix(m)
+
+
+def random_nonsingular(rng, n, lo=-9, hi=9):
+    while True:
+        m = random_matrix(rng, lo=lo, hi=hi, rows=n, cols=n)
+        if determinant(m):
+            return m
 
 
 class TestCardinal:
@@ -197,6 +226,137 @@ class TestSmithProperties:
                 assert order == Cardinal.finite(abs(det))
 
 
+class TestLazyTransforms:
+    """A nonsingular square input is reduced without transforms and checked
+    against its determinant; s, t and d are built on first read."""
+
+    @pytest.fixture
+    def with_transforms(self, monkeypatch):
+        import coincidence_kit.exact_linalg as el
+
+        original = el._smith_with_transforms
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(el, "_smith_with_transforms", counting)
+        return calls
+
+    def test_nonsingular_square_builds_transforms_on_first_read(self, with_transforms):
+        m = random_nonsingular(random.Random(3), 7)
+        res = smith_normal_form(m)
+        assert res.cokernel_order() == Cardinal.finite(abs(determinant(m)))
+        assert with_transforms == []
+        t = res.t
+        assert len(with_transforms) == 1
+        assert (res.s @ m) @ t == res.d
+        assert len(with_transforms) == 1
+
+    @pytest.mark.parametrize(
+        "m",
+        [IntMatrix([[1, 2], [2, 4]]), IntMatrix.zeros(3, 3), WORKED, WORKED.transpose()],
+    )
+    def test_singular_and_non_square_inputs_are_eager(self, with_transforms, m):
+        res = smith_normal_form(m)
+        assert len(with_transforms) == 1
+        assert (res.s @ m) @ res.t == res.d
+        assert len(with_transforms) == 1
+
+    def test_unimodular_inverse_eliminates_once(self, monkeypatch):
+        import coincidence_kit.exact_linalg as el
+
+        original = el._eliminate
+        calls = []
+
+        def counting(a, s=None, t=None):
+            calls.append(len(a))
+            return original(a, s, t)
+
+        monkeypatch.setattr(el, "_eliminate", counting)
+        m = random_unimodular(random.Random(8), 8)
+        assert m @ unimodular_inverse(m) == IntMatrix.identity(8)
+        assert calls == [8]
+
+    @pytest.mark.parametrize(
+        "chain, complaint",
+        [
+            ((2, 12), "det"),  # a chain of 2 divisors, but 24 != |det| = 12
+            ((1, 12), "gcd"),  # product 12, but the entries have gcd 2
+            ((12,), "divisors for a nonsingular"),
+            ((4, 3), "chain"),
+        ],
+    )
+    def test_wrong_chain_is_refused(self, monkeypatch, chain, complaint):
+        import coincidence_kit.exact_linalg as el
+
+        monkeypatch.setattr(el, "_eliminate", lambda a, s=None, t=None: chain)
+        with pytest.raises(ConsistencyError, match=complaint):
+            smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
+
+
+@pytest.fixture
+def sympy_divisors():
+    """sympy's invariant factors, zeros dropped; the test skips without sympy."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    def divisors(m):
+        factors = invariant_factors(sympy.Matrix(m.to_lists()), domain=sympy.ZZ)
+        return tuple(int(f) for f in factors if f)
+
+    return divisors
+
+
+class TestSympyOracle:
+    """sympy's invariant factors as a third route, test-only."""
+
+    def test_random_nonsingular_square(self, sympy_divisors):
+        rng = random.Random(32)
+        signs = set()
+        for n in range(1, 33):
+            m = random_nonsingular(rng, n, lo=-5, hi=5)
+            signs.add(determinant(m) > 0)
+            assert smith_normal_form(m).divisors == sympy_divisors(m)
+        assert signs == {True, False}
+
+    def test_negative_determinant(self, sympy_divisors):
+        rng = random.Random(5)
+        for n in (2, 5, 9):
+            m = random_nonsingular(rng, n)
+            rows = m.to_lists()
+            if determinant(m) > 0:
+                rows[0] = [-x for x in rows[0]]
+            m = IntMatrix(rows)
+            assert determinant(m) < 0
+            assert smith_normal_form(m).divisors == sympy_divisors(m)
+
+    def test_unimodular(self, sympy_divisors):
+        rng = random.Random(12)
+        for n in (1, 4, 8, 16):
+            m = random_unimodular(rng, n)
+            assert smith_normal_form(m).divisors == sympy_divisors(m) == (1,) * n
+
+    def test_hidden_diagonal(self, sympy_divisors):
+        rng = random.Random(2)
+        diag = IntMatrix([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 4, 0], [0, 0, 0, 12]])
+        for _ in range(5):
+            m = random_unimodular(rng, 4) @ diag @ random_unimodular(rng, 4)
+            assert smith_normal_form(m).divisors == sympy_divisors(m) == (1, 2, 12, 12)
+
+    def test_singular_on_the_eager_path(self, sympy_divisors):
+        rng = random.Random(6)
+        rows = random_matrix(rng, lo=-9, hi=9, rows=6, cols=6).to_lists()
+        rows[5] = [a - 2 * b for a, b in zip(rows[0], rows[3])]
+        m = IntMatrix(rows)
+        assert determinant(m) == 0
+        res = smith_normal_form(m)
+        assert (res.s @ m) @ res.t == res.d
+        assert res.divisors == sympy_divisors(m)
+        assert len(res.divisors) == 5
+
+
 class TestKernel:
     def test_worked_kernel(self):
         basis = kernel_basis(WORKED)
@@ -303,20 +463,8 @@ class TestDeterminant:
     def test_unimodular_inverse(self):
         rng = random.Random(41)
         for _ in range(60):
-            # build a unimodular matrix from random elementary operations
             n = rng.randint(1, 12)
-            m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            for _ in range(2 * n + 6):
-                i, j = rng.randrange(n), rng.randrange(n)
-                if i == j:
-                    m[i] = [-x for x in m[i]]
-                elif rng.random() < 0.2:
-                    m[i], m[j] = m[j], m[i]
-                else:
-                    q = rng.randint(-3, 3)
-                    for c in range(n):
-                        m[i][c] += q * m[j][c]
-            mat = IntMatrix(m)
+            mat = random_unimodular(rng, n)
             inv = unimodular_inverse(mat)
             assert mat @ inv == IntMatrix.identity(n)
             assert inv @ mat == IntMatrix.identity(n)
