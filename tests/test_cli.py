@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import coincidence_kit
-from coincidence_kit import cli, exact_linalg
+from coincidence_kit import cli, exact_linalg, finite
 from coincidence_kit.finite import cyclic_group, twisted_reidemeister, FiniteHom
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -628,6 +628,46 @@ class TestCheckSolvesEachOrderingOnce:
         assert "PASS ordering-invariance: all 6 orderings agree" in out
         # [a, a, b], [a, b, a] and [b, a, a]; the first is compute's own
         assert len(seen) == 2
+
+
+class TestPairwiseValuesReuseSweeps:
+    """The pairwise value of two maps is the value itself, and each distinct
+    second map is swept against the first once."""
+
+    @pytest.mark.parametrize(
+        "maps, sweeps, value, pairwise",
+        [
+            ([{"identity": True}, {"constant": True}], 1, 1, [1]),
+            # R(ID, CONST) once, not twice
+            ([{"identity": True}, {"constant": True}, {"constant": True}], 2, 24, [1, 1]),
+            ([{"identity": True}, {"identity": True}, {"constant": True}], 3, 24, [5, 1]),
+        ],
+    )
+    def test_orbit_sweeps(self, capsys, monkeypatch, maps, sweeps, value, pairwise):
+        original = finite.twisted_reidemeister
+        seen = []
+
+        def counting(homs, **kwargs):
+            seen.append(len(homs))
+            return original(homs, **kwargs)
+
+        monkeypatch.setattr(cli, "twisted_reidemeister", counting)
+        monkeypatch.setattr(finite, "twisted_reidemeister", counting)
+        problem = json.dumps(
+            {
+                "kind": "finite",
+                "groups": {"s4": {"permutations": [[1, 0, 2, 3], [1, 2, 3, 0]]}},
+                "domain": "s4",
+                "codomain": "s4",
+                "maps": maps,
+            }
+        )
+        code, out, err = run_cli(capsys, "compute", problem, "--format", "structured")
+        assert code == 0, err
+        assert len(seen) == sweeps
+        report = json.loads(out)
+        assert report["value"] == value
+        assert report["pairwise"] == pairwise
 
 
 # -- Smith transforms only when read ----------------------------------------------------

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from coincidence_kit import finite
 from coincidence_kit.abelian import AbelianSystem, stacked_difference
 from coincidence_kit.cardinal import Cardinal
 from coincidence_kit.errors import (
@@ -271,6 +272,72 @@ class TestGroupConstruction:
     def test_direct_product_order_cap(self):
         with pytest.raises(SizeCapError):
             direct_product(ICOSA, PROD)  # 120 * 14400 > 1_000_000
+
+
+# -- closure along the Cayley graph ----------------------------------------------
+
+
+def _perm_mul(a, b):
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+# name -> (generators, field of the matrices or None for permutations, order)
+CLOSURES = {
+    "trivial": ([], None, 1),
+    "S3": ([(1, 0, 2), (1, 2, 0)], None, 6),
+    "S4": ([(1, 0, 2, 3), (1, 2, 3, 0)], None, 24),
+    "A5": ([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], None, 60),
+    "S5": ([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], None, 120),
+    "GL23": ([((1, 1), (0, 1)), ((0, 1), (2, 0)), ((2, 0), (0, 1))], 3, 48),
+    "SL25": ([((1, 1), (0, 1)), ((1, 0), (1, 1))], 5, 120),
+    "BI": ([((1, 1), (0, 1)), ((0, -1), (1, 0))], 5, 120),
+}
+
+
+def _closure(name):
+    """The closed group, BI through its builder, and its element product."""
+    gens, field, order = CLOSURES[name]
+    g = binary_icosahedral_group() if name == "BI" else close_group(gens, field=field)
+    assert g.order == order
+    if field is None:
+        return g, _perm_mul
+    return g, lambda a, b: finite._matrix_mul(a, b, field)
+
+
+class TestCayleyGraphClosure:
+    """close_group forms one product per Cayley-graph edge and fills the
+    table by lookups; the table must equal the one built from all n^2
+    products."""
+
+    @pytest.mark.parametrize("name", ["GL23", "SL25", "BI"])
+    def test_matrix_closure_forms_one_product_per_edge(self, monkeypatch, name):
+        original = finite._matrix_mul
+        calls = []
+
+        def counting(a, b, p):
+            calls.append(p)
+            return original(a, b, p)
+
+        monkeypatch.setattr(finite, "_matrix_mul", counting)
+        gens, _, order = CLOSURES[name]
+        _closure(name)
+        assert len(calls) <= order * len(gens)  # GL(2,3): 144, not 144 + 48^2
+
+    @pytest.mark.parametrize("name", CLOSURES)
+    def test_table_equals_all_pairs_reference(self, name):
+        g, mul = _closure(name)
+        index = {x: i for i, x in enumerate(g.elements)}
+        assert len(index) == g.order
+        reference = [[index[mul(a, b)] for b in g.elements] for a in g.elements]
+        assert g._table == reference
+        assert FiniteGroup.from_table(g._table).order == g.order
+
+    @pytest.mark.parametrize("name", ["S4", "GL23"])
+    def test_cap_boundary(self, name):
+        gens, field, order = CLOSURES[name]
+        assert close_group(gens, field=field, cap=order).order == order
+        with pytest.raises(SizeCapError):
+            close_group(gens, field=field, cap=order - 1)
 
 
 # -- homomorphisms -------------------------------------------------------------
