@@ -42,9 +42,9 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    certify_smith,
     cokernel_order,
     determinant,
-    elementary_divisors_via_minors,
     enumerate_cokernel,
     hermite_basis,
     kernel_basis,
@@ -124,6 +124,7 @@ __all__ = [
     "cardinal_product",
     "central_extension_data",
     "central_reduction",
+    "certify_smith",
     "close_group",
     "cokernel_order",
     "combine_homs",
@@ -135,7 +136,6 @@ __all__ = [
     "direct_power_pc",
     "direct_product",
     "divisibility_report",
-    "elementary_divisors_via_minors",
     "enumerate_cokernel",
     "heisenberg_group",
     "hermite_basis",

@@ -53,8 +53,8 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    certify_smith,
     cokernel_order,
-    elementary_divisors_via_minors,
     enumerate_cokernel,
     smith_normal_form,
 )
@@ -493,19 +493,11 @@ def run_snf(doc: dict, oracle: bool) -> dict:
         f"cokernel order: {order}",
     ]
     if oracle:
-        try:
-            minors = elementary_divisors_via_minors(matrix)
-        except SizeCapError as exc:
-            out["trace"].append(f"oracle: skipped, {exc}")
-            return out
-        if minors == snf.divisors:
-            out["oracle_status"] = "agreed"
-            out["trace"].append("oracle: gcd-of-minors divisors agree")
-        else:
-            out["oracle_status"] = (
-                f"mismatch: gcd-of-minors gives {list(minors)}, "
-                f"reduction gives {list(snf.divisors)}"
-            )
+        certify_smith(snf)
+        out["oracle_status"] = "agreed"
+        out["trace"].append(
+            "oracle: unimodular s, t with s @ m @ t == d prove the divisors"
+        )
     return out
 
 
@@ -672,16 +664,12 @@ def run_check(doc: dict) -> dict:
     if kind == "snf":
         matrix = IntMatrix(_to_matrix(_require(doc, "matrix"), "matrix"))
         snf = smith_normal_form(matrix)
-        try:
-            minors = elementary_divisors_via_minors(matrix)
-        except SizeCapError as exc:
-            add("divisors-vs-minors", True, f"skipped: {exc}")
-        else:
-            add(
-                "divisors-vs-minors",
-                minors == snf.divisors,
-                f"reduction {list(snf.divisors)}, gcd-of-minors {list(minors)}",
-            )
+        certify_smith(snf)
+        add(
+            "smith-certificate",
+            True,
+            f"unimodular s, t with s @ m @ t == d prove {list(snf.divisors)}",
+        )
         out["value"] = snf.cokernel_order().to_json()
     elif kind in ("abelian-pair", "abelian-multi"):
         system = _abelian_system(doc, 2, 2 if kind == "abelian-pair" else None)

@@ -15,27 +15,21 @@ kernel and inverses off it rather than reducing the same matrix again:
 unimodular_inverse takes m^-1 = t @ s from the verified transforms of
 s @ m @ t == I and checks m @ m^-1 == I exactly.
 
-Two independent routes exist for the invariant factors: gcd-driven
-elimination (smith_normal_form) and gcds of k x k minors
-(elementary_divisors_via_minors).  Tests hold them against each other, and
-against sympy's invariant factors where sympy is installed.  The
-minors route forms C(rows + cols, rows) - 1 determinants, so it refuses
-shapes beyond MINORS_ORACLE_CAP before computing any of them.  The cokernel
-order has a third route that shares nothing with Smith: enumerate_cokernel
-lists the classes as the box under the pivots of the row-HNF basis.
+certify_smith proves every divisor of a result, at any size: it builds s and
+t if they are not there yet and requires |det s| == |det t| == 1 (Bareiss).
+Since s @ m @ t == d with d the divisor chain on its diagonal, unimodular s
+and t make d the Smith form of m, which is unique.  The cokernel order has a
+route that shares nothing with Smith: enumerate_cokernel lists the classes
+as the box under the pivots of the row-HNF basis.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import comb, gcd, prod
+from itertools import product
+from math import gcd, prod
 
 from .cardinal import Cardinal, INFINITE, cardinal_product
 from .errors import ConsistencyError, ContainmentError, ShapeError, SizeCapError
-
-# Most k x k minors, over all k, that elementary_divisors_via_minors will form:
-# a 9 x 9 input (48 619 minors, about 1.5 s) fits, a 10 x 10 (184 755) does not.
-MINORS_ORACLE_CAP = 50_000
 
 
 def _as_int(x, where: str) -> int:
@@ -435,50 +429,17 @@ def _verify_snf(m, s, t, d, divisors):
                 raise ConsistencyError("smith form is not diagonal")
     _check_chain(divisors)
     lim = min(d.rows, d.cols)
-    for i in range(len(divisors), lim):
-        if d[i, i]:
-            raise ConsistencyError("nonzero diagonal entry after a zero one")
+    if tuple(d[i, i] for i in range(lim)) != divisors + (0,) * (lim - len(divisors)):
+        raise ConsistencyError(
+            f"diagonal of d is not the divisors {divisors} followed by zeros"
+        )
 
 
 def _check_chain(divisors):
-    for a, b in zip(divisors, divisors[1:]):
-        if a <= 0 or b % a:
-            raise ConsistencyError(f"divisor chain broken: {divisors}")
-
-
-def _minor_det(m: IntMatrix, row_idx, col_idx) -> int:
-    sub = IntMatrix([[m[i, j] for j in col_idx] for i in row_idx])
-    return determinant(sub)
-
-
-def elementary_divisors_via_minors(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors from gcds of k x k minors; independent of the
-    elimination route, so it serves as its oracle.
-
-    d_k = gcd of all k x k minors, d_0 = 1, and the k-th divisor is
-    d_k / d_{k-1} while d_k is nonzero.  There are C(rows + cols, rows) - 1
-    minors in all; beyond MINORS_ORACLE_CAP of them a SizeCapError is raised
-    before any is computed.
-    """
-    minors = comb(m.rows + m.cols, m.rows) - 1
-    if minors > MINORS_ORACLE_CAP:
-        raise SizeCapError(
-            f"gcd-of-minors oracle on a {m.rows}x{m.cols} matrix needs {minors} "
-            f"minors, over the cap of {MINORS_ORACLE_CAP}"
-        )
-    limit = min(m.rows, m.cols)
-    divisors = []
-    prev = 1
-    for k in range(1, limit + 1):
-        g = 0
-        for row_idx in combinations(range(m.rows), k):
-            for col_idx in combinations(range(m.cols), k):
-                g = gcd(g, _minor_det(m, row_idx, col_idx))
-        if g == 0:
-            break
-        divisors.append(g // prev)
-        prev = g
-    return tuple(divisors)
+    if any(a <= 0 for a in divisors) or any(
+        b % a for a, b in zip(divisors, divisors[1:])
+    ):
+        raise ConsistencyError(f"divisor chain broken: {divisors}")
 
 
 def determinant(m: IntMatrix) -> int:
@@ -503,6 +464,25 @@ def determinant(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def certify_smith(snf: SnfResult) -> None:
+    """Prove every divisor of snf, or raise ConsistencyError.
+
+    Reading s and t builds them if they are not there yet, and building them
+    checks s @ m @ t == d, that d is diagonal with the divisor chain on its
+    diagonal followed by zeros, and that the divisors match the ones snf
+    already holds.  What is left is |det s| == |det t| == 1 (Bareiss): then
+    d is the Smith form of m, which is unique, so the divisors are right.
+
+    >>> certify_smith(smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])))
+    """
+    for name, u in (("s", snf.s), ("t", snf.t)):
+        det = determinant(u)
+        if abs(det) != 1:
+            raise ConsistencyError(
+                f"smith transform {name} is not unimodular: det {name} = {det}"
+            )
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -699,16 +679,11 @@ def enumerate_cokernel(m: IntMatrix, cap: int = 1_000_000) -> list[tuple[int, ..
     return list(product(*(range(h) for h in pivots)))
 
 
-def cokernel_order_bruteforce(m: IntMatrix, cap: int = 1_000_000) -> Cardinal:
-    return Cardinal(len(enumerate_cokernel(m, cap=cap)))
-
-
 __all__ = [
     "IntMatrix",
     "SnfResult",
     "smith_normal_form",
-    "elementary_divisors_via_minors",
-    "MINORS_ORACLE_CAP",
+    "certify_smith",
     "determinant",
     "unimodular_inverse",
     "hermite_basis",
@@ -716,7 +691,6 @@ __all__ = [
     "rank",
     "kernel_basis",
     "cokernel_order",
-    "cokernel_order_bruteforce",
     "lattice_index",
     "enumerate_cokernel",
     "Cardinal",

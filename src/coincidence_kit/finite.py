@@ -60,15 +60,12 @@ class FiniteGroup:
         if table is not None:
             self.order = len(table)
             self.identity = identity
-            self._inv = [None] * self.order
-            for i in range(self.order):
-                row = table[i]
-                for j in range(self.order):
-                    if row[j] == self.identity:
-                        self._inv[i] = j
-                        break
-                if self._inv[i] is None:
-                    raise StructureError(f"element {i} has no inverse")
+            self._inv = []
+            for i, row in enumerate(table):
+                try:
+                    self._inv.append(row.index(identity))
+                except ValueError:
+                    raise StructureError(f"element {i} has no inverse") from None
         else:
             g, h = pair
             self.order = g.order * h.order

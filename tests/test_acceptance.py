@@ -26,7 +26,6 @@ from coincidence_kit.exact_linalg import (
     IntMatrix,
     cokernel_order,
     determinant,
-    elementary_divisors_via_minors,
     enumerate_cokernel,
     kernel_basis,
     smith_normal_form,
@@ -51,6 +50,7 @@ from coincidence_kit.nilpotent import (
 )
 from coincidence_kit.reporting import STATUS_OK
 
+from conftest import elementary_divisors_via_minors
 from test_finite import C4_ENDOS, C6_TO_S3, S3_ENDOS
 from test_nilpotent import (
     heis_cross_z,

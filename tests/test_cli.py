@@ -7,6 +7,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -736,41 +737,85 @@ def test_oracle_lists_a_third_of_a_million_classes_promptly(capsys):
     assert "oracle: agreed\n" in out
 
 
-# -- the gcd-of-minors oracle cap --------------------------------------------------------
+# -- the Smith certificate ----------------------------------------------------------------
 
 
-class TestMinorsOracleCap:
-    BIG = json.dumps(
-        {
-            "kind": "snf",
-            "matrix": [
-                [(3 * i + 5 * j * j + i * j) % 11 - 5 for j in range(16)]
-                for i in range(16)
-            ],
-        }
+def _snf_problem(matrix):
+    return json.dumps({"kind": "snf", "matrix": matrix})
+
+
+def _seeded_matrix(seed, n):
+    rng = random.Random(seed)
+    return [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+
+
+class TestSmithCertificate:
+    """check and --oracle prove the divisors at every size, by the unimodular
+    transforms of s @ m @ t == d."""
+
+    BIG = _snf_problem(
+        [[(3 * i + 5 * j * j + i * j) % 11 - 5 for j in range(16)] for i in range(16)]
     )
+    SEEDED = _snf_problem(_seeded_matrix(4848, 48))
 
-    def test_check_skips_minors_promptly(self, capsys):
+    @pytest.mark.parametrize("problem", [BIG, SEEDED], ids=["16x16", "48x48"])
+    def test_check_certifies(self, capsys, problem):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "check", self.BIG, "--format", "structured")
+        code, out, err = run_cli(capsys, "check", problem, "--format", "structured")
         assert time.perf_counter() - start < 10
         assert code == 0, err
         doc = json.loads(out)
         (check,) = doc["intermediates"]["checks"]
-        assert check["name"] == "divisors-vs-minors"
+        assert check["name"] == "smith-certificate"
         assert check["passed"] is True
-        assert check["detail"].startswith("skipped: ")
+        assert "skipped" not in check["detail"]
         assert doc["oracle_status"] == "absent"
+        code, out, err = run_cli(capsys, "check", problem)
+        assert code == 0, err
+        assert "PASS smith-certificate: " in out
 
     @pytest.mark.parametrize("command", ["compute", "snf"])
-    def test_oracle_flag_reports_the_skip(self, capsys, command):
+    @pytest.mark.parametrize("problem", [BIG, SEEDED], ids=["16x16", "48x48"])
+    def test_oracle_flag_certifies(self, capsys, command, problem):
+        start = time.perf_counter()
         code, out, err = run_cli(
-            capsys, command, self.BIG, "--oracle", "--trace", "--format", "structured"
+            capsys, command, problem, "--oracle", "--trace", "--format", "structured"
         )
+        assert time.perf_counter() - start < 10
         assert code == 0, err
         doc = json.loads(out)
-        assert doc["oracle_status"] == "absent"
-        assert doc["trace"][-1].startswith("oracle: skipped, ")
+        assert doc["oracle_status"] == "agreed"
+        assert doc["trace"][-1].startswith("oracle: unimodular s, t")
+
+    def test_non_unimodular_transform_exits_2(self, capsys, doubled_last_divisor):
+        """An elimination whose s doubles the last nonzero row of d keeps
+        s @ m @ t == d and the divisor chain; only the certificate sees it."""
+        # a zero column makes the input non-square, so it is reduced with
+        # transforms at once and s @ m @ t == d is all the reduction checks
+        wide = _snf_problem([row + [0] for row in json.loads(self.BIG)["matrix"]])
+        code, _, err = run_cli(capsys, "snf", wide)
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "snf", wide, "--oracle")
+        assert code == 2
+        assert out == ""
+        assert "not unimodular" in err
+        code, _, err = run_cli(capsys, "check", wide)
+        assert code == 2
+        assert "not unimodular" in err
+
+
+# -- package surface ---------------------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    modules = [coincidence_kit] + [
+        importlib.import_module(f"coincidence_kit.{info.name}")
+        for info in pkgutil.iter_modules(coincidence_kit.__path__)
+    ]
+    assert len(modules) > 5
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
 
 
 # -- console entry point ---------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Exact linear algebra: frozen worked values, plus dual-route property tests.
 
-The gcd-of-minors routine and the brute-force cokernel enumerator act as
-independent oracles for the elimination-based Smith form, and sympy's
-invariant factors a third one where sympy is installed.  The enumerator
-lists the Hermite box; a breadth-first closure checks that listing.
+The gcd-of-minors reference (tests/conftest.py) and the brute-force cokernel
+enumerator act as independent oracles for the elimination-based Smith form,
+and sympy's invariant factors a third one where sympy is installed.  The
+enumerator lists the Hermite box; a breadth-first closure checks that listing.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
+import coincidence_kit.exact_linalg as el
 from coincidence_kit.cardinal import Cardinal, INFINITE, cardinal_product
 from coincidence_kit.errors import (
     ConsistencyError,
@@ -21,12 +23,10 @@ from coincidence_kit.errors import (
     SizeCapError,
 )
 from coincidence_kit.exact_linalg import (
-    MINORS_ORACLE_CAP,
     IntMatrix,
+    certify_smith,
     cokernel_order,
-    cokernel_order_bruteforce,
     determinant,
-    elementary_divisors_via_minors,
     enumerate_cokernel,
     hermite_basis,
     kernel_basis,
@@ -36,6 +36,7 @@ from coincidence_kit.exact_linalg import (
     smith_normal_form,
     unimodular_inverse,
 )
+from conftest import elementary_divisors_via_minors
 
 WORKED = IntMatrix([[2, 4, 1], [2, 6, 2]])
 
@@ -175,22 +176,59 @@ class TestSmithWorkedValues:
         assert abs(determinant(res.t)) == 1
 
 
-class TestMinorsOracleCap:
-    def test_cap_sits_between_shipped_sizes_and_ten_by_ten(self):
-        assert math.comb(12, 6) - 1 <= MINORS_ORACLE_CAP  # 6x6, 923 minors
-        assert math.comb(18, 9) - 1 <= MINORS_ORACLE_CAP  # 9x9
-        assert math.comb(20, 10) - 1 > MINORS_ORACLE_CAP  # 10x10
+class TestSmithCertificate:
+    def test_certifies_large_shapes(self):
+        rng = random.Random(4848)
+        for rows, cols in ((16, 16), (48, 48), (20, 26), (26, 20)):
+            m = random_matrix(rng, lo=-4, hi=4, rows=rows, cols=cols)
+            res = smith_normal_form(m)
+            start = time.perf_counter()
+            certify_smith(res)
+            assert time.perf_counter() - start < 2
+            assert (res.s @ m) @ res.t == res.d
+            if rows == cols:
+                assert math.prod(res.divisors) == abs(determinant(m))
 
-    def test_oversized_input_refused_before_any_minor(self, monkeypatch):
-        import coincidence_kit.exact_linalg as el
+    def test_certifies_rank_deficient_and_empty(self):
+        for m in (IntMatrix.zeros(3, 4), IntMatrix([[1, 2], [2, 4]]), IntMatrix([], cols=0)):
+            certify_smith(smith_normal_form(m))
 
-        def no_minors(*args):
-            raise AssertionError("a minor was computed")
+    def test_non_unimodular_transform_is_refused(self, doubled_last_divisor):
+        res = smith_normal_form(WORKED)  # not square: built with transforms
+        assert res.divisors == (1, 4)
+        assert (res.s @ WORKED) @ res.t == res.d
+        with pytest.raises(ConsistencyError, match="not unimodular"):
+            certify_smith(res)
 
-        monkeypatch.setattr(el, "_minor_det", no_minors)
-        for rows, cols in ((10, 10), (16, 16), (4, 40)):
-            with pytest.raises(SizeCapError, match="minors"):
-                elementary_divisors_via_minors(IntMatrix.zeros(rows, cols))
+    def test_lazy_transforms_must_match_the_divisors(self, doubled_last_divisor):
+        res = smith_normal_form(IntMatrix([[4, 6], [2, 8]]))  # nonsingular
+        assert res.divisors == (2, 10)
+        with pytest.raises(ConsistencyError, match="routes disagree"):
+            certify_smith(res)
+
+    def test_divisors_must_be_the_diagonal_of_d(self, monkeypatch):
+        original = el._eliminate
+
+        def eliminate(a, s=None, t=None):
+            return tuple(2 * x for x in original(a, s, t))
+
+        monkeypatch.setattr(el, "_eliminate", eliminate)
+        with pytest.raises(ConsistencyError, match="diagonal of d"):
+            smith_normal_form(WORKED)
+
+    def test_every_divisor_must_be_positive(self, monkeypatch):
+        original = el._eliminate
+
+        def eliminate(a, s=None, t=None):
+            divisors = original(a, s, t)
+            r = len(divisors) - 1
+            a[r] = [-x for x in a[r]]
+            s[r] = [-x for x in s[r]]
+            return divisors[:r] + (-divisors[r],)
+
+        monkeypatch.setattr(el, "_eliminate", eliminate)
+        with pytest.raises(ConsistencyError, match="chain"):
+            smith_normal_form(WORKED)  # s @ m @ t == d holds with d = [1, -2]
 
 
 class TestSmithProperties:
@@ -405,7 +443,6 @@ class TestCokernel:
                 continue
             reps = enumerate_cokernel(m)
             assert len(reps) == order.value
-            assert cokernel_order_bruteforce(m) == order
             checked += 1
 
     def test_zero_column_padding_never_changes_cokernel(self):

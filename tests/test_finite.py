@@ -332,6 +332,19 @@ class TestCayleyGraphClosure:
         assert g._table == reference
         assert FiniteGroup.from_table(g._table).order == g.order
 
+    @pytest.mark.parametrize("name", ["S5", "GL23", "BI"])
+    def test_inverses_match_a_row_scan(self, name):
+        g, _ = _closure(name)
+        scan = [
+            next(j for j in range(g.order) if g._table[i][j] == g.identity)
+            for i in range(g.order)
+        ]
+        assert [g.inv(i) for i in range(g.order)] == scan
+
+    def test_table_row_without_the_identity_is_refused(self):
+        with pytest.raises(StructureError, match="element 1 has no inverse"):
+            FiniteGroup(table=[[0, 1], [1, 1]], identity=0)
+
     @pytest.mark.parametrize("name", ["S4", "GL23"])
     def test_cap_boundary(self, name):
         gens, field, order = CLOSURES[name]
