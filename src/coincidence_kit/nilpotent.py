@@ -20,15 +20,17 @@ the total satisfies
 where delta sends the coincidence group of the induced pair on B into the
 central class group via theta -> psi(theta) * phi(theta)^(-1).  The formula
 needs the restricted difference on A to have finite cokernel; when it does
-not, the computation is reported as unsupported rather than guessed.
+not, the computation is reported as unsupported rather than guessed.  A
+family phi_1, ..., phi_k is counted from its k-1 pair reductions
+(phi_1, phi_j), stacked blockwise as the reduction of one pair into the
+direct power G^(k-1); the power itself is built only by the CLI's oracle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
-from .cardinal import INFINITE, Cardinal
+from .cardinal import INFINITE
 from .errors import (
     ConsistencyError,
     HomomorphismError,
@@ -509,33 +511,32 @@ class PairReduction:
     psi_prime: IntMatrix
 
 
-def _induced_quotient_matrix(hom: PcHom, d1, d2) -> IntMatrix:
-    cols = []
-    for l in range(d1.b_rank):
-        e = [0] * d1.b_rank
-        e[l] = 1
-        cols.append(d2.project(hom.apply(d1.section(e))))
-    return IntMatrix.from_columns(cols, rows=d2.b_rank)
+def _sublattice_coords(data, word, what: str) -> tuple[int, ...]:
+    """Coordinates over A of a word that must lie in A."""
+    if any(data.group.noncentral_part(word)):
+        raise ConsistencyError(f"{what} outside the central block")
+    ac = data.a_coords(data.group.central_part(word))
+    if ac is None:
+        raise ConsistencyError(f"{what} outside the commutator sublattice")
+    return ac
 
 
-def _induced_sublattice_matrix(hom: PcHom, d1, d2) -> IntMatrix:
-    cols = []
-    for s in range(d1.a_rank):
-        e = [0] * d1.a_rank
-        e[s] = 1
-        image = hom.apply(d1.a_embed(e))
-        if any(d2.group.noncentral_part(image)):
-            raise ConsistencyError(
-                "a commutator-subgroup element maps outside the central block"
-            )
-        ac = d2.a_coords(d2.group.central_part(image))
-        if ac is None:
-            raise ConsistencyError(
-                "a commutator-subgroup element maps outside the target "
-                "commutator sublattice"
-            )
-        cols.append(ac)
-    return IntMatrix.from_columns(cols, rows=d2.a_rank)
+def _reduce(phi: PcHom, psi: PcHom, d1, d2) -> PairReduction:
+    """Push both maps through the extension data d1 of their domain and d2
+    of their codomain, one basis vector of B and of A at a time."""
+    b_lifts = [d1.section(e) for e in IntMatrix.identity(d1.b_rank).iter_rows()]
+    a_lifts = [d1.a_embed(e) for e in IntMatrix.identity(d1.a_rank).iter_rows()]
+    what = "a commutator-subgroup element maps"
+
+    def bar(hom):
+        cols = [d2.project(hom.apply(w)) for w in b_lifts]
+        return IntMatrix.from_columns(cols, rows=d2.b_rank)
+
+    def prime(hom):
+        cols = [_sublattice_coords(d2, hom.apply(w), what) for w in a_lifts]
+        return IntMatrix.from_columns(cols, rows=d2.a_rank)
+
+    return PairReduction(phi, psi, d1, d2, bar(phi), bar(psi), prime(phi), prime(psi))
 
 
 def central_reduction(phi: PcHom, psi: PcHom) -> PairReduction:
@@ -545,15 +546,26 @@ def central_reduction(phi: PcHom, psi: PcHom) -> PairReduction:
         raise ShapeError("the two maps must share a codomain")
     d1 = central_extension_data(phi.domain)
     d2 = d1 if phi.codomain == phi.domain else central_extension_data(phi.codomain)
-    return PairReduction(
-        phi=phi,
-        psi=psi,
-        domain_data=d1,
-        codomain_data=d2,
-        phi_bar=_induced_quotient_matrix(phi, d1, d2),
-        psi_bar=_induced_quotient_matrix(psi, d1, d2),
-        phi_prime=_induced_sublattice_matrix(phi, d1, d2),
-        psi_prime=_induced_sublattice_matrix(psi, d1, d2),
+    return _reduce(phi, psi, d1, d2)
+
+
+def _stack(reds) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
+    """phi_bar, psi_bar, phi_prime, psi_prime of pair reductions sharing their
+    extension data, in the direct power's layout; one pair is its own stack."""
+    if len(reds) == 1:
+        return reds[0].phi_bar, reds[0].psi_bar, reds[0].phi_prime, reds[0].psi_prime
+    m = reds[0].codomain_data.group.n_noncentral
+
+    def quotient(mats):
+        blocks = [tuple(mat.iter_rows()) for mat in mats]
+        rows = [r for b in blocks for r in b[:m]] + [r for b in blocks for r in b[m:]]
+        return IntMatrix(rows, cols=mats[0].cols)
+
+    return (
+        quotient([r.phi_bar for r in reds]),
+        quotient([r.psi_bar for r in reds]),
+        IntMatrix.stack_rows(r.phi_prime for r in reds),
+        IntMatrix.stack_rows(r.psi_prime for r in reds),
     )
 
 
@@ -565,106 +577,119 @@ def delta_image_vectors(
 
     The coincidence group is the kernel of the induced difference on B; the
     lifted values are forced into A because the projections agree there.
+    red may be a sequence of pair reductions sharing their extension data:
+    then B's difference is their stack and the lift joins block by block.
     snf_bar is the Smith form of that difference, when the caller has it.
     """
-    d1, d2 = red.domain_data, red.codomain_data
+    reds = [red] if isinstance(red, PairReduction) else list(red)
+    if snf_bar is None:
+        phi_bar, psi_bar, _, _ = _stack(reds)
+        snf_bar = smith_normal_form(psi_bar - phi_bar)
+    d1, d2 = reds[0].domain_data, reds[0].codomain_data
     cod = d2.group
     vectors = []
-    for kappa in kernel_basis(red.psi_bar - red.phi_bar, snf_bar):
+    for kappa in kernel_basis(snf_bar.m, snf_bar):
         theta = d1.section(kappa)
-        g = cod.multiply(red.psi.apply(theta), cod.inverse(red.phi.apply(theta)))
-        if any(cod.noncentral_part(g)):
-            raise ConsistencyError(
-                "a quotient-level coincidence lifts outside the central block"
-            )
-        ac = d2.a_coords(cod.central_part(g))
-        if ac is None:
-            raise ConsistencyError(
-                "a quotient-level coincidence lifts outside the commutator sublattice"
-            )
-        vectors.append(ac)
+        vector = ()
+        for r in reds:
+            g = cod.multiply(r.psi.apply(theta), cod.inverse(r.phi.apply(theta)))
+            vector += _sublattice_coords(d2, g, "a quotient-level coincidence lifts")
+        vectors.append(vector)
     return vectors
 
 
-def _cardinal_json(c: Cardinal | None):
-    return None if c is None else c.to_json()
-
-
-def reid_nilpotent(phi: PcHom, psi: PcHom) -> ReidemeisterReport:
-    """Count of twisted classes alpha ~ phi(z) alpha psi(z)^(-1) on the
-    shared codomain, via the central extension reduction."""
-    red = central_reduction(phi, psi)
-    d1, d2 = red.domain_data, red.codomain_data
-    snf_bar = smith_normal_form(red.psi_bar - red.phi_bar)
+def _count(reds) -> ReidemeisterReport:
+    """The count read off the stack of pair reductions (phi_1, phi_j): the
+    joint value from the stacked matrices, the pairwise values from each
+    pair's own matrices."""
+    d1, d2 = reds[0].domain_data, reds[0].codomain_data
+    copies = len(reds)
+    phi_bar, psi_bar, phi_prime, psi_prime = _stack(reds)
+    snf_bar = smith_normal_form(psi_bar - phi_bar)
     r_bar = snf_bar.cokernel_order()
-    diff_prime = red.psi_prime - red.phi_prime
+    diff_prime = psi_prime - phi_prime
     r_prime = cokernel_order(diff_prime)
-    trace = [
-        f"free abelian quotient ranks: domain {d1.b_rank}, codomain {d2.b_rank}",
-        f"commutator sublattice ranks: domain {d1.a_rank}, codomain {d2.a_rank}",
+    b_rank, a_rank = copies * d2.b_rank, copies * d2.a_rank
+    fold = f"{copies + 1} maps folded into a pair targeting the direct power"
+    trace = [f"{fold} with {copies} factors"] if copies > 1 else []
+    trace += [
+        f"free abelian quotient ranks: domain {d1.b_rank}, codomain {b_rank}",
+        f"commutator sublattice ranks: domain {d1.a_rank}, codomain {a_rank}",
         f"quotient-level count: {r_bar}",
         f"sublattice-level count: {r_prime}",
     ]
     intermediates = {
-        "quotient_matrix_first": red.phi_bar.to_lists(),
-        "quotient_matrix_second": red.psi_bar.to_lists(),
-        "sublattice_matrix_first": red.phi_prime.to_lists(),
-        "sublattice_matrix_second": red.psi_prime.to_lists(),
+        "quotient_matrix_first": phi_bar.to_lists(),
+        "quotient_matrix_second": psi_bar.to_lists(),
+        "sublattice_matrix_first": phi_prime.to_lists(),
+        "sublattice_matrix_second": psi_prime.to_lists(),
         "quotient_count": r_bar.to_json(),
         "sublattice_count": r_prime.to_json(),
         "nielsen_note": NIELSEN_NOTE,
     }
+    value, status, pairwise = INFINITE, STATUS_OK, ()
     if not r_bar.is_finite:
         trace.append("the quotient-level count is infinite, so the value is infinite")
-        return ReidemeisterReport(
-            value=INFINITE,
-            intermediates=intermediates,
-            trace=tuple(trace),
-        )
-    if not r_prime.is_finite:
+    elif not r_prime.is_finite:
         trace.append(
             "the difference restricted to the commutator sublattice has a "
             "singular cokernel; the class count does not factor through this "
             "reduction, and the deeper quotient tower it would need is not "
             "implemented"
         )
-        return ReidemeisterReport(
-            value=None,
-            intermediates=intermediates,
-            trace=tuple(trace),
-            status=STATUS_UNSUPPORTED,
-        )
-    deltas = delta_image_vectors(red, snf_bar)
-    if deltas:
-        augmented = diff_prime.hstack(
-            IntMatrix.from_columns(deltas, rows=d2.a_rank)
-        )
-        joint = cokernel_order(augmented)
+        value, status = None, STATUS_UNSUPPORTED
     else:
+        deltas = delta_image_vectors(reds, snf_bar)
         joint = r_prime
-    im_delta = r_prime.divide_exact(joint)
-    total = r_prime * r_bar
-    value = total.divide_exact(im_delta)
-    trace.append(
-        f"coincidence group of the quotient pair has rank {len(deltas)}; "
-        f"its central image has order {im_delta}"
-    )
-    trace.append(
-        f"value = {r_prime} * {r_bar} / {im_delta} = {value}"
-    )
-    intermediates["delta_vectors"] = [list(v) for v in deltas]
-    intermediates["im_delta"] = im_delta.to_json()
+        if deltas:
+            columns = IntMatrix.from_columns(deltas, rows=diff_prime.rows)
+            joint = cokernel_order(diff_prime.hstack(columns))
+        im_delta = r_prime.divide_exact(joint)
+        value = (r_prime * r_bar).divide_exact(im_delta)
+        trace.append(
+            f"coincidence group of the quotient pair has rank {len(deltas)}; "
+            f"its central image has order {im_delta}"
+        )
+        trace.append(f"value = {r_prime} * {r_bar} / {im_delta} = {value}")
+        intermediates["delta_vectors"] = [list(v) for v in deltas]
+        intermediates["im_delta"] = im_delta.to_json()
+    if status == STATUS_OK and copies == 1:
+        pairwise = (value,)
+    elif status == STATUS_OK:
+        pairs = [_count([r]) for r in reds]
+        if all(p.status == STATUS_OK for p in pairs):
+            pairwise = tuple(p.value for p in pairs)
+            intermediates["pairwise"] = [v.to_json() for v in pairwise]
+        else:
+            trace.append(
+                "a pairwise computation fell outside this reduction; pairwise "
+                "values are omitted"
+            )
     return ReidemeisterReport(
-        value=value,
-        intermediates=intermediates,
-        trace=tuple(trace),
+        value, pairwise, intermediates=intermediates, trace=tuple(trace), status=status
     )
+
+
+def reid_nilpotent(phi: PcHom, psi: PcHom) -> ReidemeisterReport:
+    """Count of twisted classes alpha ~ phi(z) alpha psi(z)^(-1) on the
+    shared codomain, via the central extension reduction; the one-pair case
+    of reid_nilpotent_multi, so pairwise holds the value itself."""
+    return _count([central_reduction(phi, psi)])
 
 
 def reid_nilpotent_multi(homs) -> ReidemeisterReport:
     """Count for k >= 2 maps: classes of (k-1)-tuples over the codomain under
-    alpha_i -> phi_1(z) alpha_i phi_i(z)^(-1), folded into one pair into the
-    direct power of the codomain."""
+    alpha_i -> phi_1(z) alpha_i phi_i(z)^(-1), that is, the pair count of
+    (phi_1, ..., phi_1) against (phi_2, ..., phi_k) into the direct power.
+
+    The power is never built.  Each pair (phi_1, phi_j) is reduced once, over
+    extension data built once per group, and the power's matrices are those
+    pair matrices stacked (see _stack): quotient rows as every block's
+    noncentral coordinates, then every block's complement coordinates;
+    sublattice rows block by block.  Delta-vectors lift block by block at the
+    kernel vectors of the stacked quotient difference.  The pairwise values
+    come from the same pair reductions.
+    """
     homs = list(homs)
     if len(homs) < 2:
         raise ShapeError(f"need at least two maps, got {len(homs)}")
@@ -675,35 +700,9 @@ def reid_nilpotent_multi(homs) -> ReidemeisterReport:
             raise ShapeError(f"map {i} has a different domain")
         if h.codomain != codomain:
             raise ShapeError(f"map {i} has a different codomain")
-    k = len(homs)
-    if k == 2:
-        report = reid_nilpotent(homs[0], homs[1])
-        if report.status == STATUS_OK:
-            report = dataclasses.replace(report, pairwise=(report.value,))
-        return report
-    power = direct_power_pc(codomain, k - 1)
-    first = combine_homs([homs[0]] * (k - 1), power)
-    second = combine_homs(homs[1:], power)
-    report = reid_nilpotent(first, second)
-    trace = (
-        f"{k} maps folded into a pair targeting the direct power with "
-        f"{k - 1} factors",
-    ) + report.trace
-    if report.status != STATUS_OK:
-        return dataclasses.replace(report, trace=trace)
-    pair_reports = [reid_nilpotent(homs[0], h) for h in homs[1:]]
-    if all(p.status == STATUS_OK for p in pair_reports):
-        pairwise = tuple(p.value for p in pair_reports)
-        intermediates = dict(report.intermediates)
-        intermediates["pairwise"] = [_cardinal_json(v) for v in pairwise]
-        return dataclasses.replace(
-            report, pairwise=pairwise, trace=trace, intermediates=intermediates
-        )
-    trace = trace + (
-        "a pairwise computation fell outside this reduction; pairwise values "
-        "are omitted",
-    )
-    return dataclasses.replace(report, trace=trace)
+    d1 = central_extension_data(domain)
+    d2 = d1 if codomain == domain else central_extension_data(codomain)
+    return _count([_reduce(homs[0], h, d1, d2) for h in homs[1:]])
 
 
 __all__ = [

@@ -1,17 +1,19 @@
 """Class-2 nilpotent engine: collection arithmetic, hom validation, the
 central-extension reduction with its exact worked matrices, the connecting-map
-correction, a brute-force recount oracle, and cross-checks against the
-free-abelian engine."""
+correction, a brute-force recount oracle, the stacked family count against
+the fold into the direct power, and cross-checks against the free-abelian
+engine."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 
 import pytest
 
-from coincidence_kit import cli
+from coincidence_kit import cli, exact_linalg, nilpotent
 from coincidence_kit.abelian import AbelianSystem, reid_pair, reid_multi
 from coincidence_kit.abelian import AbelianHom
 from coincidence_kit.cardinal import Cardinal
@@ -582,6 +584,171 @@ class TestAbelianCrossCheck:
             assert report.value == torus.value
             if report.value.is_finite:
                 assert report.pairwise == torus.pairwise
+
+
+# -- the stacked count against the direct-power fold --------------------------------
+
+
+def free_class_two(rank: int, spare: bool = False) -> PcGroup:
+    """Free class-2 group on x1..x_rank with [x_i, x_j] = c_ij; a spare central
+    generator w, listed first, moves every commutator pivot."""
+    pairs = list(itertools.combinations(range(1, rank + 1), 2))
+    central = (["w"] if spare else []) + [f"c{i}{j}" for i, j in pairs]
+    return PcGroup.from_presentation(
+        [f"x{i}" for i in range(1, rank + 1)],
+        central,
+        {(f"x{i}", f"x{j}"): {f"c{i}{j}": 1} for i, j in pairs},
+    )
+
+
+# [a, b] = c1^2 c2^3: a direct summand without a unit-vector basis, so the
+# extension data takes the Smith-adapted basis.
+SKEW = PcGroup.from_presentation(
+    ["a", "b"], ["c1", "c2"], {("a", "b"): {"c1": 2, "c2": 3}}
+)
+
+
+def random_free_hom(rng, domain: PcGroup, codomain: PcGroup) -> PcHom:
+    """Free images for the noncentral generators of a free class-2 domain and
+    central images for its spare central ones; every other central generator
+    is plus or minus one commutator, so its image is forced."""
+    images = [random_word(rng, codomain, -2, 2) for _ in range(domain.n_noncentral)]
+    for l in range(domain.n_central):
+        key = next((key for key, vec in domain.commutators.items() if vec[l]), None)
+        if key is None:
+            spare = [rng.randint(-2, 2) for _ in range(codomain.n_central)]
+            images.append(codomain.central_word(spare))
+        else:
+            c = codomain.commutator(images[key[0]], images[key[1]])
+            images.append(codomain.power(c, domain.commutators[key][l]))
+    return PcHom(domain, codomain, images)
+
+
+def random_skew_endo(rng) -> PcHom:
+    """c1, c2 go to central x, y with x^2 y^3 = [image a, image b] = d (2, 3),
+    d the determinant of the images' noncentral parts."""
+    u = random_word(rng, SKEW, -3, 3)
+    v = random_word(rng, SKEW, -3, 3)
+    d = u[0] * v[1] - u[1] * v[0]
+    w1, w2 = rng.randint(-2, 2), rng.randint(-2, 2)
+    x = SKEW.central_word((d + 3 * w1, 3 * w2))
+    y = SKEW.central_word((-2 * w1, d - 2 * w2))
+    return PcHom(SKEW, SKEW, [u, v, x, y])
+
+
+def fold_report(homs):
+    """The family folded into one pair targeting the direct power."""
+    power = direct_power_pc(homs[0].codomain, len(homs) - 1)
+    return reid_nilpotent(
+        combine_homs([homs[0]] * (len(homs) - 1), power),
+        combine_homs(homs[1:], power),
+    )
+
+
+def _free_draw(rank, spare=False, codomain=None):
+    domain = free_class_two(rank, spare)
+    return lambda rng: random_free_hom(rng, domain, codomain or domain)
+
+
+STACK_FAMILIES = {
+    "heisenberg": random_heis_endo,
+    "six-to-heisenberg": lambda rng: random_six_to_heis(rng, six_generator_domain()),
+    "free-rank-3": _free_draw(3),
+    "free-rank-4": _free_draw(4),
+    "spare-central": _free_draw(3, spare=True),
+    "free-rank-5-to-heisenberg": _free_draw(5, codomain=HEIS),
+    "non-unit": random_skew_endo,
+}
+
+
+class TestStackAgainstFold:
+    """reid_nilpotent_multi reads the joint count off the stacked pair
+    reductions (phi_1, phi_j); reid_nilpotent on the combine_homs fold into
+    the direct power is a second route to it."""
+
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES))
+    def test_stack_matches_fold(self, family):
+        rng = random.Random(f"stack-vs-fold:{family}")
+        draw = STACK_FAMILIES[family]
+        lifted = 0
+        for trial in range(16):
+            homs = [draw(rng) for _ in range(3 + trial % 2)]
+            stack = reid_nilpotent_multi(homs)
+            fold = fold_report(homs)
+            assert (stack.status, stack.value) == (fold.status, fold.value)
+            for key in ("quotient_count", "sublattice_count", "im_delta"):
+                assert stack.intermediates.get(key) == fold.intermediates.get(key)
+            pairs = [reid_nilpotent(homs[0], h) for h in homs[1:]]
+            if stack.status == STATUS_OK and all(p.status == STATUS_OK for p in pairs):
+                assert stack.pairwise == tuple(p.value for p in pairs)
+            else:
+                assert stack.pairwise == ()
+            if family != "non-unit":
+                # same printed intermediates, the fold's trace after the header
+                printed = dict(fold.intermediates)
+                if stack.pairwise:
+                    printed["pairwise"] = [v.to_json() for v in stack.pairwise]
+                assert stack.intermediates == printed
+                assert stack.trace[0].startswith(f"{len(homs)} maps folded")
+                assert stack.trace[1 : 1 + len(fold.trace)] == fold.trace
+            lifted += bool(stack.intermediates.get("delta_vectors"))
+        if family == "free-rank-5-to-heisenberg":
+            # k = 3 stacks 5 domain columns over 4 rows: finite, with a kernel
+            # whose delta-vectors are lifted block by block
+            assert lifted >= 4
+
+    def test_compute_builds_no_power_group(self, capsys, monkeypatch):
+        """A k = 4 free class-2 family: no direct power and no folded maps,
+        one extension data for the shared group, and each matrix reduced once."""
+        group = free_class_two(3)
+        rng = random.Random(808)
+        homs = [random_free_hom(rng, group, group) for _ in range(4)]
+        spec = {
+            "generators": ["x1", "x2", "x3"],
+            "central": ["c12", "c13", "c23"],
+            "commutators": [
+                ["x1", "x2", {"c12": 1}],
+                ["x1", "x3", {"c13": 1}],
+                ["x2", "x3", {"c23": 1}],
+            ],
+        }
+        doc = {
+            "kind": "nilpotent",
+            "domain": spec,
+            "codomain": spec,
+            "maps": [[list(w) for w in h.images] for h in homs],
+        }
+        pairwise = [reid_nilpotent(homs[0], h).value.to_json() for h in homs[1:]]
+        calls = []
+
+        def spy(fn):
+            return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+        for module in (nilpotent, cli):
+            for name in ("direct_power_pc", "combine_homs"):
+                monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        built = []
+        extension = nilpotent.CentralExtensionData
+        monkeypatch.setattr(
+            nilpotent,
+            "CentralExtensionData",
+            lambda **kw: built.append(kw["group"]) or extension(**kw),
+        )
+        reduced = []
+        eliminate = exact_linalg._eliminate
+
+        def recording(a, *rest):
+            reduced.append(tuple(map(tuple, a)))
+            return eliminate(a, *rest)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", recording)
+        code = cli.main(["compute", json.dumps(doc), "--format", "structured"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["pairwise"] == pairwise
+        assert calls == []
+        assert built == [group]
+        assert reduced and len(set(reduced)) == len(reduced)
 
 
 # -- plumbing ----------------------------------------------------------------------
