@@ -14,9 +14,14 @@ With all maps equal this degenerates to plain conjugacy, which is why the
 conjugacy class count doubles as a sanity anchor.
 
 The action of z only depends on the image tuple (phi_1(z), ..., phi_k(z)),
-and those image tuples form a subgroup of codomain^k.  The sweep therefore
-collects the distinct image tuples once (every z accounted for, nothing
-sampled) and expands each orbit under that set.  A second, structurally
+and those image tuples form a subgroup Gamma of codomain^k, collected once
+by a scan of the whole domain (nothing sampled).  The count descends through
+stabilizers, as R(phi_1, ..., phi_k) relates to R(phi_1, phi_2): the orbits
+of Gamma on the first coordinate are the R(phi_1, phi_2) classes, the
+stabilizer of each acts on the second coordinate, and so on.  Each leaf is
+one class, its size |Gamma| / |stabilizer|; no tuple space is swept, and
+every orbit is checked against orbit-stabilizer.  The class of every tuple
+is rebuilt from the representatives only when read.  A second, structurally
 different algorithm runs union-find over a generating subset; the two must
 produce identical partitions.
 """
@@ -432,24 +437,26 @@ def conjugacy_class_count(g: FiniteGroup) -> int:
 class TwistedPartition:
     """Partition of codomain^(k-1) tuples into twisted classes.
 
-    Classes are numbered by the smallest tuple index they contain, so the
-    labeling is reproducible across runs and algorithms.
+    Each class is numbered by its smallest tuple index, which is also its
+    representative, so the labeling is reproducible across runs and
+    algorithms.  The partition keeps the maps, the representatives and the
+    class sizes; class_of, the class of every tuple, is built on first read.
     """
 
-    __slots__ = ("class_count", "class_of", "class_sizes", "tuple_space", "arity")
+    __slots__ = ("homs", "representatives", "class_sizes", "class_count",
+                 "tuple_space", "arity", "_class_of")
 
-    def __init__(self, class_of, tuple_space, arity, domain_order):
-        self.class_of = tuple(class_of)
-        self.tuple_space = tuple_space
-        self.arity = arity
-        count = max(self.class_of) + 1 if self.class_of else 0
-        sizes = [0] * count
-        for c in self.class_of:
-            sizes[c] += 1
-        self.class_count = count
-        self.class_sizes = tuple(sizes)
-        if sum(self.class_sizes) != tuple_space:
+    def __init__(self, homs, representatives, class_sizes, class_of=None):
+        self.homs = homs
+        self.representatives = tuple(representatives)
+        self.class_sizes = tuple(class_sizes)
+        self.class_count = len(self.class_sizes)
+        self.arity = len(homs) - 1
+        self.tuple_space = homs[0].codomain.order**self.arity
+        self._class_of = class_of
+        if sum(self.class_sizes) != self.tuple_space:
             raise ConsistencyError("class sizes do not cover the tuple space")
+        domain_order = homs[0].domain.order
         for s in self.class_sizes:
             if s == 0 or domain_order % s:
                 raise ConsistencyError(
@@ -460,6 +467,33 @@ class TwistedPartition:
     def value(self) -> Cardinal:
         return Cardinal(self.class_count)
 
+    @property
+    def class_of(self) -> tuple:
+        """The class of every tuple, by applying the image subgroup to each
+        representative.  Each class must label exactly as many new tuples as
+        its size says, and none may be left unlabelled."""
+        if self._class_of is None:
+            codomain = self.homs[0].codomain
+            n, arity = codomain.order, self.arity
+            actions = _actions(_image_tuples(self.homs), codomain)
+            class_of = [-1] * self.tuple_space
+            for c, (rep, size) in enumerate(zip(self.representatives, self.class_sizes)):
+                digits = _decode(rep, n, arity)
+                labelled = 0
+                for action in actions:
+                    t = _apply(action, digits, codomain)
+                    if class_of[t] == -1:
+                        class_of[t] = c
+                        labelled += 1
+                if labelled != size:
+                    raise ConsistencyError(
+                        f"class {c} labels {labelled} tuples, the descent counted {size}"
+                    )
+            if -1 in class_of:
+                raise ConsistencyError("a tuple is left outside every class")
+            self._class_of = tuple(class_of)
+        return self._class_of
+
 
 def _image_tuples(homs):
     """Distinct (phi_1(z), ..., phi_k(z)) in first-appearance order.
@@ -467,13 +501,84 @@ def _image_tuples(homs):
     Iterates the entire domain: every z contributes, duplicates act
     identically and are dropped, nothing is sampled.
     """
-    domain = homs[0].domain
-    seen = {}
-    for z in range(domain.order):
-        img = tuple(h.image[z] for h in homs)
-        if img not in seen:
-            seen[img] = len(seen)
-    return list(seen)
+    return list(dict.fromkeys(zip(*(h.image for h in homs))))
+
+
+def _actions(images, codomain):
+    """For each image tuple, the left factor and the inverted right factors."""
+    return [(img[0], tuple(codomain.inv(x) for x in img[1:])) for img in images]
+
+
+def _decode(t, n, arity):
+    digits = []
+    for _ in range(arity):
+        t, r = divmod(t, n)
+        digits.append(r)
+    digits.reverse()
+    return digits
+
+
+def _apply(action, digits, codomain):
+    left, right_inv = action
+    n, mul = codomain.order, codomain.mul
+    t = 0
+    for d, r in zip(digits, right_inv):
+        t = t * n + mul(mul(left, d), r)
+    return t
+
+
+def _descend(actions, codomain, arity):
+    """Representatives and sizes of the twisted classes, by descending
+    through stabilizers one coordinate at a time.
+
+    At depth i the subgroup H (the whole image subgroup at the root) acts on
+    coordinate i.  Codomain elements are scanned in ascending order; each one
+    not yet seen starts an H-orbit, and the actions fixing it form its
+    stabilizer, which acts on coordinate i+1 in turn.  Each leaf is one
+    class: its representative is the smallest tuple of the class and its size
+    is |image subgroup| / |stabilizer|.  Every orbit must newly reach exactly
+    |H| / |stabilizer| elements, a division that must be exact.
+    """
+    n, mul = codomain.order, codomain.mul
+    total = len(actions)
+    last = arity - 1
+    representatives, sizes = [], []
+
+    # One frame per depth, as (H, depth, prefix, seen, remaining elements):
+    # a child frame runs to its end before its parent scans on, so the
+    # representatives come out ascending.
+    stack = [(actions, 0, 0, bytearray(n), iter(range(n)))]
+    while stack:
+        group, depth, prefix, seen, xs = stack[-1]
+        order = len(group)
+        for x in xs:
+            if seen[x]:
+                continue
+            reached = 0
+            stabilizer = []
+            for action in group:
+                y = mul(mul(action[0], x), action[1][depth])
+                if not seen[y]:
+                    seen[y] = 1
+                    reached += 1
+                if y == x:
+                    stabilizer.append(action)
+            fixed = len(stabilizer)
+            if not fixed or order % fixed or reached != order // fixed:
+                raise ConsistencyError(
+                    f"an orbit of {reached} elements under {order} actions "
+                    f"with a stabilizer of {fixed} breaks orbit-stabilizer"
+                )
+            t = prefix * n + x
+            if depth == last:
+                representatives.append(t)
+                sizes.append(total // fixed)
+            else:
+                stack.append((stabilizer, depth + 1, t, bytearray(n), iter(range(n))))
+                break
+        else:
+            stack.pop()
+    return representatives, sizes
 
 
 def _generating_set(candidates, identity, mul):
@@ -522,11 +627,22 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
                          algorithm: str = "orbit") -> TwistedPartition:
     """Partition codomain^(k-1) under the twisted action of the domain.
 
-    algorithm "orbit" expands each unvisited tuple's full orbit; "union-find"
-    merges along a generating set and renumbers.  Both are exact; they must
-    agree, and tests hold them to that.
+    algorithm "orbit" descends through stabilizers (see _descend): the
+    orbits of the image subgroup on the first coordinate are the
+    R(phi_1, phi_2) classes, each one's stabilizer acts on the next
+    coordinate, and so on.  It yields the representatives and sizes without
+    touching every tuple.  "union-find" merges every tuple along a
+    generating set and renumbers.  Both are exact; they must agree, and
+    tests hold them to that.
+
+    >>> s3 = close_group([(1, 0, 2), (1, 2, 0)])
+    >>> part = twisted_reidemeister([identity_hom(s3), identity_hom(s3), constant_hom(s3, s3)])
+    >>> part.class_count, part.class_sizes
+    (6, (6, 6, 6, 6, 6, 6))
+    >>> part.representatives
+    (0, 6, 8, 10, 12, 13)
     """
-    homs, domain, codomain = _check_homs(homs)
+    homs, _, codomain = _check_homs(homs)
     k = len(homs)
     arity = k - 1
     n = codomain.order
@@ -541,40 +657,10 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
             f"estimated work {len(images) * tuple_space} exceeds the cap {work_cap}; "
             "refusing rather than sampling"
         )
-
-    # For each action, the left factor and the ready-inverted right factors.
-    actions = [
-        (img[0], tuple(codomain.inv(img[i]) for i in range(1, k))) for img in images
-    ]
-
-    def decode(t):
-        digits = []
-        for _ in range(arity):
-            t, r = divmod(t, n)
-            digits.append(r)
-        digits.reverse()
-        return digits
-
-    def apply_action(action, digits):
-        left, right_inv = action
-        t = 0
-        for d, r in zip(digits, right_inv):
-            t = t * n + codomain.mul(codomain.mul(left, d), r)
-        return t
+    actions = _actions(images, codomain)
 
     if algorithm == "orbit":
-        class_of = [-1] * tuple_space
-        next_class = 0
-        for seed in range(tuple_space):
-            if class_of[seed] != -1:
-                continue
-            digits = decode(seed)
-            for action in actions:
-                class_of[apply_action(action, digits)] = next_class
-            if class_of[seed] != next_class:
-                raise ConsistencyError("orbit expansion missed its own seed")
-            next_class += 1
-        return TwistedPartition(class_of, tuple_space, arity, domain.order)
+        return TwistedPartition(homs, *_descend(actions, codomain, arity))
 
     if algorithm == "union-find":
         identity = tuple([codomain.identity] * k)
@@ -582,10 +668,7 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
         def mul(a, b):
             return tuple(codomain.mul(x, y) for x, y in zip(a, b))
 
-        gen_actions = [
-            (img[0], tuple(codomain.inv(img[i]) for i in range(1, k)))
-            for img in _generating_set(images, identity, mul)
-        ]
+        gen_actions = _actions(_generating_set(images, identity, mul), codomain)
         parent = list(range(tuple_space))
 
         def find(x):
@@ -595,30 +678,28 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
             return x
 
         for t in range(tuple_space):
-            digits = decode(t)
+            digits = _decode(t, n, arity)
             rt = find(t)
             for action in gen_actions:
-                ru = find(apply_action(action, digits))
+                ru = find(_apply(action, digits, codomain))
                 if ru != rt:
                     parent[ru] = rt
-        # Renumber by smallest member so both algorithms label identically.
+        # Number classes by their smallest member, as the descent does.
         smallest = {}
         for t in range(tuple_space):
-            r = find(t)
-            if r not in smallest:
-                smallest[r] = t
-            elif t < smallest[r]:
-                smallest[r] = t
-        order = sorted(smallest.values())
-        rank_of_root = {find(m): i for i, m in enumerate(order)}
-        class_of = [rank_of_root[find(t)] for t in range(tuple_space)]
-        return TwistedPartition(class_of, tuple_space, arity, domain.order)
+            smallest.setdefault(find(t), t)
+        rank_of_root = {r: i for i, r in enumerate(smallest)}
+        class_of = tuple(rank_of_root[find(t)] for t in range(tuple_space))
+        sizes = [0] * len(smallest)
+        for c in class_of:
+            sizes[c] += 1
+        return TwistedPartition(homs, smallest.values(), sizes, class_of)
 
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def pairwise_values(homs) -> tuple[Cardinal, ...]:
-    """R(phi_1, phi_j) for each j >= 2, one twisted sweep per distinct phi_j."""
+    """R(phi_1, phi_j) for each j >= 2, one count per distinct phi_j."""
     homs, _, _ = _check_homs(homs)
     values = {}
     for h in homs[1:]:
@@ -642,10 +723,10 @@ class FiniteDivisibilityReport:
 def pairwise_divisibility_report(homs, partition=None) -> FiniteDivisibilityReport:
     """Whether the product of pairwise values divides the multi-map value.
 
-    For finite targets it need not: the sweep reports whichever way the
-    instance falls, with a witness string.  A caller that already swept the
-    tuples passes that partition instead of having the sweep rerun.  With two
-    maps the one pairwise value is the value itself and is not swept again.
+    For finite targets it need not: the count reports whichever way the
+    instance falls, with a witness string.  A caller that already counted the
+    classes passes that partition instead of having the count rerun.  With two
+    maps the one pairwise value is the value itself and is not counted again.
     """
     homs, _, _ = _check_homs(homs)
     if partition is None:

@@ -671,6 +671,138 @@ class TestPairwiseValuesReuseSweeps:
         assert report["pairwise"] == pairwise
 
 
+S4_GENS = [[1, 0, 2, 3], [1, 2, 3, 0]]
+S5_GENS = [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]]
+ID, CONST = {"identity": True}, {"constant": True}
+
+
+def _finite_problem(gens, maps):
+    return json.dumps(
+        {
+            "kind": "finite",
+            "groups": {"g": {"permutations": gens}},
+            "domain": "g",
+            "codomain": "g",
+            "maps": maps,
+        }
+    )
+
+
+def _drop_class(representatives, sizes):
+    del representatives[3], sizes[3]
+
+
+def _size_off_by_one(representatives, sizes):
+    sizes[0] += 1
+
+
+class TestStabilizerDescent:
+    """compute counts the twisted classes by descending through stabilizers:
+    it never labels every tuple, and the rebuild that does catches a descent
+    that miscounts."""
+
+    def test_work_and_lazy_class_of(self, capsys, monkeypatch):
+        original_mul = finite.FiniteGroup.mul
+        muls = []
+
+        def counting_mul(self, i, j):
+            muls.append(None)
+            return original_mul(self, i, j)
+
+        original_class_of = finite.TwistedPartition.class_of
+        built = []
+
+        def recording_class_of(self):
+            if self._class_of is None:
+                built.append(self)
+            return original_class_of.fget(self)
+
+        monkeypatch.setattr(finite.FiniteGroup, "mul", counting_mul)
+        monkeypatch.setattr(finite.TwistedPartition, "class_of", property(recording_class_of))
+        problem = _finite_problem(S5_GENS, [ID, ID, CONST])
+        code, out, err = run_cli(capsys, "compute", problem)
+        assert code == 0, err
+        assert "value: 120\n" in out
+        # 5 280 here; sweeping all 14 400 tuples made 59 520
+        assert len(muls) <= 6000
+        assert built == []
+
+        code, out, err = run_cli(capsys, "compute", problem, "--oracle")
+        assert code == 0, err
+        assert "oracle: agreed\n" in out
+        # the descent's partition is rebuilt tuple by tuple for the comparison
+        assert len(built) == 1
+        assert len(built[0].class_of) == built[0].tuple_space == 120**2
+
+    @pytest.fixture
+    def mutated_descent(self, monkeypatch):
+        original = finite._descend
+
+        def install(mutate):
+            def mutated(actions, codomain, arity):
+                representatives, sizes = original(actions, codomain, arity)
+                if arity > 1:  # the family's count, not its pairwise values
+                    mutate(representatives, sizes)
+                return representatives, sizes
+
+            monkeypatch.setattr(finite, "_descend", mutated)
+
+        return install
+
+    def _assert_caught(self, capsys, problem, message):
+        for argv in (("compute", problem, "--oracle"), ("check", problem)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("consistency failure: ")
+            assert message in err
+
+    def test_dropped_representative_is_caught(self, capsys, mutated_descent):
+        # every class of S4 [ID, ID, CONST] has 24 tuples, so the sizes still
+        # match class by class and the last class is never labelled
+        def drop(representatives, sizes):
+            del representatives[3]
+
+        problem = _finite_problem(S4_GENS, [ID, ID, CONST])
+        _, before, _ = run_cli(capsys, "compute", problem)
+        mutated_descent(drop)
+        code, after, err = run_cli(capsys, "compute", problem)
+        assert code == 0, err
+        assert after == before
+        self._assert_caught(capsys, problem, "a tuple is left outside every class")
+
+    @pytest.mark.parametrize("mutate", [_drop_class, _size_off_by_one])
+    def test_broken_cover_is_caught(self, capsys, mutated_descent, mutate):
+        mutated_descent(mutate)
+        self._assert_caught(
+            capsys, _finite_problem(S4_GENS, [ID, ID, CONST]), "do not cover the tuple space"
+        )
+
+    def test_exchanged_sizes_are_caught_by_the_rebuild(self, capsys, mutated_descent):
+        # S4 [ID, ID, ID]: two classes of unequal size trade sizes, so the
+        # sum, the divisibility and the printed histogram all stay as they were
+        def exchange(representatives, sizes):
+            j = next(j for j, s in enumerate(sizes) if s != sizes[0])
+            sizes[0], sizes[j] = sizes[j], sizes[0]
+
+        problem = _finite_problem(S4_GENS, [ID, ID, ID])
+        _, before, _ = run_cli(capsys, "compute", problem)
+        mutated_descent(exchange)
+        code, after, err = run_cli(capsys, "compute", problem)
+        assert code == 0, err
+        assert after == before
+        self._assert_caught(capsys, problem, "the descent counted")
+
+    def test_non_subgroup_breaks_orbit_stabilizer(self, capsys, monkeypatch):
+        original = finite._image_tuples
+        monkeypatch.setattr(finite, "_image_tuples", lambda homs: original(homs)[:-1])
+        problem = _finite_problem(S4_GENS, [ID, ID, CONST])
+        for argv in (("compute", problem), ("compute", problem, "--oracle"), ("check", problem)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert "breaks orbit-stabilizer" in err
+
+
 # -- Smith transforms only when read ----------------------------------------------------
 
 

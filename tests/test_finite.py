@@ -537,6 +537,82 @@ class TestProperties:
             assert twisted_reidemeister(list(homs)).class_count == 120
 
 
+# -- the stabilizer descent against brute force ------------------------------------
+
+S3xC2 = direct_product(S3, C2)
+
+
+def _s3xc2_endos():
+    """Componentwise endomorphisms of S3 x C2, and each one twisted by the
+    sign of S3 into the C2 factor."""
+    sign = [0 if S3.elements[i] in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else 1 for i in range(6)]
+    c2_endos = all_homs(C2, C2)
+    homs = []
+    for a in S3_ENDOS:
+        for b in c2_endos:
+            for twist in (0, 1):
+                image = []
+                for i in range(S3xC2.order):
+                    i1, i2 = divmod(i, 2)
+                    image.append(a.image[i1] * 2 + (b.image[i2] + twist * sign[i1]) % 2)
+                homs.append(FiniteHom(S3xC2, S3xC2, image))
+    return homs
+
+
+S3xC2_ENDOS = _s3xc2_endos()
+
+
+class TestDescentAgainstBruteForce:
+    """The descent's classes, rebuilt tuple by tuple, against the relation
+    oracle and union-find on shapes the random property cases miss."""
+
+    @staticmethod
+    def _assert_matches(homs):
+        expected = oracle_partition(homs)
+        part = twisted_reidemeister(homs)
+        assert part._class_of is None
+        assert list(part.class_of) == expected
+        assert twisted_reidemeister(homs, algorithm="union-find").class_of == part.class_of
+        assert part.representatives == tuple(expected.index(c) for c in range(part.class_count))
+        assert list(part.class_sizes) == [expected.count(c) for c in range(part.class_count)]
+        return part
+
+    def test_pair_backed_codomain(self):
+        assert S3xC2._table is None
+        assert len(S3xC2_ENDOS) == 40
+        rng = random.Random(606)
+        for _ in range(12):
+            self._assert_matches([rng.choice(S3xC2_ENDOS) for _ in range(rng.choice([2, 3]))])
+
+    def test_four_maps(self):
+        rng = random.Random(707)
+        for pool in (S3_ENDOS, C4_ENDOS, C6_TO_S3):
+            for _ in range(3):
+                self._assert_matches([rng.choice(pool) for _ in range(4)])
+
+    def test_trivial_domain_and_codomain(self):
+        c1 = cyclic_group(1)
+        for k in (2, 3):
+            part = self._assert_matches([constant_hom(c1, S3)] * k)
+            assert part.class_count == 6 ** (k - 1)
+            part = self._assert_matches([constant_hom(S3, c1)] * k)
+            assert (part.class_count, part.class_sizes) == (1, (1,))
+        part = self._assert_matches([identity_hom(c1)] * 3)
+        assert part.representatives == (0,)
+
+    def test_many_maps_into_trivial_codomain(self):
+        # the tuple space stays 1 however many maps there are, so the descent
+        # goes 1500 coordinates deep
+        part = self._assert_matches([constant_hom(S3, cyclic_group(1))] * 1500)
+        assert (part.arity, part.class_count, part.representatives) == (1499, 1, (0,))
+
+    def test_constant_maps_only(self):
+        for domain, codomain, k in ((S3, S3, 2), (S3, S3, 4), (C6, S3xC2, 3)):
+            part = self._assert_matches([constant_hom(domain, codomain)] * k)
+            assert part.class_count == part.tuple_space
+            assert set(part.class_sizes) == {1}
+
+
 # -- cross-check against the free-abelian engine --------------------------------
 
 
