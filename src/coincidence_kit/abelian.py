@@ -151,17 +151,13 @@ def _ker_psi_order(system: AbelianSystem, stacked: IntMatrix) -> Cardinal:
     return lattice_index(sub, super_vectors, width=stacked.rows)
 
 
-def ker_psi_order_bruteforce(system: AbelianSystem, cap: int = 1_000_000,
-                             classes=None) -> Cardinal:
-    """Independent recount of |ker Psi|: enumerate the residue classes of the
-    stacked cokernel and test blockwise membership directly.
-
-    A caller that already enumerated the stacked cokernel passes its classes.
-    An infinite cokernel raises ValueError from the enumeration; no Smith
-    form is computed.
+def ker_psi_order_bruteforce(system: AbelianSystem, cap: int = 1_000_000) -> Cardinal:
+    """Brute-force recount of |ker Psi|, kept as a test reference: list the
+    residue classes of the stacked cokernel and test blockwise membership
+    directly.  An infinite cokernel raises ValueError from the listing and
+    more than cap classes raise SizeCapError; no Smith form is computed.
     """
-    if classes is None:
-        classes = enumerate_cokernel(stacked_difference(system), cap=cap)
+    classes = enumerate_cokernel(stacked_difference(system), cap=cap)
     n = system.target_rank
     base = system.homs[0].matrix
     block_bases = []

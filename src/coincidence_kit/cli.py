@@ -38,12 +38,11 @@ import sys
 from .abelian import (
     AbelianSystem,
     divisibility_report,
-    ker_psi_order_bruteforce,
     permute_system,
     reid_multi,
     stacked_difference,
 )
-from .cardinal import Cardinal
+from .cardinal import INFINITE, Cardinal, cardinal_product
 from .errors import (
     CoincidenceError,
     ConsistencyError,
@@ -55,7 +54,7 @@ from .exact_linalg import (
     IntMatrix,
     certify_smith,
     cokernel_order,
-    enumerate_cokernel,
+    hermite_cokernel_order,
     smith_normal_form,
 )
 from .finite import (
@@ -83,7 +82,6 @@ from .nilpotent import (
 )
 from .reporting import STATUS_OK, STATUS_UNSUPPORTED
 
-ORACLE_ENUM_CAP = 1_000_000
 KINDS = ("snf", "abelian-pair", "abelian-multi", "finite", "nilpotent")
 CLOSURE_CAP_ENV = "COINCIDENCE_KIT_MAX_CLOSURE"
 
@@ -442,23 +440,25 @@ def _abelian_system(doc: dict, minimum: int, maximum: int | None) -> AbelianSyst
 # -- oracles ------------------------------------------------------------------------
 
 
-def _nilpotent_recount(phi: PcHom, psi: PcHom, cap: int) -> Cardinal:
-    """Enumeration recount of the pair value, combined by the same formula
-    as the reduction: quotient classes times central classes over |Im delta|.
-    Each class set is listed as a Hermite box; |Im delta| is the central
-    count over the count modulo the lattice enlarged by the delta-vectors."""
+def _nilpotent_recount(phi: PcHom, psi: PcHom) -> Cardinal:
+    """Hermite recount of the pair value by the reduction's formula: quotient
+    classes (infinitely many make the value infinite) times central classes
+    over |Im delta|, the central count over the count modulo the lattice
+    enlarged by the delta-vectors.  Each count is a product of Hermite pivots."""
     red = central_reduction(phi, psi)
-    quotient = enumerate_cokernel(red.psi_bar - red.phi_bar, cap=cap)
+    quotient = hermite_cokernel_order(red.psi_bar - red.phi_bar)
+    if not quotient.is_finite:
+        return INFINITE
     diff_prime = red.psi_prime - red.phi_prime
-    central = enumerate_cokernel(diff_prime, cap=cap)
     deltas = IntMatrix.from_columns(delta_image_vectors(red), rows=diff_prime.rows)
-    coarse = enumerate_cokernel(diff_prime.hstack(deltas), cap=cap)
-    im_delta = len(central) // len(coarse)
-    if len(central) % im_delta:
+    central = hermite_cokernel_order(diff_prime)
+    coarse = hermite_cokernel_order(diff_prime.hstack(deltas))
+    if not central.is_finite or central.value % coarse.value:
         raise ConsistencyError(
             "the connecting-map image does not evenly split the central classes"
         )
-    return Cardinal(len(central) // im_delta * len(quotient))
+    im_delta = central.value // coarse.value
+    return Cardinal(central.value // im_delta * quotient.value)
 
 
 # -- runners ------------------------------------------------------------------------
@@ -518,27 +518,28 @@ def run_abelian(doc: dict, oracle: bool, pair_only: bool) -> dict:
 
 
 def _abelian_oracle(system: AbelianSystem, report) -> tuple[str, list[str]]:
-    if not report.value.is_finite:
-        return "absent", ["oracle: skipped, the value is infinite"]
-    stacked = stacked_difference(system)
-    try:
-        classes = enumerate_cokernel(stacked, cap=ORACLE_ENUM_CAP)
-        ker = ker_psi_order_bruteforce(system, classes=classes)
-    except SizeCapError as exc:
-        return "absent", [f"oracle: skipped, {exc}"]
-    notes = []
-    if Cardinal(len(classes)) != report.value:
+    """Recount from Hermite pivots alone: the value from the stacked difference,
+    each pairwise value from its block phi_j - phi_1, and for a finite value
+    |ker Psi| = [Z : L_S] / [Z : L_blocks], the value over the pairwise product."""
+    base = system.homs[0].matrix
+    blocks = [h.matrix - base for h in system.homs[1:]]
+    value = hermite_cokernel_order(IntMatrix.stack_rows(blocks))
+    pairwise = (value,) if len(blocks) == 1 else tuple(map(hermite_cokernel_order, blocks))
+    found = f"value {value} and pairwise values {', '.join(map(str, pairwise))}"
+    if (value, pairwise) != (report.value, tuple(report.pairwise)):
         return (
-            f"mismatch: enumeration finds {len(classes)} classes, "
-            f"the divisor product gives {report.value}"
-        ), notes
-    notes.append(f"oracle: enumeration confirms {len(classes)} classes")
-    if report.ker_psi_order is not None and ker != report.ker_psi_order:
-        return (
-            f"mismatch: blockwise recount of |ker Psi| gives {ker}, "
-            f"the lattice index gives {report.ker_psi_order}"
-        ), notes
-    notes.append(f"oracle: blockwise recount confirms |ker Psi| = {ker}")
+            f"mismatch: Hermite pivots give {found}, the divisor products give value "
+            f"{report.value} and pairwise values {', '.join(map(str, report.pairwise))}"
+        ), []
+    notes = [f"oracle: Hermite pivots confirm {found}"]
+    if value.is_finite:
+        ker, rest = divmod(value.value, cardinal_product(pairwise).value)
+        if rest or Cardinal(ker) != report.ker_psi_order:
+            return (
+                f"mismatch: value over pairwise product gives |ker Psi| = {ker} "
+                f"remainder {rest}, the lattice index gives {report.ker_psi_order}"
+            ), notes
+        notes.append(f"oracle: value over pairwise product confirms |ker Psi| = {ker}")
     return "agreed", notes
 
 
@@ -601,24 +602,19 @@ def run_nilpotent(doc: dict, oracle: bool) -> dict:
 def _nilpotent_oracle(homs, report) -> tuple[str, list[str]]:
     if report.status != STATUS_OK:
         return "absent", ["oracle: skipped, the reduction is unsupported here"]
-    if not report.value.is_finite:
-        return "absent", ["oracle: skipped, the value is infinite"]
     if len(homs) == 2:
         phi, psi = homs
     else:
         power = direct_power_pc(homs[0].codomain, len(homs) - 1)
         phi = combine_homs([homs[0]] * (len(homs) - 1), power)
         psi = combine_homs(homs[1:], power)
-    try:
-        recount = _nilpotent_recount(phi, psi, cap=ORACLE_ENUM_CAP)
-    except SizeCapError as exc:
-        return "absent", [f"oracle: skipped, {exc}"]
+    recount = _nilpotent_recount(phi, psi)
     if recount != report.value:
         return (
-            f"mismatch: enumeration recount gives {recount}, "
+            f"mismatch: Hermite recount gives {recount}, "
             f"the reduction gives {report.value}"
         ), []
-    return "agreed", [f"oracle: enumeration recount confirms {recount}"]
+    return "agreed", [f"oracle: Hermite recount confirms {recount}"]
 
 
 # -- the check subcommand ------------------------------------------------------------

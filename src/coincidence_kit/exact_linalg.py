@@ -19,8 +19,8 @@ certify_smith proves every divisor of a result, at any size: it builds s and
 t if they are not there yet and requires |det s| == |det t| == 1 (Bareiss).
 Since s @ m @ t == d with d the divisor chain on its diagonal, unimodular s
 and t make d the Smith form of m, which is unique.  The cokernel order has a
-route that shares nothing with Smith: enumerate_cokernel lists the classes
-as the box under the pivots of the row-HNF basis.
+route that shares nothing with Smith: hermite_cokernel_order multiplies the
+pivots of the row-HNF basis of the columns.
 """
 
 from __future__ import annotations
@@ -653,6 +653,27 @@ def lattice_index(sub_vectors, super_vectors, *, width: int | None = None) -> Ca
     return cokernel_order(coord_matrix)
 
 
+def _cokernel_pivots(m: IntMatrix) -> list[int] | None:
+    """Pivots of the row-HNF basis of m's columns; None if it has < rows."""
+    basis = hermite_basis((m.column(j) for j in range(m.cols)), m.rows)
+    return [basis[i][i] for i in range(m.rows)] if len(basis) == m.rows else None
+
+
+def hermite_cokernel_order(m: IntMatrix) -> Cardinal:
+    """Order of Z^rows / (column lattice of m) from the row-HNF basis of the
+    columns: infinite when it has fewer than rows vectors, else the product
+    of its pivots, the determinant of a square triangular basis (Cohen,
+    GTM 138, section 2.4).  It shares nothing with the Smith loop.
+
+    >>> str(hermite_cokernel_order(IntMatrix([[2, 4, 1], [2, 6, 2]])))
+    '2'
+    >>> str(hermite_cokernel_order(IntMatrix([[1, 2], [2, 4]])))
+    'infinite'
+    """
+    pivots = _cokernel_pivots(m)
+    return INFINITE if pivots is None else Cardinal(prod(pivots, start=1))
+
+
 def enumerate_cokernel(m: IntMatrix, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     """All residue classes of Z^rows modulo the column lattice of m, as
     canonical representatives in lexicographic order.
@@ -661,18 +682,16 @@ def enumerate_cokernel(m: IntMatrix, cap: int = 1_000_000) -> list[tuple[int, ..
     with pivots h_1 ... h_n on its diagonal, and reducing a vector by it
     leaves exactly one representative in the box 0 <= v_i < h_i per class
     (Cohen, GTM 138, section 2.4).  So the classes are that box, listed
-    directly.  This is the brute-force oracle for cokernel_order: it never
-    touches the Smith machinery.  Requires a finite cokernel; refuses beyond
+    directly under the pivots hermite_cokernel_order multiplies.  Tests use
+    the list as a reference.  Requires a finite cokernel; refuses beyond
     cap.
 
     >>> enumerate_cokernel(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     [(0, 0), (0, 1)]
     """
-    n = m.rows
-    basis = hermite_basis((m.column(j) for j in range(m.cols)), n)
-    if len(basis) < n:
+    pivots = _cokernel_pivots(m)
+    if pivots is None:
         raise ValueError("cokernel is infinite; enumeration is impossible")
-    pivots = [basis[i][i] for i in range(n)]
     bound = prod(pivots, start=1)
     if bound > cap:
         raise SizeCapError(f"cokernel enumeration of size {bound} exceeds cap {cap}")
@@ -692,6 +711,7 @@ __all__ = [
     "kernel_basis",
     "cokernel_order",
     "lattice_index",
+    "hermite_cokernel_order",
     "enumerate_cokernel",
     "Cardinal",
     "INFINITE",

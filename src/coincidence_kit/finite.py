@@ -53,15 +53,14 @@ class FiniteGroup:
     interface: mul(i, j), inv(i), identity, order.
     """
 
-    __slots__ = ("order", "identity", "_table", "_inv", "_pair", "elements", "labels")
+    __slots__ = ("order", "identity", "_table", "_inv", "_pair", "elements")
 
-    def __init__(self, *, table=None, pair=None, elements=None, labels=None, identity=0):
+    def __init__(self, *, table=None, pair=None, elements=None, identity=0):
         if (table is None) == (pair is None):
             raise StructureError("exactly one backing (table or pair) is required")
         self._table = table
         self._pair = pair
         self.elements = elements
-        self.labels = labels
         if table is not None:
             self.order = len(table)
             self.identity = identity
@@ -80,7 +79,7 @@ class FiniteGroup:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_table(cls, table, labels=None, identity=None):
+    def from_table(cls, table, identity=None):
         """Build from an explicit Cayley table, verifying the group laws.
 
         Rows and columns must be permutations and there must be a two-sided
@@ -114,7 +113,7 @@ class FiniteGroup:
         )
         if identity is None:
             raise StructureError("table has no two-sided identity")
-        group = cls(table=table, labels=labels, identity=identity)
+        group = cls(table=table, identity=identity)
         for s in group.generators():
             row_s = table[s]
             for x, row_x in enumerate(table):
@@ -147,15 +146,6 @@ class FiniteGroup:
 
     def conjugate(self, z: int, x: int) -> int:
         return self.mul(self.mul(z, x), self.inv(z))
-
-    def label(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        if self._pair is not None:
-            g, h = self._pair
-            i1, i2 = divmod(i, h.order)
-            return f"({g.label(i1)}, {h.label(i2)})"
-        return str(i)
 
     def same_group(self, other: FiniteGroup) -> bool:
         if self is other:
@@ -223,8 +213,8 @@ def _matrix_det(m, p):
     return det % p
 
 
-def close_group(generators, *, field: int | None = None, cap: int = DEFAULT_CLOSURE_CAP,
-                labels=None) -> FiniteGroup:
+def close_group(generators, *, field: int | None = None,
+                cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Breadth-first closure of permutation or matrix generators.
 
     Element 0 is the identity and the discovery order is fixed by the
@@ -312,14 +302,14 @@ def close_group(generators, *, field: int | None = None, cap: int = DEFAULT_CLOS
         for p, s in tree:
             row.append(right[row[p]][s])
         table.append(row)
-    return FiniteGroup(table=table, elements=elements, labels=labels, identity=0)
+    return FiniteGroup(table=table, elements=elements, identity=0)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise StructureError(f"cyclic group order must be positive, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table=table, identity=0, labels=[str(i) for i in range(n)])
+    return FiniteGroup(table=table, identity=0)
 
 
 def binary_icosahedral_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:

@@ -154,10 +154,6 @@ class PcGroup:
     def n_central(self) -> int:
         return self.n - self.n_noncentral
 
-    @property
-    def is_abelian(self) -> bool:
-        return not self.commutators
-
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.n
 

@@ -29,6 +29,7 @@ from coincidence_kit.exact_linalg import (
     determinant,
     enumerate_cokernel,
     hermite_basis,
+    hermite_cokernel_order,
     kernel_basis,
     lattice_coordinates,
     lattice_index,
@@ -475,6 +476,24 @@ class TestCokernel:
             assert enumerate_cokernel(m, cap=5000) == expected
             listed += 1
         assert listed > 100
+
+    @pytest.mark.parametrize("shape", ["tall", "square", "wide", "zero-column"])
+    def test_hermite_pivots_match_smith(self, shape):
+        rng = random.Random(f"hermite-{shape}")
+        for _ in range(150):
+            rows = rng.randint(2, 5)
+            cols = {
+                "tall": rng.randint(1, rows - 1),
+                "square": rows,
+                "wide": rows + rng.randint(1, 3),
+                "zero-column": 0,
+            }[shape]
+            data = random_matrix(rng, lo=-9, hi=9, rows=rows, cols=cols).to_lists()
+            if rng.random() < 0.3:
+                # a multiple of the first row makes the rank fall short
+                data[-1] = [2 * x for x in data[0]]
+            m = IntMatrix(data, cols=cols)
+            assert hermite_cokernel_order(m) == cokernel_order(m)
 
     def test_enumeration_refuses_infinite(self):
         with pytest.raises(ValueError):

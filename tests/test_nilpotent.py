@@ -456,7 +456,7 @@ class TestHeisenbergPairs:
             assert report.value == Cardinal(4 * math.gcd(m, 4))
             assert delta_image_vectors(central_reduction(f, g)) == [(m,)]
             assert recount_value(f, g) == report.value
-            assert cli._nilpotent_recount(f, g, cap=1000) == report.value
+            assert cli._nilpotent_recount(f, g) == report.value
 
     def test_rotation_pair_is_unsupported(self):
         rot = PcHom(HEIS, HEIS, [(0, -1, 0), (1, 0, 0), (0, 0, 1)])
