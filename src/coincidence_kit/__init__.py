@@ -47,7 +47,6 @@ from .exact_linalg import (
     determinant,
     enumerate_cokernel,
     hermite_basis,
-    hermite_cokernel_order,
     kernel_basis,
     lattice_coordinates,
     lattice_index,
@@ -140,7 +139,6 @@ __all__ = [
     "enumerate_cokernel",
     "heisenberg_group",
     "hermite_basis",
-    "hermite_cokernel_order",
     "identity_hom",
     "identity_pc_hom",
     "ker_psi_order",

@@ -1,26 +1,32 @@
 """Exact integer linear algebra: Smith and Hermite forms, kernels, cokernels.
 
 Everything here runs on plain Python ints, so intermediate values may grow
-without bound and nothing ever rounds.  Matrices are immutable.  Every Smith
-result that comes back is checked exactly, by one of two routes.  A
-nonsingular square matrix is reduced without transforms, and its divisors
-must number n, form a chain, multiply to |det m| (Bareiss elimination, which
-shares nothing with the Smith loop) and start with the gcd of the entries.
-That pins the cokernel order, the rank and the first divisor, not each
-middle divisor on its own.  Every other matrix, and any result whose s, t or
-d is read, is reduced with its row and column operations recorded in
+without bound and nothing ever rounds.  Matrices are immutable.
+
+A cokernel order |Z^rows / (column lattice of m)| has two routes that share
+no code.  cokernel_order takes D = |det| of n independent columns from one
+Bareiss pass (none: the order is infinite) and multiplies the Hermite pivots
+found modulo D, which must divide D; SnfResult.cokernel_order multiplies the
+Smith divisors.  Engines take every order whose divisors they do not print
+from cokernel_order, and oracles recount each order by the other route.
+
+Every Smith result that comes back is checked exactly, by one of two routes.
+A nonsingular square matrix is reduced without transforms, and its divisors
+must number n, form a chain, multiply to |det m| (the same Bareiss pass,
+which shares nothing with the Smith loop) and start with the gcd of the
+entries.  That pins the cokernel order, the rank and the first divisor, not
+each middle divisor on its own.  Every other matrix, and any result whose
+s, t or d is read, is reduced with its row and column operations recorded in
 unimodular transforms, which are re-multiplied against the input:
-s @ m @ t == d.  Callers keep the result and read the cokernel order, the
-kernel and inverses off it rather than reducing the same matrix again:
-unimodular_inverse takes m^-1 = t @ s from the verified transforms of
-s @ m @ t == I and checks m @ m^-1 == I exactly.
+s @ m @ t == d.  Callers keep the result and read the kernel and inverses
+off it rather than reducing the same matrix again: unimodular_inverse takes
+m^-1 = t @ s from the verified transforms of s @ m @ t == I and checks
+m @ m^-1 == I exactly.
 
 certify_smith proves every divisor of a result, at any size: it builds s and
 t if they are not there yet and requires |det s| == |det t| == 1 (Bareiss).
 Since s @ m @ t == d with d the divisor chain on its diagonal, unimodular s
-and t make d the Smith form of m, which is unique.  The cokernel order has a
-route that shares nothing with Smith: hermite_cokernel_order multiplies the
-pivots of the row-HNF basis of the columns.
+and t make d the Smith form of m, which is unique.
 """
 
 from __future__ import annotations
@@ -442,28 +448,34 @@ def _check_chain(divisors):
         raise ConsistencyError(f"divisor chain broken: {divisors}")
 
 
+def _bareiss(a) -> int:
+    """One fraction-free (Bareiss) pass down the rows of a (lists, which it
+    overwrites), pivoting on columns: det a for a square a, else the signed
+    determinant of n independent columns; 0 at the first row that depends
+    on the rows above it."""
+    cols = len(a[0]) if a else 0
+    sign, prev = 1, 1
+    for k, row in enumerate(a):
+        j = next((j for j in range(k, cols) if row[j]), None)
+        if j is None:
+            return 0
+        if j != k:
+            sign = -sign
+            for r in a[k:]:
+                r[k], r[j] = r[j], r[k]
+        p = row[k]
+        for r in a[k + 1 :]:
+            f = r[k]
+            r[k + 1 :] = [(x * p - f * y) // prev for x, y in zip(r[k + 1 :], row[k + 1 :])]
+        prev = p
+    return sign * prev
+
+
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise ShapeError(f"determinant of a non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss(m.to_lists())
 
 
 def certify_smith(snf: SnfResult) -> None:
@@ -608,16 +620,57 @@ def kernel_basis(m: IntMatrix, snf: SnfResult | None = None) -> list[tuple[int, 
     return list(basis)
 
 
-def cokernel_order(m: IntMatrix) -> Cardinal:
-    """Order of Z^rows / (column lattice of m).
+def _hermite_pivots(m: IntMatrix) -> list[int] | None:
+    """Diagonal h_1 ... h_n of the Hermite form of the column lattice L of m
+    in Z^n, n = m.rows; None when L has rank < n.
 
-    Infinite exactly when the rank falls short of the row count; otherwise
-    the product of the invariant factors.
+    One Bareiss pass finds D = |det| of n independent columns, or none.
+    Those columns span a sublattice of index D, so D * Z^n lies in L, and
+    the triangulation may reduce every entry mod D (Domich, Kannan and
+    Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, algorithm 2.4.8).
+    Coordinate i is cleared by extended gcd into a pivot seeded with D * e_i;
+    the rest carry only the trailing coordinates.  The index of L is the
+    product of the pivots, which must divide D.
+    """
+    det = _bareiss(m.to_lists())
+    if not det:
+        return None
+    d = abs(det)
+    vectors = [[x % d for x in m.column(j)] for j in range(m.cols)]
+    pivots = []
+    for i in range(m.rows):
+        pivot = [d] + [0] * (m.rows - i - 1)
+        rest = []
+        for v in vectors:
+            h = pivot[0]
+            g = gcd(h, v[0])
+            a, b = h // g, v[0] // g
+            w = [(a * y - b * z) % d for y, z in zip(v[1:], pivot[1:])]
+            if a > 1:  # v[0] is no multiple of h: the pivot becomes g
+                t = pow(b, -1, a)
+                s = (1 - t * b) // a
+                pivot = [g] + [(s * z + t * y) % d for y, z in zip(v[1:], pivot[1:])]
+            if any(w):
+                rest.append(w)
+        pivots.append(pivot[0])
+        vectors = rest
+    if d % prod(pivots, start=1):
+        raise ConsistencyError(f"Hermite pivots {pivots} do not divide D = {d}")
+    return pivots
+
+
+def cokernel_order(m: IntMatrix) -> Cardinal:
+    """Order of Z^rows / (column lattice of m): infinite exactly when the
+    rank falls short of the row count, else the product of the Hermite
+    pivots, found modulo D without a Smith form.
 
     >>> str(cokernel_order(IntMatrix([[2, 4, 1], [2, 6, 2]])))
     '2'
+    >>> str(cokernel_order(IntMatrix([[1, 2], [2, 4]])))
+    'infinite'
     """
-    return smith_normal_form(m).cokernel_order()
+    pivots = _hermite_pivots(m)
+    return INFINITE if pivots is None else Cardinal(prod(pivots, start=1))
 
 
 def lattice_index(sub_vectors, super_vectors, *, width: int | None = None) -> Cardinal:
@@ -653,27 +706,6 @@ def lattice_index(sub_vectors, super_vectors, *, width: int | None = None) -> Ca
     return cokernel_order(coord_matrix)
 
 
-def _cokernel_pivots(m: IntMatrix) -> list[int] | None:
-    """Pivots of the row-HNF basis of m's columns; None if it has < rows."""
-    basis = hermite_basis((m.column(j) for j in range(m.cols)), m.rows)
-    return [basis[i][i] for i in range(m.rows)] if len(basis) == m.rows else None
-
-
-def hermite_cokernel_order(m: IntMatrix) -> Cardinal:
-    """Order of Z^rows / (column lattice of m) from the row-HNF basis of the
-    columns: infinite when it has fewer than rows vectors, else the product
-    of its pivots, the determinant of a square triangular basis (Cohen,
-    GTM 138, section 2.4).  It shares nothing with the Smith loop.
-
-    >>> str(hermite_cokernel_order(IntMatrix([[2, 4, 1], [2, 6, 2]])))
-    '2'
-    >>> str(hermite_cokernel_order(IntMatrix([[1, 2], [2, 4]])))
-    'infinite'
-    """
-    pivots = _cokernel_pivots(m)
-    return INFINITE if pivots is None else Cardinal(prod(pivots, start=1))
-
-
 def enumerate_cokernel(m: IntMatrix, cap: int = 1_000_000) -> list[tuple[int, ...]]:
     """All residue classes of Z^rows modulo the column lattice of m, as
     canonical representatives in lexicographic order.
@@ -682,14 +714,14 @@ def enumerate_cokernel(m: IntMatrix, cap: int = 1_000_000) -> list[tuple[int, ..
     with pivots h_1 ... h_n on its diagonal, and reducing a vector by it
     leaves exactly one representative in the box 0 <= v_i < h_i per class
     (Cohen, GTM 138, section 2.4).  So the classes are that box, listed
-    directly under the pivots hermite_cokernel_order multiplies.  Tests use
+    directly under the pivots cokernel_order multiplies.  Tests use
     the list as a reference.  Requires a finite cokernel; refuses beyond
     cap.
 
     >>> enumerate_cokernel(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     [(0, 0), (0, 1)]
     """
-    pivots = _cokernel_pivots(m)
+    pivots = _hermite_pivots(m)
     if pivots is None:
         raise ValueError("cokernel is infinite; enumeration is impossible")
     bound = prod(pivots, start=1)
@@ -711,7 +743,6 @@ __all__ = [
     "kernel_basis",
     "cokernel_order",
     "lattice_index",
-    "hermite_cokernel_order",
     "enumerate_cokernel",
     "Cardinal",
     "INFINITE",

@@ -502,10 +502,11 @@ class TestInputForms:
 
 
 class TestSmithFormReuse:
-    """Each matrix is Smith-reduced at most once per compute, snf or check call.
+    """Each matrix is reduced at most once per order route per compute, snf or
+    check call: once by Smith form, once by Hermite pivots (cokernel_order).
 
-    cli, abelian and nilpotent import smith_normal_form by name, so the
-    counting wrapper replaces it in every namespace that binds it."""
+    cli, abelian and nilpotent import both routes by name, so each counting
+    wrapper replaces its route in every namespace that binds it."""
 
     @pytest.fixture
     def reductions(self, monkeypatch):
@@ -513,26 +514,37 @@ class TestSmithFormReuse:
             importlib.import_module(f"coincidence_kit.{name}")
             for name in ("cli", "abelian", "exact_linalg", "finite", "nilpotent")
         ]
-        original = exact_linalg.smith_normal_form
-        seen = Counter()
+        seen = {"smith": Counter(), "hermite": Counter()}
+        routes = {
+            "smith": exact_linalg.smith_normal_form,
+            "hermite": exact_linalg.cokernel_order,
+        }
+        for route, original in routes.items():
 
-        def counting(m):
-            seen[m] += 1
-            return original(m)
+            def counting(m, original=original, seen=seen[route]):
+                seen[m] += 1
+                return original(m)
 
-        for ns in namespaces:
-            for attr, value in list(vars(ns).items()):
-                if value is original:
-                    monkeypatch.setattr(ns, attr, counting)
+            for ns in namespaces:
+                for attr, value in list(vars(ns).items()):
+                    if value is original:
+                        monkeypatch.setattr(ns, attr, counting)
         return seen
 
     def _assert_each_once(self, capsys, reductions, *argv):
-        reductions.clear()
+        """Run the CLI; return the (Smith, Hermite) reduction counts."""
+        for seen in reductions.values():
+            seen.clear()
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
-        repeated = [(m.rows, m.cols, n) for m, n in reductions.items() if n > 1]
+        repeated = [
+            (route, m.rows, m.cols, n)
+            for route, seen in reductions.items()
+            for m, n in seen.items()
+            if n > 1
+        ]
         assert not repeated, (argv, repeated)
-        return sum(reductions.values())
+        return tuple(sum(seen.values()) for seen in reductions.values())
 
     def test_shipped_problems(self, capsys, reductions):
         for path in sorted(PROBLEMS.glob("*.json")):
@@ -546,13 +558,14 @@ class TestSmithFormReuse:
             for _ in range(4)
         ]
         problem = json.dumps({"kind": "abelian-multi", "maps": maps})
-        # stacked, three pairwise and three leave-one-out matrices
-        assert self._assert_each_once(capsys, reductions, "compute", problem) == 7
+        # Smith: the stacked matrix, whose divisors are printed; Hermite:
+        # three pairwise and three leave-one-out matrices
+        assert self._assert_each_once(capsys, reductions, "compute", problem) == (1, 6)
         # pairwise values above 1 add the lattice-index reduction
         total = self._assert_each_once(
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json")
         )
-        assert total == 8
+        assert total == (1, 7)
 
     def test_check_on_shipped_abelian_problems(self, capsys, reductions):
         for path in sorted(PROBLEMS.glob("*.json")):
@@ -566,8 +579,8 @@ class TestSmithFormReuse:
             for _ in range(4)
         ]
         problem = json.dumps({"kind": "abelian-multi", "maps": maps})
-        # compute's 7, plus the 23 orderings other than the identity
-        assert self._assert_each_once(capsys, reductions, "check", problem) == 30
+        # compute's reductions, plus the 23 orderings other than the identity
+        assert self._assert_each_once(capsys, reductions, "check", problem) == (1, 29)
 
     def test_abelian_oracle_enumerates_once(self, capsys, reductions, monkeypatch):
         original = exact_linalg.enumerate_cokernel
@@ -583,7 +596,9 @@ class TestSmithFormReuse:
         total = self._assert_each_once(
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json"), "--oracle"
         )
-        assert total == 8  # the same Smith forms as without --oracle
+        # each number once more, by the route the engine did not take: the
+        # three pairwise blocks by Smith form, the stacked one by Hermite pivots
+        assert total == (1 + 3, 7 + 1)
         assert len(enumerated) == 0  # the oracle counts from Hermite pivots
 
 
@@ -850,8 +865,9 @@ class TestLazySmithTransforms:
         assert code == 0, err
         assert "pairwise: 16, 81\n" in out
         assert "(lattice index route)" in out
-        # the two wide pairwise matrices; never the 8x8 stacked one
-        assert with_transforms == [(4, 8), (4, 8)]
+        # the wide pairwise matrices take Hermite pivots, and the 8x8
+        # stacked one is nonsingular
+        assert with_transforms == []
 
 
 # -- the cokernel oracle at scale -------------------------------------------------------
@@ -867,6 +883,23 @@ def test_oracle_lists_a_third_of_a_million_classes_promptly(capsys):
     assert time.perf_counter() - start < 5
     assert code == 0, err
     assert "value: 332640\n" in out
+    assert "oracle: agreed\n" in out
+
+
+def test_oracle_on_a_wide_rank_deficient_stack_promptly(capsys):
+    # the 36x40 stacked difference has a row that is the sum of two others;
+    # an unreduced Hermite basis of its columns took seconds
+    rng = random.Random(3640)
+    data = [[rng.randint(-4, 4) for _ in range(40)] for _ in range(36)]
+    data[17] = [x + y for x, y in zip(data[3], data[29])]
+    zero = [[0] * 40 for _ in range(12)]
+    maps = [zero] + [data[12 * i : 12 * (i + 1)] for i in range(3)]
+    problem = json.dumps({"kind": "abelian-multi", "maps": maps})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compute", problem, "--oracle")
+    assert time.perf_counter() - start < 5
+    assert code == 0, err
+    assert "value: infinite\n" in out
     assert "oracle: agreed\n" in out
 
 
@@ -902,8 +935,8 @@ def _seeded_torus(seed, k, n, m):
 
 class TestHermiteOracle:
     """compute --oracle recounts the value, every pairwise value and |ker Psi|
-    from Hermite pivots, with no cap on the class count and for infinite
-    values too."""
+    by the order route the engine did not take, with no cap on the class
+    count and for infinite values too."""
 
     def test_agrees_above_a_million_classes(self, capsys):
         problem = json.dumps({"kind": "abelian-pair", "maps": [[[0]], [[2000003]]]})

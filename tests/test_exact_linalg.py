@@ -29,7 +29,6 @@ from coincidence_kit.exact_linalg import (
     determinant,
     enumerate_cokernel,
     hermite_basis,
-    hermite_cokernel_order,
     kernel_basis,
     lattice_coordinates,
     lattice_index,
@@ -477,23 +476,55 @@ class TestCokernel:
             listed += 1
         assert listed > 100
 
-    @pytest.mark.parametrize("shape", ["tall", "square", "wide", "zero-column"])
+    @pytest.mark.parametrize(
+        "shape", ["tall", "square", "wide", "zero-column", "scaled", "unit-det", "row-sum"]
+    )
     def test_hermite_pivots_match_smith(self, shape):
+        # cokernel_order takes Hermite pivots modulo D; the Smith divisors
+        # share none of its code
         rng = random.Random(f"hermite-{shape}")
         for _ in range(150):
-            rows = rng.randint(2, 5)
+            rows = rng.randint(2, 5) if shape != "row-sum" else rng.randint(3, 6)
             cols = {
                 "tall": rng.randint(1, rows - 1),
                 "square": rows,
                 "wide": rows + rng.randint(1, 3),
                 "zero-column": 0,
-            }[shape]
+            }.get(shape, rows + rng.randint(0, 3))
             data = random_matrix(rng, lo=-9, hi=9, rows=rows, cols=cols).to_lists()
-            if rng.random() < 0.3:
+            if shape == "scaled":
+                data = [[3 * x for x in row] for row in data]
+            elif shape == "unit-det":
+                data = random_unimodular(rng, rows).to_lists()
+            elif shape == "row-sum":
+                i, j, k = rng.sample(range(rows), 3)
+                data[k] = [x + y for x, y in zip(data[i], data[j])]
+            elif rng.random() < 0.3:
                 # a multiple of the first row makes the rank fall short
                 data[-1] = [2 * x for x in data[0]]
-            m = IntMatrix(data, cols=cols)
-            assert hermite_cokernel_order(m) == cokernel_order(m)
+            m = IntMatrix(data, cols=len(data[0]) if data[0] else cols)
+            order = cokernel_order(m)
+            assert order == smith_normal_form(m).cokernel_order()
+            if shape == "unit-det":
+                assert order == Cardinal.finite(1)
+            elif shape == "row-sum":
+                assert order == INFINITE
+            elif shape == "scaled" and order.is_finite:
+                assert order.value % 3 ** rows == 0
+
+    def test_wide_rank_deficient_stack_is_infinite(self):
+        # a row that is the sum of two others: the Bareiss pass stops at the
+        # first dependent row, where an unreduced Hermite basis of the 40
+        # columns took seconds
+        rng = random.Random(3640)
+        data = [[rng.randint(-4, 4) for _ in range(40)] for _ in range(36)]
+        data[17] = [x + y for x, y in zip(data[3], data[29])]
+        m = IntMatrix(data)
+        start = time.perf_counter()
+        assert cokernel_order(m) == INFINITE
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ValueError):
+            enumerate_cokernel(m)
 
     def test_enumeration_refuses_infinite(self):
         with pytest.raises(ValueError):
