@@ -50,7 +50,6 @@ from .exact_linalg import (
     kernel_basis,
     lattice_coordinates,
     lattice_index,
-    rank,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -61,7 +60,6 @@ from .finite import (
     TwistedPartition,
     binary_icosahedral_group,
     close_group,
-    conjugacy_class_count,
     constant_hom,
     cyclic_group,
     direct_product,
@@ -128,7 +126,6 @@ __all__ = [
     "close_group",
     "cokernel_order",
     "combine_homs",
-    "conjugacy_class_count",
     "constant_hom",
     "cyclic_group",
     "delta_image_vectors",
@@ -149,7 +146,6 @@ __all__ = [
     "pairwise_values",
     "permute_system",
     "projection_hom",
-    "rank",
     "reid_multi",
     "reid_nilpotent",
     "reid_nilpotent_multi",

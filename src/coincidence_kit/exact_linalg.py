@@ -590,14 +590,6 @@ def lattice_coordinates(hnf_rows, vector) -> tuple[int, ...] | None:
     return tuple(coeffs)
 
 
-def rank(m: IntMatrix) -> int:
-    """Rank over the rationals, computed by Hermite reduction of the rows.
-
-    Deliberately avoids the Smith routine so the two can police each other.
-    """
-    return len(hermite_basis(m.iter_rows(), m.cols))
-
-
 def kernel_basis(m: IntMatrix, snf: SnfResult | None = None) -> list[tuple[int, ...]]:
     """Basis of the full integer kernel lattice {v : m @ v = 0}, in canonical
     Hermite form.  The lattice is saturated: any rational kernel vector with
@@ -739,7 +731,6 @@ __all__ = [
     "unimodular_inverse",
     "hermite_basis",
     "lattice_coordinates",
-    "rank",
     "kernel_basis",
     "cokernel_order",
     "lattice_index",

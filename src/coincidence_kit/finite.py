@@ -11,7 +11,7 @@ multiplicativity on the generators.
 Tuples (alpha_2, ..., alpha_k) over the codomain are equivalent when some z
 in the domain sends every alpha_i to phi_1(z) * alpha_i * phi_i(z)^{-1}.
 With all maps equal this degenerates to plain conjugacy, which is why the
-conjugacy class count doubles as a sanity anchor.
+tests anchor it to the conjugacy class count.
 
 The action of z only depends on the image tuple (phi_1(z), ..., phi_k(z)),
 and those image tuples form a subgroup Gamma of codomain^k, collected once
@@ -20,10 +20,10 @@ stabilizers, as R(phi_1, ..., phi_k) relates to R(phi_1, phi_2): the orbits
 of Gamma on the first coordinate are the R(phi_1, phi_2) classes, the
 stabilizer of each acts on the second coordinate, and so on.  Each leaf is
 one class, its size |Gamma| / |stabilizer|; no tuple space is swept, and
-every orbit is checked against orbit-stabilizer.  The class of every tuple
-is rebuilt from the representatives only when read.  A second, structurally
-different algorithm runs union-find over a generating subset; the two must
-produce identical partitions.
+every orbit is checked against orbit-stabilizer.  A second, structurally
+different algorithm runs union-find over a generating subset of Gamma and
+reads off each class's smallest tuple and size; the two must agree on both,
+which, as any one member determines its class, makes the partitions equal.
 """
 
 from __future__ import annotations
@@ -143,9 +143,6 @@ class FiniteGroup:
         g, h = self._pair
         i1, i2 = divmod(i, h.order)
         return g.inv(i1) * h.order + h.inv(i2)
-
-    def conjugate(self, z: int, x: int) -> int:
-        return self.mul(self.mul(z, x), self.inv(z))
 
     def same_group(self, other: FiniteGroup) -> bool:
         if self is other:
@@ -405,45 +402,34 @@ def projection_hom(product: FiniteGroup, factor: int) -> FiniteHom:
     raise StructureError(f"factor must be 0 or 1, got {factor}")
 
 
-# -- conjugacy ----------------------------------------------------------------
-
-
-def conjugacy_class_count(g: FiniteGroup) -> int:
-    """Number of conjugacy classes, by a direct orbit sweep (no twisting)."""
-    visited = [False] * g.order
-    count = 0
-    for x in range(g.order):
-        if visited[x]:
-            continue
-        count += 1
-        for z in range(g.order):
-            visited[g.conjugate(z, x)] = True
-    return count
-
-
 # -- twisted tuple classes -----------------------------------------------------
 
 
 class TwistedPartition:
     """Partition of codomain^(k-1) tuples into twisted classes.
 
-    Each class is numbered by its smallest tuple index, which is also its
-    representative, so the labeling is reproducible across runs and
-    algorithms.  The partition keeps the maps, the representatives and the
-    class sizes; class_of, the class of every tuple, is built on first read.
+    Each class is given by its smallest tuple index, its representative, and
+    its size; any one member determines a class.  Construction checks one
+    representative per class, in ascending order, and sizes that cover the
+    tuple space and divide the domain's order.
     """
 
     __slots__ = ("homs", "representatives", "class_sizes", "class_count",
-                 "tuple_space", "arity", "_class_of")
+                 "tuple_space", "arity")
 
-    def __init__(self, homs, representatives, class_sizes, class_of=None):
+    def __init__(self, homs, representatives, class_sizes):
         self.homs = homs
         self.representatives = tuple(representatives)
         self.class_sizes = tuple(class_sizes)
         self.class_count = len(self.class_sizes)
         self.arity = len(homs) - 1
         self.tuple_space = homs[0].codomain.order**self.arity
-        self._class_of = class_of
+        reps = self.representatives
+        if len(reps) != self.class_count or any(a >= b for a, b in zip(reps, reps[1:])):
+            raise ConsistencyError(
+                "expected one representative per class in ascending order, "
+                f"got {len(reps)} for {self.class_count} classes"
+            )
         if sum(self.class_sizes) != self.tuple_space:
             raise ConsistencyError("class sizes do not cover the tuple space")
         domain_order = homs[0].domain.order
@@ -456,33 +442,6 @@ class TwistedPartition:
     @property
     def value(self) -> Cardinal:
         return Cardinal(self.class_count)
-
-    @property
-    def class_of(self) -> tuple:
-        """The class of every tuple, by applying the image subgroup to each
-        representative.  Each class must label exactly as many new tuples as
-        its size says, and none may be left unlabelled."""
-        if self._class_of is None:
-            codomain = self.homs[0].codomain
-            n, arity = codomain.order, self.arity
-            actions = _actions(_image_tuples(self.homs), codomain)
-            class_of = [-1] * self.tuple_space
-            for c, (rep, size) in enumerate(zip(self.representatives, self.class_sizes)):
-                digits = _decode(rep, n, arity)
-                labelled = 0
-                for action in actions:
-                    t = _apply(action, digits, codomain)
-                    if class_of[t] == -1:
-                        class_of[t] = c
-                        labelled += 1
-                if labelled != size:
-                    raise ConsistencyError(
-                        f"class {c} labels {labelled} tuples, the descent counted {size}"
-                    )
-            if -1 in class_of:
-                raise ConsistencyError("a tuple is left outside every class")
-            self._class_of = tuple(class_of)
-        return self._class_of
 
 
 def _image_tuples(homs):
@@ -622,8 +581,8 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
     R(phi_1, phi_2) classes, each one's stabilizer acts on the next
     coordinate, and so on.  It yields the representatives and sizes without
     touching every tuple.  "union-find" merges every tuple along a
-    generating set and renumbers.  Both are exact; they must agree, and
-    tests hold them to that.
+    generating set and keeps each class's smallest tuple and size.  Both
+    are exact and must agree; the CLI oracle and tests hold them to that.
 
     >>> s3 = close_group([(1, 0, 2), (1, 2, 0)])
     >>> part = twisted_reidemeister([identity_hom(s3), identity_hom(s3), constant_hom(s3, s3)])
@@ -674,16 +633,11 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
                 ru = find(_apply(action, digits, codomain))
                 if ru != rt:
                     parent[ru] = rt
-        # Number classes by their smallest member, as the descent does.
-        smallest = {}
+        # a root's first member is its class's smallest tuple: classes ascend
+        classes = {}
         for t in range(tuple_space):
-            smallest.setdefault(find(t), t)
-        rank_of_root = {r: i for i, r in enumerate(smallest)}
-        class_of = tuple(rank_of_root[find(t)] for t in range(tuple_space))
-        sizes = [0] * len(smallest)
-        for c in class_of:
-            sizes[c] += 1
-        return TwistedPartition(homs, smallest.values(), sizes, class_of)
+            classes.setdefault(find(t), [t, 0])[1] += 1
+        return TwistedPartition(homs, *zip(*classes.values()))
 
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -734,7 +688,6 @@ __all__ = [
     "TwistedPartition",
     "binary_icosahedral_group",
     "close_group",
-    "conjugacy_class_count",
     "constant_hom",
     "cyclic_group",
     "direct_product",

@@ -12,7 +12,6 @@ from coincidence_kit.abelian import (
     AbelianSystem,
     divisibility_report,
     ker_psi_order,
-    ker_psi_order_bruteforce,
     permute_system,
     reid_multi,
     reid_pair,
@@ -21,6 +20,8 @@ from coincidence_kit.abelian import (
 from coincidence_kit.cardinal import Cardinal, INFINITE, cardinal_product
 from coincidence_kit.errors import ShapeError
 from coincidence_kit.exact_linalg import IntMatrix, cokernel_order
+
+from conftest import ker_psi_order_bruteforce
 
 # Four circle-valued maps on the 3-torus; the running example.
 TORUS4 = AbelianSystem([[[1, 1, 1]], [[3, 5, 2]], [[3, 7, 3]], [[2, 1, 3]]])

@@ -590,9 +590,7 @@ class TestSmithFormReuse:
             enumerated.append(m)
             return original(m, **kwargs)
 
-        for name in ("abelian", "exact_linalg"):
-            ns = importlib.import_module(f"coincidence_kit.{name}")
-            monkeypatch.setattr(ns, "enumerate_cokernel", counting)
+        monkeypatch.setattr(exact_linalg, "enumerate_cokernel", counting)
         total = self._assert_each_once(
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json"), "--oracle"
         )
@@ -600,6 +598,14 @@ class TestSmithFormReuse:
         # three pairwise blocks by Smith form, the stacked one by Hermite pivots
         assert total == (1 + 3, 7 + 1)
         assert len(enumerated) == 0  # the oracle counts from Hermite pivots
+
+    def test_abelian_oracle_on_a_pair_reduces_nothing_more(self, capsys, reductions):
+        # with two maps the engine already reduced the one block both ways:
+        # Smith for the value, Hermite pivots for the pairwise value (1 here,
+        # so no lattice index is reduced for |ker Psi|)
+        maps = [[[1, 2, 0], [0, 1, 3]], [[3, 2, 5], [1, -1, 3]]]
+        problem = json.dumps({"kind": "abelian-pair", "maps": maps})
+        assert self._assert_each_once(capsys, reductions, "compute", problem, "--oracle") == (1, 1)
 
 
 class TestCheckSolvesEachOrderingOnce:
@@ -713,11 +719,12 @@ def _size_off_by_one(representatives, sizes):
 
 
 class TestStabilizerDescent:
-    """compute counts the twisted classes by descending through stabilizers:
-    it never labels every tuple, and the rebuild that does catches a descent
-    that miscounts."""
+    """compute counts the twisted classes by descending through stabilizers
+    and never touches every tuple; --oracle and check hold its
+    representatives and class sizes to union-find's, which catches a descent
+    that miscounts or picks a wrong representative."""
 
-    def test_work_and_lazy_class_of(self, capsys, monkeypatch):
+    def test_work_and_one_union_find_run(self, capsys, monkeypatch):
         original_mul = finite.FiniteGroup.mul
         muls = []
 
@@ -725,30 +732,28 @@ class TestStabilizerDescent:
             muls.append(None)
             return original_mul(self, i, j)
 
-        original_class_of = finite.TwistedPartition.class_of
-        built = []
+        original_solve = cli.twisted_reidemeister
+        algorithms = []
 
-        def recording_class_of(self):
-            if self._class_of is None:
-                built.append(self)
-            return original_class_of.fget(self)
+        def recording_solve(homs, **kwargs):
+            algorithms.append(kwargs.get("algorithm", "orbit"))
+            return original_solve(homs, **kwargs)
 
         monkeypatch.setattr(finite.FiniteGroup, "mul", counting_mul)
-        monkeypatch.setattr(finite.TwistedPartition, "class_of", property(recording_class_of))
+        monkeypatch.setattr(cli, "twisted_reidemeister", recording_solve)
         problem = _finite_problem(S5_GENS, [ID, ID, CONST])
         code, out, err = run_cli(capsys, "compute", problem)
         assert code == 0, err
         assert "value: 120\n" in out
         # 5 280 here; sweeping all 14 400 tuples made 59 520
         assert len(muls) <= 6000
-        assert built == []
+        assert algorithms == ["orbit"]
 
+        algorithms.clear()
         code, out, err = run_cli(capsys, "compute", problem, "--oracle")
         assert code == 0, err
         assert "oracle: agreed\n" in out
-        # the descent's partition is rebuilt tuple by tuple for the comparison
-        assert len(built) == 1
-        assert len(built[0].class_of) == built[0].tuple_space == 120**2
+        assert algorithms == ["orbit", "union-find"]
 
     @pytest.fixture
     def mutated_descent(self, monkeypatch):
@@ -766,26 +771,54 @@ class TestStabilizerDescent:
         return install
 
     def _assert_caught(self, capsys, problem, message):
-        for argv in (("compute", problem, "--oracle"), ("check", problem)):
+        for argv in (("compute", problem), ("compute", problem, "--oracle"), ("check", problem)):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2
             assert out == ""
             assert err.startswith("consistency failure: ")
             assert message in err
 
+    def _assert_disagreement(self, capsys, problem):
+        """Plain compute prints what it printed before; --oracle and check
+        find that union-find disagrees."""
+        code, out, err = run_cli(capsys, "compute", problem, "--oracle")
+        assert code == 2, err
+        assert "oracle: mismatch: the two orbit algorithms disagree\n" in out
+        code, out, err = run_cli(capsys, "check", problem)
+        assert code == 2, err
+        assert "FAIL dual-algorithms-agree: the two algorithms produce different partitions\n" in out
+
     def test_dropped_representative_is_caught(self, capsys, mutated_descent):
         # every class of S4 [ID, ID, CONST] has 24 tuples, so the sizes still
-        # match class by class and the last class is never labelled
+        # cover the tuple space and divide the domain order
         def drop(representatives, sizes):
             del representatives[3]
 
+        mutated_descent(drop)
+        self._assert_caught(
+            capsys, _finite_problem(S4_GENS, [ID, ID, CONST]), "got 23 for 24 classes"
+        )
+
+    def test_shifted_representative_is_caught(self, capsys, monkeypatch):
+        # S4 [ID, ID, CONST]: the last class's representative moves to the
+        # largest member of its class, so there is still one per class in
+        # ascending order and the sizes are untouched
         problem = _finite_problem(S4_GENS, [ID, ID, CONST])
         _, before, _ = run_cli(capsys, "compute", problem)
-        mutated_descent(drop)
+        original = finite._descend
+
+        def shifted(actions, codomain, arity):
+            representatives, sizes = original(actions, codomain, arity)
+            if arity > 1:  # the family's count, not its pairwise values
+                digits = finite._decode(representatives[-1], codomain.order, arity)
+                representatives[-1] = max(finite._apply(a, digits, codomain) for a in actions)
+            return representatives, sizes
+
+        monkeypatch.setattr(finite, "_descend", shifted)
         code, after, err = run_cli(capsys, "compute", problem)
         assert code == 0, err
         assert after == before
-        self._assert_caught(capsys, problem, "a tuple is left outside every class")
+        self._assert_disagreement(capsys, problem)
 
     @pytest.mark.parametrize("mutate", [_drop_class, _size_off_by_one])
     def test_broken_cover_is_caught(self, capsys, mutated_descent, mutate):
@@ -794,7 +827,7 @@ class TestStabilizerDescent:
             capsys, _finite_problem(S4_GENS, [ID, ID, CONST]), "do not cover the tuple space"
         )
 
-    def test_exchanged_sizes_are_caught_by_the_rebuild(self, capsys, mutated_descent):
+    def test_exchanged_sizes_are_caught(self, capsys, mutated_descent):
         # S4 [ID, ID, ID]: two classes of unequal size trade sizes, so the
         # sum, the divisibility and the printed histogram all stay as they were
         def exchange(representatives, sizes):
@@ -807,7 +840,7 @@ class TestStabilizerDescent:
         code, after, err = run_cli(capsys, "compute", problem)
         assert code == 0, err
         assert after == before
-        self._assert_caught(capsys, problem, "the descent counted")
+        self._assert_disagreement(capsys, problem)
 
     def test_non_subgroup_breaks_orbit_stabilizer(self, capsys, monkeypatch):
         original = finite._image_tuples
@@ -933,6 +966,12 @@ def _seeded_torus(seed, k, n, m):
     return json.dumps({"kind": "abelian-multi", "maps": maps})
 
 
+# a 2x3 pair whose one difference block has cokernel order 4
+PAIR_OF_FOUR = json.dumps(
+    {"kind": "abelian-pair", "maps": [[[1, 2, 0], [0, 1, 3]], [[3, 2, 4], [0, 3, 9]]]}
+)
+
+
 class TestHermiteOracle:
     """compute --oracle recounts the value, every pairwise value and |ker Psi|
     by the order route the engine did not take, with no cap on the class
@@ -965,8 +1004,20 @@ class TestHermiteOracle:
         ker = doc["intermediates"]["ker_psi_order"]
         assert f"oracle: value over pairwise product confirms |ker Psi| = {ker}" in doc["trace"]
 
-    @pytest.mark.parametrize("field", ["value", "pairwise", "ker_psi_order"])
-    def test_wrong_abelian_report_is_a_mismatch(self, capsys, monkeypatch, field):
+    # with two maps the oracle compares the engine's own two reductions of
+    # the one block, so a wrong value or pairwise value still shows
+    @pytest.mark.parametrize(
+        "field, problem",
+        [
+            pytest.param(field, problem, id=field + suffix)
+            for suffix, problem in (
+                ("", str(PROBLEMS / "example2_torus.json")),
+                ("-k2", PAIR_OF_FOUR),
+            )
+            for field in ("value", "pairwise", "ker_psi_order")
+        ],
+    )
+    def test_wrong_abelian_report_is_a_mismatch(self, capsys, monkeypatch, field, problem):
         original = cli.reid_multi
 
         def wrong(system):
@@ -980,7 +1031,7 @@ class TestHermiteOracle:
             return report
 
         monkeypatch.setattr(cli, "reid_multi", wrong)
-        code, doc, _ = _oracle_run(capsys, str(PROBLEMS / "example2_torus.json"))
+        code, doc, _ = _oracle_run(capsys, problem)
         assert code == 2
         assert doc["oracle_status"].startswith("mismatch:")
 

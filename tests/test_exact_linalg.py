@@ -32,11 +32,10 @@ from coincidence_kit.exact_linalg import (
     kernel_basis,
     lattice_coordinates,
     lattice_index,
-    rank,
     smith_normal_form,
     unimodular_inverse,
 )
-from conftest import elementary_divisors_via_minors
+from conftest import elementary_divisors_via_minors, rank
 
 WORKED = IntMatrix([[2, 4, 1], [2, 6, 2]])
 
