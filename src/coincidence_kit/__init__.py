@@ -19,7 +19,6 @@ for the product-versus-joint comparisons the reports are built on.
 """
 
 from .abelian import (
-    AbelianHom,
     AbelianSystem,
     DivisibilityReport,
     divisibility_report,
@@ -93,7 +92,6 @@ from .reporting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianHom",
     "AbelianSystem",
     "Cardinal",
     "CentralExtensionData",

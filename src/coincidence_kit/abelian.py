@@ -27,50 +27,21 @@ from .exact_linalg import (
 from .reporting import NIELSEN_NOTE, ReidemeisterReport
 
 
-class AbelianHom:
-    """Homomorphism Z^m -> Z^n as an n x m integer matrix."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: IntMatrix):
-        if not isinstance(matrix, IntMatrix):
-            matrix = IntMatrix(matrix)
-        self.matrix = matrix
-
-    @property
-    def target_rank(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def source_rank(self) -> int:
-        return self.matrix.cols
-
-    def __eq__(self, other):
-        if not isinstance(other, AbelianHom):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"AbelianHom({self.matrix.to_lists()!r})"
-
-
 class AbelianSystem:
-    """An ordered tuple of k >= 2 homomorphisms with one shared shape."""
+    """An ordered tuple of k >= 2 homomorphisms Z^m -> Z^n, each held as an
+    n x m IntMatrix (nested lists are converted), all of one shape."""
 
     __slots__ = ("homs",)
 
     def __init__(self, homs):
-        homs = tuple(h if isinstance(h, AbelianHom) else AbelianHom(h) for h in homs)
+        homs = tuple(h if isinstance(h, IntMatrix) else IntMatrix(h) for h in homs)
         if len(homs) < 2:
             raise ShapeError(f"a system needs at least two maps, got {len(homs)}")
-        shape = (homs[0].target_rank, homs[0].source_rank)
+        shape = (homs[0].rows, homs[0].cols)
         for i, h in enumerate(homs):
-            if (h.target_rank, h.source_rank) != shape:
+            if (h.rows, h.cols) != shape:
                 raise ShapeError(
-                    f"hom {i} has shape {h.target_rank}x{h.source_rank}, "
+                    f"hom {i} has shape {h.rows}x{h.cols}, "
                     f"expected {shape[0]}x{shape[1]}"
                 )
         self.homs = homs
@@ -81,11 +52,11 @@ class AbelianSystem:
 
     @property
     def target_rank(self) -> int:
-        return self.homs[0].target_rank
+        return self.homs[0].rows
 
     @property
     def source_rank(self) -> int:
-        return self.homs[0].source_rank
+        return self.homs[0].cols
 
     def __repr__(self):
         return f"AbelianSystem(k={self.k}, {self.target_rank}x{self.source_rank})"
@@ -93,18 +64,15 @@ class AbelianSystem:
 
 def stacked_difference(system: AbelianSystem) -> IntMatrix:
     """The (k-1)n x m matrix with j-th block matrix(phi_{j+1}) - matrix(phi_1)."""
-    base = system.homs[0].matrix
-    blocks = [h.matrix - base for h in system.homs[1:]]
-    return IntMatrix.stack_rows(blocks)
+    base = system.homs[0]
+    return IntMatrix.stack_rows([h - base for h in system.homs[1:]])
 
 
-def reid_pair(phi: AbelianHom, psi: AbelianHom) -> Cardinal:
-    """R(phi, psi) = order of coker(psi - phi)."""
-    phi = phi if isinstance(phi, AbelianHom) else AbelianHom(phi)
-    psi = psi if isinstance(psi, AbelianHom) else AbelianHom(psi)
-    if (phi.target_rank, phi.source_rank) != (psi.target_rank, psi.source_rank):
-        raise ShapeError("paired homs must share their shape")
-    return cokernel_order(psi.matrix - phi.matrix)
+def reid_pair(phi, psi) -> Cardinal:
+    """R(phi, psi) = order of coker(psi - phi), for two matrices (or nested
+    lists); the subtraction raises ShapeError unless they share one shape."""
+    phi, psi = (h if isinstance(h, IntMatrix) else IntMatrix(h) for h in (phi, psi))
+    return cokernel_order(psi - phi)
 
 
 def _pairwise(system: AbelianSystem) -> tuple[Cardinal, ...]:
@@ -116,10 +84,10 @@ def _block_lattice_vectors(system: AbelianSystem):
     """Generators of Im(D_2) x ... x Im(D_k) inside Z^{(k-1)n}."""
     n = system.target_rank
     k = system.k
-    base = system.homs[0].matrix
+    base = system.homs[0]
     out = []
     for j, h in enumerate(system.homs[1:]):
-        diff = h.matrix - base
+        diff = h - base
         for c in range(diff.cols):
             col = diff.column(c)
             vec = [0] * ((k - 1) * n)
@@ -275,7 +243,6 @@ def divisibility_report(
 
 
 __all__ = [
-    "AbelianHom",
     "AbelianSystem",
     "DivisibilityReport",
     "divisibility_report",

@@ -477,7 +477,7 @@ def _base_report() -> dict:
 
 def run_snf(doc: dict, oracle: bool) -> dict:
     matrix = IntMatrix(_to_matrix(_require(doc, "matrix"), "matrix"))
-    snf = smith_normal_form(matrix)
+    snf = certify_smith(matrix) if oracle else smith_normal_form(matrix)
     order = snf.cokernel_order()
     out = _base_report()
     out["value"] = order.to_json()
@@ -493,7 +493,6 @@ def run_snf(doc: dict, oracle: bool) -> dict:
         f"cokernel order: {order}",
     ]
     if oracle:
-        certify_smith(snf)
         out["oracle_status"] = "agreed"
         out["trace"].append(
             "oracle: unimodular s, t with s @ m @ t == d prove the divisors"
@@ -527,8 +526,8 @@ def _abelian_oracle(system: AbelianSystem, report) -> tuple[str, list[str]]:
         # from its Smith divisors, the pairwise value from its Hermite pivots
         value, pairwise = report.pairwise[0], (report.value,)
     else:
-        base = system.homs[0].matrix
-        blocks = [h.matrix - base for h in system.homs[1:]]
+        base = system.homs[0]
+        blocks = [h - base for h in system.homs[1:]]
         value = cokernel_order(IntMatrix.stack_rows(blocks))
         pairwise = tuple(smith_normal_form(b).cokernel_order() for b in blocks)
     found = f"value {value} and pairwise values {', '.join(map(str, pairwise))}"
@@ -634,33 +633,36 @@ def _nilpotent_oracle(homs, report) -> tuple[str, list[str]]:
 # -- the check subcommand ------------------------------------------------------------
 
 
-def _check_orderings(values) -> tuple[bool, str]:
-    distinct = {str(v) for v in values}
-    ok = len(distinct) == 1
-    return ok, (
-        f"all {len(values)} orderings agree"
-        if ok
-        else f"orderings disagree: {sorted(distinct)}"
-    )
-
-
-def _ordering_results(keys, first, solve) -> list:
-    """The result of every ordering of the maps, the identity first.
+def _ordering_row(keys, first, solve) -> tuple[bool, str]:
+    """check's ordering-invariance row: whether every ordering of the maps
+    gives one value, and the detail to print.
 
     keys[i] is map i's data, so equal maps have equal keys and reorderings
-    that give the same key list give the same result.  first is the identity
-    ordering's result, which the caller already has; solve(sigma) runs once
-    for each other distinct key list.
+    that give the same key list give the same value.  first is the identity
+    ordering's value, which the caller already has; solve(sigma) runs once
+    for each other distinct key list.  A value of None marks an ordering
+    that falls outside the nilpotent reduction.
     """
     keys = tuple(keys)
+    if len(keys) > 4:
+        return True, "skipped: more than 4 maps"
     solved = {keys: first}
-    results = []
+    values = []
     for sigma in itertools.permutations(range(len(keys))):
         key = tuple(keys[i] for i in sigma)
         if key not in solved:
             solved[key] = solve(sigma)
-        results.append(solved[key])
-    return results
+        values.append(solved[key])
+    if any(v is None for v in values):
+        return True, "skipped: some orderings fall outside the reduction"
+    distinct = {str(v) for v in values}
+    if len(distinct) == 1:
+        return True, f"all {len(values)} orderings agree"
+    return False, f"orderings disagree: {sorted(distinct)}"
+
+
+def _ok_value(report):
+    return report.value if report.status == STATUS_OK else None
 
 
 def run_check(doc: dict) -> dict:
@@ -673,8 +675,7 @@ def run_check(doc: dict) -> dict:
 
     if kind == "snf":
         matrix = IntMatrix(_to_matrix(_require(doc, "matrix"), "matrix"))
-        snf = smith_normal_form(matrix)
-        certify_smith(snf)
+        snf = certify_smith(matrix)
         add(
             "smith-certificate",
             True,
@@ -696,18 +697,13 @@ def run_check(doc: dict) -> dict:
             )
         else:
             add("pairwise-product-divides", True, div.witness)
-        if system.k <= 4:
-            values = _ordering_results(
-                system.homs,
-                report.value,
-                lambda sigma: cokernel_order(
-                    stacked_difference(permute_system(system, sigma))
-                ),
-            )
-            ok, detail = _check_orderings(values)
-            add("ordering-invariance", ok, detail)
-        else:
-            add("ordering-invariance", True, "skipped: more than 4 maps")
+        add("ordering-invariance", *_ordering_row(
+            system.homs,
+            report.value,
+            lambda sigma: cokernel_order(
+                stacked_difference(permute_system(system, sigma))
+            ),
+        ))
     elif kind == "finite":
         homs = _build_finite_maps(doc)
         partition = twisted_reidemeister(homs)
@@ -723,16 +719,11 @@ def run_check(doc: dict) -> dict:
             if agreed
             else "the two algorithms produce different partitions",
         )
-        if len(homs) <= 4:
-            values = _ordering_results(
-                [h.image for h in homs],
-                partition.value,
-                lambda sigma: twisted_reidemeister([homs[i] for i in sigma]).value,
-            )
-            ok, detail = _check_orderings(values)
-            add("ordering-invariance", ok, detail)
-        else:
-            add("ordering-invariance", True, "skipped: more than 4 maps")
+        add("ordering-invariance", *_ordering_row(
+            [h.image for h in homs],
+            partition.value,
+            lambda sigma: twisted_reidemeister([homs[i] for i in sigma]).value,
+        ))
     else:  # nilpotent
         homs = _build_pc_maps(doc)
         report = reid_nilpotent_multi(homs)
@@ -753,23 +744,11 @@ def run_check(doc: dict) -> dict:
             )
         else:
             add("counting-law", True, "skipped: no finite reduced value")
-        if len(homs) <= 4:
-            reordered = _ordering_results(
-                [h.images for h in homs],
-                report,
-                lambda sigma: reid_nilpotent_multi([homs[i] for i in sigma]),
-            )
-            if all(r.status == STATUS_OK for r in reordered):
-                ok, detail = _check_orderings([r.value for r in reordered])
-                add("ordering-invariance", ok, detail)
-            else:
-                add(
-                    "ordering-invariance",
-                    True,
-                    "skipped: some orderings fall outside the reduction",
-                )
-        else:
-            add("ordering-invariance", True, "skipped: more than 4 maps")
+        add("ordering-invariance", *_ordering_row(
+            [h.images for h in homs],
+            _ok_value(report),
+            lambda sigma: _ok_value(reid_nilpotent_multi([homs[i] for i in sigma])),
+        ))
 
     out["intermediates"]["checks"] = checks
     out["trace"] = [

@@ -16,17 +16,19 @@ must number n, form a chain, multiply to |det m| (the same Bareiss pass,
 which shares nothing with the Smith loop) and start with the gcd of the
 entries.  That pins the cokernel order, the rank and the first divisor, not
 each middle divisor on its own.  Every other matrix, and any result whose
-s, t or d is read, is reduced with its row and column operations recorded in
-unimodular transforms, which are re-multiplied against the input:
-s @ m @ t == d.  Callers keep the result and read the kernel and inverses
-off it rather than reducing the same matrix again: unimodular_inverse takes
-m^-1 = t @ s from the verified transforms of s @ m @ t == I and checks
-m @ m^-1 == I exactly.
+s, t or d is read, is reduced with identity blocks appended, [[m | I], [I]]:
+the elimination's row operations turn the right block into s and its column
+operations turn the bottom block into t, which are re-multiplied against
+the input: s @ m @ t == d.  Callers keep the result and read the kernel and
+inverses off it rather than reducing the same matrix again:
+unimodular_inverse takes m^-1 = t @ s from the verified transforms of
+s @ m @ t == I and checks m @ m^-1 == I exactly.
 
-certify_smith proves every divisor of a result, at any size: it builds s and
-t if they are not there yet and requires |det s| == |det t| == 1 (Bareiss).
-Since s @ m @ t == d with d the divisor chain on its diagonal, unimodular s
-and t make d the Smith form of m, which is unique.
+certify_smith proves every divisor of m's Smith form, at any size, for one
+elimination with transforms and two determinants: it requires
+|det s| == |det t| == 1 (Bareiss).  Since s @ m @ t == d with d the divisor
+chain on its diagonal, unimodular s and t make d the Smith form of m, which
+is unique.
 """
 
 from __future__ import annotations
@@ -202,7 +204,8 @@ class SnfResult:
 
     The divisors are always present.  s, t and d are built once, on first
     read, by the elimination that tracks transforms and checks
-    s @ m @ t == d, unless smith_normal_form already built them.
+    s @ m @ t == d, unless smith_normal_form or certify_smith already built
+    them.
     """
 
     __slots__ = ("m", "divisors", "_transforms")
@@ -263,10 +266,12 @@ def _add_col(a, dst, src, mult):
         row[dst] += mult * row[src]
 
 
-def _eliminate(a, s=None, t=None) -> tuple[int, ...]:
-    """Reduce the list-of-rows matrix a in place to Smith form and return its
-    divisor chain.  Row operations are mirrored on s and column operations on
-    t, when they are given.
+def _eliminate(a, rows: int, cols: int) -> tuple[int, ...]:
+    """Reduce the leading rows x cols block of the list-of-rows matrix a in
+    place to Smith form and return its divisor chain.  Row operations act on
+    whole rows of a and column operations on whole columns, so a block
+    appended to the right of the leading one records the row operations and
+    a block appended below it records the column operations.
 
     Pivoting always picks a smallest-magnitude nonzero entry of the working
     submatrix, then clears its row and column by Euclidean steps.  Before a
@@ -275,8 +280,6 @@ def _eliminate(a, s=None, t=None) -> tuple[int, ...]:
     pivot and so terminates.  That discipline is what makes the divisor chain
     come out sorted without a separate fixup pass.
     """
-    rows = len(a)
-    cols = len(a[0]) if a else 0
     k = 0
     limit = min(rows, cols)
     while k < limit:
@@ -292,12 +295,8 @@ def _eliminate(a, s=None, t=None) -> tuple[int, ...]:
         _, bi, bj = best
         if bi != k:
             _swap_rows(a, k, bi)
-            if s is not None:
-                _swap_rows(s, k, bi)
         if bj != k:
             _swap_cols(a, k, bj)
-            if t is not None:
-                _swap_cols(t, k, bj)
 
         while True:
             # Clear the pivot column by row operations.
@@ -311,15 +310,11 @@ def _eliminate(a, s=None, t=None) -> tuple[int, ...]:
                 )
                 if low != k:
                     _swap_rows(a, k, low)
-                    if s is not None:
-                        _swap_rows(s, k, low)
                 for i in range(k + 1, rows):
                     if a[i][k]:
                         q = a[i][k] // a[k][k]
                         if q:
                             _add_row(a, i, k, -q)
-                            if s is not None:
-                                _add_row(s, i, k, -q)
             # Clear the pivot row by column operations; a column swap here can
             # re-dirty the pivot column, hence the outer loop.
             while True:
@@ -332,15 +327,11 @@ def _eliminate(a, s=None, t=None) -> tuple[int, ...]:
                 )
                 if low != k:
                     _swap_cols(a, k, low)
-                    if t is not None:
-                        _swap_cols(t, k, low)
                 for j in range(k + 1, cols):
                     if a[k][j]:
                         q = a[k][j] // a[k][k]
                         if q:
                             _add_col(a, j, k, -q)
-                            if t is not None:
-                                _add_col(t, j, k, -q)
             if any(a[i][k] for i in range(k + 1, rows)):
                 continue
             # Divisibility sweep: the accepted pivot must divide everything
@@ -357,37 +348,29 @@ def _eliminate(a, s=None, t=None) -> tuple[int, ...]:
             if offender is None:
                 break
             _add_row(a, k, offender, 1)
-            if s is not None:
-                _add_row(s, k, offender, 1)
 
         if a[k][k] < 0:
-            for j in range(cols):
-                a[k][j] = -a[k][j]
-            if s is not None:
-                for j in range(rows):
-                    s[k][j] = -s[k][j]
+            a[k] = [-x for x in a[k]]
         k += 1
-
-    diag = [a[i][i] for i in range(limit)]
-    divisors = []
-    for v in diag:
-        if v == 0:
-            break
-        divisors.append(v)
-    return tuple(divisors)
+    # every accepted pivot is nonzero, and the loop stops at the first zero
+    return tuple(a[i][i] for i in range(k))
 
 
 def _smith_with_transforms(m: IntMatrix) -> SnfResult:
-    """Smith form with its transforms, verified by s @ m @ t == d."""
-    a = m.to_lists()
-    s = IntMatrix.identity(m.rows).to_lists()
-    t = IntMatrix.identity(m.cols).to_lists()
-    divisors = _eliminate(a, s, t)
-    s_m = IntMatrix(s, cols=m.rows)
-    t_m = IntMatrix(t, cols=m.cols)
-    d_m = IntMatrix(a, cols=m.cols)
-    _verify_snf(m, s_m, t_m, d_m, divisors)
-    return SnfResult(m, divisors, (s_m, t_m, d_m))
+    """Smith form with its transforms, verified by s @ m @ t == d.
+
+    One elimination reduces [[m | I_rows], [I_cols]]: its row operations
+    turn the right block into s and its column operations turn the bottom
+    block into t, while m becomes d.
+    """
+    r, c = m.rows, m.cols
+    a = m.hstack(IntMatrix.identity(r)).to_lists() + IntMatrix.identity(c).to_lists()
+    divisors = _eliminate(a, r, c)
+    s = IntMatrix([row[c:] for row in a[:r]], cols=r)
+    t = IntMatrix(a[r:], cols=c)
+    d = IntMatrix([row[:c] for row in a[:r]], cols=c)
+    _verify_snf(m, s, t, d, divisors)
+    return SnfResult(m, divisors, (s, t, d))
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
@@ -409,7 +392,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     det = determinant(m)
     if det == 0:
         return _smith_with_transforms(m)
-    divisors = _eliminate(m.to_lists())
+    divisors = _eliminate(m.to_lists(), m.rows, m.cols)
     _check_chain(divisors)
     if len(divisors) != m.rows:
         raise ConsistencyError(
@@ -478,23 +461,25 @@ def determinant(m: IntMatrix) -> int:
     return _bareiss(m.to_lists())
 
 
-def certify_smith(snf: SnfResult) -> None:
-    """Prove every divisor of snf, or raise ConsistencyError.
+def certify_smith(m: IntMatrix) -> SnfResult:
+    """Smith form of m with every divisor proven, or ConsistencyError.
 
-    Reading s and t builds them if they are not there yet, and building them
-    checks s @ m @ t == d, that d is diagonal with the divisor chain on its
-    diagonal followed by zeros, and that the divisors match the ones snf
-    already holds.  What is left is |det s| == |det t| == 1 (Bareiss): then
-    d is the Smith form of m, which is unique, so the divisors are right.
+    One elimination with transforms checks s @ m @ t == d and that d is
+    diagonal with the divisor chain on its diagonal followed by zeros.  What
+    is left is |det s| == |det t| == 1 (Bareiss): then d is the Smith form
+    of m, which is unique, so the divisors are right.
 
-    >>> certify_smith(smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])))
+    >>> certify_smith(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
+    (1, 2)
     """
+    snf = _smith_with_transforms(m)
     for name, u in (("s", snf.s), ("t", snf.t)):
         det = determinant(u)
         if abs(det) != 1:
             raise ConsistencyError(
                 f"smith transform {name} is not unimodular: det {name} = {det}"
             )
+    return snf
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

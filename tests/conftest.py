@@ -63,10 +63,10 @@ def ker_psi_order_bruteforce(system: AbelianSystem, cap: int = 1_000_000) -> Car
     SizeCapError; no Smith form is computed."""
     classes = enumerate_cokernel(stacked_difference(system), cap=cap)
     n = system.target_rank
-    base = system.homs[0].matrix
+    base = system.homs[0]
     block_bases = []
     for h in system.homs[1:]:
-        diff = h.matrix - base
+        diff = h - base
         block_bases.append(hermite_basis((diff.column(j) for j in range(diff.cols)), n))
     count = sum(
         all(
@@ -93,17 +93,17 @@ def conjugacy_class_count(g: FiniteGroup) -> int:
 
 @pytest.fixture
 def doubled_last_divisor(monkeypatch):
-    """Make the elimination, when it tracks transforms, scale the last
-    nonzero row of both d and s by 2: s @ m @ t == d and the divisor chain
-    still hold, but det s is +-2 and the last divisor is twice too big."""
+    """Make the elimination, when it carries transforms, scale its last
+    nonzero row by 2, which holds that row of both d and s: s @ m @ t == d
+    and the divisor chain still hold, but det s is +-2 and the last divisor
+    is twice too big."""
     original = exact_linalg._eliminate
 
-    def eliminate(a, s=None, t=None):
-        divisors = original(a, s, t)
-        if s is not None and divisors:
+    def eliminate(a, rows, cols):
+        divisors = original(a, rows, cols)
+        if len(a) > rows and divisors:  # the identity block for t is below
             r = len(divisors) - 1
             a[r] = [2 * x for x in a[r]]
-            s[r] = [2 * x for x in s[r]]
             divisors = divisors[:r] + (2 * divisors[r],)
         return divisors
 

@@ -8,7 +8,6 @@ from itertools import permutations
 import pytest
 
 from coincidence_kit.abelian import (
-    AbelianHom,
     AbelianSystem,
     divisibility_report,
     ker_psi_order,
@@ -184,7 +183,7 @@ class TestInvariances:
             extra = rng.randint(1, 3)
             padded = AbelianSystem(
                 [
-                    h.matrix.hstack(IntMatrix.zeros(h.matrix.rows, extra))
+                    h.hstack(IntMatrix.zeros(h.rows, extra))
                     for h in system.homs
                 ]
             )
@@ -196,9 +195,9 @@ class TestInvariances:
         rng = random.Random(79)
         for _ in range(200):
             system = random_system(rng)
-            base = system.homs[0].matrix
+            base = system.homs[0]
             reflected = AbelianSystem(
-                [base] + [base - (h.matrix - base) for h in system.homs[1:]]
+                [base] + [base - (h - base) for h in system.homs[1:]]
             )
             assert _value(reflected) == _value(system)
 
@@ -249,6 +248,6 @@ class TestReports:
             AbelianSystem([[[1, 2]]])
 
     def test_ker_psi_requires_finite_value(self):
-        h = AbelianHom([[1, 0]])
+        h = IntMatrix([[1, 0]])
         with pytest.raises(ValueError):
             ker_psi_order(AbelianSystem([h, h]))

@@ -4,6 +4,7 @@ and every documented exit code is reachable."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -653,6 +654,22 @@ class TestCheckSolvesEachOrderingOnce:
         assert len(seen) == 2
 
 
+def test_ordering_row_details():
+    row = cli._ordering_row
+    assert row("ab", 3, lambda sigma: 3) == (True, "all 2 orderings agree")
+    assert row("ab", 3, lambda sigma: 4) == (False, "orderings disagree: ['3', '4']")
+    outside = (True, "skipped: some orderings fall outside the reduction")
+    assert row("ab", 3, lambda sigma: None) == outside
+    assert row("ab", None, lambda sigma: 3) == outside
+    assert row("abcde", 3, pytest.fail) == (True, "skipped: more than 4 maps")
+    solved = []
+    assert row("aab", 3, lambda sigma: solved.append(sigma) or 3) == (
+        True,
+        "all 6 orderings agree",
+    )
+    assert len(solved) == 2  # aba and baa; aab is the identity's own
+
+
 class TestPairwiseValuesReuseSweeps:
     """The pairwise value of two maps is the value itself, and each distinct
     second map is swept against the first once."""
@@ -907,7 +924,8 @@ class TestLazySmithTransforms:
 
 
 def test_oracle_lists_a_third_of_a_million_classes_promptly(capsys):
-    # 6 * 7 * 8 * 9 * 10 * 11 = 332 640 classes, each one listed and tested
+    # 6 * 7 * 8 * 9 * 10 * 11 = 332 640 classes, counted by the Smith and
+    # Hermite order routes without listing any of them
     diagonal = [[6 + i if i == j else 0 for j in range(6)] for i in range(6)]
     zero = [[0] * 6 for _ in range(6)]
     problem = json.dumps({"kind": "abelian-pair", "maps": [zero, diagonal]})
@@ -1069,6 +1087,7 @@ class TestSmithCertificate:
         [[(3 * i + 5 * j * j + i * j) % 11 - 5 for j in range(16)] for i in range(16)]
     )
     SEEDED = _snf_problem(_seeded_matrix(4848, 48))
+    SQUARE = _snf_problem(_seeded_matrix(1616, 16))  # det 3 215 286 139 594
 
     @pytest.mark.parametrize("problem", [BIG, SEEDED], ids=["16x16", "48x48"])
     def test_check_certifies(self, capsys, problem):
@@ -1102,18 +1121,40 @@ class TestSmithCertificate:
     def test_non_unimodular_transform_exits_2(self, capsys, doubled_last_divisor):
         """An elimination whose s doubles the last nonzero row of d keeps
         s @ m @ t == d and the divisor chain; only the certificate sees it."""
-        # a zero column makes the input non-square, so it is reduced with
-        # transforms at once and s @ m @ t == d is all the reduction checks
+        # a zero column makes the input non-square, so plain snf reduces it
+        # with transforms and s @ m @ t == d is all the reduction checks; the
+        # square input is nonsingular, so plain snf reduces it without them
         wide = _snf_problem([row + [0] for row in json.loads(self.BIG)["matrix"]])
-        code, _, err = run_cli(capsys, "snf", wide)
+        for problem in (wide, self.SQUARE):
+            code, _, err = run_cli(capsys, "snf", problem)
+            assert code == 0, err
+            code, out, err = run_cli(capsys, "snf", problem, "--oracle")
+            assert code == 2
+            assert out == ""
+            assert "not unimodular" in err
+            code, _, err = run_cli(capsys, "check", problem)
+            assert code == 2
+            assert "not unimodular" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["snf", "--oracle"], ["compute", "--oracle"], ["check"]]
+    )
+    def test_nonsingular_square_is_eliminated_once(self, capsys, monkeypatch, argv):
+        # one elimination with transforms and the determinants of s and t;
+        # no transform-free elimination and no determinant of m
+        calls = Counter()
+        for name in ("_eliminate", "_bareiss"):
+            original = getattr(exact_linalg, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(exact_linalg, name, counting)
+        command, *flags = argv
+        code, _, err = run_cli(capsys, command, self.SQUARE, *flags)
         assert code == 0, err
-        code, out, err = run_cli(capsys, "snf", wide, "--oracle")
-        assert code == 2
-        assert out == ""
-        assert "not unimodular" in err
-        code, _, err = run_cli(capsys, "check", wide)
-        assert code == 2
-        assert "not unimodular" in err
+        assert calls == {"_eliminate": 1, "_bareiss": 2}
 
 
 # -- package surface ---------------------------------------------------------------------
@@ -1128,6 +1169,24 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_runtime_imports_are_stdlib_only():
+    # the package runs on the standard library alone; sympy and pytest serve
+    # only the tests
+    package = Path(coincidence_kit.__file__).resolve().parent
+    paths = sorted(package.glob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
 # -- console entry point ---------------------------------------------------------------

@@ -180,36 +180,37 @@ class TestSmithCertificate:
         rng = random.Random(4848)
         for rows, cols in ((16, 16), (48, 48), (20, 26), (26, 20)):
             m = random_matrix(rng, lo=-4, hi=4, rows=rows, cols=cols)
-            res = smith_normal_form(m)
             start = time.perf_counter()
-            certify_smith(res)
+            res = certify_smith(m)
             assert time.perf_counter() - start < 2
+            assert res.divisors == smith_normal_form(m).divisors
             assert (res.s @ m) @ res.t == res.d
             if rows == cols:
                 assert math.prod(res.divisors) == abs(determinant(m))
 
     def test_certifies_rank_deficient_and_empty(self):
         for m in (IntMatrix.zeros(3, 4), IntMatrix([[1, 2], [2, 4]]), IntMatrix([], cols=0)):
-            certify_smith(smith_normal_form(m))
+            assert certify_smith(m).divisors == smith_normal_form(m).divisors
 
     def test_non_unimodular_transform_is_refused(self, doubled_last_divisor):
-        res = smith_normal_form(WORKED)  # not square: built with transforms
-        assert res.divisors == (1, 4)
-        assert (res.s @ WORKED) @ res.t == res.d
-        with pytest.raises(ConsistencyError, match="not unimodular"):
-            certify_smith(res)
+        for m, doubled in ((WORKED, (1, 4)), (IntMatrix([[4, 6], [2, 8]]), (2, 20))):
+            res = el._smith_with_transforms(m)
+            assert res.divisors == doubled
+            assert (res.s @ m) @ res.t == res.d
+            with pytest.raises(ConsistencyError, match="not unimodular"):
+                certify_smith(m)
 
     def test_lazy_transforms_must_match_the_divisors(self, doubled_last_divisor):
         res = smith_normal_form(IntMatrix([[4, 6], [2, 8]]))  # nonsingular
         assert res.divisors == (2, 10)
         with pytest.raises(ConsistencyError, match="routes disagree"):
-            certify_smith(res)
+            res.s  # building the transforms compares the two routes
 
     def test_divisors_must_be_the_diagonal_of_d(self, monkeypatch):
         original = el._eliminate
 
-        def eliminate(a, s=None, t=None):
-            return tuple(2 * x for x in original(a, s, t))
+        def eliminate(a, rows, cols):
+            return tuple(2 * x for x in original(a, rows, cols))
 
         monkeypatch.setattr(el, "_eliminate", eliminate)
         with pytest.raises(ConsistencyError, match="diagonal of d"):
@@ -218,11 +219,10 @@ class TestSmithCertificate:
     def test_every_divisor_must_be_positive(self, monkeypatch):
         original = el._eliminate
 
-        def eliminate(a, s=None, t=None):
-            divisors = original(a, s, t)
+        def eliminate(a, rows, cols):
+            divisors = original(a, rows, cols)
             r = len(divisors) - 1
-            a[r] = [-x for x in a[r]]
-            s[r] = [-x for x in s[r]]
+            a[r] = [-x for x in a[r]]  # that row of both d and s
             return divisors[:r] + (-divisors[r],)
 
         monkeypatch.setattr(el, "_eliminate", eliminate)
@@ -307,9 +307,9 @@ class TestLazyTransforms:
         original = el._eliminate
         calls = []
 
-        def counting(a, s=None, t=None):
-            calls.append(len(a))
-            return original(a, s, t)
+        def counting(a, rows, cols):
+            calls.append(rows)
+            return original(a, rows, cols)
 
         monkeypatch.setattr(el, "_eliminate", counting)
         m = random_unimodular(random.Random(8), 8)
@@ -328,7 +328,7 @@ class TestLazyTransforms:
     def test_wrong_chain_is_refused(self, monkeypatch, chain, complaint):
         import coincidence_kit.exact_linalg as el
 
-        monkeypatch.setattr(el, "_eliminate", lambda a, s=None, t=None: chain)
+        monkeypatch.setattr(el, "_eliminate", lambda a, rows, cols: chain)
         with pytest.raises(ConsistencyError, match=complaint):
             smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
 
