@@ -511,16 +511,18 @@ def run_abelian(doc: dict, oracle: bool, pair_only: bool) -> dict:
     out["intermediates"]["divisibility"] = div.witness
     out["trace"] = list(report.trace) + [div.witness]
     if oracle:
-        out["oracle_status"], extra = _abelian_oracle(system, report)
+        out["oracle_status"], extra = _abelian_oracle(system, report, div.leave_one_out)
         out["trace"].extend(extra)
     return out
 
 
-def _abelian_oracle(system: AbelianSystem, report) -> tuple[str, list[str]]:
+def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, list[str]]:
     """Recount by the order route the engine did not take: the value from the
     Hermite pivots of the stacked difference, each pairwise value from the
-    Smith divisors of its block phi_j - phi_1, and for a finite value
-    |ker Psi| = [Z : L_S] / [Z : L_blocks], the value over the pairwise product."""
+    Smith divisors of its block phi_j - phi_1, each leave-one-out value (None
+    when none were counted) from the Smith divisors of its stack, and for a
+    finite value |ker Psi| = [Z : L_S] / [Z : L_blocks], the value over the
+    pairwise product."""
     if system.k == 2:
         # the engine reduced the one block by both routes already: the value
         # from its Smith divisors, the pairwise value from its Hermite pivots
@@ -530,12 +532,22 @@ def _abelian_oracle(system: AbelianSystem, report) -> tuple[str, list[str]]:
         blocks = [h - base for h in system.homs[1:]]
         value = cokernel_order(IntMatrix.stack_rows(blocks))
         pairwise = tuple(smith_normal_form(b).cokernel_order() for b in blocks)
-    found = f"value {value} and pairwise values {', '.join(map(str, pairwise))}"
-    if (value, pairwise) != (report.value, tuple(report.pairwise)):
-        return (
-            f"mismatch: the oracle gives {found}, the engine gives value "
-            f"{report.value} and pairwise values {', '.join(map(str, report.pairwise))}"
-        ), []
+    recount = {"value": (value,), "pairwise values": pairwise}
+    engine = {"value": (report.value,), "pairwise values": tuple(report.pairwise)}
+    if leave_one_out is not None:
+        stacks = (IntMatrix.stack_rows(blocks[:i] + blocks[i + 1:]) for i in range(len(blocks)))
+        recount["leave-one-out values"] = tuple(
+            smith_normal_form(m).cokernel_order() for m in stacks
+        )
+        engine["leave-one-out values"] = leave_one_out
+
+    def listed(counts):
+        named = [f"{name} {', '.join(map(str, c))}" for name, c in counts.items()]
+        return ", ".join(named[:-1]) + " and " + named[-1]
+
+    found = listed(recount)
+    if recount != engine:
+        return f"mismatch: the oracle gives {found}, the engine gives {listed(engine)}", []
     notes = [f"oracle: the other order route confirms {found}"]
     if value.is_finite:
         ker, rest = divmod(value.value, cardinal_product(pairwise).value)

@@ -24,10 +24,16 @@ every orbit is checked against orbit-stabilizer.  A second, structurally
 different algorithm runs union-find over a generating subset of Gamma and
 reads off each class's smallest tuple and size; the two must agree on both,
 which, as any one member determines its class, makes the partitions equal.
+Each generator moves every coordinate on its own, so union-find tabulates
+its action once per coordinate, 2n codomain products for n elements, and
+moves a tuple index by summing one table entry per coordinate: the whole
+run makes 2 * |generators| * (k - 1) * n products plus one union per tuple
+and generator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .cardinal import Cardinal, cardinal_product
@@ -458,24 +464,6 @@ def _actions(images, codomain):
     return [(img[0], tuple(codomain.inv(x) for x in img[1:])) for img in images]
 
 
-def _decode(t, n, arity):
-    digits = []
-    for _ in range(arity):
-        t, r = divmod(t, n)
-        digits.append(r)
-    digits.reverse()
-    return digits
-
-
-def _apply(action, digits, codomain):
-    left, right_inv = action
-    n, mul = codomain.order, codomain.mul
-    t = 0
-    for d, r in zip(digits, right_inv):
-        t = t * n + mul(mul(left, d), r)
-    return t
-
-
 def _descend(actions, codomain, arity):
     """Representatives and sizes of the twisted classes, by descending
     through stabilizers one coordinate at a time.
@@ -580,9 +568,12 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
     orbits of the image subgroup on the first coordinate are the
     R(phi_1, phi_2) classes, each one's stabilizer acts on the next
     coordinate, and so on.  It yields the representatives and sizes without
-    touching every tuple.  "union-find" merges every tuple along a
-    generating set and keeps each class's smallest tuple and size.  Both
-    are exact and must agree; the CLI oracle and tests hold them to that.
+    touching every tuple.  "union-find" merges each tuple with its image
+    under every generator of a generating set, a sum of one entry per
+    coordinate j of the table (left * d * right_inv[j]) * n^(k-2-j) over
+    codomain elements d: 2 * |generators| * (k - 1) * n products in all.
+    It keeps each class's smallest tuple and size.  Both are exact and must
+    agree; the CLI oracle and tests hold them to that.
 
     >>> s3 = close_group([(1, 0, 2), (1, 2, 0)])
     >>> part = twisted_reidemeister([identity_hom(s3), identity_hom(s3), constant_hom(s3, s3)])
@@ -617,26 +608,32 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
         def mul(a, b):
             return tuple(codomain.mul(x, y) for x, y in zip(a, b))
 
-        gen_actions = _actions(_generating_set(images, identity, mul), codomain)
         parent = list(range(tuple_space))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t in range(tuple_space):
-            digits = _decode(t, n, arity)
-            rt = find(t)
-            for action in gen_actions:
-                ru = find(_apply(action, digits, codomain))
-                if ru != rt:
-                    parent[ru] = rt
+        cmul = codomain.mul
+        weights = [n ** (arity - 1 - j) for j in range(arity)]
+        for left, right_inv in _actions(_generating_set(images, identity, mul), codomain):
+            # the action moves each coordinate on its own, so tuple t goes to
+            # the sum of one entry per coordinate table, in ascending t
+            cols = [
+                [cmul(cmul(left, d), r) * w for d in range(n)]
+                for r, w in zip(right_inv, weights)
+            ]
+            for t, u in enumerate(map(sum, itertools.product(*cols))):
+                # find both roots by path halving: each step links the tuple
+                # to its grandparent and moves there
+                while (p := parent[t]) != t:
+                    parent[t] = t = parent[p]
+                while (p := parent[u]) != u:
+                    parent[u] = u = parent[p]
+                if u != t:
+                    parent[u] = t
         # a root's first member is its class's smallest tuple: classes ascend
         classes = {}
         for t in range(tuple_space):
-            classes.setdefault(find(t), [t, 0])[1] += 1
+            r = t
+            while (p := parent[r]) != r:
+                parent[r] = r = parent[p]
+            classes.setdefault(r, [t, 0])[1] += 1
         return TwistedPartition(homs, *zip(*classes.values()))
 
     raise ValueError(f"unknown algorithm {algorithm!r}")

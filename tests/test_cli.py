@@ -596,8 +596,9 @@ class TestSmithFormReuse:
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json"), "--oracle"
         )
         # each number once more, by the route the engine did not take: the
-        # three pairwise blocks by Smith form, the stacked one by Hermite pivots
-        assert total == (1 + 3, 7 + 1)
+        # three pairwise blocks and the three leave-one-out stacks by Smith
+        # form, the stacked one by Hermite pivots
+        assert total == (1 + 3 + 3, 7 + 1)
         assert len(enumerated) == 0  # the oracle counts from Hermite pivots
 
     def test_abelian_oracle_on_a_pair_reduces_nothing_more(self, capsys, reductions):
@@ -735,6 +736,26 @@ def _size_off_by_one(representatives, sizes):
     sizes[0] += 1
 
 
+def _decode(t, n, arity):
+    """The coordinates of tuple index t, the first one most significant."""
+    digits = []
+    for _ in range(arity):
+        t, r = divmod(t, n)
+        digits.append(r)
+    digits.reverse()
+    return digits
+
+
+def _apply(action, digits, codomain):
+    """The index of the tuple that one action (left, right_inv) moves digits to."""
+    left, right_inv = action
+    n, mul = codomain.order, codomain.mul
+    t = 0
+    for d, r in zip(digits, right_inv):
+        t = t * n + mul(mul(left, d), r)
+    return t
+
+
 class TestStabilizerDescent:
     """compute counts the twisted classes by descending through stabilizers
     and never touches every tuple; --oracle and check hold its
@@ -767,10 +788,14 @@ class TestStabilizerDescent:
         assert algorithms == ["orbit"]
 
         algorithms.clear()
+        muls.clear()
         code, out, err = run_cli(capsys, "compute", problem, "--oracle")
         assert code == 0, err
         assert "oracle: agreed\n" in out
         assert algorithms == ["orbit", "union-find"]
+        # union-find tabulates each generator's action per coordinate: 6 954
+        # here; moving every tuple through every generator made 121 194
+        assert len(muls) <= 8000
 
     @pytest.fixture
     def mutated_descent(self, monkeypatch):
@@ -827,8 +852,8 @@ class TestStabilizerDescent:
         def shifted(actions, codomain, arity):
             representatives, sizes = original(actions, codomain, arity)
             if arity > 1:  # the family's count, not its pairwise values
-                digits = finite._decode(representatives[-1], codomain.order, arity)
-                representatives[-1] = max(finite._apply(a, digits, codomain) for a in actions)
+                digits = _decode(representatives[-1], codomain.order, arity)
+                representatives[-1] = max(_apply(a, digits, codomain) for a in actions)
             return representatives, sizes
 
         monkeypatch.setattr(finite, "_descend", shifted)
@@ -1052,6 +1077,24 @@ class TestHermiteOracle:
         code, doc, _ = _oracle_run(capsys, problem)
         assert code == 2
         assert doc["oracle_status"].startswith("mismatch:")
+
+    def test_wrong_leave_one_out_value_is_a_mismatch(self, capsys, monkeypatch):
+        original = cli.divisibility_report
+
+        def wrong(system, report):
+            div = original(system, report)
+            first, *rest = div.leave_one_out
+            div.leave_one_out = (Cardinal(first.value + 1), *rest)
+            return div
+
+        monkeypatch.setattr(cli, "divisibility_report", wrong)
+        code, doc, _ = _oracle_run(capsys, str(PROBLEMS / "example2_torus.json"))
+        assert code == 2
+        assert doc["oracle_status"] == (
+            "mismatch: the oracle gives value 10, pairwise values 1, 2, 1 and "
+            "leave-one-out values 2, 1, 2, the engine gives value 10, pairwise "
+            "values 1, 2, 1 and leave-one-out values 3, 1, 2"
+        )
 
     def test_wrong_nilpotent_value_is_a_mismatch(self, capsys, monkeypatch):
         original = cli.reid_nilpotent_multi

@@ -462,6 +462,20 @@ class TestPoincareProjections:
         uf = twisted_reidemeister([P1, P1, CBAR], algorithm="union-find")
         assert classes(orbit) == classes(uf)
 
+    def test_union_find_tabulates_each_generator(self, monkeypatch):
+        # 2n products per coordinate and generator: 1 467 here; moving every
+        # tuple through every generator made 115 707
+        original = FiniteGroup.mul
+        muls = []
+
+        def counting(self, i, j):
+            muls.append(None)
+            return original(self, i, j)
+
+        monkeypatch.setattr(FiniteGroup, "mul", counting)
+        twisted_reidemeister([P1, P1, CBAR], algorithm="union-find")
+        assert len(muls) <= 2000
+
 
 # -- degenerate cases ----------------------------------------------------------
 
@@ -602,6 +616,11 @@ class TestDescentAgainstBruteForce:
         for pool in (S3_ENDOS, C4_ENDOS, C6_TO_S3):
             for _ in range(3):
                 self._assert_matches([rng.choice(pool) for _ in range(4)])
+
+    def test_four_maps_on_pair_backed_codomain(self):
+        # 12^3 tuples: union-find weighs the coordinates by 144, 12 and 1
+        rng = random.Random(808)
+        self._assert_matches([rng.choice(S3xC2_ENDOS) for _ in range(4)])
 
     def test_trivial_domain_and_codomain(self):
         c1 = cyclic_group(1)
