@@ -46,7 +46,7 @@ def run_structured(capsys, path, *flags):
 class TestShippedProblems:
     def test_every_shipped_file_computes_with_oracle(self, capsys):
         files = sorted(PROBLEMS.glob("*.json"))
-        assert len(files) == 5
+        assert len(files) == 7
         for path in files:
             code, out, err = run_cli(capsys, "compute", str(path), "--oracle")
             assert code == 0, (path, err)
@@ -90,6 +90,25 @@ class TestShippedProblems:
         doc = run_structured(capsys, PROBLEMS / "heisenberg_pair.json", "--oracle")
         assert doc["value"] == 16
         assert doc["pairwise"] == [16]
+        assert doc["oracle_status"] == "agreed"
+
+    def test_heisenberg_identity_pair(self, capsys):
+        doc = run_structured(
+            capsys, PROBLEMS / "heisenberg_identity_pair.json", "--oracle"
+        )
+        assert doc["value"] == "infinite"
+        assert doc["pairwise"] == ["infinite"]
+        assert doc["intermediates"]["quotient_count"] == "infinite"
+        assert doc["oracle_status"] == "agreed"
+
+    def test_six_generator_pair(self, capsys):
+        doc = run_structured(capsys, PROBLEMS / "six_to_heisenberg_pair.json", "--oracle")
+        assert doc["value"] == 2
+        assert doc["pairwise"] == [2]
+        assert doc["intermediates"]["quotient_count"] == 2
+        assert doc["intermediates"]["sublattice_count"] == 6
+        assert doc["intermediates"]["im_delta"] == 6
+        assert doc["intermediates"]["delta_vectors"] == [[6], [-7]]
         assert doc["oracle_status"] == "agreed"
 
     def test_check_passes_on_all_shipped_files(self, capsys):
