@@ -103,7 +103,7 @@ def _to_int(value, where: str) -> int:
     if isinstance(value, str):
         text = value.strip()
         body = text[1:] if text[:1] in "+-" else text
-        if body.isdigit():
+        if body.isdecimal():  # what int() parses; isdigit() also takes "²"
             return int(text)
     raise ProblemError(f"{where}: expected an integer, got {value!r}")
 
@@ -443,14 +443,16 @@ def _nilpotent_recount(phi: PcHom, psi: PcHom) -> Cardinal:
     """Recount of the pair value by the reduction's formula: quotient classes
     (infinitely many make the value infinite) times central classes over
     |Im delta|, the central count over the count modulo the lattice enlarged
-    by the delta-vectors.  Each count takes the order route the engine did
-    not: Hermite pivots for the quotient, Smith divisors for the other two."""
+    by the delta-vectors.  All three counts multiply Smith divisors, the
+    route the engine does not take; delta-vectors lift as in the engine."""
     red = central_reduction(phi, psi)
-    quotient = cokernel_order(red.psi_bar - red.phi_bar)
+    diff_bar = red.psi_bar - red.phi_bar
+    quotient = smith_normal_form(diff_bar).cokernel_order()
     if not quotient.is_finite:
         return INFINITE
     diff_prime = red.psi_prime - red.phi_prime
-    deltas = IntMatrix.from_columns(delta_image_vectors(red), rows=diff_prime.rows)
+    lifted = delta_image_vectors(red) if diff_bar.cols > diff_bar.rows else []
+    deltas = IntMatrix.from_columns(lifted, rows=diff_prime.rows)
     central = smith_normal_form(diff_prime).cokernel_order()
     coarse = smith_normal_form(diff_prime.hstack(deltas)).cokernel_order()
     if not central.is_finite or central.value % coarse.value:
@@ -853,6 +855,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values of any length parse and print
     args = _parser().parse_args(argv)
     try:
         doc = load_problem(args.problem)

@@ -10,19 +10,18 @@ found modulo D, which must divide D; SnfResult.cokernel_order multiplies the
 Smith divisors.  Engines take every order whose divisors they do not print
 from cokernel_order, and oracles recount each order by the other route.
 
-Every Smith result that comes back is checked exactly, by one of two routes.
-A nonsingular square matrix is reduced without transforms, and its divisors
-must number n, form a chain, multiply to |det m| (the same Bareiss pass,
-which shares nothing with the Smith loop) and start with the gcd of the
-entries.  That pins the cokernel order, the rank and the first divisor, not
-each middle divisor on its own.  Every other matrix, and any result whose
-s, t or d is read, is reduced with identity blocks appended, [[m | I], [I]]:
-the elimination's row operations turn the right block into s and its column
-operations turn the bottom block into t, which are re-multiplied against
-the input: s @ m @ t == d.  Callers keep the result and read the kernel and
-inverses off it rather than reducing the same matrix again:
-unimodular_inverse takes m^-1 = t @ s from the verified transforms of
-s @ m @ t == I and checks m @ m^-1 == I exactly.
+Smith forms serve callers that print divisors or read transforms, and each
+one is checked exactly, by one of two routes.  A nonsingular square matrix
+is reduced without transforms (s, t and d stay None), and its divisors must
+number n, form a chain, multiply to |det m| (the same Bareiss pass, which
+shares nothing with the Smith loop) and start with the gcd of the entries.
+That pins the cokernel order, the rank and the first divisor, not each
+middle divisor on its own.  Every other matrix is reduced with identity
+blocks appended, [[m | I], [I]]: the row operations turn the right block
+into s and the column operations turn the bottom block into t, which are
+re-multiplied against the input: s @ m @ t == d.  kernel_basis reads the
+kernel off t (a nonsingular square matrix has none), and unimodular_inverse
+takes m^-1 = t @ s from s @ m @ t == I and checks m @ m^-1 == I exactly.
 
 certify_smith proves every divisor of m's Smith form, at any size, for one
 elimination with transforms and two determinants: it requires
@@ -202,40 +201,15 @@ class SnfResult:
     l1 | l2 | ... | lr, and the decomposition s @ m @ t == d with unimodular
     s and t, where d carries the divisors on its diagonal followed by zeros.
 
-    The divisors are always present.  s, t and d are built once, on first
-    read, by the elimination that tracks transforms and checks
-    s @ m @ t == d, unless smith_normal_form or certify_smith already built
-    them.
+    The divisors are always present.  s, t and d are set by the elimination
+    that tracks transforms and checks s @ m @ t == d; they are None when
+    smith_normal_form reduced a nonsingular square m without them.
     """
 
-    __slots__ = ("m", "divisors", "_transforms")
+    __slots__ = ("m", "divisors", "s", "t", "d")
 
-    def __init__(self, m: IntMatrix, divisors: tuple[int, ...], transforms=None):
-        self.m = m
-        self.divisors = divisors
-        self._transforms = transforms
-
-    def _decomposition(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-        if self._transforms is None:
-            full = _smith_with_transforms(self.m)
-            if full.divisors != self.divisors:
-                raise ConsistencyError(
-                    f"smith routes disagree: {self.divisors} vs {full.divisors}"
-                )
-            self._transforms = full._transforms
-        return self._transforms
-
-    @property
-    def s(self) -> IntMatrix:
-        return self._decomposition()[0]
-
-    @property
-    def t(self) -> IntMatrix:
-        return self._decomposition()[1]
-
-    @property
-    def d(self) -> IntMatrix:
-        return self._decomposition()[2]
+    def __init__(self, m: IntMatrix, divisors: tuple[int, ...], s=None, t=None, d=None):
+        self.m, self.divisors, self.s, self.t, self.d = m, divisors, s, t, d
 
     def cokernel_order(self) -> Cardinal:
         """Order of Z^rows / (column lattice of m): infinite exactly when the
@@ -370,7 +344,7 @@ def _smith_with_transforms(m: IntMatrix) -> SnfResult:
     t = IntMatrix(a[r:], cols=c)
     d = IntMatrix([row[:c] for row in a[:r]], cols=c)
     _verify_snf(m, s, t, d, divisors)
-    return SnfResult(m, divisors, (s, t, d))
+    return SnfResult(m, divisors, s, t, d)
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
@@ -380,9 +354,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     checked against invariants computed apart from the elimination: there
     are n of them, they form a chain, their product is |det m| (Bareiss),
     and the first is the gcd of the entries.  That pins the cokernel order,
-    the rank and d_1 exactly, not each middle divisor; s, t and d are built
-    only if read.  Every other shape is reduced with transforms and verified
-    by s @ m @ t == d at once.
+    the rank and d_1 exactly, not each middle divisor; s, t and d are None.
+    Every other shape is reduced with transforms, verified by s @ m @ t == d.
 
     >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
     (1, 2)
@@ -575,19 +548,18 @@ def lattice_coordinates(hnf_rows, vector) -> tuple[int, ...] | None:
     return tuple(coeffs)
 
 
-def kernel_basis(m: IntMatrix, snf: SnfResult | None = None) -> list[tuple[int, ...]]:
+def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the full integer kernel lattice {v : m @ v = 0}, in canonical
     Hermite form.  The lattice is saturated: any rational kernel vector with
-    integer entries is an integer combination of the basis.  Pass snf, the
-    Smith form of m, when the caller already has it.
+    integer entries is an integer combination of the basis.  The columns of
+    t past the rank of m's Smith form span it; a nonsingular square m has none.
 
     >>> kernel_basis(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     [(1, -1, 2)]
     """
     if m.cols == 0:
         return []
-    if snf is None:
-        snf = smith_normal_form(m)
+    snf = smith_normal_form(m)
     r = len(snf.divisors)
     raw = [snf.t.column(j) for j in range(r, m.cols)]
     basis = hermite_basis(raw, m.cols)

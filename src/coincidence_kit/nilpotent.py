@@ -39,7 +39,6 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
-    SnfResult,
     cokernel_order,
     hermite_basis,
     kernel_basis,
@@ -565,26 +564,21 @@ def _stack(reds) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def delta_image_vectors(
-    red: PairReduction, snf_bar: SnfResult | None = None
-) -> list[tuple[int, ...]]:
+def delta_image_vectors(red: PairReduction) -> list[tuple[int, ...]]:
     """Images of a basis of the quotient-level coincidence group under
     theta -> psi(theta) * phi(theta)^(-1), in sublattice coordinates.
 
-    The coincidence group is the kernel of the induced difference on B; the
-    lifted values are forced into A because the projections agree there.
+    The coincidence group is kernel_basis of the induced difference on B;
+    the lifted values are forced into A because the projections agree there.
     red may be a sequence of pair reductions sharing their extension data:
     then B's difference is their stack and the lift joins block by block.
-    snf_bar is the Smith form of that difference, when the caller has it.
     """
     reds = [red] if isinstance(red, PairReduction) else list(red)
-    if snf_bar is None:
-        phi_bar, psi_bar, _, _ = _stack(reds)
-        snf_bar = smith_normal_form(psi_bar - phi_bar)
+    phi_bar, psi_bar, _, _ = _stack(reds)
     d1, d2 = reds[0].domain_data, reds[0].codomain_data
     cod = d2.group
     vectors = []
-    for kappa in kernel_basis(snf_bar.m, snf_bar):
+    for kappa in kernel_basis(psi_bar - phi_bar):
         theta = d1.section(kappa)
         vector = ()
         for r in reds:
@@ -597,12 +591,14 @@ def delta_image_vectors(
 def _count(reds) -> ReidemeisterReport:
     """The count read off the stack of pair reductions (phi_1, phi_j): the
     joint value from the stacked matrices, the pairwise values from each
-    pair's own matrices."""
+    pair's own matrices.  Every order is a Hermite count (cokernel_order).
+    A finite R_bar means full row rank, so only a quotient difference with
+    more columns than rows has a kernel to lift delta-vectors from."""
     d1, d2 = reds[0].domain_data, reds[0].codomain_data
     copies = len(reds)
     phi_bar, psi_bar, phi_prime, psi_prime = _stack(reds)
-    snf_bar = smith_normal_form(psi_bar - phi_bar)
-    r_bar = snf_bar.cokernel_order()
+    diff_bar = psi_bar - phi_bar
+    r_bar = cokernel_order(diff_bar)
     diff_prime = psi_prime - phi_prime
     r_prime = cokernel_order(diff_prime)
     b_rank, a_rank = copies * d2.b_rank, copies * d2.a_rank
@@ -635,7 +631,7 @@ def _count(reds) -> ReidemeisterReport:
         )
         value, status = None, STATUS_UNSUPPORTED
     else:
-        deltas = delta_image_vectors(reds, snf_bar)
+        deltas = delta_image_vectors(reds) if diff_bar.cols > diff_bar.rows else []
         joint = r_prime
         if deltas:
             columns = IntMatrix.from_columns(deltas, rows=diff_prime.rows)

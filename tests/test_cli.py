@@ -1254,16 +1254,38 @@ def test_runtime_imports_are_stdlib_only():
 # -- console entry point ---------------------------------------------------------------
 
 
-def test_module_entry_point_runs():
+def run_module(*argv):
     # src on the child's path, so it runs from a bare checkout too
     src = str(PROBLEMS.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    result = subprocess.run(
-        [sys.executable, "-m", "coincidence_kit.cli", "compute",
-         str(PROBLEMS / "snf_worked.json")],
+    return subprocess.run(
+        [sys.executable, "-m", "coincidence_kit.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")},
     )
+
+
+def test_module_entry_point_runs():
+    result = run_module("compute", str(PROBLEMS / "snf_worked.json"))
     assert result.returncode == 0
     assert "value: 2" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "matrix, code, value",
+    [
+        ('[["\u00b2"]]', 1, None),  # a digit to isdigit(), not to int()
+        (json.dumps([["1" + "0" * 2999, 0], [0, "1" + "0" * 2999]]), 0, "1" + "0" * 5998),
+        (json.dumps([["7" + "0" * 4999]]), 0, "7" + "0" * 4999),
+        ("[[7" + "0" * 4999 + "]]", 0, "7" + "0" * 4999),
+    ],
+    ids=["superscript-two", "order-of-5999-digits", "5000-digit-string", "5000-digit-literal"],
+)
+def test_integers_of_any_length_never_end_in_a_traceback(matrix, code, value):
+    # a fresh interpreter, which starts with CPython's int-to-str digit limit
+    result = run_module("snf", '{"kind": "snf", "matrix": %s}' % matrix)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    if value is not None:
+        assert f"value: {value}\n" in result.stdout

@@ -84,13 +84,16 @@ C6_TO_S3 = all_homs(C6, S3)
 
 
 def oracle_partition(homs):
-    """Independent oracle: classify tuples by the defining relation alone.
+    """Independent oracle: list each class by its definition.
 
-    For each pair of tuples it scans every domain element looking for a
-    witness, with no image-tuple dedup, no orbit expansion, no union-find.
+    The class of a tuple t is {z . t : z in the domain}, where z . t has
+    coordinates phi_1(z) t_i phi_(i+1)(z)^(-1).  For each tuple not yet
+    labelled it labels z . t for every z, computed from scratch: no
+    image-tuple dedup, no stabilizers, no union-find.
     """
     domain = homs[0].domain
     codomain = homs[0].codomain
+    mul, inv = codomain.mul, codomain.inv
     arity = len(homs) - 1
     n = codomain.order
     total = n**arity
@@ -103,29 +106,18 @@ def oracle_partition(homs):
         digits.reverse()
         return tuple(digits)
 
-    tuples = [decode(t) for t in range(total)]
-
-    def related(a, b):
-        for z in range(domain.order):
-            if all(
-                codomain.mul(
-                    codomain.mul(homs[0].image[z], tuples[a][i]),
-                    codomain.inv(homs[i + 1].image[z]),
-                )
-                == tuples[b][i]
-                for i in range(arity)
-            ):
-                return True
-        return False
-
     class_of = [-1] * total
     nxt = 0
     for s in range(total):
         if class_of[s] != -1:
             continue
-        for t in range(s, total):
-            if class_of[t] == -1 and related(s, t):
-                class_of[t] = nxt
+        digits = decode(s)
+        for z in range(domain.order):
+            t = 0
+            for i in range(arity):
+                x = mul(mul(homs[0].image[z], digits[i]), inv(homs[i + 1].image[z]))
+                t = t * n + x
+            class_of[t] = nxt
         nxt += 1
     return class_of
 

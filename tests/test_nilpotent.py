@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,7 @@ from coincidence_kit.nilpotent import (
 from coincidence_kit.reporting import STATUS_OK, STATUS_UNSUPPORTED
 
 HEIS = heisenberg_group()
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def six_generator_domain() -> PcGroup:
@@ -347,6 +349,29 @@ class TestCentralExtension:
         )
         with pytest.raises(StructureError, match="direct summand"):
             central_extension_data(torsion)
+
+    def test_square_commutator_basis_reads_no_transforms(self, monkeypatch):
+        """A full-rank commutator lattice has a square Hermite basis, whose
+        Smith form carries no transforms.  Unimodular, that basis is the
+        identity and takes the unit-row branch; otherwise the lattice is no
+        direct summand.  Either way no transform is read."""
+        smith = []
+        monkeypatch.setattr(
+            nilpotent,
+            "smith_normal_form",
+            lambda m: smith.append(m) or exact_linalg.smith_normal_form(m),
+        )
+
+        def group(second):
+            relations = {("x", "y"): {"u": 1, "v": 1}, ("x", "z"): second}
+            return PcGroup.from_presentation(["x", "y", "z"], ["u", "v"], relations)
+
+        data = central_extension_data(group({"v": 1}))
+        assert (data.a_rank, data.adapted) == (2, IntMatrix.identity(2))
+        assert smith == []
+        with pytest.raises(StructureError, match=r"invariant factors \(1, 2\)"):
+            central_extension_data(group({"v": 2}))
+        assert [(m.rows, m.cols) for m in smith] == [(2, 2)]
 
     def test_endomorphism_pair_shares_extension_data(self):
         psi = PcHom(HEIS, HEIS, [(3, 0, 0), (0, -1, 0), (0, 0, -3)])
@@ -698,7 +723,8 @@ class TestStackAgainstFold:
 
     def test_compute_builds_no_power_group(self, capsys, monkeypatch):
         """A k = 4 free class-2 family: no direct power and no folded maps,
-        one extension data for the shared group, and each matrix reduced once."""
+        one extension data for the shared group, and each matrix reduced once.
+        Its quotient differences are square, so no Smith form is taken."""
         group = free_class_two(3)
         rng = random.Random(808)
         homs = [random_free_hom(rng, group, group) for _ in range(4)]
@@ -733,21 +759,49 @@ class TestStackAgainstFold:
             "CentralExtensionData",
             lambda **kw: built.append(kw["group"]) or extension(**kw),
         )
-        reduced = []
+        eliminated, reduced = [], []
         eliminate = exact_linalg._eliminate
+        hermite = exact_linalg._hermite_pivots
 
-        def recording(a, rows, cols):
-            reduced.append(tuple(tuple(r[:cols]) for r in a[:rows]))
+        def eliminating(a, rows, cols):
+            eliminated.append(tuple(tuple(r[:cols]) for r in a[:rows]))
             return eliminate(a, rows, cols)
 
-        monkeypatch.setattr(exact_linalg, "_eliminate", recording)
+        def pivoting(m):
+            reduced.append(m)
+            return hermite(m)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", eliminating)
+        monkeypatch.setattr(exact_linalg, "_hermite_pivots", pivoting)
         code = cli.main(["compute", json.dumps(doc), "--format", "structured"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["pairwise"] == pairwise
         assert calls == []
         assert built == [group]
+        assert eliminated == []
         assert reduced and len(set(reduced)) == len(reduced)
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [(["compute"], 0), (["compute", "--oracle"], 3), (["check"], 0)],
+    )
+    def test_smith_forms_on_the_heisenberg_pair(self, capsys, monkeypatch, argv, calls):
+        """The engine counts a square quotient difference by Hermite pivots
+        and lifts no delta-vector off it; only the oracle's recount takes
+        Smith forms, one per order."""
+        eliminated = []
+        eliminate = exact_linalg._eliminate
+
+        def counting(a, rows, cols):
+            eliminated.append((rows, cols))
+            return eliminate(a, rows, cols)
+
+        monkeypatch.setattr(exact_linalg, "_eliminate", counting)
+        command, *flags = argv
+        path = PROBLEMS / "heisenberg_pair.json"
+        assert cli.main([command, str(path), *flags]) == 0
+        assert len(eliminated) == calls
 
 
 # -- plumbing ----------------------------------------------------------------------

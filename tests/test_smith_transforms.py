@@ -1,4 +1,5 @@
-"""Pinned Smith transforms: s, t and d of about forty seeded matrices.
+"""Pinned Smith transforms: s, t and d of about forty seeded matrices, from
+the elimination that tracks them (_smith_with_transforms).
 
 The values in smith_transforms.json were taken from the elimination as it
 stood before it carried its transforms as identity blocks, and they must not
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from coincidence_kit.exact_linalg import IntMatrix, determinant, smith_normal_form
+from coincidence_kit.exact_linalg import IntMatrix, _smith_with_transforms, determinant
 
 PINS = Path(__file__).resolve().parent / "smith_transforms.json"
 
@@ -76,7 +77,7 @@ def _matrix(rows):
 
 def decomposition(rows) -> dict:
     m = _matrix(rows)
-    res = smith_normal_form(m)
+    res = _smith_with_transforms(m)
     return {
         "divisors": list(res.divisors),
         "s": res.s.to_lists(),
