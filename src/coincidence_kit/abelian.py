@@ -29,9 +29,12 @@ from .reporting import NIELSEN_NOTE, ReidemeisterReport
 
 class AbelianSystem:
     """An ordered tuple of k >= 2 homomorphisms Z^m -> Z^n, each held as an
-    n x m IntMatrix (nested lists are converted), all of one shape."""
+    n x m IntMatrix (nested lists are converted), all of one shape.
 
-    __slots__ = ("homs",)
+    blocks holds the k - 1 differences D_j = matrix(phi_j) - matrix(phi_1),
+    j = 2..k, built once here; every count of the system reads them."""
+
+    __slots__ = ("homs", "blocks")
 
     def __init__(self, homs):
         homs = tuple(h if isinstance(h, IntMatrix) else IntMatrix(h) for h in homs)
@@ -45,6 +48,7 @@ class AbelianSystem:
                     f"expected {shape[0]}x{shape[1]}"
                 )
         self.homs = homs
+        self.blocks = tuple(h - homs[0] for h in homs[1:])
 
     @property
     def k(self) -> int:
@@ -63,9 +67,8 @@ class AbelianSystem:
 
 
 def stacked_difference(system: AbelianSystem) -> IntMatrix:
-    """The (k-1)n x m matrix with j-th block matrix(phi_{j+1}) - matrix(phi_1)."""
-    base = system.homs[0]
-    return IntMatrix.stack_rows([h - base for h in system.homs[1:]])
+    """The (k-1)n x m matrix whose rows are the system's blocks, in order."""
+    return IntMatrix.stack_rows(system.blocks)
 
 
 def reid_pair(phi, psi) -> Cardinal:
@@ -73,27 +76,6 @@ def reid_pair(phi, psi) -> Cardinal:
     lists); the subtraction raises ShapeError unless they share one shape."""
     phi, psi = (h if isinstance(h, IntMatrix) else IntMatrix(h) for h in (phi, psi))
     return cokernel_order(psi - phi)
-
-
-def _pairwise(system: AbelianSystem) -> tuple[Cardinal, ...]:
-    first = system.homs[0]
-    return tuple(reid_pair(first, h) for h in system.homs[1:])
-
-
-def _block_lattice_vectors(system: AbelianSystem):
-    """Generators of Im(D_2) x ... x Im(D_k) inside Z^{(k-1)n}."""
-    n = system.target_rank
-    k = system.k
-    base = system.homs[0]
-    out = []
-    for j, h in enumerate(system.homs[1:]):
-        diff = h - base
-        for c in range(diff.cols):
-            col = diff.column(c)
-            vec = [0] * ((k - 1) * n)
-            vec[j * n : (j + 1) * n] = col
-            out.append(tuple(vec))
-    return out
 
 
 def ker_psi_order(system: AbelianSystem) -> Cardinal:
@@ -110,10 +92,17 @@ def ker_psi_order(system: AbelianSystem) -> Cardinal:
 
 def _ker_psi_order(system: AbelianSystem, stacked: IntMatrix) -> Cardinal:
     """ker_psi_order for a caller that already knows the stacked cokernel of
-    the system is finite."""
+    the system is finite; each block's columns, placed in its coordinates,
+    generate its factor of Im(D_2) x ... x Im(D_k)."""
+    n = system.target_rank
+    blockwise = []
+    for j, block in enumerate(system.blocks):
+        for c in range(block.cols):
+            vec = [0] * stacked.rows
+            vec[j * n : (j + 1) * n] = block.column(c)
+            blockwise.append(tuple(vec))
     sub = [stacked.column(j) for j in range(stacked.cols)]
-    super_vectors = _block_lattice_vectors(system)
-    return lattice_index(sub, super_vectors, width=stacked.rows)
+    return lattice_index(sub, blockwise, width=stacked.rows)
 
 
 def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
@@ -124,7 +113,7 @@ def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
     stacked = stacked_difference(system)
     snf = smith_normal_form(stacked)
     value = snf.cokernel_order()
-    pairwise = _pairwise(system)
+    pairwise = tuple(cokernel_order(block) for block in system.blocks)
     trace = [
         f"stacked difference has shape {stacked.rows}x{stacked.cols}",
         "invariant factors: "
@@ -196,8 +185,6 @@ def divisibility_report(
     """The divisibility facts of a system.  The value, the pairwise values
     and |ker Psi| come from report, the system's reid_multi report, which is
     computed here when not given; only the leave-one-out values are new."""
-    if not isinstance(system, AbelianSystem):
-        system = AbelianSystem(system)
     if report is None:
         report = reid_multi(system)
     value = report.value
@@ -225,11 +212,13 @@ def divisibility_report(
         witness=f"pairwise product {product} divides {value}; quotient is |ker Psi| = {ker}",
     )
     if system.k >= 4:
-        # Drop one non-first map at a time, keeping phi_1 as the base point.
-        subs = []
-        for drop in range(1, system.k):
-            homs = [h for i, h in enumerate(system.homs) if i != drop]
-            subs.append(cokernel_order(stacked_difference(AbelianSystem(homs))))
+        # Drop one non-first map at a time, keeping phi_1 as the base point:
+        # the subsystem's blocks are the system's, less the dropped one.
+        blocks = system.blocks
+        subs = [
+            cokernel_order(IntMatrix.stack_rows(blocks[:j] + blocks[j + 1 :]))
+            for j in range(len(blocks))
+        ]
         sub_product = cardinal_product(subs)
         sub_divides = sub_product.divides(value)
         report.leave_one_out = tuple(subs)

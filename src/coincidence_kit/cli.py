@@ -108,16 +108,20 @@ def _to_int(value, where: str) -> int:
     raise ProblemError(f"{where}: expected an integer, got {value!r}")
 
 
-def _to_vector(value, where: str) -> list[int]:
+def _array(value, where: str, what: str) -> list:
     if not isinstance(value, list):
-        raise ProblemError(f"{where}: expected an array of integers")
-    return [_to_int(x, f"{where}[{i}]") for i, x in enumerate(value)]
+        raise ProblemError(f"{where}: expected an array of {what}")
+    return value
+
+
+def _to_vector(value, where: str) -> list[int]:
+    items = _array(value, where, "integers")
+    return [_to_int(x, f"{where}[{i}]") for i, x in enumerate(items)]
 
 
 def _to_matrix(value, where: str) -> list[list[int]]:
-    if not isinstance(value, list):
-        raise ProblemError(f"{where}: expected an array of rows")
-    rows = [_to_vector(row, f"{where} row {i}") for i, row in enumerate(value)]
+    items = _array(value, where, "rows")
+    rows = [_to_vector(row, f"{where} row {i}") for i, row in enumerate(items)]
     widths = {len(r) for r in rows}
     if len(widths) > 1:
         want = len(rows[0])
@@ -206,16 +210,18 @@ def _build_finite_group(name, spec, resolved, specs, building):
                 )
             group = binary_icosahedral_group(cap=cap)
         elif kind == "permutations":
+            perms = _array(spec["permutations"], f"{where}.permutations", "permutations")
             gens = [
                 tuple(_to_vector(p, f"{where}.permutations[{i}]"))
-                for i, p in enumerate(spec["permutations"])
+                for i, p in enumerate(perms)
             ]
             group = close_group(gens, cap=cap)
         elif kind == "matrices":
             field = _to_int(_require(spec, "field", where), f"{where}.field")
+            mats = _array(spec["matrices"], f"{where}.matrices", "matrices")
             gens = [
                 tuple(tuple(row) for row in _to_matrix(m, f"{where}.matrices[{i}]"))
-                for i, m in enumerate(spec["matrices"])
+                for i, m in enumerate(mats)
             ]
             group = close_group(gens, field=field, cap=cap)
     except SizeCapError as exc:
@@ -346,7 +352,8 @@ def _build_pc_group(spec, where: str) -> PcGroup:
     noncentral = [str(x) for x in noncentral]
     central = [str(x) for x in central]
     relations = {}
-    for t, triple in enumerate(spec.get("commutators", [])):
+    triples = _array(spec.get("commutators", []), f"{where}.commutators", "triples")
+    for t, triple in enumerate(triples):
         rwhere = f"{where}.commutators[{t}]"
         if not isinstance(triple, list) or len(triple) != 3:
             raise ProblemError(
@@ -442,9 +449,10 @@ def _abelian_system(doc: dict, minimum: int, maximum: int | None) -> AbelianSyst
 def _nilpotent_recount(phi: PcHom, psi: PcHom) -> Cardinal:
     """Recount of the pair value by the reduction's formula: quotient classes
     (infinitely many make the value infinite) times central classes over
-    |Im delta|, the central count over the count modulo the lattice enlarged
-    by the delta-vectors.  All three counts multiply Smith divisors, the
-    route the engine does not take; delta-vectors lift as in the engine."""
+    |Im delta|, the central count over the coarse count modulo the lattice
+    enlarged by the delta-vectors.  Each count multiplies Smith divisors, the
+    route the engine does not take; delta-vectors lift as in the engine, and
+    with none lifted the coarse count is the central one."""
     red = central_reduction(phi, psi)
     diff_bar = red.psi_bar - red.phi_bar
     quotient = smith_normal_form(diff_bar).cokernel_order()
@@ -452,9 +460,10 @@ def _nilpotent_recount(phi: PcHom, psi: PcHom) -> Cardinal:
         return INFINITE
     diff_prime = red.psi_prime - red.phi_prime
     lifted = delta_image_vectors(red) if diff_bar.cols > diff_bar.rows else []
-    deltas = IntMatrix.from_columns(lifted, rows=diff_prime.rows)
-    central = smith_normal_form(diff_prime).cokernel_order()
-    coarse = smith_normal_form(diff_prime.hstack(deltas)).cokernel_order()
+    central = coarse = smith_normal_form(diff_prime).cokernel_order()
+    if lifted:
+        deltas = IntMatrix.from_columns(lifted, rows=diff_prime.rows)
+        coarse = smith_normal_form(diff_prime.hstack(deltas)).cokernel_order()
     if not central.is_finite or central.value % coarse.value:
         raise ConsistencyError(
             "the connecting-map image does not evenly split the central classes"
@@ -525,13 +534,12 @@ def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, 
     when none were counted) from the Smith divisors of its stack, and for a
     finite value |ker Psi| = [Z : L_S] / [Z : L_blocks], the value over the
     pairwise product."""
+    blocks = system.blocks
     if system.k == 2:
         # the engine reduced the one block by both routes already: the value
         # from its Smith divisors, the pairwise value from its Hermite pivots
         value, pairwise = report.pairwise[0], (report.value,)
     else:
-        base = system.homs[0]
-        blocks = [h - base for h in system.homs[1:]]
         value = cokernel_order(IntMatrix.stack_rows(blocks))
         pairwise = tuple(smith_normal_form(b).cokernel_order() for b in blocks)
     recount = {"value": (value,), "pairwise values": pairwise}

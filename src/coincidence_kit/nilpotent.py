@@ -39,10 +39,10 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    certify_smith,
     cokernel_order,
     hermite_basis,
     kernel_basis,
-    smith_normal_form,
     unimodular_inverse,
 )
 from .reporting import (
@@ -448,23 +448,24 @@ def central_extension_data(group: PcGroup) -> CentralExtensionData:
     Requires the commutator sublattice to be a direct summand of the central
     lattice; otherwise the quotient has torsion, no free-abelian matrix
     picture exists, and a StructureError explains that.
+
+    A Hermite basis of unit rows (free groups, the Heisenberg group) makes
+    adapted the permutation listing their pivots first: its head is the basis
+    and it is its own inverse transpose, so only distinct pivots are checked.
+    Other bases take certify_smith's t, and both facts are checked.
     """
     z = group.n_central
     basis = hermite_basis(group.commutators.values(), z)
     r = len(basis)
-    unit_rows = all(
-        sum(1 for x in row if x) == 1 and max(row) == 1 for row in basis
-    )
-    if unit_rows:
-        # Distinct unit rows (none at all included) span a direct summand, and
-        # a permutation matrix is its own inverse transpose.
-        pivots = [next(l for l, x in enumerate(row) if x) for row in basis]
-        rest = [l for l in range(z) if l not in pivots]
-        eye = IntMatrix.identity(z)
-        adapted = IntMatrix([eye.row(l) for l in pivots + rest], cols=z)
-        coords = adapted
+    if all(row.count(0) == z - 1 and 1 in row for row in basis):
+        pivots = [row.index(1) for row in basis]
+        taken = set(pivots)
+        if len(taken) != r:
+            raise ConsistencyError("the unit rows of the commutator basis repeat")
+        order = pivots + [l for l in range(z) if l not in taken]
+        adapted = coords = IntMatrix([[int(c == l) for c in range(z)] for l in order], cols=z)
     else:
-        snf = smith_normal_form(IntMatrix(basis))
+        snf = certify_smith(IntMatrix(basis))
         if any(d != 1 for d in snf.divisors):
             raise StructureError(
                 "the commutator subgroup is not a direct summand of the central "
@@ -475,13 +476,10 @@ def central_extension_data(group: PcGroup) -> CentralExtensionData:
         # sublattice and (t^-1)^T inverts to t^T.
         adapted = unimodular_inverse(snf.t)
         coords = snf.t.transpose()
-    # Defense in depth: the chosen rows must span exactly the sublattice, and
-    # coords must invert the transpose of the adapted basis.
-    head = [adapted.row(s) for s in range(r)]
-    if hermite_basis(head, z) != basis:
-        raise ConsistencyError("adapted basis does not span the commutator sublattice")
-    if coords @ adapted.transpose() != IntMatrix.identity(z):
-        raise ConsistencyError("coords do not invert the adapted basis transpose")
+        if hermite_basis([adapted.row(s) for s in range(r)], z) != basis:
+            raise ConsistencyError("adapted basis does not span the commutator sublattice")
+        if coords @ adapted.transpose() != IntMatrix.identity(z):
+            raise ConsistencyError("coords do not invert the adapted basis transpose")
     return CentralExtensionData(
         group=group,
         a_rank=r,
@@ -516,32 +514,45 @@ def _sublattice_coords(data, word, what: str) -> tuple[int, ...]:
     return ac
 
 
-def _reduce(phi: PcHom, psi: PcHom, d1, d2) -> PairReduction:
-    """Push both maps through the extension data d1 of their domain and d2
-    of their codomain, one basis vector of B and of A at a time."""
+def _pair_reductions(homs) -> list[PairReduction]:
+    """The reductions of the pairs (phi_1, phi_j), j = 2..k, of a family
+    sharing one domain and one codomain (else ShapeError).  Extension data is
+    built once per group, and every map is pushed through it once, one basis
+    vector of B and of A at a time."""
+    homs = list(homs)
+    if len(homs) < 2:
+        raise ShapeError(f"need at least two maps, got {len(homs)}")
+    domain, codomain = homs[0].domain, homs[0].codomain
+    for i, h in enumerate(homs):
+        if h.domain != domain:
+            raise ShapeError(f"map {i} has a different domain")
+        if h.codomain != codomain:
+            raise ShapeError(f"map {i} has a different codomain")
+    d1 = central_extension_data(domain)
+    d2 = d1 if codomain == domain else central_extension_data(codomain)
     b_lifts = [d1.section(e) for e in IntMatrix.identity(d1.b_rank).iter_rows()]
     a_lifts = [d1.a_embed(e) for e in IntMatrix.identity(d1.a_rank).iter_rows()]
     what = "a commutator-subgroup element maps"
 
-    def bar(hom):
-        cols = [d2.project(hom.apply(w)) for w in b_lifts]
-        return IntMatrix.from_columns(cols, rows=d2.b_rank)
+    def matrices(hom):
+        bar = [d2.project(hom.apply(w)) for w in b_lifts]
+        prime = [_sublattice_coords(d2, hom.apply(w), what) for w in a_lifts]
+        return (
+            IntMatrix.from_columns(bar, rows=d2.b_rank),
+            IntMatrix.from_columns(prime, rows=d2.a_rank),
+        )
 
-    def prime(hom):
-        cols = [_sublattice_coords(d2, hom.apply(w), what) for w in a_lifts]
-        return IntMatrix.from_columns(cols, rows=d2.a_rank)
-
-    return PairReduction(phi, psi, d1, d2, bar(phi), bar(psi), prime(phi), prime(psi))
+    phi_bar, phi_prime = matrices(homs[0])
+    return [
+        PairReduction(homs[0], psi, d1, d2, phi_bar, psi_bar, phi_prime, psi_prime)
+        for psi, (psi_bar, psi_prime) in zip(homs[1:], map(matrices, homs[1:]))
+    ]
 
 
 def central_reduction(phi: PcHom, psi: PcHom) -> PairReduction:
-    if phi.domain != psi.domain:
-        raise ShapeError("the two maps must share a domain")
-    if phi.codomain != psi.codomain:
-        raise ShapeError("the two maps must share a codomain")
-    d1 = central_extension_data(phi.domain)
-    d2 = d1 if phi.codomain == phi.domain else central_extension_data(phi.codomain)
-    return _reduce(phi, psi, d1, d2)
+    """The pair (phi, psi) pushed through the central extension of its
+    domain and codomain: the one reduction of _pair_reductions([phi, psi])."""
+    return _pair_reductions([phi, psi])[0]
 
 
 def _stack(reds) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
@@ -664,9 +675,9 @@ def _count(reds) -> ReidemeisterReport:
 
 def reid_nilpotent(phi: PcHom, psi: PcHom) -> ReidemeisterReport:
     """Count of twisted classes alpha ~ phi(z) alpha psi(z)^(-1) on the
-    shared codomain, via the central extension reduction; the one-pair case
-    of reid_nilpotent_multi, so pairwise holds the value itself."""
-    return _count([central_reduction(phi, psi)])
+    shared codomain: reid_nilpotent_multi of the two maps, so pairwise holds
+    the value itself."""
+    return reid_nilpotent_multi([phi, psi])
 
 
 def reid_nilpotent_multi(homs) -> ReidemeisterReport:
@@ -674,27 +685,15 @@ def reid_nilpotent_multi(homs) -> ReidemeisterReport:
     alpha_i -> phi_1(z) alpha_i phi_i(z)^(-1), that is, the pair count of
     (phi_1, ..., phi_1) against (phi_2, ..., phi_k) into the direct power.
 
-    The power is never built.  Each pair (phi_1, phi_j) is reduced once, over
-    extension data built once per group, and the power's matrices are those
-    pair matrices stacked (see _stack): quotient rows as every block's
-    noncentral coordinates, then every block's complement coordinates;
-    sublattice rows block by block.  Delta-vectors lift block by block at the
-    kernel vectors of the stacked quotient difference.  The pairwise values
-    come from the same pair reductions.
+    The power is never built.  _pair_reductions reduces each pair
+    (phi_1, phi_j) once, and the power's matrices are those pair matrices
+    stacked (see _stack): quotient rows as every block's noncentral
+    coordinates, then every block's complement coordinates; sublattice rows
+    block by block.  Delta-vectors lift block by block at the kernel vectors
+    of the stacked quotient difference.  The pairwise values come from the
+    same pair reductions.
     """
-    homs = list(homs)
-    if len(homs) < 2:
-        raise ShapeError(f"need at least two maps, got {len(homs)}")
-    domain = homs[0].domain
-    codomain = homs[0].codomain
-    for i, h in enumerate(homs):
-        if h.domain != domain:
-            raise ShapeError(f"map {i} has a different domain")
-        if h.codomain != codomain:
-            raise ShapeError(f"map {i} has a different codomain")
-    d1 = central_extension_data(domain)
-    d2 = d1 if codomain == domain else central_extension_data(codomain)
-    return _count([_reduce(homs[0], h, d1, d2) for h in homs[1:]])
+    return _count(_pair_reductions(homs))
 
 
 __all__ = [

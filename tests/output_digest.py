@@ -9,7 +9,7 @@ runs of ``coincidence_kit.cli.main``, in order:
   perfbench/problems.py generates for the workload at the seed, in its
   benchmark form; then, except for finite, ``check --trace`` and
   ``compute --oracle --trace`` (structured) on each of those problems;
-- golden: the modes of tests/test_golden.py on every shipped problem.
+- golden: the modes of tests/golden_cases.py on every shipped problem.
 
 The problems always come from this checkout; --src picks the package that
 answers them (default: this checkout's src).  So a change meant to leave
@@ -37,7 +37,7 @@ if __name__ == "__main__":
 
     from coincidence_kit import cli
     from problems import WORKLOADS, generate
-    from test_golden import MODES, PROBLEM_FILES
+    from golden_cases import MODES, PROBLEM_FILES
 
     def run(argv) -> str:
         out, err = io.StringIO(), io.StringIO()

@@ -355,6 +355,61 @@ class TestExitCodes:
 # -- environment override -------------------------------------------------------------
 
 
+def _malformed_pc(commutators=None, maps=None):
+    heis = {"generators": ["a", "b"], "central": ["c"], "commutators": [["a", "b", {"c": 1}]]}
+    domain = heis if commutators is None else dict(heis, commutators=commutators)
+    maps = maps or [{"a": {"a": 1}, "b": {"b": 1}}, {"a": {"b": 1}, "b": {"a": 1}}]
+    return {"kind": "nilpotent", "domain": domain, "codomain": heis, "maps": maps}
+
+
+def _malformed_finite(spec):
+    return {
+        "kind": "finite",
+        "groups": {"G": spec},
+        "domain": "G",
+        "codomain": "G",
+        "maps": [{"identity": True}, {"constant": True}],
+    }
+
+
+@pytest.mark.parametrize(
+    "problem, field",
+    [
+        (_malformed_finite({"permutations": 5}), "groups.G.permutations"),
+        (_malformed_finite({"matrices": 5, "field": 3}), "groups.G.matrices"),
+        (_malformed_pc(5), "domain.commutators"),
+        (_malformed_pc({"a": 1}), "domain.commutators"),
+        (_malformed_pc([["a", "q", {"c": 1}]]), "domain.commutators[0][1]"),
+        (_malformed_pc([[0, 5, {"c": 1}]]), "domain.commutators[0][1]"),
+        (_malformed_pc([["a", "b", [1]], ["b", "a", [1]]]), "domain.commutators[1]"),
+        (_malformed_pc([["a", "b", {"a": 1}]]), "domain.commutators[0][2]"),
+        (_malformed_pc([["a", "b", [1, 0]]]), "domain.commutators[0][2]"),
+        (_malformed_pc(maps=[{"q": {"a": 1}}, {}]), "maps[0]"),
+        (_malformed_pc(maps=[[[1, 0, 0]], [[1, 0, 0]]]), "maps[0]"),
+    ],
+    ids=[
+        "permutations-not-array",
+        "matrices-not-array",
+        "commutators-not-array",
+        "commutators-object",
+        "unknown-generator",
+        "generator-index-out-of-range",
+        "repeated-pair",
+        "noncentral-label-in-word",
+        "word-of-wrong-length",
+        "unknown-domain-label",
+        "wrong-number-of-images",
+    ],
+)
+def test_malformed_group_fields_name_their_path(capsys, problem, field):
+    """Every malformed finite or pc field is an input error that names its
+    path, never a traceback."""
+    code, out, err = run_cli(capsys, "compute", json.dumps(problem))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+
+
 class TestClosureCapEnv:
     def test_tight_cap_blocks_builtin(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.CLOSURE_CAP_ENV, "50")

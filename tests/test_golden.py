@@ -21,15 +21,9 @@ from pathlib import Path
 import pytest
 
 from coincidence_kit import cli
+from golden_cases import MODES, PROBLEM_FILES
 
-ROOT = Path(__file__).resolve().parent.parent
-PROBLEMS = ROOT / "problems"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-MODES = {
-    "compute --trace": ["compute", "--trace"],
-    "compute --oracle --trace": ["compute", "--oracle", "--trace"],
-    "check --trace": ["check", "--trace"],
-}
 
 
 def capture(path: Path, mode: str) -> dict:
@@ -48,9 +42,6 @@ def capture(path: Path, mode: str) -> dict:
 
 def capture_all(path: Path) -> dict:
     return {mode: capture(path, mode) for mode in MODES}
-
-
-PROBLEM_FILES = sorted(PROBLEMS.glob("*.json"))
 
 
 def test_every_problem_has_a_golden_file():

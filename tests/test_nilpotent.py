@@ -351,15 +351,15 @@ class TestCentralExtension:
             central_extension_data(torsion)
 
     def test_square_commutator_basis_reads_no_transforms(self, monkeypatch):
-        """A full-rank commutator lattice has a square Hermite basis, whose
-        Smith form carries no transforms.  Unimodular, that basis is the
-        identity and takes the unit-row branch; otherwise the lattice is no
-        direct summand.  Either way no transform is read."""
+        """A full-rank commutator lattice has a square Hermite basis.
+        Unimodular, that basis is the identity and takes the unit-row branch,
+        which takes no Smith form; otherwise the certified Smith form shows
+        the lattice is no direct summand, before any transform is read."""
         smith = []
         monkeypatch.setattr(
             nilpotent,
-            "smith_normal_form",
-            lambda m: smith.append(m) or exact_linalg.smith_normal_form(m),
+            "certify_smith",
+            lambda m: smith.append(m) or exact_linalg.certify_smith(m),
         )
 
         def group(second):
@@ -372,6 +372,26 @@ class TestCentralExtension:
         with pytest.raises(StructureError, match=r"invariant factors \(1, 2\)"):
             central_extension_data(group({"v": 2}))
         assert [(m.rows, m.cols) for m in smith] == [(2, 2)]
+
+    def test_unit_row_branch_multiplies_no_matrices(self, monkeypatch):
+        """Unit rows make the adapted basis a permutation: its head is the
+        Hermite basis and it inverts its own transpose by construction, so
+        no matrix product and no second Hermite form is taken."""
+        products, widths = [], []
+        matmul = IntMatrix.__matmul__
+        monkeypatch.setattr(
+            IntMatrix, "__matmul__", lambda a, b: products.append(b) or matmul(a, b)
+        )
+        monkeypatch.setattr(
+            nilpotent,
+            "hermite_basis",
+            lambda v, w: widths.append(w) or exact_linalg.hermite_basis(v, w),
+        )
+        data = central_extension_data(free_class_two(4))
+        assert (data.a_rank, data.b_rank) == (6, 4)
+        assert data.adapted == IntMatrix.identity(6)
+        assert products == []
+        assert widths == [6]
 
     def test_endomorphism_pair_shares_extension_data(self):
         psi = PcHom(HEIS, HEIS, [(3, 0, 0), (0, -1, 0), (0, 0, -3)])
@@ -784,12 +804,13 @@ class TestStackAgainstFold:
 
     @pytest.mark.parametrize(
         "argv, calls",
-        [(["compute"], 0), (["compute", "--oracle"], 3), (["check"], 0)],
+        [(["compute"], 0), (["compute", "--oracle"], 2), (["check"], 0)],
     )
     def test_smith_forms_on_the_heisenberg_pair(self, capsys, monkeypatch, argv, calls):
         """The engine counts a square quotient difference by Hermite pivots
         and lifts no delta-vector off it; only the oracle's recount takes
-        Smith forms, one per order."""
+        Smith forms: the quotient and central orders, and no coarse order,
+        which with no delta-vector is the central one."""
         eliminated = []
         eliminate = exact_linalg._eliminate
 
