@@ -30,6 +30,7 @@ consistency failure; 3 unsupported reduction.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -823,7 +824,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept: parsing
+    leaves it unchanged, and a process that runs main once builds it once."""
     parser = _Parser(
         prog="coincidence-kit",
         description=(

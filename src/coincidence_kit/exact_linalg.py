@@ -53,7 +53,10 @@ class IntMatrix:
     def __init__(self, data, *, cols: int | None = None):
         rows = []
         for i, raw in enumerate(data):
-            row = tuple(_as_int(x, f"row {i}") for x in raw)
+            row = tuple(raw)
+            for x in row:
+                if type(x) is not int:
+                    _as_int(x, f"row {i}")
             if rows and len(row) != len(rows[0]):
                 raise ShapeError(
                     f"row {i} has {len(row)} entries, expected {len(rows[0])}"

@@ -369,6 +369,14 @@ class FiniteHom:
         if check:
             self.validate()
 
+    @classmethod
+    def _trusted(cls, domain: FiniteGroup, codomain: FiniteGroup, image) -> FiniteHom:
+        """A table of codomain indices built by the package itself, taken as
+        it is: no entry or multiplicativity check."""
+        hom = cls.__new__(cls)
+        hom.domain, hom.codomain, hom.image = domain, codomain, tuple(image)
+        return hom
+
     def validate(self):
         if self.image[self.domain.identity] != self.codomain.identity:
             raise HomomorphismError("identity does not map to identity")
@@ -384,11 +392,11 @@ class FiniteHom:
 
 
 def identity_hom(g: FiniteGroup) -> FiniteHom:
-    return FiniteHom(g, g, range(g.order), check=False)
+    return FiniteHom._trusted(g, g, range(g.order))
 
 
 def constant_hom(domain: FiniteGroup, codomain: FiniteGroup) -> FiniteHom:
-    return FiniteHom(domain, codomain, [codomain.identity] * domain.order, check=False)
+    return FiniteHom._trusted(domain, codomain, [codomain.identity] * domain.order)
 
 
 def projection_hom(product: FiniteGroup, factor: int) -> FiniteHom:
@@ -401,10 +409,10 @@ def projection_hom(product: FiniteGroup, factor: int) -> FiniteHom:
         )
     if factor == 0:
         image = [i // h.order for i in range(product.order)]
-        return FiniteHom(product, g, image, check=False)
+        return FiniteHom._trusted(product, g, image)
     if factor == 1:
         image = [i % h.order for i in range(product.order)]
-        return FiniteHom(product, h, image, check=False)
+        return FiniteHom._trusted(product, h, image)
     raise StructureError(f"factor must be 0 or 1, got {factor}")
 
 

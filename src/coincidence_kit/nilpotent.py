@@ -182,12 +182,16 @@ class PcGroup:
         return (0,) * self.n_noncentral + central_vec
 
     # -- arithmetic -----------------------------------------------------------
+    #
+    # The public operations check their operands; the underscored kernels
+    # take words the package built itself and check nothing.
 
     def multiply(self, u, v) -> tuple[int, ...]:
         """Collected product: exponent sums plus central corrections from
         moving the right factor's generators left past higher-index ones."""
-        u = self.check_word(u)
-        v = self.check_word(v)
+        return self._multiply(self.check_word(u), self.check_word(v))
+
+    def _multiply(self, u, v) -> tuple[int, ...]:
         w = [a + b for a, b in zip(u, v)]
         base = self.n_noncentral
         for (i, j), vec in self.commutators.items():
@@ -202,6 +206,9 @@ class PcGroup:
         u = self.check_word(u)
         if not isinstance(e, int) or isinstance(e, bool):
             raise ShapeError(f"exponent must be an integer, got {e!r}")
+        return self._power(u, e)
+
+    def _power(self, u, e: int) -> tuple[int, ...]:
         w = [e * x for x in u]
         coef = e * (e - 1) // 2
         if coef:
@@ -219,8 +226,9 @@ class PcGroup:
 
     def commutator(self, u, v) -> tuple[int, ...]:
         """[u, v] = u^-1 v^-1 u v, always central in class 2."""
-        u = self.check_word(u)
-        v = self.check_word(v)
+        return self._commutator(self.check_word(u), self.check_word(v))
+
+    def _commutator(self, u, v) -> tuple[int, ...]:
         w = [0] * self.n
         base = self.n_noncentral
         for (i, j), vec in self.commutators.items():
@@ -286,8 +294,9 @@ def direct_power_pc(group: PcGroup, copies: int) -> PcGroup:
 class PcHom:
     """Homomorphism given by the images of the domain generators.
 
-    Well-definedness is checked against every commutator relation of the
-    domain: [phi(g_i), phi(g_j)] must equal phi of the relation's value.
+    Well-definedness is checked against the domain's structure constants:
+    [phi(g_i), phi(g_j)] must equal phi of the relation's value, the
+    identity where the domain has no relation.
     """
 
     __slots__ = ("domain", "codomain", "images")
@@ -308,14 +317,21 @@ class PcHom:
             self.validate()
 
     def validate(self):
+        """A class-2 commutator reads only the noncentral parts of its
+        arguments, so a pair without a domain relation in which either image
+        is central commutes, and is skipped."""
         dom, cod = self.domain, self.codomain
+        images, relations = self.images, dom.commutators
+        m = cod.n_noncentral
+        noncentral = [any(w[:m]) for w in images]
+        identity = cod.identity()
         for i in range(dom.n):
             for j in range(i):
-                lhs = cod.commutator(self.images[i], self.images[j])
-                vec = dom.commutators.get((i, j))
-                rhs = (
-                    self.apply(dom.central_word(vec)) if vec else cod.identity()
-                )
+                vec = relations.get((i, j))
+                if vec is None and not (noncentral[i] and noncentral[j]):
+                    continue
+                lhs = cod._commutator(images[i], images[j])
+                rhs = self._apply(dom.central_word(vec)) if vec else identity
                 if lhs != rhs:
                     raise HomomorphismError(
                         f"images of {dom.labels[i]} and {dom.labels[j]} violate "
@@ -325,11 +341,14 @@ class PcHom:
                     )
 
     def apply(self, word) -> tuple[int, ...]:
-        word = self.domain.check_word(word)
-        out = self.codomain.identity()
+        return self._apply(self.domain.check_word(word))
+
+    def _apply(self, word) -> tuple[int, ...]:
+        cod = self.codomain
+        out = cod.identity()
         for img, e in zip(self.images, word):
             if e:
-                out = self.codomain.multiply(out, self.codomain.power(img, e))
+                out = cod._multiply(out, cod._power(img, e))
         return out
 
     def __repr__(self):
@@ -396,7 +415,9 @@ class CentralExtensionData:
     coords: IntMatrix
 
     def project(self, word) -> tuple[int, ...]:
-        word = self.group.check_word(word)
+        return self._project(self.group.check_word(word))
+
+    def _project(self, word) -> tuple[int, ...]:
         x = self.coords.apply(self.group.central_part(word))
         return self.group.noncentral_part(word) + tuple(x[self.a_rank :])
 
@@ -535,8 +556,8 @@ def _pair_reductions(homs) -> list[PairReduction]:
     what = "a commutator-subgroup element maps"
 
     def matrices(hom):
-        bar = [d2.project(hom.apply(w)) for w in b_lifts]
-        prime = [_sublattice_coords(d2, hom.apply(w), what) for w in a_lifts]
+        bar = [d2._project(hom._apply(w)) for w in b_lifts]
+        prime = [_sublattice_coords(d2, hom._apply(w), what) for w in a_lifts]
         return (
             IntMatrix.from_columns(bar, rows=d2.b_rank),
             IntMatrix.from_columns(prime, rows=d2.a_rank),
@@ -593,7 +614,7 @@ def delta_image_vectors(red: PairReduction) -> list[tuple[int, ...]]:
         theta = d1.section(kappa)
         vector = ()
         for r in reds:
-            g = cod.multiply(r.psi.apply(theta), cod.inverse(r.phi.apply(theta)))
+            g = cod._multiply(r.psi._apply(theta), cod._power(r.phi._apply(theta), -1))
             vector += _sublattice_coords(d2, g, "a quotient-level coincidence lifts")
         vectors.append(vector)
     return vectors

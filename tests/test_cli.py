@@ -1327,6 +1327,48 @@ def test_module_entry_point_runs():
     assert "value: 2" in result.stdout
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert cli.main(["compute", str(PROBLEMS / "snf_worked.json")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    # one top-level parser and its three subcommand parsers
+    assert built == [
+        "coincidence-kit",
+        "coincidence-kit compute",
+        "coincidence-kit snf",
+        "coincidence-kit check",
+    ]
+
+
+def test_kept_parser_prints_as_fresh_interpreters(capsys, monkeypatch):
+    """A usage error and then a valid run in one process print the same
+    streams and exit codes as each run in its own interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [["frobnicate", "x"], ["compute", str(PROBLEMS / "heisenberg_pair.json")]]
+    in_process = []
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    fresh = [run_module(*argv) for argv in runs]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert [code for code, _, _ in in_process] == [1, 0]
+
+
 @pytest.mark.parametrize(
     "matrix, code, value",
     [

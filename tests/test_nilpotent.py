@@ -824,6 +824,114 @@ class TestStackAgainstFold:
         assert cli.main([command, str(path), *flags]) == 0
         assert len(eliminated) == calls
 
+    @pytest.mark.parametrize("argv", [["compute"], ["compute", "--oracle"], ["check"]])
+    def test_words_are_checked_once_on_the_heisenberg_pair(self, capsys, monkeypatch, argv):
+        """Only the six input images (two maps, three generators) have their
+        shape checked; validation, the reductions, the delta lift and the
+        oracle work on words the package built and check nothing again."""
+        checked = []
+        check_word = PcGroup.check_word
+        monkeypatch.setattr(
+            PcGroup, "check_word", lambda g, w: checked.append(w) or check_word(g, w)
+        )
+        command, *flags = argv
+        path = PROBLEMS / "heisenberg_pair.json"
+        assert cli.main([command, str(path), *flags]) == 0
+        assert checked == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (0, -1, 0), (0, 0, -3)]
+
+
+# -- validation by structure constants ------------------------------------------
+
+
+def all_pairs_verdict(domain: PcGroup, codomain: PcGroup, images) -> str | None:
+    """The message of the first generator pair, in (i, j < i) order, whose
+    images do not commute to the image of the pair's relation, through the
+    public commutator and apply on every pair; None when no pair fails."""
+    hom = PcHom(domain, codomain, images, check=False)
+    for i in range(domain.n):
+        for j in range(i):
+            lhs = codomain.commutator(images[i], images[j])
+            vec = domain.commutators.get((i, j))
+            rhs = hom.apply(domain.central_word(vec)) if vec else codomain.identity()
+            if lhs != rhs:
+                return (
+                    f"images of {domain.labels[i]} and {domain.labels[j]} violate "
+                    f"the commutator relation: [{domain.labels[i]}, "
+                    f"{domain.labels[j]}] maps to {rhs} but the images "
+                    f"commute to {lhs}"
+                )
+    return None
+
+
+def validation_verdict(domain: PcGroup, codomain: PcGroup, images) -> str | None:
+    try:
+        PcHom(domain, codomain, images)
+    except HomomorphismError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(rng, hom: PcHom):
+    """hom's images with one or two of them moved by a random word, or left
+    alone: a mix of valid and invalid image lists."""
+    images = list(hom.images)
+    cod = hom.codomain
+    for _ in range(rng.randrange(3)):
+        g = rng.randrange(len(images))
+        step = random_word(rng, cod, -1, 1)
+        if rng.random() < 0.5:
+            step = cod.central_word(cod.central_part(step))
+        images[g] = cod.multiply(images[g], step)
+    return images
+
+
+VALIDATION_FAMILIES = {
+    "heisenberg": random_heis_endo,
+    "heisenberg-cross-z": lambda rng: random_hz_to_heis(rng, heis_cross_z()),
+    "six-generator": lambda rng: random_six_to_heis(rng, six_generator_domain()),
+    "free-rank-3": _free_draw(3),
+    "free-rank-4": _free_draw(4),
+    "free-rank-4-spare": _free_draw(4, spare=True),
+}
+
+
+class TestStructureConstantValidation:
+    """PcHom.validate skips the pairs without a relation in which an image
+    is central; it must accept, reject and word its rejection exactly as
+    the all-pairs check does."""
+
+    @pytest.mark.parametrize("family", sorted(VALIDATION_FAMILIES))
+    def test_agrees_with_all_pairs(self, family):
+        rng = random.Random(f"validate:{family}")
+        draw = VALIDATION_FAMILIES[family]
+        verdicts = []
+        for _ in range(60):
+            hom = draw(rng)
+            images = _perturbed(rng, hom)
+            verdict = all_pairs_verdict(hom.domain, hom.codomain, images)
+            assert validation_verdict(hom.domain, hom.codomain, images) == verdict
+            verdicts.append(verdict is None)
+        # both outcomes are exercised
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize(
+        "domain, images",
+        [
+            # every image is central, yet [a, b] = c must map to c, not 1
+            (HEIS, [(0, 0, 1), (0, 0, 1), (0, 0, 1)]),
+            # t has no relation, and its image a does not commute with b's
+            (
+                six_generator_domain(),
+                [(2, 0, 0), (0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 0, 2), (0, 0, 0)],
+            ),
+        ],
+        ids=["heisenberg-all-central", "six-generator-t-to-a"],
+    )
+    def test_rejects_as_all_pairs(self, domain, images):
+        verdict = all_pairs_verdict(domain, HEIS, images)
+        assert verdict is not None
+        assert validation_verdict(domain, HEIS, images) == verdict
+
 
 # -- plumbing ----------------------------------------------------------------------
 
