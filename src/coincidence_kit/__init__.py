@@ -53,7 +53,6 @@ from .exact_linalg import (
     unimodular_inverse,
 )
 from .finite import (
-    FiniteDivisibilityReport,
     FiniteGroup,
     FiniteHom,
     TwistedPartition,
@@ -63,8 +62,6 @@ from .finite import (
     cyclic_group,
     direct_product,
     identity_hom,
-    pairwise_divisibility_report,
-    pairwise_values,
     projection_hom,
     twisted_reidemeister,
 )
@@ -99,7 +96,6 @@ __all__ = [
     "ConsistencyError",
     "ContainmentError",
     "DivisibilityReport",
-    "FiniteDivisibilityReport",
     "FiniteGroup",
     "FiniteHom",
     "HomomorphismError",
@@ -140,8 +136,6 @@ __all__ = [
     "kernel_basis",
     "lattice_coordinates",
     "lattice_index",
-    "pairwise_divisibility_report",
-    "pairwise_values",
     "permute_system",
     "projection_hom",
     "reid_multi",

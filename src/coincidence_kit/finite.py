@@ -20,7 +20,10 @@ stabilizers, as R(phi_1, ..., phi_k) relates to R(phi_1, phi_2): the orbits
 of Gamma on the first coordinate are the R(phi_1, phi_2) classes, the
 stabilizer of each acts on the second coordinate, and so on.  Each leaf is
 one class, its size |Gamma| / |stabilizer|; no tuple space is swept, and
-every orbit is checked against orbit-stabilizer.  A second, structurally
+every orbit is checked against orbit-stabilizer.  The partition keeps Gamma,
+and each pairwise value R(phi_1, phi_j) is one more descent over Gamma's
+projection onto coordinates 1 and j, which is the image subgroup of
+(phi_1, phi_j): the domain is scanned once per count.  A second, structurally
 different algorithm runs union-find over a generating subset of Gamma and
 reads off each class's smallest tuple and size; the two must agree on both,
 which, as any one member determines its class, makes the partitions equal.
@@ -36,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .cardinal import Cardinal, cardinal_product
+from .cardinal import Cardinal
 from .errors import (
     ConsistencyError,
     HomomorphismError,
@@ -345,17 +348,16 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, *,
 class FiniteHom:
     """A homomorphism as a full image table over domain indices.
 
-    With check=True the table is verified exactly: the identity maps to the
-    identity and phi(x*s) == phi(x)*phi(s) for every x and every s of a
-    generating set of the domain.  The elements s passing that test are
-    closed under the product, so phi is multiplicative everywhere.  The
-    check costs domain order times the number of generators.
+    The table is verified exactly: the identity maps to the identity and
+    phi(x*s) == phi(x)*phi(s) for every x and every s of a generating set of
+    the domain.  The elements s passing that test are closed under the
+    product, so phi is multiplicative everywhere.  The check costs domain
+    order times the number of generators.
     """
 
     __slots__ = ("domain", "codomain", "image")
 
-    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, image,
-                 check: bool = True):
+    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup, image):
         self.domain = domain
         self.codomain = codomain
         self.image = tuple(image)
@@ -366,8 +368,7 @@ class FiniteHom:
         for v in self.image:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < codomain.order:
                 raise HomomorphismError(f"image entry {v!r} is not a codomain index")
-        if check:
-            self.validate()
+        self.validate()
 
     @classmethod
     def _trusted(cls, domain: FiniteGroup, codomain: FiniteGroup, image) -> FiniteHom:
@@ -425,14 +426,16 @@ class TwistedPartition:
     Each class is given by its smallest tuple index, its representative, and
     its size; any one member determines a class.  Construction checks one
     representative per class, in ascending order, and sizes that cover the
-    tuple space and divide the domain's order.
+    tuple space and divide the domain's order.  images is the image subgroup
+    Gamma the classes were counted from, in first-appearance order.
     """
 
-    __slots__ = ("homs", "representatives", "class_sizes", "class_count",
-                 "tuple_space", "arity")
+    __slots__ = ("homs", "images", "representatives", "class_sizes",
+                 "class_count", "tuple_space", "arity")
 
-    def __init__(self, homs, representatives, class_sizes):
+    def __init__(self, homs, images, representatives, class_sizes):
         self.homs = homs
+        self.images = images
         self.representatives = tuple(representatives)
         self.class_sizes = tuple(class_sizes)
         self.class_count = len(self.class_sizes)
@@ -456,6 +459,28 @@ class TwistedPartition:
     @property
     def value(self) -> Cardinal:
         return Cardinal(self.class_count)
+
+    def pairwise(self) -> tuple[Cardinal, ...]:
+        """R(phi_1, phi_j) for j = 2..k, counted when asked.
+
+        Projecting Gamma onto coordinates 1 and j and dropping repeats gives
+        the image subgroup of (phi_1, phi_j) in the order a scan of the
+        domain would, so each distinct phi_j is counted once by the same
+        descent and checks as twisted_reidemeister([phi_1, phi_j]), without
+        that scan.  With two maps the one pairwise value is the value itself.
+        """
+        if self.arity == 1:
+            return (self.value,)
+        first, *rest = self.homs
+        codomain = first.codomain
+        columns = list(zip(*self.images))
+        values = {}
+        for j, h in enumerate(rest, 1):
+            if h.image not in values:
+                images = list(dict.fromkeys(zip(columns[0], columns[j])))
+                found = _descend(_actions(images, codomain), codomain, 1)
+                values[h.image] = TwistedPartition([first, h], images, *found).value
+        return tuple(values[h.image] for h in rest)
 
 
 def _image_tuples(homs):
@@ -553,20 +578,6 @@ def _generating_set(candidates, identity, mul):
     return gens
 
 
-def _check_homs(homs):
-    homs = list(homs)
-    if len(homs) < 2:
-        raise ShapeError(f"need at least two homomorphisms, got {len(homs)}")
-    domain = homs[0].domain
-    codomain = homs[0].codomain
-    for i, h in enumerate(homs):
-        if not h.domain.same_group(domain):
-            raise ShapeError(f"hom {i} has a different domain")
-        if not h.codomain.same_group(codomain):
-            raise ShapeError(f"hom {i} has a different codomain")
-    return homs, domain, codomain
-
-
 def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
                          work_cap: int = DEFAULT_WORK_CAP,
                          algorithm: str = "orbit") -> TwistedPartition:
@@ -590,8 +601,16 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
     >>> part.representatives
     (0, 6, 8, 10, 12, 13)
     """
-    homs, _, codomain = _check_homs(homs)
+    homs = list(homs)
     k = len(homs)
+    if k < 2:
+        raise ShapeError(f"need at least two homomorphisms, got {k}")
+    domain, codomain = homs[0].domain, homs[0].codomain
+    for i, h in enumerate(homs):
+        if not h.domain.same_group(domain):
+            raise ShapeError(f"hom {i} has a different domain")
+        if not h.codomain.same_group(codomain):
+            raise ShapeError(f"hom {i} has a different codomain")
     arity = k - 1
     n = codomain.order
     tuple_space = n**arity
@@ -605,10 +624,10 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
             f"estimated work {len(images) * tuple_space} exceeds the cap {work_cap}; "
             "refusing rather than sampling"
         )
-    actions = _actions(images, codomain)
 
     if algorithm == "orbit":
-        return TwistedPartition(homs, *_descend(actions, codomain, arity))
+        actions = _actions(images, codomain)
+        return TwistedPartition(homs, images, *_descend(actions, codomain, arity))
 
     if algorithm == "union-find":
         identity = tuple([codomain.identity] * k)
@@ -642,54 +661,14 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
             while (p := parent[r]) != r:
                 parent[r] = r = parent[p]
             classes.setdefault(r, [t, 0])[1] += 1
-        return TwistedPartition(homs, *zip(*classes.values()))
+        return TwistedPartition(homs, images, *zip(*classes.values()))
 
     raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def pairwise_values(homs) -> tuple[Cardinal, ...]:
-    """R(phi_1, phi_j) for each j >= 2, one count per distinct phi_j."""
-    homs, _, _ = _check_homs(homs)
-    values = {}
-    for h in homs[1:]:
-        if h.image not in values:
-            values[h.image] = twisted_reidemeister([homs[0], h]).value
-    return tuple(values[h.image] for h in homs[1:])
-
-
-class FiniteDivisibilityReport:
-    __slots__ = ("value", "pairwise", "product", "divides", "witness")
-
-    def __init__(self, value: Cardinal, pairwise, product: Cardinal, divides: bool):
-        self.value = value
-        self.pairwise = tuple(pairwise)
-        self.product = product
-        self.divides = divides
-        verdict = "divides" if divides else "does NOT divide"
-        self.witness = f"pairwise product {product} {verdict} {value}"
-
-
-def pairwise_divisibility_report(homs, partition=None) -> FiniteDivisibilityReport:
-    """Whether the product of pairwise values divides the multi-map value.
-
-    For finite targets it need not: the count reports whichever way the
-    instance falls, with a witness string.  A caller that already counted the
-    classes passes that partition instead of having the count rerun.  With two
-    maps the one pairwise value is the value itself and is not counted again.
-    """
-    homs, _, _ = _check_homs(homs)
-    if partition is None:
-        partition = twisted_reidemeister(homs)
-    value = partition.value
-    pairwise = (value,) if len(homs) == 2 else pairwise_values(homs)
-    product = cardinal_product(pairwise)
-    return FiniteDivisibilityReport(value, pairwise, product, product.divides(value))
 
 
 __all__ = [
     "FiniteGroup",
     "FiniteHom",
-    "FiniteDivisibilityReport",
     "TwistedPartition",
     "binary_icosahedral_group",
     "close_group",
@@ -697,8 +676,6 @@ __all__ = [
     "cyclic_group",
     "direct_product",
     "identity_hom",
-    "pairwise_divisibility_report",
-    "pairwise_values",
     "projection_hom",
     "twisted_reidemeister",
 ]

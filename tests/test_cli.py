@@ -746,19 +746,19 @@ def test_ordering_row_details():
 
 
 class TestPairwiseValuesReuseSweeps:
-    """The pairwise value of two maps is the value itself, and each distinct
-    second map is swept against the first once."""
+    """The pairwise values come from the partition the count returns: the
+    pairwise value of two maps is the value itself, and the others project
+    the family's image subgroup, so compute counts once."""
 
     @pytest.mark.parametrize(
-        "maps, sweeps, value, pairwise",
+        "maps, value, pairwise",
         [
-            ([{"identity": True}, {"constant": True}], 1, 1, [1]),
-            # R(ID, CONST) once, not twice
-            ([{"identity": True}, {"constant": True}, {"constant": True}], 2, 24, [1, 1]),
-            ([{"identity": True}, {"identity": True}, {"constant": True}], 3, 24, [5, 1]),
+            ([{"identity": True}, {"constant": True}], 1, [1]),
+            ([{"identity": True}, {"constant": True}, {"constant": True}], 24, [1, 1]),
+            ([{"identity": True}, {"identity": True}, {"constant": True}], 24, [5, 1]),
         ],
     )
-    def test_orbit_sweeps(self, capsys, monkeypatch, maps, sweeps, value, pairwise):
+    def test_orbit_sweeps(self, capsys, monkeypatch, maps, value, pairwise):
         original = finite.twisted_reidemeister
         seen = []
 
@@ -779,10 +779,28 @@ class TestPairwiseValuesReuseSweeps:
         )
         code, out, err = run_cli(capsys, "compute", problem, "--format", "structured")
         assert code == 0, err
-        assert len(seen) == sweeps
+        assert seen == [len(maps)]
         report = json.loads(out)
         assert report["value"] == value
         assert report["pairwise"] == pairwise
+
+    @pytest.mark.parametrize("flags, scans", [((), 1), (("--oracle",), 2)])
+    def test_one_domain_scan_per_count(self, capsys, monkeypatch, flags, scans):
+        # S4 [ID, ID, CONST] prints two pairwise values, and they scan no
+        # domain: only the count and the union-find oracle do
+        original = finite._image_tuples
+        seen = []
+
+        def counting(homs):
+            seen.append(len(homs))
+            return original(homs)
+
+        monkeypatch.setattr(finite, "_image_tuples", counting)
+        problem = _finite_problem(S4_GENS, [ID, ID, CONST])
+        code, out, err = run_cli(capsys, "compute", problem, *flags)
+        assert code == 0, err
+        assert "pairwise: 5, 1\n" in out
+        assert seen == [3] * scans
 
 
 S4_GENS = [[1, 0, 2, 3], [1, 2, 3, 0]]
@@ -870,6 +888,28 @@ class TestStabilizerDescent:
         # union-find tabulates each generator's action per coordinate: 6 954
         # here; moving every tuple through every generator made 121 194
         assert len(muls) <= 8000
+
+    def test_union_find_inverts_only_its_generators(self, capsys, monkeypatch):
+        original_inv = finite.FiniteGroup.inv
+        inversions = []
+
+        def counting_inv(self, i):
+            inversions.append(None)
+            return original_inv(self, i)
+
+        monkeypatch.setattr(finite.FiniteGroup, "inv", counting_inv)
+        problem = _finite_problem(S5_GENS, [ID, ID, CONST])
+        counts = []
+        for flags in ((), ("--oracle",)):
+            inversions.clear()
+            code, out, err = run_cli(capsys, "compute", problem, *flags)
+            assert code == 0, err
+            counts.append(len(inversions))
+        # |Gamma| * (k - 1) = 240 for the count and 120 for each pairwise
+        # value; union-find then inverts its generators' images alone, where
+        # inverting all of Gamma first made 724 in all
+        assert counts[0] == 480
+        assert counts[1] - counts[0] <= 8
 
     @pytest.fixture
     def mutated_descent(self, monkeypatch):

@@ -5,14 +5,17 @@ cross-check against the free-abelian engine on cyclic targets."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from coincidence_kit import finite
+from coincidence_kit import cli, finite
 from coincidence_kit.abelian import AbelianSystem, stacked_difference
 from coincidence_kit.cardinal import Cardinal
 from coincidence_kit.errors import (
+    ConsistencyError,
     HomomorphismError,
     ShapeError,
     SizeCapError,
@@ -28,8 +31,6 @@ from coincidence_kit.finite import (
     cyclic_group,
     direct_product,
     identity_hom,
-    pairwise_divisibility_report,
-    pairwise_values,
     projection_hom,
     twisted_reidemeister,
 )
@@ -74,7 +75,7 @@ def all_homs(domain: FiniteGroup, codomain: FiniteGroup):
             for a in range(n)
             for b in range(n)
         ):
-            found.append(FiniteHom(domain, codomain, image, check=False))
+            found.append(FiniteHom._trusted(domain, codomain, image))
     return found
 
 
@@ -431,7 +432,7 @@ class TestPoincareProjections:
     def test_pair_values(self):
         assert twisted_reidemeister([P1, P1]).class_count == 9
         assert twisted_reidemeister([P1, CBAR]).class_count == 1
-        assert pairwise_values([P1, P1, CBAR]) == (Cardinal(9), Cardinal(1))
+        assert twisted_reidemeister([P1, P1, CBAR]).pairwise() == (Cardinal(9), Cardinal(1))
 
     def test_pair_matches_conjugacy(self):
         # equal maps twist by plain conjugation in the image
@@ -439,13 +440,12 @@ class TestPoincareProjections:
             ICOSA
         )
 
-    def test_divisibility_fails_here(self):
-        report = pairwise_divisibility_report([P1, P1, CBAR])
-        assert report.value == Cardinal(120)
-        assert report.pairwise == (Cardinal(9), Cardinal(1))
-        assert report.product == Cardinal(9)
-        assert report.divides is False
-        assert "does NOT divide" in report.witness
+    def test_divisibility_fails_here(self, capsys):
+        problem = Path(__file__).resolve().parent.parent / "problems" / "example1_poincare.json"
+        assert cli.main(["compute", str(problem), "--format", "structured"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["value"], report["pairwise"]) == (120, [9, 1])
+        assert report["intermediates"]["divisibility"] == "pairwise product 9 does NOT divide 120"
 
     def test_dual_algorithms_agree_on_triple(self):
         # 14 400 tuples are past the pairwise brute force, so the two
@@ -498,8 +498,8 @@ class TestDegenerations:
 
 def _conjugated(h: FiniteHom, c: int) -> FiniteHom:
     g = h.codomain
-    return FiniteHom(
-        h.domain, g, [g.mul(g.mul(c, v), g.inv(c)) for v in h.image], check=False
+    return FiniteHom._trusted(
+        h.domain, g, [g.mul(g.mul(c, v), g.inv(c)) for v in h.image]
     )
 
 
@@ -635,6 +635,78 @@ class TestDescentAgainstBruteForce:
             part = self._assert_matches([constant_hom(domain, codomain)] * k)
             assert part.class_count == part.tuple_space
             assert set(part.class_sizes) == {1}
+
+
+# -- pairwise values from the image subgroup ----------------------------------------
+
+
+def _pairwise_families():
+    rng = random.Random(1818)
+    families = []
+    for name, pool in (("s3", S3_ENDOS), ("c4", C4_ENDOS), ("c6-s3", C6_TO_S3)):
+        for k in (3, 4):
+            for i in range(4):
+                homs = [rng.choice(pool) for _ in range(k)]
+                families.append(pytest.param(homs, id=f"{name}-k{k}-{i}"))
+    return families
+
+
+class TestPairwiseFromImageSubgroup:
+    """R(phi_1, phi_j) comes from projecting the family's image subgroup onto
+    coordinates 1 and j: the same action list, descent and checks as counting
+    the pair on its own, with no second scan of the domain."""
+
+    @pytest.mark.parametrize("homs", _pairwise_families())
+    def test_matches_a_count_of_each_pair(self, homs, monkeypatch):
+        expected = tuple(twisted_reidemeister([homs[0], h]).value for h in homs[1:])
+        pair_actions = {
+            h.image: finite._actions(finite._image_tuples([homs[0], h]), h.codomain)
+            for h in homs[1:]
+        }
+        part = twisted_reidemeister(homs)
+        uf = twisted_reidemeister(homs, algorithm="union-find")
+        original = finite._descend
+        seen = []
+
+        def recording(actions, codomain, arity):
+            seen.append(actions)
+            return original(actions, codomain, arity)
+
+        monkeypatch.setattr(finite, "_descend", recording)
+        monkeypatch.setattr(finite, "_image_tuples", pytest.fail)
+        assert part.pairwise() == expected
+        # one descent per distinct phi_j, over exactly the pair's own actions
+        assert seen == list(pair_actions.values())
+        assert uf.pairwise() == expected
+
+    def test_poincare_triple(self):
+        assert twisted_reidemeister([P1, P1, CBAR]).pairwise() == (Cardinal(9), Cardinal(1))
+
+    def test_two_maps_give_the_value(self, monkeypatch):
+        part = twisted_reidemeister([P1, CBAR])
+        monkeypatch.setattr(finite, "_descend", pytest.fail)
+        assert part.pairwise() == (part.value,) == (Cardinal(1),)
+
+    def test_pair_sizes_are_checked(self, monkeypatch):
+        part = twisted_reidemeister([identity_hom(S3), identity_hom(S3), constant_hom(S3, S3)])
+        original = finite._descend
+
+        def off_by_one(actions, codomain, arity):
+            representatives, sizes = original(actions, codomain, arity)
+            if arity == 1:
+                sizes[0] += 1
+            return representatives, sizes
+
+        monkeypatch.setattr(finite, "_descend", off_by_one)
+        with pytest.raises(ConsistencyError, match="do not cover the tuple space"):
+            part.pairwise()
+
+    def test_pair_orbits_are_checked(self):
+        # without its last tuple Gamma is no subgroup, nor is its projection
+        part = twisted_reidemeister([P1, P1, CBAR])
+        part.images = part.images[:-1]
+        with pytest.raises(ConsistencyError, match="breaks orbit-stabilizer"):
+            part.pairwise()
 
 
 # -- cross-check against the free-abelian engine --------------------------------
