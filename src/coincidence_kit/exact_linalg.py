@@ -11,17 +11,20 @@ Smith divisors.  Engines take every order whose divisors they do not print
 from cokernel_order, and oracles recount each order by the other route.
 
 Smith forms serve callers that print divisors or read transforms, and each
-one is checked exactly, by one of two routes.  A nonsingular square matrix
-is reduced without transforms (s, t and d stay None), and its divisors must
-number n, form a chain, multiply to |det m| (the same Bareiss pass, which
-shares nothing with the Smith loop) and start with the gcd of the entries.
-That pins the cokernel order, the rank and the first divisor, not each
-middle divisor on its own.  Every other matrix is reduced with identity
-blocks appended, [[m | I], [I]]: the row operations turn the right block
-into s and the column operations turn the bottom block into t, which are
-re-multiplied against the input: s @ m @ t == d.  kernel_basis reads the
-kernel off t (a nonsingular square matrix has none), and unimodular_inverse
-takes m^-1 = t @ s from s @ m @ t == I and checks m @ m^-1 == I exactly.
+chain is checked exactly, by one of two routes.  A matrix of full row rank
+is reduced without transforms (s, t and d stay None) by _smith_divisors,
+which only ever touches the live submatrix.  Its divisors must number rows,
+form a chain, start with the gcd of the entries and multiply to an index
+found by a route that shares nothing with the Smith loop: |det m| (Bareiss)
+for a square m, the Hermite index modulo D for a wide one.  That pins the
+rank, the cokernel order, the first divisor and the chain, not each middle
+divisor on its own.  Every other matrix (tall, or short of full row rank) is
+reduced with identity blocks appended, [[m | I], [I]]: the row operations
+turn the right block into s and the column operations turn the bottom block
+into t, which are re-multiplied against the input: s @ m @ t == d.
+kernel_basis reads the kernel off t, and unimodular_inverse takes
+m^-1 = t @ s from s @ m @ t == I and checks m @ m^-1 == I exactly; both
+take the transform route themselves.
 
 certify_smith proves every divisor of m's Smith form, at any size, for one
 elimination with transforms and two determinants: it requires
@@ -206,7 +209,8 @@ class SnfResult:
 
     The divisors are always present.  s, t and d are set by the elimination
     that tracks transforms and checks s @ m @ t == d; they are None when
-    smith_normal_form reduced a nonsingular square m without them.
+    smith_normal_form reduced an m of full row rank (square or wide) without
+    them.  certify_smith always sets them.
     """
 
     __slots__ = ("m", "divisors", "s", "t", "d")
@@ -333,6 +337,68 @@ def _eliminate(a, rows: int, cols: int) -> tuple[int, ...]:
     return tuple(a[i][i] for i in range(k))
 
 
+def _smith_divisors(rows) -> tuple[int, ...]:
+    """Divisor chain of the list-of-rows matrix rows (whose rows it may
+    overwrite), without transforms.
+
+    The same discipline as _eliminate, on the live submatrix only: zero rows
+    leave it, and once a pivot's column is cleared and the pivot divides its
+    row, the row and column leave it with no column operations, since those
+    would only clear that row.  The hunt stops at the first unit, and a unit
+    pivot skips the divisibility sweep.
+    """
+    a = [row for row in rows if any(row)]
+    divisors = []
+    while a:
+        best = pi = None
+        for i, row in enumerate(a):
+            v = min(map(abs, filter(None, row)))
+            if best is None or v < best:
+                best, pi = v, i
+                if v == 1:
+                    break
+        prow = a.pop(pi)
+        pj = prow.index(best) if best in prow else prow.index(-best)
+        while True:
+            # Clear the pivot column by row operations; a remainder becomes
+            # the next, smaller pivot.
+            p = prow[pj]
+            low = None
+            for i, row in enumerate(a):
+                f = row[pj]
+                if f:
+                    q = f // p
+                    if q:
+                        a[i] = row = [x - q * y for x, y in zip(row, prow)]
+                        f = row[pj]
+                    if f and (low is None or abs(f) < abs(a[low][pj])):
+                        low = i
+            if low is not None:
+                a[low], prow = prow, a[low]
+                continue
+            if p not in (1, -1):
+                # Column operations against the cleared pivot column change
+                # the pivot row alone: they leave its entries modulo p.
+                rest = [x % p for x in prow]
+                if any(rest):
+                    j = min((j for j, x in enumerate(rest) if x), key=lambda j: abs(rest[j]))
+                    rest[pj] = p
+                    prow, pj = rest, j
+                    continue
+                # Divisibility sweep: fold a violating row into the pivot row.
+                offender = next((row for row in a if any(x % p for x in row)), None)
+                if offender is not None:
+                    prow = list(offender)
+                    prow[pj] = p
+                    continue
+            break
+        divisors.append(abs(p))
+        a = [row for row in a if any(row)]
+        for row in a:
+            del row[pj]
+    return tuple(divisors)
+
+
 def _smith_with_transforms(m: IntMatrix) -> SnfResult:
     """Smith form with its transforms, verified by s @ m @ t == d.
 
@@ -353,30 +419,38 @@ def _smith_with_transforms(m: IntMatrix) -> SnfResult:
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Diagonalize m over the integers with a divisor chain on the diagonal.
 
-    A nonsingular square m is reduced without transforms.  Its divisors are
-    checked against invariants computed apart from the elimination: there
-    are n of them, they form a chain, their product is |det m| (Bareiss),
-    and the first is the gcd of the entries.  That pins the cokernel order,
-    the rank and d_1 exactly, not each middle divisor; s, t and d are None.
-    Every other shape is reduced with transforms, verified by s @ m @ t == d.
+    An m of full row rank is reduced without transforms (s, t and d are
+    None; certify_smith returns them).  Its divisors are checked against an
+    index found apart from the elimination: |det m| (Bareiss) for a square
+    m, the Hermite index modulo D for a wide one.  There must be one divisor
+    per row, forming a chain, multiplying to that index, and the first must
+    be the gcd of the entries.  That pins the rank, the cokernel order, d_1
+    and the chain, not each middle divisor on its own.  Every other m (tall,
+    or short of full row rank) is reduced with transforms, verified by
+    s @ m @ t == d.
 
     >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
     (1, 2)
     """
-    if not m.is_square:
+    if m.rows > m.cols:
         return _smith_with_transforms(m)
-    det = determinant(m)
-    if det == 0:
+    if m.is_square:
+        index, name, kind = abs(determinant(m)), "|det m|", "nonsingular"
+    else:
+        pivots = _hermite_pivots(m)
+        index = 0 if pivots is None else prod(pivots, start=1)
+        name, kind = "the Hermite index", "full-rank"
+    if not index:
         return _smith_with_transforms(m)
-    divisors = _eliminate(m.to_lists(), m.rows, m.cols)
+    divisors = _smith_divisors(m.to_lists())
     _check_chain(divisors)
     if len(divisors) != m.rows:
         raise ConsistencyError(
-            f"{len(divisors)} divisors for a nonsingular {m.rows}x{m.rows} matrix"
+            f"{len(divisors)} divisors for a {kind} {m.rows}x{m.cols} matrix"
         )
-    if prod(divisors, start=1) != abs(det):
+    if prod(divisors, start=1) != index:
         raise ConsistencyError(
-            f"divisors {divisors} do not multiply to |det m| = {abs(det)}"
+            f"divisors {divisors} do not multiply to {name} = {index}"
         )
     if divisors and divisors[0] != gcd(*m.entries):
         raise ConsistencyError(
@@ -555,14 +629,15 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the full integer kernel lattice {v : m @ v = 0}, in canonical
     Hermite form.  The lattice is saturated: any rational kernel vector with
     integer entries is an integer combination of the basis.  The columns of
-    t past the rank of m's Smith form span it; a nonsingular square m has none.
+    t past the rank of m's Smith form span it, so this takes the Smith form
+    with transforms whatever the shape of m.
 
     >>> kernel_basis(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     [(1, -1, 2)]
     """
     if m.cols == 0:
         return []
-    snf = smith_normal_form(m)
+    snf = _smith_with_transforms(m)
     r = len(snf.divisors)
     raw = [snf.t.column(j) for j in range(r, m.cols)]
     basis = hermite_basis(raw, m.cols)

@@ -9,7 +9,9 @@ runs of ``coincidence_kit.cli.main``, in order:
   perfbench/problems.py generates for the workload at the seed, in its
   benchmark form; then, except for finite, ``check --trace`` and
   ``compute --oracle --trace`` (structured) on each of those problems;
-- golden: the modes of tests/golden_cases.py on every shipped problem.
+- golden: the modes of tests/golden_cases.py on every shipped problem,
+  named by its path relative to the checkout, which is the working
+  directory of every run; so no digest depends on where the checkout lives.
 
 The problems always come from this checkout; --src picks the package that
 answers them (default: this checkout's src).  So a change meant to leave
@@ -17,6 +19,10 @@ printed output alone shows it with two commands, one per --src, that print
 the same lines on stdout; stderr names the package that answered.  All work
 happens under __main__, so importing this file (as pytest's
 --doctest-modules does) runs nothing.
+
+tests/output_digest_seed101.txt holds the stdout at seed 101, and CI fails
+when it differs.  A change that alters printed output on purpose
+regenerates that file, as it does tests/golden/.
 """
 
 if __name__ == "__main__":
@@ -25,6 +31,7 @@ if __name__ == "__main__":
     import hashlib
     import io
     import json
+    import os
     import sys
     from pathlib import Path
 
@@ -34,6 +41,7 @@ if __name__ == "__main__":
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     args = parser.parse_args()
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    os.chdir(ROOT)
 
     from coincidence_kit import cli
     from problems import WORKLOADS, generate
@@ -61,7 +69,7 @@ if __name__ == "__main__":
                 )
         runs[workload] = argvs
     runs["golden"] = [
-        [command, str(path), *flags, "--format", "structured"]
+        [command, path.relative_to(ROOT).as_posix(), *flags, "--format", "structured"]
         for path in PROBLEM_FILES
         for command, *flags in MODES.values()
     ]

@@ -1012,7 +1012,7 @@ class TestStabilizerDescent:
 
 
 class TestLazySmithTransforms:
-    """Nonsingular square matrices are reduced without transforms; only the
+    """Matrices of full row rank are reduced without transforms; only the
     shapes that need them take the elimination that tracks s and t."""
 
     @pytest.fixture
@@ -1057,6 +1057,66 @@ class TestLazySmithTransforms:
         # the wide pairwise matrices take Hermite pivots, and the 8x8
         # stacked one is nonsingular
         assert with_transforms == []
+
+
+class TestTransformFreeSmith:
+    """Every Smith form of full row rank that a run prints comes from the
+    transform-free kernel _smith_divisors; no _eliminate call runs."""
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        calls = Counter()
+        for name in ("_eliminate", "_smith_divisors"):
+            original = getattr(exact_linalg, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(exact_linalg, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["snf", "compute"])
+    def test_nonsingular_square_snf_problem(self, capsys, kernels, command):
+        code, out, err = run_cli(capsys, command, _snf_problem(_seeded_matrix(1616, 16)))
+        assert code == 0, err
+        assert "value: 3215286139594\n" in out
+        assert kernels == {"_smith_divisors": 1}
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["square", "wide"])
+    def test_stacked_torus_system(self, capsys, kernels, extra):
+        # three maps Z^(8 + extra) -> Z^4 stack to an 8 x (8 + extra)
+        # difference; pairwise and leave-one-out orders take Hermite pivots
+        rng = random.Random(19)
+        maps = [
+            [[rng.randint(-4, 4) for _ in range(8 + extra)] for _ in range(4)]
+            for _ in range(3)
+        ]
+        problem = json.dumps({"kind": "abelian-multi", "maps": maps})
+        code, out, err = run_cli(capsys, "compute", problem, "--trace")
+        assert code == 0, err
+        assert f"stacked difference has shape 8x{8 + extra}\n" in out
+        assert "value: infinite" not in out
+        assert kernels == {"_smith_divisors": 1}
+
+    def test_wrong_wide_recount_exits_2(self, capsys, monkeypatch):
+        # the oracle's leave-one-out stacks of example 2 are 2x3; a kernel
+        # that doubles their last divisor misses the Hermite index
+        original = exact_linalg._smith_divisors
+
+        def doubling(rows):
+            divisors = original(rows)
+            if len(rows) < len(rows[0]):
+                divisors = divisors[:-1] + (2 * divisors[-1],)
+            return divisors
+
+        monkeypatch.setattr(exact_linalg, "_smith_divisors", doubling)
+        path = str(PROBLEMS / "example2_torus.json")
+        code, _, err = run_cli(capsys, "compute", path)
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "compute", path, "--oracle")
+        assert code == 2
+        assert "do not multiply to the Hermite index" in err
 
 
 # -- the cokernel oracle at scale -------------------------------------------------------
@@ -1278,11 +1338,11 @@ class TestSmithCertificate:
     def test_non_unimodular_transform_exits_2(self, capsys, doubled_last_divisor):
         """An elimination whose s doubles the last nonzero row of d keeps
         s @ m @ t == d and the divisor chain; only the certificate sees it."""
-        # a zero column makes the input non-square, so plain snf reduces it
-        # with transforms and s @ m @ t == d is all the reduction checks; the
+        # a zero row makes the input tall, so plain snf reduces it with
+        # transforms and s @ m @ t == d is all the reduction checks; the
         # square input is nonsingular, so plain snf reduces it without them
-        wide = _snf_problem([row + [0] for row in json.loads(self.BIG)["matrix"]])
-        for problem in (wide, self.SQUARE):
+        tall = _snf_problem(json.loads(self.BIG)["matrix"] + [[0] * 16])
+        for problem in (tall, self.SQUARE):
             code, _, err = run_cli(capsys, "snf", problem)
             assert code == 0, err
             code, out, err = run_cli(capsys, "snf", problem, "--oracle")

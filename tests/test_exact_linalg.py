@@ -8,9 +8,11 @@ enumerator lists the Hermite box; a breadth-first closure checks that listing.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,8 @@ from coincidence_kit.exact_linalg import (
 from conftest import elementary_divisors_via_minors, rank
 
 WORKED = IntMatrix([[2, 4, 1], [2, 6, 2]])
+# WORKED's rows and their sum: rank 2 of 3 rows, so it takes the transform route
+DEFICIENT = IntMatrix([[2, 4, 1, 0], [2, 6, 2, 0], [4, 10, 3, 0]])
 
 
 def bfs_cokernel(m, cap):
@@ -169,7 +173,10 @@ class TestSmithWorkedValues:
         assert smith_normal_form(IntMatrix([], cols=0)).cokernel_order() == Cardinal.finite(1)
 
     def test_transforms_reconstruct(self):
-        res = smith_normal_form(WORKED)
+        # WORKED has full row rank, so smith_normal_form leaves its
+        # transforms unset; the transform route is read directly
+        res = el._smith_with_transforms(WORKED)
+        assert res.divisors == smith_normal_form(WORKED).divisors
         assert (res.s @ WORKED) @ res.t == res.d
         assert abs(determinant(res.s)) == 1
         assert abs(determinant(res.t)) == 1
@@ -208,7 +215,7 @@ class TestSmithCertificate:
 
         monkeypatch.setattr(el, "_eliminate", eliminate)
         with pytest.raises(ConsistencyError, match="diagonal of d"):
-            smith_normal_form(WORKED)
+            smith_normal_form(DEFICIENT)
 
     def test_every_divisor_must_be_positive(self, monkeypatch):
         original = el._eliminate
@@ -221,7 +228,7 @@ class TestSmithCertificate:
 
         monkeypatch.setattr(el, "_eliminate", eliminate)
         with pytest.raises(ConsistencyError, match="chain"):
-            smith_normal_form(WORKED)  # s @ m @ t == d holds with d = [1, -2]
+            smith_normal_form(DEFICIENT)  # s @ m @ t == d holds with d = [1, -2]
 
 
 class TestSmithProperties:
@@ -260,13 +267,12 @@ class TestSmithProperties:
 
 
 class TestLazyTransforms:
-    """A nonsingular square input is reduced without transforms and checked
-    against its determinant; its s, t and d stay None."""
+    """An input of full row rank is reduced without transforms, by
+    _smith_divisors, and checked against |det m| when square or its Hermite
+    index when wide; its s, t and d stay None."""
 
     @pytest.fixture
     def with_transforms(self, monkeypatch):
-        import coincidence_kit.exact_linalg as el
-
         original = el._smith_with_transforms
         calls = []
 
@@ -277,17 +283,56 @@ class TestLazyTransforms:
         monkeypatch.setattr(el, "_smith_with_transforms", counting)
         return calls
 
-    def test_nonsingular_square_leaves_transforms_unset(self, with_transforms):
+    @pytest.fixture
+    def divisor_kernel(self, monkeypatch):
+        original = el._smith_divisors
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(el, "_smith_divisors", counting)
+        return calls
+
+    def test_nonsingular_square_leaves_transforms_unset(self, with_transforms, divisor_kernel):
         m = random_nonsingular(random.Random(3), 7)
         res = smith_normal_form(m)
         assert res.cokernel_order() == Cardinal.finite(abs(determinant(m)))
         assert (res.s, res.t, res.d) == (None, None, None)
+        assert (with_transforms, divisor_kernel) == ([], [7])
+        # kernel_basis reads t, so it takes the transform route itself
         assert kernel_basis(m) == []
-        assert with_transforms == []
+        assert with_transforms == [m]
+
+    def test_full_row_rank_wide_leaves_transforms_unset(self, with_transforms, divisor_kernel):
+        m = random_matrix(random.Random(4), lo=-4, hi=4, rows=6, cols=9)
+        res = smith_normal_form(m)
+        assert res.cokernel_order() == cokernel_order(m) != INFINITE
+        assert (res.s, res.t, res.d) == (None, None, None)
+        assert (with_transforms, divisor_kernel) == ([], [6])
+
+    def test_rank_deficient_input_eliminates_once_with_transforms(
+        self, monkeypatch, divisor_kernel
+    ):
+        original = el._eliminate
+        calls = []
+
+        def counting(a, rows, cols):
+            calls.append((len(a), rows, cols))
+            return original(a, rows, cols)
+
+        monkeypatch.setattr(el, "_eliminate", counting)
+        res = smith_normal_form(DEFICIENT)
+        assert res.divisors == (1, 2)
+        assert (res.s @ DEFICIENT) @ res.t == res.d
+        # the identity block for t sits below the 3 rows of m
+        assert calls == [(3 + 4, 3, 4)]
+        assert divisor_kernel == []
 
     @pytest.mark.parametrize(
         "m",
-        [IntMatrix([[1, 2], [2, 4]]), IntMatrix.zeros(3, 3), WORKED, WORKED.transpose()],
+        [IntMatrix([[1, 2], [2, 4]]), IntMatrix.zeros(3, 3), DEFICIENT, WORKED.transpose()],
     )
     def test_singular_and_non_square_inputs_are_eager(self, with_transforms, m):
         res = smith_normal_form(m)
@@ -296,8 +341,6 @@ class TestLazyTransforms:
         assert len(with_transforms) == 1
 
     def test_unimodular_inverse_eliminates_once(self, monkeypatch):
-        import coincidence_kit.exact_linalg as el
-
         original = el._eliminate
         calls = []
 
@@ -320,11 +363,25 @@ class TestLazyTransforms:
         ],
     )
     def test_wrong_chain_is_refused(self, monkeypatch, chain, complaint):
-        import coincidence_kit.exact_linalg as el
-
-        monkeypatch.setattr(el, "_eliminate", lambda a, rows, cols: chain)
+        monkeypatch.setattr(el, "_smith_divisors", lambda rows: chain)
         with pytest.raises(ConsistencyError, match=complaint):
             smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
+
+    @pytest.mark.parametrize(
+        "chain, complaint",
+        [
+            ((2, 12), "Hermite index"),  # 24 != the Hermite index 12
+            ((1, 12), "gcd"),  # product 12, but the entries have gcd 2
+            ((12,), "divisors for a full-rank"),
+            ((4, 3), "chain"),
+        ],
+    )
+    def test_wrong_wide_chain_is_refused(self, monkeypatch, chain, complaint):
+        m = IntMatrix([[2, 0, 4], [0, -6, 0]])
+        assert smith_normal_form(m).divisors == (2, 6)
+        monkeypatch.setattr(el, "_smith_divisors", lambda rows: chain)
+        with pytest.raises(ConsistencyError, match=complaint):
+            smith_normal_form(m)
 
 
 @pytest.fixture
@@ -386,6 +443,49 @@ class TestSympyOracle:
         assert (res.s @ m) @ res.t == res.d
         assert res.divisors == sympy_divisors(m)
         assert len(res.divisors) == 5
+
+
+def kernel_cases():
+    """(kind, matrix) for 400 seeded matrices up to 8x8, entries within 1,
+    2, 4 or 30: square, wide, tall, and singular ones with a row that is a
+    combination of two others."""
+    rng = random.Random(19)
+    out = []
+    for i in range(400):
+        bound = (1, 2, 4, 30)[i % 4]
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        data = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        kind = "square" if rows == cols else "wide" if rows < cols else "tall"
+        if rows >= 3 and i % 3 == 0:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+            kind = "singular " + kind
+        out.append((kind, IntMatrix(data, cols=cols)))
+    return out
+
+
+class TestSmithDivisors:
+    """The transform-free kernel against the elimination that tracks
+    transforms, the pinned transform cases and sympy."""
+
+    def test_matches_the_transform_route(self):
+        kinds = set()
+        for kind, m in kernel_cases():
+            kinds.add(kind)
+            want = el._smith_with_transforms(m).divisors
+            assert el._smith_divisors(m.to_lists()) == want, m
+            assert smith_normal_form(m).divisors == want
+        assert {"square", "wide", "tall", "singular square", "singular wide"} <= kinds
+
+    def test_pinned_transform_cases(self):
+        pins = json.loads((Path(__file__).parent / "smith_transforms.json").read_text())
+        assert len(pins) == 39
+        for name, pin in pins.items():
+            assert el._smith_divisors(pin["m"]) == tuple(pin["divisors"]), name
+
+    def test_sympy_invariant_factors(self, sympy_divisors):
+        for kind, m in kernel_cases()[:120]:
+            assert el._smith_divisors(m.to_lists()) == sympy_divisors(m), (kind, m)
 
 
 class TestKernel:

@@ -810,15 +810,17 @@ class TestStackAgainstFold:
         """The engine counts a square quotient difference by Hermite pivots
         and lifts no delta-vector off it; only the oracle's recount takes
         Smith forms: the quotient and central orders, and no coarse order,
-        which with no delta-vector is the central one."""
+        which with no delta-vector is the central one.  Eliminations by
+        both Smith kernels count, with transforms or without."""
         eliminated = []
-        eliminate = exact_linalg._eliminate
+        for name in ("_eliminate", "_smith_divisors"):
+            original = getattr(exact_linalg, name)
 
-        def counting(a, rows, cols):
-            eliminated.append((rows, cols))
-            return eliminate(a, rows, cols)
+            def counting(*args, _name=name, _original=original):
+                eliminated.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(exact_linalg, "_eliminate", counting)
+            monkeypatch.setattr(exact_linalg, name, counting)
         command, *flags = argv
         path = PROBLEMS / "heisenberg_pair.json"
         assert cli.main([command, str(path), *flags]) == 0
