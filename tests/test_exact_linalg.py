@@ -40,7 +40,8 @@ from coincidence_kit.exact_linalg import (
 from conftest import elementary_divisors_via_minors, rank
 
 WORKED = IntMatrix([[2, 4, 1], [2, 6, 2]])
-# WORKED's rows and their sum: rank 2 of 3 rows, so it takes the transform route
+# WORKED's rows, their sum and a zero column: rank 2 of 3 rows, so
+# smith_normal_form takes the transform route
 DEFICIENT = IntMatrix([[2, 4, 1, 0], [2, 6, 2, 0], [4, 10, 3, 0]])
 
 
@@ -341,6 +342,8 @@ class TestLazyTransforms:
         assert len(with_transforms) == 1
 
     def test_unimodular_inverse_eliminates_once(self, monkeypatch):
+        import coincidence_kit.exact_linalg as el
+
         original = el._eliminate
         calls = []
 
