@@ -47,6 +47,7 @@ from .cardinal import INFINITE, Cardinal, cardinal_product
 from .errors import (
     CoincidenceError,
     ConsistencyError,
+    HomomorphismError,
     ProblemError,
     SizeCapError,
     StructureError,
@@ -181,6 +182,14 @@ def _closure_cap() -> int:
 
 
 def _build_finite_group(name, spec, resolved, specs, building):
+    try:
+        return _build_finite_group_inner(name, spec, resolved, specs, building)
+    except StructureError as exc:
+        # structural problems in a group description are input errors
+        raise ProblemError(f"groups.{name}: {exc}") from exc
+
+
+def _build_finite_group_inner(name, spec, resolved, specs, building):
     if name in resolved:
         return resolved[name]
     if name in building:
@@ -249,14 +258,6 @@ def _build_finite_group(name, spec, resolved, specs, building):
 
 
 def _build_finite_maps(doc: dict):
-    try:
-        return _build_finite_maps_inner(doc)
-    except StructureError as exc:
-        # structural problems in a finite description are input errors
-        raise ProblemError(str(exc)) from exc
-
-
-def _build_finite_maps_inner(doc: dict):
     specs = _require(doc, "groups")
     if not isinstance(specs, dict) or not specs:
         raise ProblemError("groups: expected a non-empty object of named groups")
@@ -278,28 +279,33 @@ def _build_finite_maps_inner(doc: dict):
         where = f"maps[{i}]"
         if not isinstance(m, dict):
             raise ProblemError(f"{where}: expected an object describing the map")
-        if "projection" in m:
-            hom = projection_hom(domain, _to_int(m["projection"], f"{where}.projection"))
-            if not hom.codomain.same_group(codomain):
-                raise ProblemError(
-                    f"{where}: that projection does not land in the codomain"
+        try:
+            if "projection" in m:
+                hom = projection_hom(
+                    domain, _to_int(m["projection"], f"{where}.projection")
                 )
-        elif "constant" in m:
-            hom = constant_hom(domain, codomain)
-        elif "identity" in m:
-            if not domain.same_group(codomain):
-                raise ProblemError(
-                    f"{where}: identity needs equal domain and codomain"
+                if not hom.codomain.same_group(codomain):
+                    raise ProblemError(
+                        f"{where}: that projection does not land in the codomain"
+                    )
+            elif "constant" in m:
+                hom = constant_hom(domain, codomain)
+            elif "identity" in m:
+                if not domain.same_group(codomain):
+                    raise ProblemError(
+                        f"{where}: identity needs equal domain and codomain"
+                    )
+                hom = identity_hom(domain)
+            elif "images" in m:
+                hom = FiniteHom(
+                    domain, codomain, _to_vector(m["images"], f"{where}.images")
                 )
-            hom = identity_hom(domain)
-        elif "images" in m:
-            hom = FiniteHom(
-                domain, codomain, _to_vector(m["images"], f"{where}.images")
-            )
-        else:
-            raise ProblemError(
-                f"{where}: needs one of projection/constant/identity/images"
-            )
+            else:
+                raise ProblemError(
+                    f"{where}: needs one of projection/constant/identity/images"
+                )
+        except (StructureError, HomomorphismError) as exc:
+            raise ProblemError(f"{where}: {exc}") from exc
         homs.append(hom)
     return homs
 
@@ -425,7 +431,10 @@ def _build_pc_maps(doc: dict):
                 f"{where}: expected an object keyed by domain generators or "
                 "an array of exponent vectors"
             )
-        homs.append(PcHom(domain, codomain, mat))
+        try:
+            homs.append(PcHom(domain, codomain, mat))
+        except HomomorphismError as exc:
+            raise ProblemError(f"{where}: {exc}") from exc
     return homs
 
 
@@ -528,8 +537,8 @@ def run_abelian(doc: dict, oracle: bool, pair_only: bool) -> dict:
 
 
 def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, list[str]]:
-    """Recount by the order route the engine did not take: the value from the
-    Hermite pivots of the stacked difference, each pairwise value from the
+    """Recount by the order route the engine did not take: the value from
+    cokernel_order of the stacked difference, each pairwise value from the
     Smith divisors of its block phi_j - phi_1, each leave-one-out value (None
     when none were counted) from the Smith divisors of its stack, and for a
     finite value |ker Psi| = [Z : L_S] / [Z : L_blocks], the value over the
@@ -537,7 +546,7 @@ def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, 
     blocks = system.blocks
     if system.k == 2:
         # the engine reduced the one block by both routes already: the value
-        # from its Smith divisors, the pairwise value from its Hermite pivots
+        # from its Smith divisors, the pairwise value from cokernel_order
         value, pairwise = report.pairwise[0], (report.value,)
     else:
         value = cokernel_order(IntMatrix.stack_rows(blocks))

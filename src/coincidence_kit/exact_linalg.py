@@ -3,28 +3,30 @@
 Everything here runs on plain Python ints, so intermediate values may grow
 without bound and nothing ever rounds.  Matrices are immutable.
 
-A cokernel order |Z^rows / (column lattice of m)| has two routes that share
-no code.  cokernel_order takes D = |det| of n independent columns from one
-Bareiss pass (none: the order is infinite) and multiplies the Hermite pivots
-found modulo D, which must divide D; SnfResult.cokernel_order multiplies the
-Smith divisors.  Engines take every order whose divisors they do not print
-from cokernel_order, and oracles recount each order by the other route.
+A cokernel order |Z^rows / (column lattice of m)| is fixed by m's shape
+before any Smith form.  _column_index decides it: a tall m has rank below
+its row count, so the order is infinite with no arithmetic; a square m gives
+|det m| from one Bareiss pass (0: infinite); a wide m gives the product of
+its Hermite pivots, found modulo D = |det| of rows independent columns,
+which must divide D.  cokernel_order wraps that index, and engines take
+every order whose divisors they do not print from it.  SnfResult's
+cokernel_order multiplies the Smith divisors; oracles recount by that route.
 
 Smith forms serve callers that print divisors or read transforms, and each
-chain is checked exactly, by one of two routes.  A matrix of full row rank
-is reduced without transforms (s, t and d stay None) by _smith_divisors,
-which only ever touches the live submatrix.  Its divisors must number rows,
-form a chain, start with the gcd of the entries and multiply to an index
-found by a route that shares nothing with the Smith loop: |det m| (Bareiss)
-for a square m, the Hermite index modulo D for a wide one.  That pins the
-rank, the cokernel order, the first divisor and the chain, not each middle
-divisor on its own.  Every other matrix (tall, or short of full row rank) is
-reduced with identity blocks appended, [[m | I], [I]]: the row operations
-turn the right block into s and the column operations turn the bottom block
-into t, which are re-multiplied against the input: s @ m @ t == d.
-kernel_basis reads the kernel off t, and unimodular_inverse takes
-m^-1 = t @ s from s @ m @ t == I and checks m @ m^-1 == I exactly; both
-take the transform route themselves.
+chain is checked exactly, by one of two routes.  A tall m is replaced by its
+transpose, which has the same divisors.  When _column_index finds that
+(transposed) matrix of full row rank, it is reduced without transforms (s,
+t and d stay None) by _smith_divisors, which only ever touches the live
+submatrix.  Its divisors must number rows, form a chain, start with the gcd
+of the entries and multiply to that index, found by a route that shares
+nothing with the Smith loop.  That pins the rank, the cokernel order, the
+first divisor and the chain, not each middle divisor on its own.  A matrix
+short of full row rank is reduced with identity blocks appended,
+[[m | I], [I]]: the row operations turn the right block into s and the
+column operations turn the bottom block into t, which are re-multiplied
+against the input: s @ m @ t == d.  kernel_basis reads the kernel off t,
+and unimodular_inverse takes m^-1 = t @ s from s @ m @ t == I and checks
+m @ m^-1 == I exactly; both take the transform route themselves.
 
 certify_smith proves every divisor of m's Smith form, at any size, for one
 elimination with transforms and two determinants: it requires
@@ -209,8 +211,9 @@ class SnfResult:
 
     The divisors are always present.  s, t and d are set by the elimination
     that tracks transforms and checks s @ m @ t == d; they are None when
-    smith_normal_form reduced an m of full row rank (square or wide) without
-    them.  certify_smith always sets them.
+    smith_normal_form reduced m without them, which it does whenever m or,
+    for a tall m, its transpose has full row rank.  certify_smith always
+    sets them.
     """
 
     __slots__ = ("m", "divisors", "s", "t", "d")
@@ -419,34 +422,34 @@ def _smith_with_transforms(m: IntMatrix) -> SnfResult:
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Diagonalize m over the integers with a divisor chain on the diagonal.
 
-    An m of full row rank is reduced without transforms (s, t and d are
-    None; certify_smith returns them).  Its divisors are checked against an
-    index found apart from the elimination: |det m| (Bareiss) for a square
-    m, the Hermite index modulo D for a wide one.  There must be one divisor
-    per row, forming a chain, multiplying to that index, and the first must
-    be the gcd of the entries.  That pins the rank, the cokernel order, d_1
-    and the chain, not each middle divisor on its own.  Every other m (tall,
-    or short of full row rank) is reduced with transforms, verified by
+    A tall m is reduced through its transpose, which has the same divisors.
+    When that matrix has full row rank, it is reduced without transforms (s,
+    t and d are None; certify_smith returns them), and its divisors are
+    checked against the index _column_index finds apart from the
+    elimination: |det| (Bareiss) when square, the Hermite index modulo D
+    when wide.  There must be one divisor per row, forming a chain,
+    multiplying to that index, and the first must be the gcd of the entries.
+    That pins the rank, the cokernel order, d_1 and the chain, not each
+    middle divisor on its own.  An m short of full row rank (in its
+    transposed form when tall) is reduced with transforms, verified by
     s @ m @ t == d.
 
     >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
     (1, 2)
     """
-    if m.rows > m.cols:
-        return _smith_with_transforms(m)
-    if m.is_square:
-        index, name, kind = abs(determinant(m)), "|det m|", "nonsingular"
-    else:
-        pivots = _hermite_pivots(m)
-        index = 0 if pivots is None else prod(pivots, start=1)
-        name, kind = "the Hermite index", "full-rank"
+    a = m.transpose() if m.rows > m.cols else m
+    index = _column_index(a)
     if not index:
         return _smith_with_transforms(m)
-    divisors = _smith_divisors(m.to_lists())
+    divisors = _smith_divisors(a.to_lists())
     _check_chain(divisors)
-    if len(divisors) != m.rows:
+    if a.is_square:
+        kind, name = "nonsingular", "|det m|"
+    else:
+        kind, name = "full-rank", "the Hermite index"
+    if len(divisors) != a.rows:
         raise ConsistencyError(
-            f"{len(divisors)} divisors for a {kind} {m.rows}x{m.cols} matrix"
+            f"{len(divisors)} divisors for a {kind} {a.rows}x{a.cols} matrix"
         )
     if prod(divisors, start=1) != index:
         raise ConsistencyError(
@@ -649,7 +652,9 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
 
 def _hermite_pivots(m: IntMatrix) -> list[int] | None:
     """Diagonal h_1 ... h_n of the Hermite form of the column lattice L of m
-    in Z^n, n = m.rows; None when L has rank < n.
+    in Z^n, n = m.rows; None when L has rank < n.  _column_index takes it
+    for wide matrices, where the pivot product is the index and no single
+    determinant gives it, and enumerate_cokernel for the pivots themselves.
 
     One Bareiss pass finds D = |det| of n independent columns, or none.
     Those columns span a sublattice of index D, so D * Z^n lies in L, and
@@ -686,18 +691,34 @@ def _hermite_pivots(m: IntMatrix) -> list[int] | None:
     return pivots
 
 
+def _column_index(m: IntMatrix) -> int:
+    """Index |Z^rows / L| of the column lattice L of m, 0 when infinite.
+
+    The shape picks the route.  A tall m has rank below its row count, so
+    the index is infinite with no arithmetic.  A square m has index
+    |det m|, from one Bareiss pass.  A wide m has the product of its
+    Hermite pivots, found modulo D.
+    """
+    if m.rows > m.cols:
+        return 0
+    if m.is_square:
+        return abs(_bareiss(m.to_lists()))
+    pivots = _hermite_pivots(m)
+    return 0 if pivots is None else prod(pivots, start=1)
+
+
 def cokernel_order(m: IntMatrix) -> Cardinal:
-    """Order of Z^rows / (column lattice of m): infinite exactly when the
-    rank falls short of the row count, else the product of the Hermite
-    pivots, found modulo D without a Smith form.
+    """Order of Z^rows / (column lattice of m), without a Smith form:
+    infinite when m is tall or short of full row rank, |det m| when square,
+    and the product of the Hermite pivots found modulo D when wide.
 
     >>> str(cokernel_order(IntMatrix([[2, 4, 1], [2, 6, 2]])))
     '2'
     >>> str(cokernel_order(IntMatrix([[1, 2], [2, 4]])))
     'infinite'
     """
-    pivots = _hermite_pivots(m)
-    return INFINITE if pivots is None else Cardinal(prod(pivots, start=1))
+    index = _column_index(m)
+    return Cardinal(index) if index else INFINITE
 
 
 def lattice_index(sub_vectors, super_vectors, *, width: int | None = None) -> Cardinal:

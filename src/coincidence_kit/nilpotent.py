@@ -131,7 +131,12 @@ class PcGroup:
                     raise StructureError(
                         f"relation value names {lab!r}, which is not a central generator"
                     )
-                vec[central_slot[lab]] += int(e)
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise StructureError(
+                        f"relation ({x}, {y}) gives {lab!r} the exponent {e!r}, "
+                        "not an integer"
+                    )
+                vec[central_slot[lab]] += e
             if i > j:
                 key, stored = (i, j), tuple(vec)
             else:
@@ -623,7 +628,8 @@ def delta_image_vectors(red: PairReduction) -> list[tuple[int, ...]]:
 def _count(reds) -> ReidemeisterReport:
     """The count read off the stack of pair reductions (phi_1, phi_j): the
     joint value from the stacked matrices, the pairwise values from each
-    pair's own matrices.  Every order is a Hermite count (cokernel_order).
+    pair's own matrices.  Every order comes from cokernel_order, with no
+    Smith form.
     A finite R_bar means full row rank, so only a quotient difference with
     more columns than rows has a kernel to lift delta-vectors from."""
     d1, d2 = reds[0].domain_data, reds[0].codomain_data

@@ -20,9 +20,10 @@ the same lines on stdout; stderr names the package that answered.  All work
 happens under __main__, so importing this file (as pytest's
 --doctest-modules does) runs nothing.
 
-tests/output_digest_seed101.txt holds the stdout at seed 101, and CI fails
-when it differs.  A change that alters printed output on purpose
-regenerates that file, as it does tests/golden/.
+tests/output_digest_seed101.txt and tests/output_digest_seed7.txt hold the
+stdout at seeds 101 and 7, and CI fails when either differs.  A change that
+alters printed output on purpose regenerates both files, as it does
+tests/golden/.
 """
 
 if __name__ == "__main__":

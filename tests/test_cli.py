@@ -362,13 +362,23 @@ def _malformed_pc(commutators=None, maps=None):
     return {"kind": "nilpotent", "domain": domain, "codomain": heis, "maps": maps}
 
 
-def _malformed_finite(spec):
+def _malformed_finite(spec, maps=None):
     return {
         "kind": "finite",
         "groups": {"G": spec},
         "domain": "G",
         "codomain": "G",
-        "maps": [{"identity": True}, {"constant": True}],
+        "maps": maps or [{"identity": True}, {"constant": True}],
+    }
+
+
+def _cyclic_square_projections(*factors):
+    return {
+        "kind": "finite",
+        "groups": {"G": {"cyclic": 3}, "H": {"product": ["G", "G"]}},
+        "domain": "H",
+        "codomain": "G",
+        "maps": [{"projection": f} for f in factors],
     }
 
 
@@ -386,6 +396,14 @@ def _malformed_finite(spec):
         (_malformed_pc([["a", "b", [1, 0]]]), "domain.commutators[0][2]"),
         (_malformed_pc(maps=[{"q": {"a": 1}}, {}]), "maps[0]"),
         (_malformed_pc(maps=[[[1, 0, 0]], [[1, 0, 0]]]), "maps[0]"),
+        (_malformed_finite({"cyclic": 0}), "groups.G"),
+        (_malformed_finite({"permutations": [[0, 0]]}), "groups.G"),
+        (_cyclic_square_projections(2, 0), "maps[0]"),
+        (
+            _malformed_finite({"cyclic": 3}, [{"images": [0, 1]}, {"constant": True}]),
+            "maps[0]",
+        ),
+        (_malformed_pc(maps=[[[1, 0, 0], [0, 1, 0], [0, 0, 2]]] * 2), "maps[0]"),
     ],
     ids=[
         "permutations-not-array",
@@ -399,6 +417,11 @@ def _malformed_finite(spec):
         "word-of-wrong-length",
         "unknown-domain-label",
         "wrong-number-of-images",
+        "cyclic-order-zero",
+        "not-a-permutation",
+        "projection-factor-out-of-range",
+        "image-table-too-short",
+        "images-violate-commutator",
     ],
 )
 def test_malformed_group_fields_name_their_path(capsys, problem, field):

@@ -333,7 +333,14 @@ class TestLazyTransforms:
 
     @pytest.mark.parametrize(
         "m",
-        [IntMatrix([[1, 2], [2, 4]]), IntMatrix.zeros(3, 3), DEFICIENT, WORKED.transpose()],
+        # a tall matrix takes transforms only when its transpose falls short
+        # of full row rank, as DEFICIENT's does
+        [
+            IntMatrix([[1, 2], [2, 4]]),
+            IntMatrix.zeros(3, 3),
+            DEFICIENT,
+            DEFICIENT.transpose(),
+        ],
     )
     def test_singular_and_non_square_inputs_are_eager(self, with_transforms, m):
         res = smith_normal_form(m)
@@ -385,6 +392,93 @@ class TestLazyTransforms:
         monkeypatch.setattr(el, "_smith_divisors", lambda rows: chain)
         with pytest.raises(ConsistencyError, match=complaint):
             smith_normal_form(m)
+
+
+def counting_calls(monkeypatch, name):
+    """Replace exact_linalg's name by a wrapper; return the list of the
+    shapes of the first argument of each call."""
+    original = getattr(el, name)
+    calls = []
+
+    def counting(a, *rest):
+        calls.append((a.rows, a.cols) if isinstance(a, IntMatrix) else len(a))
+        return original(a, *rest)
+
+    monkeypatch.setattr(el, name, counting)
+    return calls
+
+
+class TestShapeRoutes:
+    """_column_index picks the index route by shape, for cokernel_order and
+    for smith_normal_form's check: a tall matrix is infinite with no
+    arithmetic, a square one takes |det m| from one Bareiss pass, and a wide
+    one the product of its Hermite pivots."""
+
+    def test_both_callers_take_the_one_index(self, monkeypatch):
+        calls = counting_calls(monkeypatch, "_column_index")
+        square = random_nonsingular(random.Random(41), 4)
+        wide = random_matrix(random.Random(42), lo=-4, hi=4, rows=3, cols=5)
+        for m in (square, wide, wide.transpose()):
+            cokernel_order(m)
+            smith_normal_form(m)
+        # a tall Smith form checks the index of its transpose
+        assert calls == [(4, 4)] * 2 + [(3, 5)] * 2 + [(5, 3), (3, 5)]
+
+    def test_tall_smith_forms_take_transforms_only_below_full_rank(self, monkeypatch):
+        rng = random.Random(4343)
+        eliminated = counting_calls(monkeypatch, "_eliminate")
+        kinds = set()
+        for i in range(120):
+            cols = rng.randint(1, 5)
+            rows = cols + rng.randint(1, 4)
+            data = random_matrix(rng, lo=-6, hi=6, rows=rows, cols=cols).to_lists()
+            if i % 2 and cols > 1:
+                # a column that combines two others: rank below cols
+                for row in data:
+                    row[-1] = row[0] - 2 * row[1 % (cols - 1)]
+            m = IntMatrix(data)
+            deficient = rank(m) < cols
+            kinds.add(deficient)
+            expected = el._smith_with_transforms(m).divisors
+            del eliminated[:]
+            res = smith_normal_form(m)
+            assert len(eliminated) == deficient
+            assert (res.s is None) != deficient
+            assert res.divisors == expected
+            assert res.cokernel_order() == INFINITE
+        assert kinds == {True, False}
+
+    def test_square_order_is_the_determinant_without_hermite(self, monkeypatch):
+        pivots = counting_calls(monkeypatch, "_hermite_pivots")
+        rng = random.Random(44)
+        singular = 0
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            m = random_matrix(rng, lo=-3, hi=3, rows=n, cols=n)
+            det = determinant(m)
+            singular += not det
+            assert cokernel_order(m) == (Cardinal.finite(abs(det)) if det else INFINITE)
+        assert singular and pivots == []
+
+    def test_tall_order_is_infinite_without_bareiss(self, monkeypatch):
+        passes = counting_calls(monkeypatch, "_bareiss")
+        doubled = IntMatrix.identity(3).hstack(IntMatrix.identity(3)).transpose()
+        for m in (WORKED.transpose(), doubled, IntMatrix([[], [], []], cols=0)):
+            assert m.rows > m.cols
+            assert cokernel_order(m) == INFINITE
+        assert passes == []
+
+    def test_square_enumeration_lists_the_determinant(self):
+        rng = random.Random(45)
+        for n in (1, 2, 3):
+            for _ in range(20):
+                m = random_nonsingular(rng, n, lo=-4, hi=4)
+                det = abs(determinant(m))
+                if det > 2000:
+                    continue
+                reps = enumerate_cokernel(m, cap=2000)
+                assert len(reps) == det
+                assert reps == bfs_cokernel(m, cap=2000)
 
 
 @pytest.fixture

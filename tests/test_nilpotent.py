@@ -235,6 +235,16 @@ class TestPcGroupArithmetic:
         with pytest.raises(StructureError):
             PcGroup.from_presentation(["a", "b"], ["c"], {("a", "b"): {"x": 1}})
 
+    @pytest.mark.parametrize("exponent", [1.9, "3", True])
+    def test_presentation_exponents_are_integers(self, exponent):
+        # the same check PcGroup itself makes on a commutator vector
+        with pytest.raises(StructureError, match="commutator vector"):
+            PcGroup(["a", "b", "c"], 2, {(1, 0): (exponent,)})
+        with pytest.raises(StructureError, match=f"exponent {exponent!r}, not an integer"):
+            PcGroup.from_presentation(["a", "b"], ["c"], {("a", "b"): {"c": exponent}})
+        group = PcGroup.from_presentation(["a", "b"], ["c"], {("a", "b"): {"c": 3}})
+        assert group.commutators == {(1, 0): (-3,)}
+
 
 # -- homomorphisms ----------------------------------------------------------------
 
@@ -781,18 +791,18 @@ class TestStackAgainstFold:
         )
         eliminated, reduced = [], []
         eliminate = exact_linalg._eliminate
-        hermite = exact_linalg._hermite_pivots
+        index = exact_linalg._column_index
 
         def eliminating(a, rows, cols):
             eliminated.append(tuple(tuple(r[:cols]) for r in a[:rows]))
             return eliminate(a, rows, cols)
 
-        def pivoting(m):
+        def indexing(m):
             reduced.append(m)
-            return hermite(m)
+            return index(m)
 
         monkeypatch.setattr(exact_linalg, "_eliminate", eliminating)
-        monkeypatch.setattr(exact_linalg, "_hermite_pivots", pivoting)
+        monkeypatch.setattr(exact_linalg, "_column_index", indexing)
         code = cli.main(["compute", json.dumps(doc), "--format", "structured"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
