@@ -372,16 +372,6 @@ def _malformed_finite(spec, maps=None):
     }
 
 
-def _cyclic_square_projections(*factors):
-    return {
-        "kind": "finite",
-        "groups": {"G": {"cyclic": 3}, "H": {"product": ["G", "G"]}},
-        "domain": "H",
-        "codomain": "G",
-        "maps": [{"projection": f} for f in factors],
-    }
-
-
 @pytest.mark.parametrize(
     "problem, field",
     [
@@ -398,7 +388,16 @@ def _cyclic_square_projections(*factors):
         (_malformed_pc(maps=[[[1, 0, 0]], [[1, 0, 0]]]), "maps[0]"),
         (_malformed_finite({"cyclic": 0}), "groups.G"),
         (_malformed_finite({"permutations": [[0, 0]]}), "groups.G"),
-        (_cyclic_square_projections(2, 0), "maps[0]"),
+        (
+            {
+                "kind": "finite",
+                "groups": {"C": {"cyclic": 3}, "G": {"product": ["C", "C"]}},
+                "domain": "G",
+                "codomain": "C",
+                "maps": [{"projection": 2}, {"projection": 0}],
+            },
+            "maps[0]",
+        ),
         (
             _malformed_finite({"cyclic": 3}, [{"images": [0, 1]}, {"constant": True}]),
             "maps[0]",
