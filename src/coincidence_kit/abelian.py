@@ -9,7 +9,11 @@ Blockwise projection of that cokernel onto the pairwise cokernels is a
 surjection Psi; its kernel size is a lattice index, and the product of the
 pairwise numbers times |ker Psi| recovers the full value.  The failed
 stronger guess, that products of leave-one-out subsystem values also divide,
-is computed alongside so reports can exhibit counterexamples.
+is computed alongside so reports can exhibit counterexamples.  A
+leave-one-out value is the index of the stacked lattice's projection that
+drops one block, so all of them come from one Hermite basis of the stack,
+reduced modulo the stack's order, through the dual of its cokernel
+(exact_linalg._dropped_block_indices); no subsystem is stacked.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from .cardinal import Cardinal, cardinal_product
 from .errors import ShapeError
 from .exact_linalg import (
     IntMatrix,
+    SnfResult,
+    _dropped_block_indices,
+    _hermite_rows,
     cokernel_order,
     lattice_index,
     smith_normal_form,
@@ -34,7 +41,7 @@ class AbelianSystem:
     blocks holds the k - 1 differences D_j = matrix(phi_j) - matrix(phi_1),
     j = 2..k, built once here; every count of the system reads them."""
 
-    __slots__ = ("homs", "blocks")
+    __slots__ = ("homs", "blocks", "_smith")
 
     def __init__(self, homs):
         homs = tuple(h if isinstance(h, IntMatrix) else IntMatrix(h) for h in homs)
@@ -49,6 +56,15 @@ class AbelianSystem:
                 )
         self.homs = homs
         self.blocks = tuple(h - homs[0] for h in homs[1:])
+        self._smith = None
+
+    def _stacked_smith(self) -> SnfResult:
+        """Smith form of the stacked difference, computed on first use and
+        kept: reid_multi prints its divisors, and divisibility_report reduces
+        the stack's Hermite basis modulo its order."""
+        if self._smith is None:
+            self._smith = smith_normal_form(stacked_difference(self))
+        return self._smith
 
     @property
     def k(self) -> int:
@@ -110,8 +126,8 @@ def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
     the kernel size of the blockwise surjection."""
     if not isinstance(system, AbelianSystem):
         system = AbelianSystem(system)
-    stacked = stacked_difference(system)
-    snf = smith_normal_form(stacked)
+    snf = system._stacked_smith()
+    stacked = snf.m
     value = snf.cokernel_order()
     pairwise = tuple(cokernel_order(block) for block in system.blocks)
     trace = [
@@ -162,7 +178,10 @@ class DivisibilityReport:
     The pairwise product R(phi_1,phi_2) * ... * R(phi_1,phi_k) always divides
     a finite multi-map value, with quotient |ker Psi|.  The leave-one-out
     product (dropping one non-first map at a time, k >= 4) need not divide;
-    `leave_one_out_divides` records what actually happened.
+    `leave_one_out_divides` records what actually happened.  Each
+    leave-one-out value is that subsystem's own count, read off the dual of
+    one Hermite basis of the system's stack rather than from a stack of its
+    own.
     """
 
     applicable: bool
@@ -184,7 +203,9 @@ def divisibility_report(
 ) -> DivisibilityReport:
     """The divisibility facts of a system.  The value, the pairwise values
     and |ker Psi| come from report, the system's reid_multi report, which is
-    computed here when not given; only the leave-one-out values are new."""
+    computed here when not given; only the leave-one-out values are new.
+    They are reduced modulo the order of the system's own stacked Smith form,
+    kept from reid_multi, not modulo report.value."""
     if report is None:
         report = reid_multi(system)
     value = report.value
@@ -213,11 +234,17 @@ def divisibility_report(
     )
     if system.k >= 4:
         # Drop one non-first map at a time, keeping phi_1 as the base point:
-        # the subsystem's blocks are the system's, less the dropped one.
-        blocks = system.blocks
+        # the subsystem's stack is the system's, less the dropped block, so
+        # its value is the index of the stacked lattice's projection that
+        # drops that block's coordinates.  All of them are read off one
+        # Hermite basis of the stacked columns, reduced modulo the stack's
+        # own order (that order times Z^R lies in the lattice).
+        snf = system._stacked_smith()
+        order, stacked = snf.cokernel_order().value, snf.m
+        columns = map(stacked.column, range(stacked.cols))
+        basis = _hermite_rows(columns, stacked.rows, order)
         subs = [
-            cokernel_order(IntMatrix.stack_rows(blocks[:j] + blocks[j + 1 :]))
-            for j in range(len(blocks))
+            Cardinal(i) for i in _dropped_block_indices(basis, len(system.blocks), order)
         ]
         sub_product = cardinal_product(subs)
         sub_divides = sub_product.divides(value)

@@ -117,7 +117,11 @@ def _array(value, where: str, what: str) -> list:
 
 def _to_vector(value, where: str) -> list[int]:
     items = _array(value, where, "integers")
-    return [_to_int(x, f"{where}[{i}]") for i, x in enumerate(items)]
+    # an int entry is taken as it is; only another entry needs its location
+    return [
+        x if type(x) is int else _to_int(x, f"{where}[{i}]")
+        for i, x in enumerate(items)
+    ]
 
 
 def _to_matrix(value, where: str) -> list[list[int]]:

@@ -12,6 +12,16 @@ which must divide D.  cokernel_order wraps that index, and engines take
 every order whose divisors they do not print from it.  SnfResult's
 cokernel_order multiplies the Smith divisors; oracles recount by that route.
 
+One triangulation, _hermite_rows, serves every Hermite basis modulo a
+multiple d of the index (d * Z^rows lies in the lattice): _hermite_pivots
+keeps its pivots, and a caller that knows the index V of a lattice keeps
+the whole basis.  _dropped_block_indices reads off such a basis, modulo V,
+the index of the projection that drops each block of coordinates: the dual
+group Hom(Z^R / L, Q/Z), found by back-substitution modulo V
+(_dual_generators), restricted to one block has the order of that block's
+image in Z^R / L.  Each index must be an integer dividing V, and the last
+block's must equal the product of the pivots that its projection keeps.
+
 Smith forms serve callers that print divisors or read transforms, and each
 chain is checked exactly, by one of two routes.  A tall m is replaced by its
 transpose, which has the same divisors.  When _column_index finds that
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import gcd, prod
+from operator import mul
 
 from .cardinal import Cardinal, INFINITE, cardinal_product
 from .errors import ConsistencyError, ContainmentError, ShapeError, SizeCapError
@@ -650,28 +661,22 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     return list(basis)
 
 
-def _hermite_pivots(m: IntMatrix) -> list[int] | None:
-    """Diagonal h_1 ... h_n of the Hermite form of the column lattice L of m
-    in Z^n, n = m.rows; None when L has rank < n.  _column_index takes it
-    for wide matrices, where the pivot product is the index and no single
-    determinant gives it, and enumerate_cokernel for the pivots themselves.
+def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:
+    """Hermite basis, modulo d, of the lattice L spanned by vectors (each of
+    length width) together with d * Z^width: row i carries coordinates
+    i .. width - 1, its pivot h_i = row[0] > 0 first and the rest reduced
+    into [0, d).  The rows, read as upper triangular vectors, span L, whose
+    index is the product of the pivots.
 
-    One Bareiss pass finds D = |det| of n independent columns, or none.
-    Those columns span a sublattice of index D, so D * Z^n lies in L, and
-    the triangulation may reduce every entry mod D (Domich, Kannan and
-    Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, algorithm 2.4.8).
-    Coordinate i is cleared by extended gcd into a pivot seeded with D * e_i;
-    the rest carry only the trailing coordinates.  The index of L is the
-    product of the pivots, which must divide D.
+    Coordinate i is cleared by extended gcd into a pivot seeded with
+    d * e_i; the rest carry only the trailing coordinates (Domich, Kannan
+    and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, algorithm
+    2.4.8).
     """
-    det = _bareiss(m.to_lists())
-    if not det:
-        return None
-    d = abs(det)
-    vectors = [[x % d for x in m.column(j)] for j in range(m.cols)]
-    pivots = []
-    for i in range(m.rows):
-        pivot = [d] + [0] * (m.rows - i - 1)
+    vectors = [[x % d for x in v] for v in vectors]
+    basis = []
+    for i in range(width):
+        pivot = [d] + [0] * (width - i - 1)
         rest = []
         for v in vectors:
             h = pivot[0]
@@ -684,11 +689,105 @@ def _hermite_pivots(m: IntMatrix) -> list[int] | None:
                 pivot = [g] + [(s * z + t * y) % d for y, z in zip(v[1:], pivot[1:])]
             if any(w):
                 rest.append(w)
-        pivots.append(pivot[0])
+        basis.append(pivot)
         vectors = rest
+    return basis
+
+
+def _hermite_pivots(m: IntMatrix) -> list[int] | None:
+    """Diagonal h_1 ... h_n of the Hermite form of the column lattice L of m
+    in Z^n, n = m.rows; None when L has rank < n.  _column_index takes it
+    for wide matrices, where the pivot product is the index and no single
+    determinant gives it, and enumerate_cokernel for the pivots themselves.
+
+    One Bareiss pass finds D = |det| of n independent columns, or none.
+    Those columns span a sublattice of index D, so D * Z^n lies in L, and
+    _hermite_rows may triangulate L modulo D.  The index of L is the product
+    of the pivots, which must divide D.
+    """
+    det = _bareiss(m.to_lists())
+    if not det:
+        return None
+    d = abs(det)
+    pivots = [row[0] for row in _hermite_rows(map(m.column, range(m.cols)), m.rows, d)]
     if d % prod(pivots, start=1):
         raise ConsistencyError(f"Hermite pivots {pivots} do not divide D = {d}")
     return pivots
+
+
+def _dual_generators(basis, v: int) -> list[list[int]]:
+    """Generators, scaled by v, of the dual Hom(A, Q/Z) of A = Z^R / L, for
+    the Hermite rows basis of a lattice L of index v: vectors y in (Z/v)^R
+    with row . y = 0 mod v for every basis row, R = len(basis).
+
+    Generator t has y_r = 0 for r > t and y_t = v / h_t, and then for
+    i = t - 1 down to 0, h_i y_i = -(sum of basis[i][r - i] y_r, r > i)
+    mod v.  Some dual element has those trailing coordinates (column t of
+    v times the inverse basis matrix), so h_i divides the residue; a
+    remainder means the basis is wrong.  Row t forces an element whose last
+    nonzero coordinate is t to hold a multiple of v / h_t there, so
+    subtracting a multiple of generator t removes it: the generators with
+    h_t > 1 span the dual, and with h_t = 1 there is none.
+    """
+    gens = []
+    for t, row_t in enumerate(basis):
+        if row_t[0] == 1:
+            continue
+        y = [0] * len(basis)
+        y[t] = v // row_t[0]
+        for i in range(t - 1, -1, -1):
+            row = basis[i]
+            x = -sum(map(mul, y[i + 1 : t + 1], row[1 : t - i + 1])) % v
+            q, rest = divmod(x, row[0])
+            if rest:
+                raise ConsistencyError(
+                    f"pivot {row[0]} does not divide the residue {x} "
+                    f"of dual generator {t}"
+                )
+            y[i] = q
+        gens.append(y)
+    return gens
+
+
+def _dropped_block_indices(basis, blocks: int, v: int) -> tuple[int, ...]:
+    """For the Hermite rows basis of a lattice L of index v in Z^R, the
+    coordinates cut into `blocks` blocks of n = R / blocks, the index in
+    Z^(R - n) of the projection of L that drops block j, for each j.
+
+    Dropping block j divides A = Z^R / L by the image I_j of block j's
+    coordinates, so the index is v / |I_j|.  By duality of finite abelian
+    groups, |I_j| is the order of the dual's restriction to those
+    coordinates: the subgroup of (Z/v)^n spanned by the block-j slices of
+    _dual_generators, of order v^n / P_j, where P_j multiplies the pivots
+    of _hermite_rows of those slices modulo v.  So the index is
+    v * P_j / v^n.  Checks: the pivots multiply to v, every index is an
+    integer that divides v, and the last block's index is the product of
+    the first R - n pivots, since dropping the last coordinates keeps just
+    those basis rows.
+    """
+    width = len(basis)
+    n = width // blocks
+    if prod(row[0] for row in basis) != v:
+        raise ConsistencyError(f"Hermite pivots do not multiply to the index {v}")
+    gens = _dual_generators(basis, v)
+    whole = v**n
+    indices = []
+    for j in range(blocks):
+        slices = [y[j * n : (j + 1) * n] for y in gens]
+        p = prod(row[0] for row in _hermite_rows(slices, n, v))
+        index, rest = divmod(v * p, whole)
+        if rest or v % index:
+            raise ConsistencyError(
+                f"block {j} gives {v} * {p} / {v}^{n}, not an integer dividing {v}"
+            )
+        indices.append(index)
+    last = prod(row[0] for row in basis[: width - n])
+    if indices[-1] != last:
+        raise ConsistencyError(
+            f"the last block's index {indices[-1]} is not the product {last} "
+            "of the pivots it keeps"
+        )
+    return tuple(indices)
 
 
 def _column_index(m: IntMatrix) -> int:

@@ -7,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+import coincidence_kit.exact_linalg as el
 from coincidence_kit.abelian import (
     AbelianSystem,
     divisibility_report,
@@ -17,8 +18,8 @@ from coincidence_kit.abelian import (
     stacked_difference,
 )
 from coincidence_kit.cardinal import Cardinal, INFINITE, cardinal_product
-from coincidence_kit.errors import ShapeError
-from coincidence_kit.exact_linalg import IntMatrix, cokernel_order
+from coincidence_kit.errors import ConsistencyError, ShapeError
+from coincidence_kit.exact_linalg import IntMatrix, cokernel_order, smith_normal_form
 
 from conftest import ker_psi_order_bruteforce
 
@@ -251,3 +252,107 @@ class TestReports:
         h = IntMatrix([[1, 0]])
         with pytest.raises(ValueError):
             ker_psi_order(AbelianSystem([h, h]))
+
+
+def seeded_finite_systems(seed, count):
+    """Finite systems with k 4-8 maps Z^m -> Z^n, n 1-4, m = n(k-1) + 0..2,
+    entries within +-1, +-2 or +-4; about 30 % have maps 2..k scaled by 2, 3
+    or 6, which makes every Hermite pivot of the stack nontrivial."""
+    rng = random.Random(seed)
+    systems = []
+    while len(systems) < count:
+        k, n = rng.randint(4, 8), rng.randint(1, 4)
+        m = n * (k - 1) + rng.randint(0, 2)
+        bound = rng.choice((1, 2, 4))
+        maps = [
+            [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+            for _ in range(k)
+        ]
+        if rng.random() < 0.3:
+            scale = rng.choice((2, 3, 6))
+            maps[1:] = [[[scale * x for x in row] for row in h] for h in maps[1:]]
+        system = AbelianSystem(maps)
+        if _value(system).is_finite:
+            systems.append(system)
+    return systems
+
+
+def stack_by_stack(system):
+    """Each leave-one-out value from its own stack."""
+    blocks = system.blocks
+    return tuple(
+        cokernel_order(IntMatrix.stack_rows(blocks[:j] + blocks[j + 1 :]))
+        for j in range(len(blocks))
+    )
+
+
+class TestLeaveOneOutFromDual:
+    """divisibility_report reads every leave-one-out value off the dual of one
+    Hermite basis of the stack; each must equal its own stack's order."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        return seeded_finite_systems(11, 120)
+
+    def test_equal_to_each_stack_on_its_own(self, systems):
+        nontrivial = noncyclic = 0
+        for system in systems:
+            want = stack_by_stack(system)
+            assert divisibility_report(system).leave_one_out == want, system.homs
+            nontrivial += any(v != Cardinal(1) for v in want)
+            divisors = smith_normal_form(stacked_difference(system)).divisors
+            noncyclic += sum(d > 1 for d in divisors) > 1
+        # the seeded set reaches nontrivial values and non-cyclic cokernels
+        assert nontrivial >= 60 and noncyclic >= 40, (nontrivial, noncyclic)
+
+    @pytest.mark.parametrize("scale", [2, 3, 6])
+    def test_scaled_stacks(self, scale):
+        # map 1 zero and maps 2..k scaled: every pivot of the stack is a
+        # multiple of the scale
+        rng = random.Random(scale)
+        for _ in range(5):
+            k, n = rng.randint(4, 6), rng.randint(1, 3)
+            m = n * (k - 1)
+            maps = [[[0] * m] * n] + [
+                [[scale * rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
+                for _ in range(k - 1)
+            ]
+            system = AbelianSystem(maps)
+            assert _value(system).is_finite
+            assert divisibility_report(system).leave_one_out == stack_by_stack(system)
+
+    def test_empty_target(self):
+        system = AbelianSystem([IntMatrix([], cols=3)] * 4)
+        report = divisibility_report(system)
+        assert report.value == Cardinal(1)
+        assert report.leave_one_out == (Cardinal(1),) * 3
+
+    def test_broken_back_substitution_is_caught(self, monkeypatch, systems):
+        def unit_seeded(basis, v):
+            """_dual_generators with y_t = 1 in place of v / h_t."""
+            gens = []
+            for t, row_t in enumerate(basis):
+                if row_t[0] == 1:
+                    continue
+                y = [0] * len(basis)
+                y[t] = 1
+                for i in range(t - 1, -1, -1):
+                    row = basis[i]
+                    x = -sum(y[r] * row[r - i] for r in range(i + 1, t + 1)) % v
+                    q, rest = divmod(x, row[0])
+                    if rest:
+                        raise ConsistencyError("residue not divisible")
+                    y[i] = q
+                gens.append(y)
+            return gens
+
+        monkeypatch.setattr(el, "_dual_generators", unit_seeded)
+        raised = unequal = 0
+        for system in systems:
+            try:
+                got = divisibility_report(system).leave_one_out
+            except ConsistencyError:
+                raised += 1
+            else:
+                unequal += got != stack_by_stack(system)
+        assert raised + unequal > 0, "a broken dual went unnoticed"

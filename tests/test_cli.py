@@ -19,8 +19,10 @@ from pathlib import Path
 import pytest
 
 import coincidence_kit
-from coincidence_kit import cli, exact_linalg, finite
+from coincidence_kit import abelian, cli, exact_linalg, finite
+from coincidence_kit.abelian import AbelianSystem, stacked_difference
 from coincidence_kit.cardinal import Cardinal
+from coincidence_kit.exact_linalg import IntMatrix
 from coincidence_kit.finite import cyclic_group, twisted_reidemeister, FiniteHom
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -600,10 +602,14 @@ class TestInputForms:
 
 class TestSmithFormReuse:
     """Each matrix is reduced at most once per order route per compute, snf or
-    check call: once by Smith form, once by Hermite pivots (cokernel_order).
+    check call: once by Smith form, once by Hermite pivots (cokernel_order),
+    and once by the Hermite basis that divisibility_report triangulates for
+    the leave-one-out values.
 
-    cli, abelian and nilpotent import both routes by name, so each counting
-    wrapper replaces its route in every namespace that binds it."""
+    cli, abelian and nilpotent import both order routes by name, so each
+    counting wrapper replaces its route in every namespace that binds it.
+    The basis is counted where abelian calls it, keyed by the matrix whose
+    columns it triangulates; exact_linalg's own calls are not counted."""
 
     @pytest.fixture
     def reductions(self, monkeypatch):
@@ -611,7 +617,7 @@ class TestSmithFormReuse:
             importlib.import_module(f"coincidence_kit.{name}")
             for name in ("cli", "abelian", "exact_linalg", "finite", "nilpotent")
         ]
-        seen = {"smith": Counter(), "hermite": Counter()}
+        seen = {"smith": Counter(), "hermite": Counter(), "basis": Counter()}
         routes = {
             "smith": exact_linalg.smith_normal_form,
             "hermite": exact_linalg.cokernel_order,
@@ -626,10 +632,17 @@ class TestSmithFormReuse:
                 for attr, value in list(vars(ns).items()):
                     if value is original:
                         monkeypatch.setattr(ns, attr, counting)
+
+        def triangulating(vectors, width, d, original=abelian._hermite_rows):
+            vectors = list(vectors)
+            seen["basis"][IntMatrix.from_columns(vectors, rows=width)] += 1
+            return original(vectors, width, d)
+
+        monkeypatch.setattr(abelian, "_hermite_rows", triangulating)
         return seen
 
     def _assert_each_once(self, capsys, reductions, *argv):
-        """Run the CLI; return the (Smith, Hermite) reduction counts."""
+        """Run the CLI; return the (Smith, Hermite, basis) reduction counts."""
         for seen in reductions.values():
             seen.clear()
         code, _, err = run_cli(capsys, *argv)
@@ -656,13 +669,17 @@ class TestSmithFormReuse:
         ]
         problem = json.dumps({"kind": "abelian-multi", "maps": maps})
         # Smith: the stacked matrix, whose divisors are printed; Hermite:
-        # three pairwise and three leave-one-out matrices
-        assert self._assert_each_once(capsys, reductions, "compute", problem) == (1, 6)
+        # the three pairwise matrices; basis: the stacked matrix once, for
+        # all three leave-one-out values
+        stacked = stacked_difference(AbelianSystem(maps))
+        total = self._assert_each_once(capsys, reductions, "compute", problem)
+        assert total == (1, 3, 1)
+        assert reductions["basis"] == {stacked: 1}
         # pairwise values above 1 add the lattice-index reduction
         total = self._assert_each_once(
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json")
         )
-        assert total == (1, 7)
+        assert total == (1, 4, 1)
 
     def test_check_on_shipped_abelian_problems(self, capsys, reductions):
         for path in sorted(PROBLEMS.glob("*.json")):
@@ -677,7 +694,7 @@ class TestSmithFormReuse:
         ]
         problem = json.dumps({"kind": "abelian-multi", "maps": maps})
         # compute's reductions, plus the 23 orderings other than the identity
-        assert self._assert_each_once(capsys, reductions, "check", problem) == (1, 29)
+        assert self._assert_each_once(capsys, reductions, "check", problem) == (1, 26, 1)
 
     def test_abelian_oracle_enumerates_once(self, capsys, reductions, monkeypatch):
         original = exact_linalg.enumerate_cokernel
@@ -694,7 +711,7 @@ class TestSmithFormReuse:
         # each number once more, by the route the engine did not take: the
         # three pairwise blocks and the three leave-one-out stacks by Smith
         # form, the stacked one by Hermite pivots
-        assert total == (1 + 3 + 3, 7 + 1)
+        assert total == (1 + 3 + 3, 4 + 1, 1)
         assert len(enumerated) == 0  # the oracle counts from Hermite pivots
 
     def test_abelian_oracle_on_a_pair_reduces_nothing_more(self, capsys, reductions):
@@ -703,7 +720,8 @@ class TestSmithFormReuse:
         # so no lattice index is reduced for |ker Psi|)
         maps = [[[1, 2, 0], [0, 1, 3]], [[3, 2, 5], [1, -1, 3]]]
         problem = json.dumps({"kind": "abelian-pair", "maps": maps})
-        assert self._assert_each_once(capsys, reductions, "compute", problem, "--oracle") == (1, 1)
+        total = self._assert_each_once(capsys, reductions, "compute", problem, "--oracle")
+        assert total == (1, 1, 0)
 
 
 class TestCheckSolvesEachOrderingOnce:

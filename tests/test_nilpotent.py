@@ -621,9 +621,13 @@ class TestAbelianCrossCheck:
         assert report.value == Cardinal(4)
 
     def test_multi_matches_torus_engine(self):
+        # class-1 pc problems: no central generators, and generator j's
+        # image is column j; m straddles n(k - 1), so about half are finite
         rng = random.Random(42)
-        for _ in range(50):
-            n, m, k = rng.randint(1, 2), rng.randint(1, 3), rng.choice([3, 4])
+        finite = 0
+        for _ in range(120):
+            n, k = rng.randint(1, 3), rng.randint(2, 5)
+            m = max(1, n * (k - 1) + rng.randint(-1, 1))
             dom = PcGroup([f"x{i}" for i in range(m)], m, {})
             cod = PcGroup([f"y{i}" for i in range(n)], n, {})
             mats = [
@@ -635,9 +639,17 @@ class TestAbelianCrossCheck:
             )
             torus = reid_multi(AbelianSystem(mats))
             assert report.status == STATUS_OK
-            assert report.value == torus.value
-            if report.value.is_finite:
-                assert report.pairwise == torus.pairwise
+            assert (report.value, report.pairwise) == (torus.value, torus.pairwise), mats
+            finite += report.value.is_finite
+        assert 30 <= finite <= 90, finite
+
+    def test_worked_torus_system_as_pc(self):
+        mats = json.loads((PROBLEMS / "example2_torus.json").read_text())["maps"]
+        dom = PcGroup(["x0", "x1", "x2"], 3, {})
+        cod = PcGroup(["y0"], 1, {})
+        report = reid_nilpotent_multi([_abelian_as_pc(mat, dom, cod) for mat in mats])
+        assert report.value == Cardinal(10)
+        assert report.pairwise == (Cardinal(1), Cardinal(2), Cardinal(1))
 
 
 # -- the stacked count against the direct-power fold --------------------------------
