@@ -570,55 +570,53 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 # bases and report output deterministic.
 
 
-def _pivot_col(row):
-    for j, v in enumerate(row):
-        if v:
+def _pivot_col(row, start=0):
+    for j in range(start, len(row)):
+        if row[j]:
             return j
     return None
 
 
 def hermite_basis(vectors, width: int) -> tuple[tuple[int, ...], ...]:
     """Canonical row-HNF basis of the lattice spanned by the given vectors."""
-    rows: list[list[int]] = []  # kept in echelon, pivots strictly increasing
+    # (pivot column, row) pairs, kept in echelon with pivots strictly
+    # increasing; a row is zero left of its pivot
+    rows: list[tuple[int, list[int]]] = []
     for vec in vectors:
         v = list(vec)
         if len(v) != width:
             raise ShapeError(f"lattice vector has length {len(v)}, expected {width}")
         idx = 0
-        while True:
-            lead = _pivot_col(v)
-            if lead is None:
-                break
-            while idx < len(rows) and _pivot_col(rows[idx]) < lead:
+        lead = _pivot_col(v)
+        while lead is not None:
+            while idx < len(rows) and rows[idx][0] < lead:
                 idx += 1
-            if idx == len(rows) or _pivot_col(rows[idx]) > lead:
-                rows.insert(idx, v)
+            if idx == len(rows) or rows[idx][0] > lead:
+                rows.insert(idx, (lead, v))
                 break
             # Same pivot column: fold v into the resident row by gcd steps.
-            r = rows[idx]
-            p = lead
-            while v[p]:
-                if abs(v[p]) < abs(r[p]):
-                    rows[idx], v = v, r
-                    r = rows[idx]
-                q = v[p] // r[p]
-                for j in range(width):
+            r = rows[idx][1]
+            while v[lead]:
+                if abs(v[lead]) < abs(r[lead]):
+                    rows[idx], v = (lead, v), r
+                    r = rows[idx][1]
+                q = v[lead] // r[lead]
+                for j in range(lead, width):
                     v[j] -= q * r[j]
             # v now has a later pivot (or is zero); keep reducing it.
+            lead = _pivot_col(v, lead + 1)
     # Normalize: positive pivots, entries above pivots reduced mod pivot.
-    for r in rows:
-        p = _pivot_col(r)
+    for p, r in rows:
         if r[p] < 0:
-            for j in range(len(r)):
+            for j in range(p, width):
                 r[j] = -r[j]
-    for i in range(len(rows)):
-        p = _pivot_col(rows[i])
-        for j in range(i):
-            q = rows[j][p] // rows[i][p]
+    for i, (p, ri) in enumerate(rows):
+        for _, rj in rows[:i]:
+            q = rj[p] // ri[p]
             if q:
-                for c in range(width):
-                    rows[j][c] -= q * rows[i][c]
-    return tuple(tuple(r) for r in rows)
+                for c in range(p, width):
+                    rj[c] -= q * ri[c]
+    return tuple(tuple(r) for _, r in rows)
 
 
 def lattice_coordinates(hnf_rows, vector) -> tuple[int, ...] | None:

@@ -6,7 +6,9 @@ product, componentwise arithmetic on its two factors.  A closure forms one
 element product per edge of its right Cayley graph and fills the table from
 that graph by lookups.  Input data is checked exactly against a greedy
 generating set: a table by Light's associativity test, an image table by
-multiplicativity on the generators.
+multiplicativity on the generators.  The twisted counts read a
+table-backed codomain's rows and inverse array directly, and call mul and
+inv only on a product-backed one.
 
 Tuples (alpha_2, ..., alpha_k) over the codomain are equivalent when some z
 in the domain sends every alpha_i to phi_1(z) * alpha_i * phi_i(z)^{-1}.
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .cardinal import Cardinal
 from .errors import (
@@ -186,8 +189,17 @@ def _validate_perm(p, degree):
         raise StructureError(f"not a permutation of 0..{degree - 1}: {p}")
 
 
+def _check_entries(values, what):
+    """Raise StructureError unless every value is an int (bools are not)."""
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise StructureError(f"{what} holds {x!r}, not an integer")
+
+
 def _matrix_mod(m, p):
-    return tuple(tuple(int(x) % p for x in row) for row in m)
+    for row in m:
+        _check_entries(row, "matrix generator")
+    return tuple(tuple(x % p for x in row) for row in m)
 
 
 def _matrix_mul(a, b, p):
@@ -231,7 +243,10 @@ def close_group(generators, *, field: int | None = None,
     breadth-first spanning tree.  The Cayley table is then filled from those
     by lookups, with no further element products: order * len(generators)
     products in all, instead of order^2 (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, ch. 4).
+    Computational Group Theory, ch. 4).  The tree gives each generator's
+    left-multiplication array in order * len(generators) lookups, and each
+    table row is its tree parent's row read through one of those arrays by
+    a single itemgetter call.  Entries must be ints; bools are refused.
 
     >>> s3 = close_group([(1, 0, 2), (1, 2, 0)])
     >>> s3.order, s3.elements[:3]
@@ -245,14 +260,15 @@ def close_group(generators, *, field: int | None = None,
             identity = (0,)
             gens_canon = []
         else:
-            degree = _perm_degree([tuple(g) for g in gens])
-            gens_canon = [tuple(int(x) for x in g) for g in gens]
+            gens_canon = [tuple(g) for g in gens]
+            degree = _perm_degree(gens_canon)
             for g in gens_canon:
+                _check_entries(g, "permutation generator")
                 _validate_perm(g, degree)
             identity = tuple(range(degree))
 
         def mul(a, b):
-            return tuple(a[b[i]] for i in range(len(a)))
+            return tuple(map(a.__getitem__, b))
 
     else:
         p = field
@@ -299,15 +315,23 @@ def close_group(generators, *, field: int | None = None,
                 via.append(s)
             row.append(b)
         right.append(row)
-    # a * b = (a * parent(b)) * gens[via(b)] and parent(b) < b, so each row
-    # fills left to right by lookups alone.
+    # Left multiplication by gens[s] along the same tree:
+    # gens[s] * b = (gens[s] * parent(b)) * gens[via(b)] and parent(b) < b, so
+    # left[s] fills left to right by lookups alone.  (p stays the field that
+    # the matrix mul reads.)
     tree = list(zip(parent, via))[1:]
-    table = []
-    for a in range(len(elements)):
-        row = [a]
-        for p, s in tree:
-            row.append(right[row[p]][s])
-        table.append(row)
+    left = []
+    for s in range(len(gens_canon)):
+        row = [right[0][s]]
+        for up, t in tree:
+            row.append(right[row[up]][t])
+        left.append(row)
+    # a * b = parent(a) * (gens[via(a)] * b): row a is its parent's row read
+    # through left[via(a)], one itemgetter call per row.
+    through = [operator.itemgetter(*row) for row in left]
+    table = [list(range(len(elements)))]
+    for up, s in tree:
+        table.append(list(through[s](table[up])))
     return FiniteGroup(table=table, elements=elements, identity=0)
 
 
@@ -493,8 +517,18 @@ def _image_tuples(homs):
 
 
 def _actions(images, codomain):
-    """For each image tuple, the left factor and the inverted right factors."""
-    return [(img[0], tuple(codomain.inv(x) for x in img[1:])) for img in images]
+    """For each image tuple, the left factor and the inverted right factors.
+
+    The right factors are inverted a column at a time, each column mapped
+    through the codomain's inverse array when it has one (a table backing)
+    and through inv otherwise.  No tuples, as for union-find's empty
+    generating set on a trivial codomain, give no actions.
+    """
+    if not images:
+        return []
+    lefts, *columns = zip(*images)
+    inv = codomain.inv if codomain._inv is None else codomain._inv.__getitem__
+    return list(zip(lefts, zip(*[map(inv, column) for column in columns])))
 
 
 def _descend(actions, codomain, arity):
@@ -508,8 +542,12 @@ def _descend(actions, codomain, arity):
     class: its representative is the smallest tuple of the class and its size
     is |image subgroup| / |stabilizer|.  Every orbit must newly reach exactly
     |H| / |stabilizer| elements, a division that must be exact.
+
+    An action step moves x to left * x * right_inv with two reads of a
+    table-backed codomain's Cayley table, or two calls of mul on a
+    product-backed one; which of the two is fixed once per call.
     """
-    n, mul = codomain.order, codomain.mul
+    n, table, mul = codomain.order, codomain._table, codomain.mul
     total = len(actions)
     last = arity - 1
     representatives, sizes = [], []
@@ -527,7 +565,10 @@ def _descend(actions, codomain, arity):
             reached = 0
             stabilizer = []
             for action in group:
-                y = mul(mul(action[0], x), action[1][depth])
+                if table:
+                    y = table[table[action[0]][x]][action[1][depth]]
+                else:
+                    y = mul(mul(action[0], x), action[1][depth])
                 if not seen[y]:
                     seen[y] = 1
                     reached += 1

@@ -888,20 +888,47 @@ def _apply(action, digits, codomain):
     return t
 
 
+class _CountingList(list):
+    """A list that appends to reads on every read of one of its entries."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(None)
+        return super().__getitem__(i)
+
+
 class TestStabilizerDescent:
     """compute counts the twisted classes by descending through stabilizers
     and never touches every tuple; --oracle and check hold its
     representatives and class sizes to union-find's, which catches a descent
     that miscounts or picks a wrong representative."""
 
+    @staticmethod
+    def _count_reads(monkeypatch, rows=None, inverses=None):
+        """Close the problem's groups with every entry read of their table
+        rows appended to rows and of their inverse array to inverses.
+
+        The descent and the inversions read those arrays directly; mul and
+        inv read them once per call, so those calls are counted as well.
+        """
+        original = cli.close_group
+
+        def closing(*args, **kwargs):
+            group = original(*args, **kwargs)
+            if rows is not None:
+                group._table = [_CountingList(row, rows) for row in group._table]
+            if inverses is not None:
+                group._inv = _CountingList(group._inv, inverses)
+            return group
+
+        monkeypatch.setattr(cli, "close_group", closing)
+
     def test_work_and_one_union_find_run(self, capsys, monkeypatch):
-        original_mul = finite.FiniteGroup.mul
-        muls = []
-
-        def counting_mul(self, i, j):
-            muls.append(None)
-            return original_mul(self, i, j)
-
+        reads = []
+        self._count_reads(monkeypatch, rows=reads)
         original_solve = cli.twisted_reidemeister
         algorithms = []
 
@@ -909,35 +936,30 @@ class TestStabilizerDescent:
             algorithms.append(kwargs.get("algorithm", "orbit"))
             return original_solve(homs, **kwargs)
 
-        monkeypatch.setattr(finite.FiniteGroup, "mul", counting_mul)
         monkeypatch.setattr(cli, "twisted_reidemeister", recording_solve)
         problem = _finite_problem(S5_GENS, [ID, ID, CONST])
         code, out, err = run_cli(capsys, "compute", problem)
         assert code == 0, err
         assert "value: 120\n" in out
-        # 5 280 here; sweeping all 14 400 tuples made 59 520
-        assert len(muls) <= 6000
+        # 5 280 table reads here, two per action step; sweeping all 14 400
+        # tuples made 59 520 element products, one table read each
+        assert 0 < len(reads) <= 6000
         assert algorithms == ["orbit"]
 
         algorithms.clear()
-        muls.clear()
+        reads.clear()
         code, out, err = run_cli(capsys, "compute", problem, "--oracle")
         assert code == 0, err
         assert "oracle: agreed\n" in out
         assert algorithms == ["orbit", "union-find"]
         # union-find tabulates each generator's action per coordinate: 6 954
-        # here; moving every tuple through every generator made 121 194
-        assert len(muls) <= 8000
+        # reads here with the descent's; moving every tuple through every
+        # generator made 121 194
+        assert len(reads) <= 8000
 
     def test_union_find_inverts_only_its_generators(self, capsys, monkeypatch):
-        original_inv = finite.FiniteGroup.inv
         inversions = []
-
-        def counting_inv(self, i):
-            inversions.append(None)
-            return original_inv(self, i)
-
-        monkeypatch.setattr(finite.FiniteGroup, "inv", counting_inv)
+        self._count_reads(monkeypatch, inverses=inversions)
         problem = _finite_problem(S5_GENS, [ID, ID, CONST])
         counts = []
         for flags in ((), ("--oracle",)):

@@ -798,6 +798,83 @@ class TestLatticeIndex:
             assert a * b == c
 
 
+def _hermite_basis_reference(vectors, width):
+    """hermite_basis as it was before it kept each row's pivot column,
+    finding every pivot by a scan of the row."""
+
+    def pivot_col(row):
+        for j, v in enumerate(row):
+            if v:
+                return j
+        return None
+
+    rows = []
+    for vec in vectors:
+        v = list(vec)
+        idx = 0
+        while True:
+            lead = pivot_col(v)
+            if lead is None:
+                break
+            while idx < len(rows) and pivot_col(rows[idx]) < lead:
+                idx += 1
+            if idx == len(rows) or pivot_col(rows[idx]) > lead:
+                rows.insert(idx, v)
+                break
+            r = rows[idx]
+            p = lead
+            while v[p]:
+                if abs(v[p]) < abs(r[p]):
+                    rows[idx], v = v, r
+                    r = rows[idx]
+                q = v[p] // r[p]
+                for j in range(width):
+                    v[j] -= q * r[j]
+    for r in rows:
+        p = pivot_col(r)
+        if r[p] < 0:
+            for j in range(len(r)):
+                r[j] = -r[j]
+    for i in range(len(rows)):
+        p = pivot_col(rows[i])
+        for j in range(i):
+            q = rows[j][p] // rows[i][p]
+            if q:
+                for c in range(width):
+                    rows[j][c] -= q * rows[i][c]
+    return tuple(tuple(r) for r in rows)
+
+
+def _ker_psi_lattices():
+    """The super lattices ker_psi_order hands to lattice_index, and its sub
+    lattices, on seeded finite systems: k 2-5, n 1-3, entries within +-4,
+    some with maps 2..k scaled by 2, 3 or 6."""
+    from coincidence_kit import abelian
+
+    rng = random.Random(5252)
+    lattices = []
+
+    def recording(vectors, width):
+        vectors = [tuple(v) for v in vectors]
+        lattices.append((vectors, width))
+        return hermite_basis(vectors, width)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(el, "hermite_basis", recording)
+        while len(lattices) < 60:
+            k, n = rng.randint(2, 5), rng.randint(1, 3)
+            m = n * (k - 1) + rng.randint(0, 1)
+            scale = rng.choice([1, 1, 2, 3, 6])
+            maps = [[[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)] for _ in range(k)]
+            maps[1:] = [[[x * scale for x in row] for row in h] for h in maps[1:]]
+            system = abelian.AbelianSystem(maps)
+            stacked = abelian.stacked_difference(system)
+            if cokernel_order(stacked).is_finite:
+                abelian.ker_psi_order(system)
+                lattices.append(([stacked.column(j) for j in range(stacked.cols)], stacked.rows))
+    return lattices
+
+
 class TestHermite:
     def test_canonical_form(self):
         basis = hermite_basis([(2, 4), (0, 3)], 2)
@@ -821,6 +898,21 @@ class TestHermite:
                     for j in range(width):
                         rebuilt[j] += c * row[j]
                 assert tuple(rebuilt) == v
+
+    def test_basis_equals_the_pivot_scanning_reference(self):
+        lattices = _ker_psi_lattices()
+        rng = random.Random(53)
+        for _ in range(300):
+            width = rng.randint(0, 6)
+            bound = rng.choice([1, 3, 20, 10**6])
+            vecs = [
+                tuple(rng.randint(-bound, bound) * rng.randint(0, 1) for _ in range(width))
+                for _ in range(rng.randint(0, 8))
+            ]
+            vecs += rng.sample(vecs, min(2, len(vecs)))  # repeats fold to zero
+            lattices.append((vecs, width))
+        for vecs, width in lattices:
+            assert hermite_basis(vecs, width) == _hermite_basis_reference(vecs, width)
 
     def test_outside_vector_rejected(self):
         basis = hermite_basis([(2, 0)], 2)

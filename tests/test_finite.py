@@ -190,6 +190,22 @@ class TestGroupConstruction:
         with pytest.raises(StructureError):
             close_group([(0, 1, 1)])  # not a permutation
 
+    @pytest.mark.parametrize(
+        "gens, field, bad",
+        [
+            ([("1", "0", "2")], None, "'1'"),
+            ([(1.9, 0.2, 2.0)], None, "1.9"),
+            ([(1, 0, True)], None, "True"),
+            ([((True, 1), (0, 1))], 5, "True"),
+            ([((1, 1), (0, 1.0))], 5, "1.0"),
+        ],
+    )
+    def test_closure_rejects_non_integer_entries(self, gens, field, bad):
+        # coercing by int(...) made groups of orders 2, 2 and 5 out of the
+        # first two and the fourth; a bool is no integer entry either
+        with pytest.raises(StructureError, match=f"holds {bad}, not an integer"):
+            close_group(gens, field=field)
+
     def test_from_table_rejects_non_group(self):
         with pytest.raises(StructureError):
             FiniteGroup.from_table([[0, 1], [0, 1]])  # repeated column entries
@@ -635,6 +651,45 @@ class TestDescentAgainstBruteForce:
             part = self._assert_matches([constant_hom(domain, codomain)] * k)
             assert part.class_count == part.tuple_space
             assert set(part.class_sizes) == {1}
+
+
+def _table_copy(group: FiniteGroup) -> FiniteGroup:
+    """A table-backed copy of a group, filled from its own mul, so that an
+    index names the same element in both."""
+    n = group.order
+    table = [[group.mul(i, j) for j in range(n)] for i in range(n)]
+    return FiniteGroup.from_table(table, identity=group.identity)
+
+
+def _backing_families():
+    rng = random.Random(2222)
+    families = []
+    for k in (2, 3, 4):
+        for i in range(3):
+            families.append(pytest.param([rng.choice(S3xC2_ENDOS) for _ in range(k)],
+                                         id=f"s3xc2-k{k}-{i}"))
+        # union-find's generating set is empty here, so _actions gets no tuples
+        trivial = direct_product(cyclic_group(1), cyclic_group(1))
+        families.append(pytest.param([constant_hom(S3, trivial)] * k, id=f"trivial-k{k}"))
+    return families
+
+
+class TestCodomainBackings:
+    """The descent reads a table-backed codomain's rows and inverse array
+    and a product-backed one's mul and inv; both must give one partition."""
+
+    @pytest.mark.parametrize("homs", _backing_families())
+    def test_product_and_table_backings_agree(self, homs):
+        codomain = homs[0].codomain
+        assert codomain._table is None
+        copy = _table_copy(codomain)
+        copied = [FiniteHom(h.domain, copy, h.image) for h in homs]
+        for algorithm in ("orbit", "union-find"):
+            product = twisted_reidemeister(homs, algorithm=algorithm)
+            table = twisted_reidemeister(copied, algorithm=algorithm)
+            assert classes(table) == classes(product)
+            assert table.pairwise() == product.pairwise()
+        assert classes(product) == oracle_classes(homs)
 
 
 # -- pairwise values from the image subgroup ----------------------------------------
