@@ -459,24 +459,31 @@ def _abelian_system(doc: dict, minimum: int, maximum: int | None) -> AbelianSyst
 # -- oracles ------------------------------------------------------------------------
 
 
+def _eliminated_order(m: IntMatrix) -> Cardinal:
+    """Cokernel order of m from divisors found by Smith elimination, never
+    by the certificate that smith_normal_form reads off the index."""
+    return smith_normal_form(m, eliminate=True).cokernel_order()
+
+
 def _nilpotent_recount(phi: PcHom, psi: PcHom) -> Cardinal:
     """Recount of the pair value by the reduction's formula: quotient classes
     (infinitely many make the value infinite) times central classes over
     |Im delta|, the central count over the coarse count modulo the lattice
-    enlarged by the delta-vectors.  Each count multiplies Smith divisors, the
-    route the engine does not take; delta-vectors lift as in the engine, and
-    with none lifted the coarse count is the central one."""
+    enlarged by the delta-vectors.  Each count multiplies Smith divisors
+    found by elimination, the route the engine does not take; delta-vectors
+    lift as in the engine, and with none lifted the coarse count is the
+    central one."""
     red = central_reduction(phi, psi)
     diff_bar = red.psi_bar - red.phi_bar
-    quotient = smith_normal_form(diff_bar).cokernel_order()
+    quotient = _eliminated_order(diff_bar)
     if not quotient.is_finite:
         return INFINITE
     diff_prime = red.psi_prime - red.phi_prime
     lifted = delta_image_vectors(red) if diff_bar.cols > diff_bar.rows else []
-    central = coarse = smith_normal_form(diff_prime).cokernel_order()
+    central = coarse = _eliminated_order(diff_prime)
     if lifted:
         deltas = IntMatrix.from_columns(lifted, rows=diff_prime.rows)
-        coarse = smith_normal_form(diff_prime.hstack(deltas)).cokernel_order()
+        coarse = _eliminated_order(diff_prime.hstack(deltas))
     if not central.is_finite or central.value % coarse.value:
         raise ConsistencyError(
             "the connecting-map image does not evenly split the central classes"
@@ -541,27 +548,29 @@ def run_abelian(doc: dict, oracle: bool, pair_only: bool) -> dict:
 
 
 def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, list[str]]:
-    """Recount by the order route the engine did not take: the value from
-    cokernel_order of the stacked difference, each pairwise value from the
-    Smith divisors of its block phi_j - phi_1, each leave-one-out value (None
-    when none were counted) from the Smith divisors of its stack, and for a
-    finite value |ker Psi| = [Z : L_S] / [Z : L_blocks], the value over the
-    pairwise product."""
+    """Recount by Smith elimination, which the engine's orders do not run,
+    each chain checked against the index of its own Bareiss pass: the
+    stacked difference's divisors, which must equal the engine's, and the
+    value they give, each pairwise value from its block phi_j - phi_1, each
+    leave-one-out value (None when none were counted) from its stack, and
+    for a finite value |ker Psi| = [Z : L_S] / [Z : L_blocks], the value
+    over the pairwise product."""
     blocks = system.blocks
-    if system.k == 2:
-        # the engine reduced the one block by both routes already: the value
-        # from its Smith divisors, the pairwise value from cokernel_order
-        value, pairwise = report.pairwise[0], (report.value,)
-    else:
-        value = cokernel_order(IntMatrix.stack_rows(blocks))
-        pairwise = tuple(smith_normal_form(b).cokernel_order() for b in blocks)
+    stacked = smith_normal_form(IntMatrix.stack_rows(blocks), eliminate=True)
+    engine_divisors = system._stacked_smith().divisors
+    if stacked.divisors != engine_divisors:
+        return (
+            f"mismatch: elimination gives invariant factors {stacked.divisors}, "
+            f"the engine gives {engine_divisors}"
+        ), []
+    value = stacked.cokernel_order()
+    # with two maps the one block is the stack
+    pairwise = (value,) if system.k == 2 else tuple(map(_eliminated_order, blocks))
     recount = {"value": (value,), "pairwise values": pairwise}
     engine = {"value": (report.value,), "pairwise values": tuple(report.pairwise)}
     if leave_one_out is not None:
         stacks = (IntMatrix.stack_rows(blocks[:i] + blocks[i + 1:]) for i in range(len(blocks)))
-        recount["leave-one-out values"] = tuple(
-            smith_normal_form(m).cokernel_order() for m in stacks
-        )
+        recount["leave-one-out values"] = tuple(map(_eliminated_order, stacks))
         engine["leave-one-out values"] = leave_one_out
 
     def listed(counts):

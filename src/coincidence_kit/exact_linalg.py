@@ -10,7 +10,8 @@ its row count, so the order is infinite with no arithmetic; a square m gives
 its Hermite pivots, found modulo D = |det| of rows independent columns,
 which must divide D.  cokernel_order wraps that index, and engines take
 every order whose divisors they do not print from it.  SnfResult's
-cokernel_order multiplies the Smith divisors; oracles recount by that route.
+cokernel_order multiplies the Smith divisors; oracles recount by that route,
+with the divisors found by elimination.
 
 One triangulation, _hermite_rows, serves every Hermite basis modulo a
 multiple d of the index (d * Z^rows lies in the lattice): _hermite_pivots
@@ -22,21 +23,29 @@ group Hom(Z^R / L, Q/Z), found by back-substitution modulo V
 image in Z^R / L.  Each index must be an integer dividing V, and the last
 block's must equal the product of the pivots that its projection keeps.
 
-Smith forms serve callers that print divisors or read transforms, and each
-chain is checked exactly, by one of two routes.  A tall m is replaced by its
-transpose, which has the same divisors.  When _column_index finds that
-(transposed) matrix of full row rank, it is reduced without transforms (s,
-t and d stay None) by _smith_divisors, which only ever touches the live
-submatrix.  Its divisors must number rows, form a chain, start with the gcd
-of the entries and multiply to that index, found by a route that shares
-nothing with the Smith loop.  That pins the rank, the cokernel order, the
-first divisor and the chain, not each middle divisor on its own.  A matrix
-short of full row rank is reduced with identity blocks appended,
-[[m | I], [I]]: the row operations turn the right block into s and the
-column operations turn the bottom block into t, which are re-multiplied
-against the input: s @ m @ t == d.  kernel_basis reads the kernel off t,
-and unimodular_inverse takes m^-1 = t @ s from s @ m @ t == I and checks
-m @ m^-1 == I exactly; both take the transform route themselves.
+Smith forms serve callers that print divisors or read transforms.  A tall m
+is replaced by its transpose, which has the same divisors.  When
+_column_index finds that (transposed) matrix a of full row rank R, its
+divisors come without transforms (s, t and d stay None).  The Bareiss pass
+behind the index also returns g, the gcd of the (R-1)-minors it holds,
+which d_1 ... d_(R-1) divides.  A prime dividing d_(R-1) divides d_R too,
+so it divides gcd(g, index) and leaves a with rank at most R - 2 modulo p.
+When gcd(g, index) is 1, or each of its primes is below 1000 and leaves
+rank R - 1 modulo p, the divisors are (1, ..., 1, index) with no
+elimination (_certified_divisors).  Otherwise, and always for the oracles,
+which ask with eliminate set, _smith_divisors reduces a on the live
+submatrix only.  Either way the divisors must number rows, form a chain,
+start with the gcd of the entries and multiply to that index.  The
+certificate proves every divisor; an eliminated chain is pinned by those
+checks, against an index found by a route that shares nothing with the
+Smith loop, in its rank, cokernel order, d_1 and chain, not in each middle
+divisor.  A matrix short of full row rank is reduced with identity blocks
+appended, [[m | I], [I]]: the row operations turn the right block into s
+and the column operations turn the bottom block into t, which are
+re-multiplied against the input: s @ m @ t == d.  kernel_basis reads the
+kernel off t, and unimodular_inverse takes m^-1 = t @ s from
+s @ m @ t == I and checks m @ m^-1 == I exactly; both take the transform
+route themselves.
 
 certify_smith proves every divisor of m's Smith form, at any size, for one
 elimination with transforms and two determinants: it requires
@@ -47,7 +56,7 @@ is unique.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd, prod
 from operator import mul
 
@@ -222,9 +231,9 @@ class SnfResult:
 
     The divisors are always present.  s, t and d are set by the elimination
     that tracks transforms and checks s @ m @ t == d; they are None when
-    smith_normal_form reduced m without them, which it does whenever m or,
-    for a tall m, its transpose has full row rank.  certify_smith always
-    sets them.
+    smith_normal_form found the divisors without them, which it does
+    whenever m or, for a tall m, its transpose has full row rank.
+    certify_smith always sets them.
     """
 
     __slots__ = ("m", "divisors", "s", "t", "d")
@@ -430,29 +439,42 @@ def _smith_with_transforms(m: IntMatrix) -> SnfResult:
     return SnfResult(m, divisors, s, t, d)
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
+def smith_normal_form(m: IntMatrix, *, eliminate: bool = False) -> SnfResult:
     """Diagonalize m over the integers with a divisor chain on the diagonal.
 
-    A tall m is reduced through its transpose, which has the same divisors.
-    When that matrix has full row rank, it is reduced without transforms (s,
-    t and d are None; certify_smith returns them), and its divisors are
-    checked against the index _column_index finds apart from the
-    elimination: |det| (Bareiss) when square, the Hermite index modulo D
-    when wide.  There must be one divisor per row, forming a chain,
-    multiplying to that index, and the first must be the gcd of the entries.
-    That pins the rank, the cokernel order, d_1 and the chain, not each
-    middle divisor on its own.  An m short of full row rank (in its
-    transposed form when tall) is reduced with transforms, verified by
-    s @ m @ t == d.
+    A tall m is reduced through its transpose a, which has the same
+    divisors.  When a has full row rank R, _column_index gives its index D
+    (|det| by Bareiss when square, the Hermite index modulo D when wide) and,
+    from the same Bareiss pass, a gcd g of (R-1)-minors, which
+    d_1 ... d_(R-1) divides.  The divisors are (1, ..., 1, D), with no
+    elimination, when that certificate decides them (_certified_divisors);
+    otherwise, and always when eliminate is set, _smith_divisors reduces a
+    without transforms.  The oracles set eliminate, so their recount never
+    reads the certificate.  Either way s, t and d stay None (certify_smith
+    returns them), and there must be one divisor per row, forming a chain,
+    multiplying to D, and the first must be the gcd of the entries.  The
+    certificate proves every divisor; for an eliminated chain those checks
+    pin the rank, the cokernel order, d_1 and the chain, not each middle
+    divisor on its own.  An m short of full row rank (in its transposed
+    form when tall) is reduced with transforms, verified by s @ m @ t == d,
+    and must have fewer divisors than rows.
 
     >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
     (1, 2)
     """
     a = m.transpose() if m.rows > m.cols else m
-    index = _column_index(a)
+    index, g = _column_index(a, minors=not eliminate)
     if not index:
-        return _smith_with_transforms(m)
-    divisors = _smith_divisors(a.to_lists())
+        snf = _smith_with_transforms(m)
+        if len(snf.divisors) >= a.rows:
+            raise ConsistencyError(
+                f"{len(snf.divisors)} divisors for a {a.rows}x{a.cols} matrix "
+                "whose Bareiss pass found a dependent row"
+            )
+        return snf
+    divisors = None if eliminate else _certified_divisors(a, index, g)
+    if divisors is None:
+        divisors = _smith_divisors(a.to_lists())
     _check_chain(divisors)
     if a.is_square:
         kind, name = "nonsingular", "|det m|"
@@ -471,6 +493,62 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             f"first divisor of {divisors} is not the gcd of the entries"
         )
     return SnfResult(m, divisors)
+
+
+def _certified_divisors(a: IntMatrix, index: int, g: int) -> tuple[int, ...] | None:
+    """Divisors (1, ..., 1, index) of the R x C matrix a of full row rank,
+    proven without elimination, or None when the certificate cannot decide.
+
+    g is a gcd of (R-1)-minors of a, so d_1 ... d_(R-1) divides it
+    (determinantal divisors; Newman, Integral Matrices, 1972).  A prime p
+    dividing d_(R-1) therefore divides h = gcd(g, index), and it divides d_R
+    too, so a has rank at most R - 2 modulo p: R - rank_p(a) counts the
+    divisors that p divides.  When h is 1, or every prime of h is below 1000
+    and leaves rank R - 1 modulo p, no prime divides d_(R-1), so
+    d_1 = ... = d_(R-1) = 1 and d_R = index.  A prime of h above the bound,
+    or one that leaves rank R - 2 or less, returns None.  Every p here
+    divides the index, so rank R modulo p is a ConsistencyError.
+    """
+    rows = a.rows
+    if not rows:
+        return ()
+    h = gcd(g, index)
+    primes = []
+    for p in range(2, 1000):
+        # a composite p never divides h: its prime factors are gone already
+        if h == 1:
+            break
+        if not h % p:
+            primes.append(p)
+            while not h % p:
+                h //= p
+    if h != 1:
+        return None
+    for p in primes:
+        short = rows - _rank_mod(a.iter_rows(), p)
+        if not short:
+            raise ConsistencyError(
+                f"{p} divides the index {index}, yet the rank modulo {p} is full"
+            )
+        if short > 1:
+            return None
+    return (1,) * (rows - 1) + (index,)
+
+
+def _rank_mod(rows, p: int) -> int:
+    """Rank over the field of p elements of the matrix with these rows."""
+    basis = []  # (pivot column, row scaled to 1 there), each reduced by those before it
+    for row in rows:
+        v = [x % p for x in row]
+        for j, b in basis:
+            f = v[j]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        j = next((j for j, x in enumerate(v) if x), None)
+        if j is not None:
+            inv = pow(v[j], -1, p)
+            basis.append((j, [x * inv % p for x in v]))
+    return len(basis)
 
 
 def _verify_snf(m, s, t, d, divisors):
@@ -495,17 +573,31 @@ def _check_chain(divisors):
         raise ConsistencyError(f"divisor chain broken: {divisors}")
 
 
-def _bareiss(a) -> int:
-    """One fraction-free (Bareiss) pass down the rows of a (lists, which it
-    overwrites), pivoting on columns: det a for a square a, else the signed
-    determinant of n independent columns; 0 at the first row that depends
-    on the rows above it."""
+def _bareiss(a, *, minors: bool = False) -> tuple[int, int]:
+    """One fraction-free (Bareiss) pass down the n rows of a (lists, which
+    it overwrites), pivoting on columns.  Returns (det, g).
+
+    det is det a for a square a, else the signed determinant of n
+    independent columns; 0 at the first row that depends on the rows above
+    it.  With minors set, g is the gcd of the (n-1)-minors that the pass
+    holds: when three rows remain, after k = n - 3 pivots, their entries
+    are the (k+1)-minors on the first k pivot rows and columns, and by
+    Sylvester's identity each 2x2 minor of that block divided by the
+    previous pivot is an (n-1)-minor (Bareiss, Math. Comp. 22, 1968).  With
+    two rows, g is the gcd of the entries, and with fewer it is 1.  So
+    d_1 ... d_(n-1) divides g.  Without minors, g is 0, which every
+    integer divides.
+    """
+    n = len(a)
     cols = len(a[0]) if a else 0
     sign, prev = 1, 1
+    g = 1 if minors else 0
     for k, row in enumerate(a):
+        if minors and k == max(n - 3, 0) and n > 1:
+            g = _trailing_minor_gcd(a[k:], k, prev)
         j = next((j for j in range(k, cols) if row[j]), None)
         if j is None:
-            return 0
+            return 0, g
         if j != k:
             sign = -sign
             for r in a[k:]:
@@ -515,14 +607,30 @@ def _bareiss(a) -> int:
             f = r[k]
             r[k + 1 :] = [(x * p - f * y) // prev for x, y in zip(r[k + 1 :], row[k + 1 :])]
         prev = p
-    return sign * prev
+    return sign * prev, g
+
+
+def _trailing_minor_gcd(block, k, prev) -> int:
+    """gcd of the 2x2 minors of a three-row Bareiss block past column k,
+    each divided by prev, or of the entries of a two-row one; 1 as soon as
+    it reaches 1."""
+    if len(block) == 2:
+        return gcd(*block[0], *block[1])
+    g = 0
+    for r, s in combinations([row[k:] for row in block], 2):
+        for j, (x, y) in enumerate(zip(r, s)):
+            for u, v in zip(r[j + 1 :], s[j + 1 :]):
+                g = gcd(g, (x * v - u * y) // prev)
+                if g == 1:
+                    return 1
+    return g
 
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise ShapeError(f"determinant of a non-square {m.rows}x{m.cols} matrix")
-    return _bareiss(m.to_lists())
+    return _bareiss(m.to_lists())[0]
 
 
 def certify_smith(m: IntMatrix) -> SnfResult:
@@ -692,9 +800,10 @@ def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:
     return basis
 
 
-def _hermite_pivots(m: IntMatrix) -> list[int] | None:
+def _hermite_pivots(m: IntMatrix, *, minors: bool = False) -> tuple[list[int] | None, int]:
     """Diagonal h_1 ... h_n of the Hermite form of the column lattice L of m
-    in Z^n, n = m.rows; None when L has rank < n.  _column_index takes it
+    in Z^n, n = m.rows, or None when L has rank < n; and the g of the
+    Bareiss pass (see _bareiss, with minors).  _column_index takes it
     for wide matrices, where the pivot product is the index and no single
     determinant gives it, and enumerate_cokernel for the pivots themselves.
 
@@ -703,14 +812,14 @@ def _hermite_pivots(m: IntMatrix) -> list[int] | None:
     _hermite_rows may triangulate L modulo D.  The index of L is the product
     of the pivots, which must divide D.
     """
-    det = _bareiss(m.to_lists())
+    det, g = _bareiss(m.to_lists(), minors=minors)
     if not det:
-        return None
+        return None, g
     d = abs(det)
     pivots = [row[0] for row in _hermite_rows(map(m.column, range(m.cols)), m.rows, d)]
     if d % prod(pivots, start=1):
         raise ConsistencyError(f"Hermite pivots {pivots} do not divide D = {d}")
-    return pivots
+    return pivots, g
 
 
 def _dual_generators(basis, v: int) -> list[list[int]]:
@@ -788,8 +897,10 @@ def _dropped_block_indices(basis, blocks: int, v: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _column_index(m: IntMatrix) -> int:
-    """Index |Z^rows / L| of the column lattice L of m, 0 when infinite.
+def _column_index(m: IntMatrix, *, minors: bool = False) -> tuple[int, int]:
+    """Index |Z^rows / L| of the column lattice L of m, 0 when infinite, and
+    the g of the same Bareiss pass (see _bareiss, with minors; 0 when tall
+    or without minors).
 
     The shape picks the route.  A tall m has rank below its row count, so
     the index is infinite with no arithmetic.  A square m has index
@@ -797,11 +908,12 @@ def _column_index(m: IntMatrix) -> int:
     Hermite pivots, found modulo D.
     """
     if m.rows > m.cols:
-        return 0
+        return 0, 0
     if m.is_square:
-        return abs(_bareiss(m.to_lists()))
-    pivots = _hermite_pivots(m)
-    return 0 if pivots is None else prod(pivots, start=1)
+        det, g = _bareiss(m.to_lists(), minors=minors)
+        return abs(det), g
+    pivots, g = _hermite_pivots(m, minors=minors)
+    return (0 if pivots is None else prod(pivots, start=1)), g
 
 
 def cokernel_order(m: IntMatrix) -> Cardinal:
@@ -814,7 +926,7 @@ def cokernel_order(m: IntMatrix) -> Cardinal:
     >>> str(cokernel_order(IntMatrix([[1, 2], [2, 4]])))
     'infinite'
     """
-    index = _column_index(m)
+    index, _ = _column_index(m)
     return Cardinal(index) if index else INFINITE
 
 
@@ -866,7 +978,7 @@ def enumerate_cokernel(m: IntMatrix, cap: int = 1_000_000) -> list[tuple[int, ..
     >>> enumerate_cokernel(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     [(0, 0), (0, 1)]
     """
-    pivots = _hermite_pivots(m)
+    pivots, _ = _hermite_pivots(m)
     if pivots is None:
         raise ValueError("cokernel is infinite; enumeration is impossible")
     bound = prod(pivots, start=1)

@@ -203,11 +203,8 @@ def _matrix_mod(m, p):
 
 
 def _matrix_mul(a, b, p):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in columns) for row in a)
 
 
 def _matrix_det(m, p):
@@ -677,15 +674,19 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
             return tuple(codomain.mul(x, y) for x, y in zip(a, b))
 
         parent = list(range(tuple_space))
-        cmul = codomain.mul
+        table, cmul = codomain._table, codomain.mul
         weights = [n ** (arity - 1 - j) for j in range(arity)]
         for left, right_inv in _actions(_generating_set(images, identity, mul), codomain):
             # the action moves each coordinate on its own, so tuple t goes to
-            # the sum of one entry per coordinate table, in ascending t
-            cols = [
-                [cmul(cmul(left, d), r) * w for d in range(n)]
-                for r, w in zip(right_inv, weights)
-            ]
+            # the sum of one entry per coordinate table, in ascending t; a
+            # table-backed codomain gives left * d as row left's entry d
+            if table:
+                cols = [[table[x][r] * w for x in table[left]] for r, w in zip(right_inv, weights)]
+            else:
+                cols = [
+                    [cmul(cmul(left, d), r) * w for d in range(n)]
+                    for r, w in zip(right_inv, weights)
+                ]
             for t, u in enumerate(map(sum, itertools.product(*cols))):
                 # find both roots by path halving: each step links the tuple
                 # to its grandparent and moves there

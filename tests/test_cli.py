@@ -602,9 +602,10 @@ class TestInputForms:
 
 class TestSmithFormReuse:
     """Each matrix is reduced at most once per order route per compute, snf or
-    check call: once by Smith form, once by Hermite pivots (cokernel_order),
-    and once by the Hermite basis that divisibility_report triangulates for
-    the leave-one-out values.
+    check call: once by the engine's Smith form, once by Hermite pivots
+    (cokernel_order), once by the Hermite basis that divisibility_report
+    triangulates for the leave-one-out values, and once by the oracle's
+    Smith elimination (smith_normal_form with eliminate set).
 
     cli, abelian and nilpotent import both order routes by name, so each
     counting wrapper replaces its route in every namespace that binds it.
@@ -617,16 +618,21 @@ class TestSmithFormReuse:
             importlib.import_module(f"coincidence_kit.{name}")
             for name in ("cli", "abelian", "exact_linalg", "finite", "nilpotent")
         ]
-        seen = {"smith": Counter(), "hermite": Counter(), "basis": Counter()}
+        seen = {
+            "smith": Counter(),
+            "hermite": Counter(),
+            "basis": Counter(),
+            "elimination": Counter(),
+        }
         routes = {
             "smith": exact_linalg.smith_normal_form,
             "hermite": exact_linalg.cokernel_order,
         }
         for route, original in routes.items():
 
-            def counting(m, original=original, seen=seen[route]):
-                seen[m] += 1
-                return original(m)
+            def counting(m, original=original, route=route, **kwargs):
+                seen["elimination" if kwargs.get("eliminate") else route][m] += 1
+                return original(m, **kwargs)
 
             for ns in namespaces:
                 for attr, value in list(vars(ns).items()):
@@ -642,7 +648,8 @@ class TestSmithFormReuse:
         return seen
 
     def _assert_each_once(self, capsys, reductions, *argv):
-        """Run the CLI; return the (Smith, Hermite, basis) reduction counts."""
+        """Run the CLI; return the (Smith, Hermite, basis, elimination)
+        reduction counts."""
         for seen in reductions.values():
             seen.clear()
         code, _, err = run_cli(capsys, *argv)
@@ -673,13 +680,13 @@ class TestSmithFormReuse:
         # all three leave-one-out values
         stacked = stacked_difference(AbelianSystem(maps))
         total = self._assert_each_once(capsys, reductions, "compute", problem)
-        assert total == (1, 3, 1)
+        assert total == (1, 3, 1, 0)
         assert reductions["basis"] == {stacked: 1}
         # pairwise values above 1 add the lattice-index reduction
         total = self._assert_each_once(
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json")
         )
-        assert total == (1, 4, 1)
+        assert total == (1, 4, 1, 0)
 
     def test_check_on_shipped_abelian_problems(self, capsys, reductions):
         for path in sorted(PROBLEMS.glob("*.json")):
@@ -694,7 +701,7 @@ class TestSmithFormReuse:
         ]
         problem = json.dumps({"kind": "abelian-multi", "maps": maps})
         # compute's reductions, plus the 23 orderings other than the identity
-        assert self._assert_each_once(capsys, reductions, "check", problem) == (1, 26, 1)
+        assert self._assert_each_once(capsys, reductions, "check", problem) == (1, 26, 1, 0)
 
     def test_abelian_oracle_enumerates_once(self, capsys, reductions, monkeypatch):
         original = exact_linalg.enumerate_cokernel
@@ -708,20 +715,23 @@ class TestSmithFormReuse:
         total = self._assert_each_once(
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json"), "--oracle"
         )
-        # each number once more, by the route the engine did not take: the
-        # three pairwise blocks and the three leave-one-out stacks by Smith
-        # form, the stacked one by Hermite pivots
-        assert total == (1 + 3 + 3, 4 + 1, 1)
-        assert len(enumerated) == 0  # the oracle counts from Hermite pivots
+        # each number once more, by Smith elimination, which the engine's
+        # orders do not run: the stacked matrix, the three pairwise blocks
+        # and the three leave-one-out stacks; no Hermite pivots past the
+        # engine's
+        assert total == (1, 4, 1, 1 + 3 + 3)
+        assert len(enumerated) == 0  # the oracle lists no class
 
-    def test_abelian_oracle_on_a_pair_reduces_nothing_more(self, capsys, reductions):
-        # with two maps the engine already reduced the one block both ways:
-        # Smith for the value, Hermite pivots for the pairwise value (1 here,
-        # so no lattice index is reduced for |ker Psi|)
+    def test_abelian_oracle_on_a_pair_eliminates_the_block_once(self, capsys, reductions):
+        # with two maps the one block is the stack: the engine took its Smith
+        # form for the value and its Hermite pivots for the pairwise value (1
+        # here, so no lattice index is reduced for |ker Psi|); the oracle
+        # eliminates it once, for its divisors, the value and the pairwise
+        # value
         maps = [[[1, 2, 0], [0, 1, 3]], [[3, 2, 5], [1, -1, 3]]]
         problem = json.dumps({"kind": "abelian-pair", "maps": maps})
         total = self._assert_each_once(capsys, reductions, "compute", problem, "--oracle")
-        assert total == (1, 1, 0)
+        assert total == (1, 1, 0, 1)
 
 
 class TestCheckSolvesEachOrderingOnce:
@@ -1122,13 +1132,15 @@ class TestLazySmithTransforms:
 
 
 class TestTransformFreeSmith:
-    """Every Smith form of full row rank that a run prints comes from the
-    transform-free kernel _smith_divisors; no _eliminate call runs."""
+    """Every Smith form of full row rank that a run prints is read off the
+    index's Bareiss pass by _certified_divisors when that certificate
+    decides it, and reduced by the transform-free kernel _smith_divisors
+    only when it cannot; no _eliminate call runs."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
         calls = Counter()
-        for name in ("_eliminate", "_smith_divisors"):
+        for name in ("_eliminate", "_smith_divisors", "_certified_divisors"):
             original = getattr(exact_linalg, name)
 
             def counting(*args, _name=name, _original=original):
@@ -1140,26 +1152,38 @@ class TestTransformFreeSmith:
 
     @pytest.mark.parametrize("command", ["snf", "compute"])
     def test_nonsingular_square_snf_problem(self, capsys, kernels, command):
-        code, out, err = run_cli(capsys, command, _snf_problem(_seeded_matrix(1616, 16)))
+        matrix = _seeded_matrix(1616, 16)
+        code, out, err = run_cli(capsys, command, _snf_problem(matrix))
         assert code == 0, err
         assert "value: 3215286139594\n" in out
-        assert kernels == {"_smith_divisors": 1}
+        assert kernels == {"_certified_divisors": 1}
+        # times 6, the primes 2 and 3 divide every divisor: the certificate
+        # declines and the kernel reduces the matrix
+        kernels.clear()
+        scaled = [[6 * x for x in row] for row in matrix]
+        code, out, err = run_cli(capsys, command, _snf_problem(scaled))
+        assert code == 0, err
+        assert f"value: {3215286139594 * 6**16}\n" in out
+        assert kernels == {"_certified_divisors": 1, "_smith_divisors": 1}
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["square", "wide"])
     def test_stacked_torus_system(self, capsys, kernels, extra):
         # three maps Z^(8 + extra) -> Z^4 stack to an 8 x (8 + extra)
-        # difference; pairwise and leave-one-out orders take Hermite pivots
-        rng = random.Random(19)
-        maps = [
-            [[rng.randint(-4, 4) for _ in range(8 + extra)] for _ in range(4)]
-            for _ in range(3)
-        ]
-        problem = json.dumps({"kind": "abelian-multi", "maps": maps})
-        code, out, err = run_cli(capsys, "compute", problem, "--trace")
-        assert code == 0, err
-        assert f"stacked difference has shape 8x{8 + extra}\n" in out
-        assert "value: infinite" not in out
-        assert kernels == {"_smith_divisors": 1}
+        # difference; pairwise and leave-one-out orders take Hermite pivots.
+        # Times 6, the certificate declines and the kernel runs.
+        for scale, eliminated in ((1, 0), (6, 1)):
+            rng = random.Random(19)
+            maps = [
+                [[scale * rng.randint(-4, 4) for _ in range(8 + extra)] for _ in range(4)]
+                for _ in range(3)
+            ]
+            problem = json.dumps({"kind": "abelian-multi", "maps": maps})
+            kernels.clear()
+            code, out, err = run_cli(capsys, "compute", problem, "--trace")
+            assert code == 0, err
+            assert f"stacked difference has shape 8x{8 + extra}\n" in out
+            assert "value: infinite" not in out
+            assert kernels == Counter(_certified_divisors=1, _smith_divisors=eliminated)
 
     def test_wrong_wide_recount_exits_2(self, capsys, monkeypatch):
         # the oracle's leave-one-out stacks of example 2 are 2x3; a kernel
@@ -1179,6 +1203,81 @@ class TestTransformFreeSmith:
         code, out, err = run_cli(capsys, "compute", path, "--oracle")
         assert code == 2
         assert "do not multiply to the Hermite index" in err
+
+
+class TestOraclesEliminate:
+    """The oracles recount by Smith elimination and never read the
+    certificate that the engine's Smith forms take: under --oracle every
+    recounted matrix runs _smith_divisors, and _certified_divisors runs no
+    more often than under plain compute."""
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        calls = Counter()
+        for name in ("_smith_divisors", "_certified_divisors"):
+            original = getattr(exact_linalg, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(exact_linalg, name, counting)
+        return calls
+
+    @staticmethod
+    def _added_by_oracle(capsys, kernels, problem):
+        """Kernel calls under compute --oracle less those under compute."""
+        counts = []
+        for flags in ((), ("--oracle",)):
+            kernels.clear()
+            code, out, err = run_cli(capsys, "compute", problem, *flags)
+            assert code == 0, err
+            counts.append(Counter(kernels))
+        assert "oracle: agreed\n" in out
+        plain, oracle = counts
+        oracle.subtract(plain)
+        return plain, oracle
+
+    @pytest.mark.parametrize("k, recounts", [(2, 1), (4, 1 + 3 + 3)])
+    def test_torus_recounts(self, capsys, kernels, k, recounts):
+        # the stack (with k = 2 the one block), the pairwise blocks and the
+        # leave-one-out stacks, all of full row rank
+        rng = random.Random(2300 + k)
+        maps = [
+            [[rng.randint(-4, 4) for _ in range(3 * (k - 1) + 1)] for _ in range(3)]
+            for _ in range(k)
+        ]
+        problem = json.dumps({"kind": "abelian-multi", "maps": maps})
+        plain, added = self._added_by_oracle(capsys, kernels, problem)
+        assert plain["_certified_divisors"] == 1
+        assert added == Counter(_smith_divisors=recounts, _certified_divisors=0)
+
+    def test_nilpotent_recounts(self, capsys, kernels):
+        # quotient, central and coarse orders; the engine takes no Smith form
+        path = str(PROBLEMS / "six_to_heisenberg_pair.json")
+        plain, added = self._added_by_oracle(capsys, kernels, path)
+        assert plain == Counter()
+        assert added == Counter(_smith_divisors=3, _certified_divisors=0)
+
+    def test_lying_certificate_exits_2(self, capsys, monkeypatch):
+        """A certificate that claims (1, ..., 1, D) whenever the real one
+        declines passes the chain checks on diag(1, 1, 2, 2): compute prints
+        the wrong divisors, and the oracle's elimination refuses them."""
+        original = exact_linalg._certified_divisors
+
+        def lying(a, index, g):
+            return original(a, index, g) or (1,) * (a.rows - 1) + (index,)
+
+        monkeypatch.setattr(exact_linalg, "_certified_divisors", lying)
+        zero = [[0] * 4, [0] * 4]
+        maps = [zero, [[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 2, 0], [0, 0, 0, 2]]]
+        problem = json.dumps({"kind": "abelian-multi", "maps": maps})
+        code, out, err = run_cli(capsys, "compute", problem, "--trace")
+        assert code == 0, err
+        assert "invariant factors: 1, 1, 1, 4\n" in out
+        code, out, err = run_cli(capsys, "compute", problem, "--oracle")
+        assert code == 2
+        assert "elimination gives invariant factors (1, 1, 2, 2)" in out
 
 
 # -- the cokernel oracle at scale -------------------------------------------------------

@@ -268,9 +268,9 @@ class TestSmithProperties:
 
 
 class TestLazyTransforms:
-    """An input of full row rank is reduced without transforms, by
-    _smith_divisors, and checked against |det m| when square or its Hermite
-    index when wide; its s, t and d stay None."""
+    """An input of full row rank gets its divisors without transforms, from
+    the certificate or else from _smith_divisors, checked against |det m|
+    when square or its Hermite index when wide; its s, t and d stay None."""
 
     @pytest.fixture
     def with_transforms(self, monkeypatch):
@@ -298,20 +298,27 @@ class TestLazyTransforms:
 
     def test_nonsingular_square_leaves_transforms_unset(self, with_transforms, divisor_kernel):
         m = random_nonsingular(random.Random(3), 7)
-        res = smith_normal_form(m)
-        assert res.cokernel_order() == Cardinal.finite(abs(determinant(m)))
-        assert (res.s, res.t, res.d) == (None, None, None)
-        assert (with_transforms, divisor_kernel) == ([], [7])
+        doubled = _scaled(m, 2)
+        for a, eliminated in ((m, []), (doubled, [7])):
+            del divisor_kernel[:]
+            res = smith_normal_form(a)
+            assert res.cokernel_order() == Cardinal.finite(abs(determinant(a)))
+            assert (res.s, res.t, res.d) == (None, None, None)
+            # the certificate decides m; 2 divides every divisor of 2m
+            assert (with_transforms, divisor_kernel) == ([], eliminated)
         # kernel_basis reads t, so it takes the transform route itself
         assert kernel_basis(m) == []
         assert with_transforms == [m]
 
     def test_full_row_rank_wide_leaves_transforms_unset(self, with_transforms, divisor_kernel):
         m = random_matrix(random.Random(4), lo=-4, hi=4, rows=6, cols=9)
-        res = smith_normal_form(m)
-        assert res.cokernel_order() == cokernel_order(m) != INFINITE
-        assert (res.s, res.t, res.d) == (None, None, None)
-        assert (with_transforms, divisor_kernel) == ([], [6])
+        tripled = _scaled(m, 3)
+        for a, eliminated in ((m, []), (tripled, [6])):
+            del divisor_kernel[:]
+            res = smith_normal_form(a)
+            assert res.cokernel_order() == cokernel_order(a) != INFINITE
+            assert (res.s, res.t, res.d) == (None, None, None)
+            assert (with_transforms, divisor_kernel) == ([], eliminated)
 
     def test_rank_deficient_input_eliminates_once_with_transforms(
         self, monkeypatch, divisor_kernel
@@ -347,6 +354,15 @@ class TestLazyTransforms:
         assert len(with_transforms) == 1
         assert (res.s @ m) @ res.t == res.d
         assert len(with_transforms) == 1
+
+    def test_full_rank_chain_behind_a_dependent_row_is_refused(self, monkeypatch):
+        # an index pass that stops at a row that is not dependent sends a
+        # nonsingular matrix to the transform route, whose chain then has a
+        # divisor per row
+        monkeypatch.setattr(el, "_column_index", lambda a, **kwargs: (0, 0))
+        with pytest.raises(ConsistencyError, match="found a dependent row"):
+            smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
+        assert smith_normal_form(DEFICIENT).divisors == (1, 2)
 
     def test_unimodular_inverse_eliminates_once(self, monkeypatch):
         import coincidence_kit.exact_linalg as el
@@ -400,9 +416,9 @@ def counting_calls(monkeypatch, name):
     original = getattr(el, name)
     calls = []
 
-    def counting(a, *rest):
+    def counting(a, *rest, **kwargs):
         calls.append((a.rows, a.cols) if isinstance(a, IntMatrix) else len(a))
-        return original(a, *rest)
+        return original(a, *rest, **kwargs)
 
     monkeypatch.setattr(el, name, counting)
     return calls
@@ -415,14 +431,20 @@ class TestShapeRoutes:
     one the product of its Hermite pivots."""
 
     def test_both_callers_take_the_one_index(self, monkeypatch):
-        calls = counting_calls(monkeypatch, "_column_index")
         square = random_nonsingular(random.Random(41), 4)
         wide = random_matrix(random.Random(42), lo=-4, hi=4, rows=3, cols=5)
+        calls = counting_calls(monkeypatch, "_column_index")
+        passes = counting_calls(monkeypatch, "_bareiss")
+        eliminated = counting_calls(monkeypatch, "_smith_divisors")
         for m in (square, wide, wide.transpose()):
             cokernel_order(m)
             smith_normal_form(m)
         # a tall Smith form checks the index of its transpose
         assert calls == [(4, 4)] * 2 + [(3, 5)] * 2 + [(5, 3), (3, 5)]
+        # one Bareiss pass per index: the Smith forms read their minors'
+        # gcd off it, and here the certificate decides every one of them
+        assert passes == [4] * 2 + [3] * 2 + [3]
+        assert eliminated == []
 
     def test_tall_smith_forms_take_transforms_only_below_full_rank(self, monkeypatch):
         rng = random.Random(4343)
@@ -583,6 +605,147 @@ class TestSmithDivisors:
     def test_sympy_invariant_factors(self, sympy_divisors):
         for kind, m in kernel_cases()[:120]:
             assert el._smith_divisors(m.to_lists()) == sympy_divisors(m), (kind, m)
+
+
+def _scaled(m, scale):
+    return IntMatrix([[scale * x for x in row] for row in m.iter_rows()], cols=m.cols)
+
+
+def _block_diagonal(blocks):
+    width = sum(b.cols for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        for row in b.iter_rows():
+            rows.append([0] * offset + list(row) + [0] * (width - offset - b.cols))
+        offset += b.cols
+    return IntMatrix(rows, cols=width)
+
+
+def _diagonal(entries):
+    return IntMatrix([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
+
+
+def certificate_cases():
+    """(kind, m) pairs for the Smith certificate: seeded square and wide
+    matrices of 1 to 40 rows with entries within +-1 to +-4 and their
+    transposes; x2, x3 and x6 multiples; block-diagonal inputs whose
+    d_(R-1) is a prime p, so p^2 divides the index; and diag(q, 1, ..., 1)
+    times a unimodular matrix, whose every Bareiss-held minor is a multiple
+    of q while d_(R-1) = 1, for q = 2, 3 and the prime 1009 above the
+    bound."""
+    rng = random.Random(2323)
+    cases = []
+    for rows in (1, 2, 3, 4, 5, 6, 8, 11, 16, 23, 31, 40):
+        for extra in (0, rng.randint(1, 4)):
+            bound = rng.randint(1, 4)
+            while True:
+                m = random_matrix(rng, lo=-bound, hi=bound, rows=rows, cols=rows + extra)
+                if cokernel_order(m) != INFINITE:
+                    break
+            cases.append(("square" if not extra else "wide", m))
+            if extra and rows < 12:
+                cases.append(("tall", m.transpose()))
+    for rows in (2, 5, 9):
+        m = random_nonsingular(rng, rows, lo=-4, hi=4)
+        for scale in (2, 3, 6):
+            cases.append((f"x{scale}", _scaled(m, scale)))
+    for p in (2, 3, 7, 997):
+        blocks = []
+        for size in (rng.randint(2, 5), rng.randint(2, 5)):
+            diagonal = _diagonal([1] * (size - 1) + [p])
+            blocks.append(random_unimodular(rng, size) @ diagonal @ random_unimodular(rng, size))
+        cases.append((f"block p={p}", _block_diagonal(blocks)))
+    for q in (2, 3, 1009):
+        diagonal = _diagonal([q] + [1] * 5)
+        cases.append((f"minors q={q}", diagonal @ random_unimodular(rng, 6)))
+    return cases
+
+
+class TestMinorCertificate:
+    """smith_normal_form reads (1, ..., 1, D) off the index's Bareiss pass
+    when the gcd g of the (R-1)-minors it holds, with ranks modulo the small
+    primes of gcd(g, D), proves d_(R-1) = 1, and eliminates otherwise.  Each
+    result is held to certify_smith's, whose transforms prove every
+    divisor, and to sympy's where it is installed."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Route of the latest smith_normal_form: "gcd" when neither a rank
+        modulo p nor the elimination ran, else "mod-p" or "elimination"."""
+        ran = []
+        for name in ("_rank_mod", "_smith_divisors"):
+            original = getattr(el, name)
+
+            def counting(*args, _name=name, _original=original):
+                ran.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(el, name, counting)
+
+        def route(m):
+            del ran[:]
+            res = smith_normal_form(m)
+            kind = "elimination" if "_smith_divisors" in ran else "mod-p" if ran else "gcd"
+            return res, kind
+
+        return route
+
+    def test_matches_the_transform_certificate(self, routes):
+        seen = {}
+        for kind, m in certificate_cases():
+            res, route = routes(m)
+            assert res.divisors == certify_smith(m).divisors, (kind, m)
+            assert (res.s, res.t, res.d) == (None, None, None)
+            seen.setdefault(kind.split(" ")[0] if kind.startswith("x") else kind, set()).add(route)
+        assert set().union(*seen.values()) == {"gcd", "mod-p", "elimination"}
+        # p divides two divisors of a scaled or a p-block input; 1009 is past
+        # the bound; 2 and 3 leave rank R - 1, which proves d_(R-1) = 1
+        for kind in ("x2", "x3", "x6", "block p=2", "block p=997", "minors q=1009"):
+            assert seen[kind] == {"elimination"}, kind
+        assert seen["minors q=2"] == seen["minors q=3"] == {"mod-p"}
+
+    def test_sympy_invariant_factors(self, sympy_divisors):
+        for kind, m in certificate_cases():
+            if max(m.rows, m.cols) <= 12:
+                assert smith_normal_form(m).divisors == sympy_divisors(m), (kind, m)
+
+    def test_minor_gcd_is_a_multiple_of_the_leading_divisors(self):
+        for kind, m in certificate_cases():
+            a = m.transpose() if m.rows > m.cols else m
+            index, g = el._column_index(a, minors=True)
+            divisors = certify_smith(a).divisors
+            assert index == math.prod(divisors), kind
+            lead = math.prod(divisors[:-1])
+            assert g % lead == 0, (kind, g, divisors)
+            if a.rows <= 3:  # the pass holds every (R-1)-minor
+                assert g == lead, (kind, g, divisors)
+
+    def test_skipping_the_rank_step_fails(self, monkeypatch):
+        """A certificate that trusts every small prime of gcd(g, D), with no
+        rank modulo p, claims d_(R-1) = 1 for inputs where p divides two
+        divisors: the chain checks refuse a scaled one, and a p-block one
+        passes them with the wrong divisors."""
+        monkeypatch.setattr(el, "_rank_mod", lambda rows, p: len(list(rows)) - 1)
+        refused, wrong = [], []
+        for kind, m in certificate_cases():
+            try:
+                divisors = smith_normal_form(m).divisors
+            except ConsistencyError:
+                refused.append(kind)
+                continue
+            if divisors != certify_smith(m).divisors:
+                wrong.append(kind)
+        assert "x2" in refused
+        assert "block p=2" in wrong and "block p=997" in wrong
+
+    def test_full_rank_modulo_a_prime_of_the_index_is_refused(self, monkeypatch):
+        # 2 divides the index of diag(2, 1, ...) @ u, so the rank modulo 2
+        # must fall short
+        m = _diagonal([2] + [1] * 5) @ random_unimodular(random.Random(7), 6)
+        assert smith_normal_form(m).divisors == (1,) * 5 + (2,)
+        monkeypatch.setattr(el, "_rank_mod", lambda rows, p: len(list(rows)))
+        with pytest.raises(ConsistencyError, match="rank modulo 2 is full"):
+            smith_normal_form(m)
 
 
 class TestKernel:

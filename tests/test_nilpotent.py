@@ -833,9 +833,10 @@ class TestStackAgainstFold:
         and lifts no delta-vector off it; only the oracle's recount takes
         Smith forms: the quotient and central orders, and no coarse order,
         which with no delta-vector is the central one.  Eliminations by
-        both Smith kernels count, with transforms or without."""
+        both Smith kernels count, with transforms or without; the recount
+        eliminates and never asks the certificate."""
         eliminated = []
-        for name in ("_eliminate", "_smith_divisors"):
+        for name in ("_eliminate", "_smith_divisors", "_certified_divisors"):
             original = getattr(exact_linalg, name)
 
             def counting(*args, _name=name, _original=original):
@@ -846,7 +847,7 @@ class TestStackAgainstFold:
         command, *flags = argv
         path = PROBLEMS / "heisenberg_pair.json"
         assert cli.main([command, str(path), *flags]) == 0
-        assert len(eliminated) == calls
+        assert eliminated == ["_smith_divisors"] * calls
 
     @pytest.mark.parametrize("argv", [["compute"], ["compute", "--oracle"], ["check"]])
     def test_words_are_checked_once_on_the_heisenberg_pair(self, capsys, monkeypatch, argv):
