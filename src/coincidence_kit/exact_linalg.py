@@ -33,22 +33,22 @@ so it divides gcd(g, index) and leaves a with rank at most R - 2 modulo p.
 When gcd(g, index) is 1, or each of its primes is below 1000 and leaves
 rank R - 1 modulo p, the divisors are (1, ..., 1, index) with no
 elimination (_certified_divisors).  Otherwise, and always for the oracles,
-which ask with eliminate set, _smith_divisors reduces a on the live
-submatrix only.  Either way the divisors must number rows, form a chain,
-start with the gcd of the entries and multiply to that index.  The
-certificate proves every divisor; an eliminated chain is pinned by those
-checks, against an index found by a route that shares nothing with the
-Smith loop, in its rank, cokernel order, d_1 and chain, not in each middle
-divisor.  A matrix short of full row rank is reduced with identity blocks
-appended, [[m | I], [I]]: the row operations turn the right block into s
-and the column operations turn the bottom block into t, which are
-re-multiplied against the input: s @ m @ t == d.  kernel_basis reads the
-kernel off t, and unimodular_inverse takes m^-1 = t @ s from
-s @ m @ t == I and checks m @ m^-1 == I exactly; both take the transform
-route themselves.
+which ask with eliminate set, the one Smith loop, _smith_divisors, reduces
+a on the live submatrix without transforms.  Either way the divisors must
+number rows, form a chain, start with the gcd of the entries and multiply
+to that index.  The certificate proves every divisor; an eliminated chain
+is pinned by those checks, against an index found by a route that shares
+nothing with the Smith loop, in its rank, cokernel order, d_1 and chain,
+not in each middle divisor.  A matrix short of full row rank is reduced by
+the same loop with its transforms (_smith_with_transforms): each row
+carries its row of s, the column operations act on the columns of t, both
+start as identities, and d is built from the divisors; s @ m @ t == d is
+then re-multiplied against the input.  kernel_basis reads the kernel off
+t, and unimodular_inverse takes m^-1 = t @ s from s @ m @ t == I and
+checks m @ m^-1 == I exactly; both take the transform route themselves.
 
 certify_smith proves every divisor of m's Smith form, at any size, for one
-elimination with transforms and two determinants: it requires
+run of the loop with transforms and two determinants: it requires
 |det s| == |det t| == 1 (Bareiss).  Since s @ m @ t == d with d the divisor
 chain on its diagonal, unimodular s and t make d the Smith form of m, which
 is unique.
@@ -178,9 +178,6 @@ class IntMatrix:
             cols=self.cols,
         )
 
-    def __neg__(self):
-        return IntMatrix([[-x for x in r] for r in self._data], cols=self.cols)
-
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -229,11 +226,11 @@ class SnfResult:
     l1 | l2 | ... | lr, and the decomposition s @ m @ t == d with unimodular
     s and t, where d carries the divisors on its diagonal followed by zeros.
 
-    The divisors are always present.  s, t and d are set by the elimination
-    that tracks transforms and checks s @ m @ t == d; they are None when
-    smith_normal_form found the divisors without them, which it does
-    whenever m or, for a tall m, its transpose has full row rank.
-    certify_smith always sets them.
+    The divisors are always present.  s, t and d are set when the Smith
+    loop ran with its transforms, checked by s @ m @ t == d with d built
+    from the divisors; they are None when smith_normal_form found the
+    divisors without them, which it does whenever m or, for a tall m, its
+    transpose has full row rank.  certify_smith always sets them.
     """
 
     __slots__ = ("m", "divisors", "s", "t", "d")
@@ -249,139 +246,51 @@ class SnfResult:
         return Cardinal(prod(self.divisors, start=1))
 
 
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
+def _smith_divisors(rows, t=None) -> tuple[int, ...]:
+    """Divisor chain of the list-of-rows matrix rows, which it may
+    overwrite, by Smith reduction on the live submatrix (Cohen, GTM 138,
+    algorithm 2.4.14; Kannan and Bachem, SIAM J. Comput. 8, 1979).
 
+    A pivot is a smallest-magnitude entry (the hunt stops at the first
+    unit), and its column is cleared by row operations; a remainder becomes
+    the next, smaller pivot.  Column operations against the cleared column
+    change the pivot row alone and take it modulo the pivot; a remainder
+    again becomes the pivot.  A pivot is accepted once it divides every
+    remaining entry, else a violating row is folded into its row, which
+    shrinks it; so the chain comes out sorted.  An accepted pivot's row and
+    column leave the live submatrix, and so does every row that turns zero.
 
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a, dst, src, mult):
-    # row[dst] += mult * row[src]
-    rd, rs = a[dst], a[src]
-    for j in range(len(rd)):
-        rd[j] += mult * rs[j]
-
-
-def _add_col(a, dst, src, mult):
-    for row in a:
-        row[dst] += mult * row[src]
-
-
-def _eliminate(a, rows: int, cols: int) -> tuple[int, ...]:
-    """Reduce the leading rows x cols block of the list-of-rows matrix a in
-    place to Smith form and return its divisor chain.  Row operations act on
-    whole rows of a and column operations on whole columns, so a block
-    appended to the right of the leading one records the row operations and
-    a block appended below it records the column operations.
-
-    Pivoting always picks a smallest-magnitude nonzero entry of the working
-    submatrix, then clears its row and column by Euclidean steps.  Before a
-    pivot is accepted, every remaining entry must be divisible by it; a
-    violating row is folded into the pivot row, which strictly shrinks the
-    pivot and so terminates.  That discipline is what makes the divisor chain
-    come out sorted without a separate fixup pass.
+    With t, a list of the columns of t starting as the identity, the run
+    keeps its transforms: each row carries its row of s past its first
+    w = len(t) entries, where the row operations reach it, and the column
+    operations act on t's columns, also those that clear an accepted
+    pivot's row.  A negative pivot negates its row of s.  On return rows
+    holds the rows of s and t the columns of t, the accepted pivots first,
+    so that s @ m @ t has the divisors on its diagonal and zeros elsewhere.
     """
-    k = 0
-    limit = min(rows, cols)
-    while k < limit:
-        # Global pivot hunt over the untouched submatrix.
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != k:
-            _swap_rows(a, k, bi)
-        if bj != k:
-            _swap_cols(a, k, bj)
-
-        while True:
-            # Clear the pivot column by row operations.
-            while True:
-                dirty = [i for i in range(k + 1, rows) if a[i][k]]
-                if not dirty:
-                    break
-                low = min(
-                    range(k, rows),
-                    key=lambda i: (a[i][k] == 0, abs(a[i][k]), i),
-                )
-                if low != k:
-                    _swap_rows(a, k, low)
-                for i in range(k + 1, rows):
-                    if a[i][k]:
-                        q = a[i][k] // a[k][k]
-                        if q:
-                            _add_row(a, i, k, -q)
-            # Clear the pivot row by column operations; a column swap here can
-            # re-dirty the pivot column, hence the outer loop.
-            while True:
-                dirty = [j for j in range(k + 1, cols) if a[k][j]]
-                if not dirty:
-                    break
-                low = min(
-                    range(k, cols),
-                    key=lambda j: (a[k][j] == 0, abs(a[k][j]), j),
-                )
-                if low != k:
-                    _swap_cols(a, k, low)
-                for j in range(k + 1, cols):
-                    if a[k][j]:
-                        q = a[k][j] // a[k][k]
-                        if q:
-                            _add_col(a, j, k, -q)
-            if any(a[i][k] for i in range(k + 1, rows)):
-                continue
-            # Divisibility sweep: the accepted pivot must divide everything
-            # that remains, or the chain property would fail downstream.
-            p = abs(a[k][k])
-            offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if a[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _add_row(a, k, offender, 1)
-
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-        k += 1
-    # every accepted pivot is nonzero, and the loop stops at the first zero
-    return tuple(a[i][i] for i in range(k))
-
-
-def _smith_divisors(rows) -> tuple[int, ...]:
-    """Divisor chain of the list-of-rows matrix rows (whose rows it may
-    overwrite), without transforms.
-
-    The same discipline as _eliminate, on the live submatrix only: zero rows
-    leave it, and once a pivot's column is cleared and the pivot divides its
-    row, the row and column leave it with no column operations, since those
-    would only clear that row.  The hunt stops at the first unit, and a unit
-    pivot skips the divisibility sweep.
-    """
-    a = [row for row in rows if any(row)]
+    w = len(t) if t is not None else len(rows[0]) if rows else 0
+    if t is not None:
+        s_pivots, s_zeros, t_pivots = [], [], []
     divisors = []
-    while a:
+    a = rows
+    while True:
+        # Without t a row holds matrix entries only, and the scans over
+        # every row take it whole rather than copy it.
+        if t is not None:
+            s_zeros += [row[w:] for row in a if not any(row[:w])]
+        a = [row for row in a if any(row if t is None else row[:w])]
+        if not a:
+            break
         best = pi = None
         for i, row in enumerate(a):
-            v = min(map(abs, filter(None, row)))
+            v = min(map(abs, filter(None, row if t is None else row[:w])))
             if best is None or v < best:
                 best, pi = v, i
                 if v == 1:
                     break
         prow = a.pop(pi)
-        pj = prow.index(best) if best in prow else prow.index(-best)
+        head = prow[:w]  # an entry of s may equal +-best
+        pj = head.index(best) if best in head else head.index(-best)
         while True:
             # Clear the pivot column by row operations; a remainder becomes
             # the next, smaller pivot.
@@ -399,42 +308,63 @@ def _smith_divisors(rows) -> tuple[int, ...]:
             if low is not None:
                 a[low], prow = prow, a[low]
                 continue
+            if t is not None:
+                # the column operations that take the pivot row modulo p:
+                # the remainder step, the clearing before a fold, and the
+                # clearing of an accepted pivot's row
+                col = t[pj]
+                for j, x in enumerate(prow[:w]):
+                    q = x // p
+                    if q and j != pj:
+                        t[j] = [y - q * z for y, z in zip(t[j], col)]
             if p not in (1, -1):
                 # Column operations against the cleared pivot column change
                 # the pivot row alone: they leave its entries modulo p.
-                rest = [x % p for x in prow]
+                rest = [x % p for x in prow[:w]]
                 if any(rest):
                     j = min((j for j, x in enumerate(rest) if x), key=lambda j: abs(rest[j]))
                     rest[pj] = p
-                    prow, pj = rest, j
+                    prow, pj = rest + prow[w:], j
                     continue
-                # Divisibility sweep: fold a violating row into the pivot row.
-                offender = next((row for row in a if any(x % p for x in row)), None)
+                # Divisibility sweep: fold a violating row into the pivot
+                # row, cleared to p at pj.
+                offender = next(
+                    (row for row in a if any(x % p for x in (row if t is None else row[:w]))),
+                    None,
+                )
                 if offender is not None:
-                    prow = list(offender)
+                    prow = offender[:w] + [x + y for x, y in zip(prow[w:], offender[w:])]
                     prow[pj] = p
                     continue
             break
         divisors.append(abs(p))
-        a = [row for row in a if any(row)]
+        if t is not None:
+            s_pivots.append(prow[w:] if p > 0 else [-x for x in prow[w:]])
+            t_pivots.append(t.pop(pj))
         for row in a:
             del row[pj]
+        w -= 1
+    if t is not None:
+        rows[:] = s_pivots + s_zeros
+        t[:0] = t_pivots
     return tuple(divisors)
 
 
 def _smith_with_transforms(m: IntMatrix) -> SnfResult:
     """Smith form with its transforms, verified by s @ m @ t == d.
 
-    One elimination reduces [[m | I_rows], [I_cols]]: its row operations
-    turn the right block into s and its column operations turn the bottom
-    block into t, while m becomes d.
+    _smith_divisors reduces m with identity transforms beside it: each row
+    carries a row of I_rows, which becomes s, and the columns of I_cols
+    become t.  d is the divisors on the diagonal, zeros elsewhere.
     """
     r, c = m.rows, m.cols
-    a = m.hstack(IntMatrix.identity(r)).to_lists() + IntMatrix.identity(c).to_lists()
-    divisors = _eliminate(a, r, c)
-    s = IntMatrix([row[c:] for row in a[:r]], cols=r)
-    t = IntMatrix(a[r:], cols=c)
-    d = IntMatrix([row[:c] for row in a[:r]], cols=c)
+    rows = m.hstack(IntMatrix.identity(r)).to_lists()
+    columns = IntMatrix.identity(c).to_lists()
+    divisors = _smith_divisors(rows, columns)
+    s = IntMatrix(rows, cols=r)
+    t = IntMatrix.from_columns(columns, rows=c)
+    diagonal = divisors + (0,) * (r - len(divisors))
+    d = IntMatrix([[x if i == j else 0 for j in range(c)] for i, x in enumerate(diagonal)], cols=c)
     _verify_snf(m, s, t, d, divisors)
     return SnfResult(m, divisors, s, t, d)
 
@@ -456,8 +386,8 @@ def smith_normal_form(m: IntMatrix, *, eliminate: bool = False) -> SnfResult:
     certificate proves every divisor; for an eliminated chain those checks
     pin the rank, the cokernel order, d_1 and the chain, not each middle
     divisor on its own.  An m short of full row rank (in its transposed
-    form when tall) is reduced with transforms, verified by s @ m @ t == d,
-    and must have fewer divisors than rows.
+    form when tall) is reduced by the same loop with its transforms,
+    verified by s @ m @ t == d, and must have fewer divisors than rows.
 
     >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
     (1, 2)
@@ -554,16 +484,7 @@ def _rank_mod(rows, p: int) -> int:
 def _verify_snf(m, s, t, d, divisors):
     if (s @ m) @ t != d:
         raise ConsistencyError("smith decomposition failed verification s@m@t != d")
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j and d[i, j]:
-                raise ConsistencyError("smith form is not diagonal")
     _check_chain(divisors)
-    lim = min(d.rows, d.cols)
-    if tuple(d[i, i] for i in range(lim)) != divisors + (0,) * (lim - len(divisors)):
-        raise ConsistencyError(
-            f"diagonal of d is not the divisors {divisors} followed by zeros"
-        )
 
 
 def _check_chain(divisors):
@@ -636,8 +557,8 @@ def determinant(m: IntMatrix) -> int:
 def certify_smith(m: IntMatrix) -> SnfResult:
     """Smith form of m with every divisor proven, or ConsistencyError.
 
-    One elimination with transforms checks s @ m @ t == d and that d is
-    diagonal with the divisor chain on its diagonal followed by zeros.  What
+    One run of the Smith loop with transforms checks s @ m @ t == d, where
+    d carries the divisor chain on its diagonal and zeros elsewhere.  What
     is left is |det s| == |det t| == 1 (Bareiss): then d is the Smith form
     of m, which is unique, so the divisors are right.
 
@@ -749,7 +670,7 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the full integer kernel lattice {v : m @ v = 0}, in canonical
     Hermite form.  The lattice is saturated: any rational kernel vector with
     integer entries is an integer combination of the basis.  The columns of
-    t past the rank of m's Smith form span it, so this takes the Smith form
+    t past the rank of m's Smith form span it, so this runs the Smith loop
     with transforms whatever the shape of m.
 
     >>> kernel_basis(IntMatrix([[2, 4, 1], [2, 6, 2]]))

@@ -16,6 +16,7 @@ rather than in the package:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -91,20 +92,44 @@ def conjugacy_class_count(g: FiniteGroup) -> int:
     return count
 
 
+def count_kernel_calls(monkeypatch, *names) -> Counter:
+    """Wrap each of exact_linalg's functions names to count its calls in the
+    returned Counter.  The Smith loop counts as "_smith_divisors" when it
+    runs without transforms and as "_smith_divisors with t" when it is
+    given t and tracks them."""
+    calls = Counter()
+    for name in names:
+        original = getattr(exact_linalg, name)
+        if name == "_smith_divisors":
+
+            def counting(rows, t=None, _original=original):
+                calls["_smith_divisors" if t is None else "_smith_divisors with t"] += 1
+                return _original(rows, t)
+
+        else:
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exact_linalg, name, counting)
+    return calls
+
+
 @pytest.fixture
 def doubled_last_divisor(monkeypatch):
-    """Make the elimination, when it carries transforms, scale its last
-    nonzero row by 2, which holds that row of both d and s: s @ m @ t == d
-    and the divisor chain still hold, but det s is +-2 and the last divisor
-    is twice too big."""
-    original = exact_linalg._eliminate
+    """Make the Smith loop, when it tracks transforms, scale the row of s of
+    its last divisor by 2 and double that divisor, so d doubles with it:
+    s @ m @ t == d and the divisor chain still hold, but det s is +-2 and
+    the last divisor is twice too big."""
+    original = exact_linalg._smith_divisors
 
-    def eliminate(a, rows, cols):
-        divisors = original(a, rows, cols)
-        if len(a) > rows and divisors:  # the identity block for t is below
+    def doubled(rows, t=None):
+        divisors = original(rows, t)
+        if t is not None and divisors:
             r = len(divisors) - 1
-            a[r] = [2 * x for x in a[r]]
+            rows[r] = [2 * x for x in rows[r]]
             divisors = divisors[:r] + (2 * divisors[r],)
         return divisors
 
-    monkeypatch.setattr(exact_linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(exact_linalg, "_smith_divisors", doubled)

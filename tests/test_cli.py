@@ -24,6 +24,7 @@ from coincidence_kit.abelian import AbelianSystem, stacked_difference
 from coincidence_kit.cardinal import Cardinal
 from coincidence_kit.exact_linalg import IntMatrix
 from coincidence_kit.finite import cyclic_group, twisted_reidemeister, FiniteHom
+from conftest import count_kernel_calls
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -1134,21 +1135,12 @@ class TestLazySmithTransforms:
 class TestTransformFreeSmith:
     """Every Smith form of full row rank that a run prints is read off the
     index's Bareiss pass by _certified_divisors when that certificate
-    decides it, and reduced by the transform-free kernel _smith_divisors
-    only when it cannot; no _eliminate call runs."""
+    decides it, and reduced by the Smith loop without transforms only when
+    it cannot; the loop never runs with t."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
-        calls = Counter()
-        for name in ("_eliminate", "_smith_divisors", "_certified_divisors"):
-            original = getattr(exact_linalg, name)
-
-            def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(exact_linalg, name, counting)
-        return calls
+        return count_kernel_calls(monkeypatch, "_smith_divisors", "_certified_divisors")
 
     @pytest.mark.parametrize("command", ["snf", "compute"])
     def test_nonsingular_square_snf_problem(self, capsys, kernels, command):
@@ -1190,9 +1182,10 @@ class TestTransformFreeSmith:
         # that doubles their last divisor misses the Hermite index
         original = exact_linalg._smith_divisors
 
-        def doubling(rows):
-            divisors = original(rows)
-            if len(rows) < len(rows[0]):
+        def doubling(rows, t=None):
+            wide = t is None and len(rows) < len(rows[0])
+            divisors = original(rows, t)
+            if wide:
                 divisors = divisors[:-1] + (2 * divisors[-1],)
             return divisors
 
@@ -1208,21 +1201,12 @@ class TestTransformFreeSmith:
 class TestOraclesEliminate:
     """The oracles recount by Smith elimination and never read the
     certificate that the engine's Smith forms take: under --oracle every
-    recounted matrix runs _smith_divisors, and _certified_divisors runs no
-    more often than under plain compute."""
+    recounted matrix runs the Smith loop without transforms, and
+    _certified_divisors runs no more often than under plain compute."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
-        calls = Counter()
-        for name in ("_smith_divisors", "_certified_divisors"):
-            original = getattr(exact_linalg, name)
-
-            def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(exact_linalg, name, counting)
-        return calls
+        return count_kernel_calls(monkeypatch, "_smith_divisors", "_certified_divisors")
 
     @staticmethod
     def _added_by_oracle(capsys, kernels, problem):
@@ -1253,11 +1237,15 @@ class TestOraclesEliminate:
         assert added == Counter(_smith_divisors=recounts, _certified_divisors=0)
 
     def test_nilpotent_recounts(self, capsys, kernels):
-        # quotient, central and coarse orders; the engine takes no Smith form
+        # quotient, central and coarse orders; the engine's one Smith form is
+        # the kernel basis of its wide quotient difference, which reads t
         path = str(PROBLEMS / "six_to_heisenberg_pair.json")
         plain, added = self._added_by_oracle(capsys, kernels, path)
-        assert plain == Counter()
-        assert added == Counter(_smith_divisors=3, _certified_divisors=0)
+        assert plain == {"_smith_divisors with t": 1}
+        # the recount lifts its delta-vectors off that kernel basis again
+        assert added == Counter(
+            {"_smith_divisors": 3, "_smith_divisors with t": 1, "_certified_divisors": 0}
+        )
 
     def test_lying_certificate_exits_2(self, capsys, monkeypatch):
         """A certificate that claims (1, ..., 1, D) whenever the real one
@@ -1497,11 +1485,13 @@ class TestSmithCertificate:
         assert doc["trace"][-1].startswith("oracle: unimodular s, t")
 
     def test_non_unimodular_transform_exits_2(self, capsys, doubled_last_divisor):
-        """An elimination whose s doubles the last nonzero row of d keeps
-        s @ m @ t == d and the divisor chain; only the certificate sees it."""
-        # a zero row makes the input tall, so plain snf reduces it with
-        # transforms and s @ m @ t == d is all the reduction checks; the
-        # square input is nonsingular, so plain snf reduces it without them
+        """A Smith loop that doubles the row of s of the last divisor, and
+        that divisor with it, keeps s @ m @ t == d and the divisor chain;
+        only the certificate sees it."""
+        # BIG has rank 9, so plain snf reduces it (tall, with a zero row) by
+        # the loop with t, and s @ m @ t == d is all that reduction checks;
+        # the square input is nonsingular, so plain snf reads its divisors
+        # off the minor certificate and never runs the loop with t
         tall = _snf_problem(json.loads(self.BIG)["matrix"] + [[0] * 16])
         for problem in (tall, self.SQUARE):
             code, _, err = run_cli(capsys, "snf", problem)
@@ -1518,21 +1508,13 @@ class TestSmithCertificate:
         "argv", [["snf", "--oracle"], ["compute", "--oracle"], ["check"]]
     )
     def test_nonsingular_square_is_eliminated_once(self, capsys, monkeypatch, argv):
-        # one elimination with transforms and the determinants of s and t;
-        # no transform-free elimination and no determinant of m
-        calls = Counter()
-        for name in ("_eliminate", "_bareiss"):
-            original = getattr(exact_linalg, name)
-
-            def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(exact_linalg, name, counting)
+        # one run of the Smith loop with t and the determinants of s and t;
+        # no run without transforms and no determinant of m
+        calls = count_kernel_calls(monkeypatch, "_smith_divisors", "_bareiss")
         command, *flags = argv
         code, _, err = run_cli(capsys, command, self.SQUARE, *flags)
         assert code == 0, err
-        assert calls == {"_eliminate": 1, "_bareiss": 2}
+        assert calls == {"_smith_divisors with t": 1, "_bareiss": 2}
 
 
 # -- package surface ---------------------------------------------------------------------

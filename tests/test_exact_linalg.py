@@ -8,9 +8,11 @@ enumerator lists the Hermite box; a breadth-first closure checks that listing.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -37,7 +39,7 @@ from coincidence_kit.exact_linalg import (
     smith_normal_form,
     unimodular_inverse,
 )
-from conftest import elementary_divisors_via_minors, rank
+from conftest import count_kernel_calls, elementary_divisors_via_minors, rank
 
 WORKED = IntMatrix([[2, 4, 1], [2, 6, 2]])
 # WORKED's rows, their sum and a zero column: rank 2 of 3 rows, so
@@ -209,25 +211,26 @@ class TestSmithCertificate:
                 certify_smith(m)
 
     def test_divisors_must_be_the_diagonal_of_d(self, monkeypatch):
-        original = el._eliminate
+        # d is built from the divisors, so doubled divisors miss s @ m @ t
+        original = el._smith_divisors
 
-        def eliminate(a, rows, cols):
-            return tuple(2 * x for x in original(a, rows, cols))
+        def doubled(rows, t=None):
+            return tuple(2 * x for x in original(rows, t))
 
-        monkeypatch.setattr(el, "_eliminate", eliminate)
-        with pytest.raises(ConsistencyError, match="diagonal of d"):
+        monkeypatch.setattr(el, "_smith_divisors", doubled)
+        with pytest.raises(ConsistencyError, match="s@m@t != d"):
             smith_normal_form(DEFICIENT)
 
     def test_every_divisor_must_be_positive(self, monkeypatch):
-        original = el._eliminate
+        original = el._smith_divisors
 
-        def eliminate(a, rows, cols):
-            divisors = original(a, rows, cols)
+        def negated(rows, t=None):
+            divisors = original(rows, t)
             r = len(divisors) - 1
-            a[r] = [-x for x in a[r]]  # that row of both d and s
+            rows[r] = [-x for x in rows[r]]  # the row of s of that divisor
             return divisors[:r] + (-divisors[r],)
 
-        monkeypatch.setattr(el, "_eliminate", eliminate)
+        monkeypatch.setattr(el, "_smith_divisors", negated)
         with pytest.raises(ConsistencyError, match="chain"):
             smith_normal_form(DEFICIENT)  # s @ m @ t == d holds with d = [1, -2]
 
@@ -269,8 +272,9 @@ class TestSmithProperties:
 
 class TestLazyTransforms:
     """An input of full row rank gets its divisors without transforms, from
-    the certificate or else from _smith_divisors, checked against |det m|
-    when square or its Hermite index when wide; its s, t and d stay None."""
+    the certificate or else from the Smith loop without t, checked against
+    |det m| when square or its Hermite index when wide; its s, t and d stay
+    None."""
 
     @pytest.fixture
     def with_transforms(self, monkeypatch):
@@ -286,12 +290,13 @@ class TestLazyTransforms:
 
     @pytest.fixture
     def divisor_kernel(self, monkeypatch):
+        """(rows, tracked) of each Smith loop run; tracked when given t."""
         original = el._smith_divisors
         calls = []
 
-        def counting(rows):
-            calls.append(len(rows))
-            return original(rows)
+        def counting(rows, t=None):
+            calls.append((len(rows), t is not None))
+            return original(rows, t)
 
         monkeypatch.setattr(el, "_smith_divisors", counting)
         return calls
@@ -299,7 +304,7 @@ class TestLazyTransforms:
     def test_nonsingular_square_leaves_transforms_unset(self, with_transforms, divisor_kernel):
         m = random_nonsingular(random.Random(3), 7)
         doubled = _scaled(m, 2)
-        for a, eliminated in ((m, []), (doubled, [7])):
+        for a, eliminated in ((m, []), (doubled, [(7, False)])):
             del divisor_kernel[:]
             res = smith_normal_form(a)
             assert res.cokernel_order() == Cardinal.finite(abs(determinant(a)))
@@ -313,30 +318,19 @@ class TestLazyTransforms:
     def test_full_row_rank_wide_leaves_transforms_unset(self, with_transforms, divisor_kernel):
         m = random_matrix(random.Random(4), lo=-4, hi=4, rows=6, cols=9)
         tripled = _scaled(m, 3)
-        for a, eliminated in ((m, []), (tripled, [6])):
+        for a, eliminated in ((m, []), (tripled, [(6, False)])):
             del divisor_kernel[:]
             res = smith_normal_form(a)
             assert res.cokernel_order() == cokernel_order(a) != INFINITE
             assert (res.s, res.t, res.d) == (None, None, None)
             assert (with_transforms, divisor_kernel) == ([], eliminated)
 
-    def test_rank_deficient_input_eliminates_once_with_transforms(
-        self, monkeypatch, divisor_kernel
-    ):
-        original = el._eliminate
-        calls = []
-
-        def counting(a, rows, cols):
-            calls.append((len(a), rows, cols))
-            return original(a, rows, cols)
-
-        monkeypatch.setattr(el, "_eliminate", counting)
+    def test_rank_deficient_input_eliminates_once_with_transforms(self, divisor_kernel):
         res = smith_normal_form(DEFICIENT)
         assert res.divisors == (1, 2)
         assert (res.s @ DEFICIENT) @ res.t == res.d
-        # the identity block for t sits below the 3 rows of m
-        assert calls == [(3 + 4, 3, 4)]
-        assert divisor_kernel == []
+        # one run, over the 3 rows of m, with t; none without
+        assert divisor_kernel == [(3, True)]
 
     @pytest.mark.parametrize(
         "m",
@@ -364,20 +358,10 @@ class TestLazyTransforms:
             smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
         assert smith_normal_form(DEFICIENT).divisors == (1, 2)
 
-    def test_unimodular_inverse_eliminates_once(self, monkeypatch):
-        import coincidence_kit.exact_linalg as el
-
-        original = el._eliminate
-        calls = []
-
-        def counting(a, rows, cols):
-            calls.append(rows)
-            return original(a, rows, cols)
-
-        monkeypatch.setattr(el, "_eliminate", counting)
+    def test_unimodular_inverse_eliminates_once(self, divisor_kernel):
         m = random_unimodular(random.Random(8), 8)
         assert m @ unimodular_inverse(m) == IntMatrix.identity(8)
-        assert calls == [8]
+        assert divisor_kernel == [(8, True)]
 
     @pytest.mark.parametrize(
         "chain, complaint",
@@ -389,7 +373,7 @@ class TestLazyTransforms:
         ],
     )
     def test_wrong_chain_is_refused(self, monkeypatch, chain, complaint):
-        monkeypatch.setattr(el, "_smith_divisors", lambda rows: chain)
+        monkeypatch.setattr(el, "_smith_divisors", lambda rows, t=None: chain)
         with pytest.raises(ConsistencyError, match=complaint):
             smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
 
@@ -405,7 +389,7 @@ class TestLazyTransforms:
     def test_wrong_wide_chain_is_refused(self, monkeypatch, chain, complaint):
         m = IntMatrix([[2, 0, 4], [0, -6, 0]])
         assert smith_normal_form(m).divisors == (2, 6)
-        monkeypatch.setattr(el, "_smith_divisors", lambda rows: chain)
+        monkeypatch.setattr(el, "_smith_divisors", lambda rows, t=None: chain)
         with pytest.raises(ConsistencyError, match=complaint):
             smith_normal_form(m)
 
@@ -435,7 +419,7 @@ class TestShapeRoutes:
         wide = random_matrix(random.Random(42), lo=-4, hi=4, rows=3, cols=5)
         calls = counting_calls(monkeypatch, "_column_index")
         passes = counting_calls(monkeypatch, "_bareiss")
-        eliminated = counting_calls(monkeypatch, "_smith_divisors")
+        eliminated = count_kernel_calls(monkeypatch, "_smith_divisors")
         for m in (square, wide, wide.transpose()):
             cokernel_order(m)
             smith_normal_form(m)
@@ -444,11 +428,11 @@ class TestShapeRoutes:
         # one Bareiss pass per index: the Smith forms read their minors'
         # gcd off it, and here the certificate decides every one of them
         assert passes == [4] * 2 + [3] * 2 + [3]
-        assert eliminated == []
+        assert eliminated == {}
 
     def test_tall_smith_forms_take_transforms_only_below_full_rank(self, monkeypatch):
         rng = random.Random(4343)
-        eliminated = counting_calls(monkeypatch, "_eliminate")
+        eliminated = count_kernel_calls(monkeypatch, "_smith_divisors")
         kinds = set()
         for i in range(120):
             cols = rng.randint(1, 5)
@@ -462,9 +446,9 @@ class TestShapeRoutes:
             deficient = rank(m) < cols
             kinds.add(deficient)
             expected = el._smith_with_transforms(m).divisors
-            del eliminated[:]
+            eliminated.clear()
             res = smith_normal_form(m)
-            assert len(eliminated) == deficient
+            assert eliminated["_smith_divisors with t"] == deficient
             assert (res.s is None) != deficient
             assert res.divisors == expected
             assert res.cokernel_order() == INFINITE
@@ -584,8 +568,8 @@ def kernel_cases():
 
 
 class TestSmithDivisors:
-    """The transform-free kernel against the elimination that tracks
-    transforms, the pinned transform cases and sympy."""
+    """The Smith loop without t against its run with t, the pinned
+    transform cases and sympy."""
 
     def test_matches_the_transform_route(self):
         kinds = set()
@@ -623,6 +607,114 @@ def _block_diagonal(blocks):
 
 def _diagonal(entries):
     return IntMatrix([[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)])
+
+
+def tracked_cases():
+    """(kind, m) for the Smith loop with t: empty and zero shapes; four
+    small inputs that force a branch, a remainder step on [[2, 3]], an
+    offender fold on diag(2, 3), a negative pivot on [[-2]] and a row
+    zeroed mid-run on [[1, 2], [2, 4]]; then 120 seeded matrices of 1 to 12
+    rows and columns, square, tall and wide, a third of them with a row
+    that combines two others, and a fifth of them times 2, 3 or 6."""
+    rng = random.Random(2424)
+    cases = [
+        ("empty", IntMatrix([], cols=0)),
+        ("empty", IntMatrix([], cols=3)),
+        ("empty", IntMatrix([[], [], []], cols=0)),
+        ("zero", IntMatrix.zeros(1, 1)),
+        ("zero", IntMatrix.zeros(2, 3)),
+        ("zero", IntMatrix.zeros(3, 2)),
+        ("remainder", IntMatrix([[2, 3]])),
+        ("fold", _diagonal([2, 3])),
+        ("negative pivot", IntMatrix([[-2]])),
+        ("zeroed mid-run", IntMatrix([[1, 2], [2, 4]])),
+    ]
+    for i in range(120):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        bound = (1, 2, 4, 9)[i % 4]
+        data = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        kind = "square" if rows == cols else "wide" if rows < cols else "tall"
+        if rows >= 3 and i % 3 == 0:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            data[-1] = [a * x + b * y for x, y in zip(data[0], data[1])]
+        scale = (1, 1, 2, 1, 1, 3, 1, 1, 6, 1)[i % 10]
+        if scale > 1:
+            data = [[scale * x for x in row] for row in data]
+            kind = f"x{scale}"
+        cases.append((kind, IntMatrix(data)))
+    return cases
+
+
+BRANCHES = ("remainder", "fold", "negative pivot", "zeroed mid-run")
+# Lines of _smith_divisors that the tracer watches, found by their text.
+SMITH_LINES = {
+    "remainder": "prow, pj = rest + prow[w:], j",
+    "fold": "prow = offender[:w]",
+    "accept": "divisors.append(abs(p))",
+}
+
+
+def traced_certificate(m):
+    """certify_smith(m) and the branches its run of the Smith loop with t
+    takes, read off that frame by a line tracer: "remainder" and "fold"
+    when their lines run, "negative pivot" when a pivot below 0 is
+    accepted, and "zeroed mid-run" when a row is zero as a pivot is
+    accepted (the rows that start zero never enter the live submatrix)."""
+    lines, first = inspect.getsourcelines(el._smith_divisors)
+    where = {}
+    for name, text in SMITH_LINES.items():
+        (i,) = [i for i, line in enumerate(lines) if text in line]
+        where[first + i] = name
+    code = el._smith_divisors.__code__
+    seen = set()
+
+    def local(frame, event, arg):
+        name = where.get(frame.f_lineno) if event == "line" else None
+        if name == "accept":
+            f = frame.f_locals
+            assert f["t"] is not None
+            if f["p"] < 0:
+                seen.add("negative pivot")
+            if any(not any(row[: f["w"]]) for row in f["a"]):
+                seen.add("zeroed mid-run")
+        elif name:
+            seen.add(name)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        res = certify_smith(m)
+    finally:
+        sys.settrace(previous)
+    return res, seen
+
+
+class TestTrackedLoop:
+    """The Smith loop with t on every branch it has: certify_smith proves
+    the run's divisors, which equal the run without t, and gcds of minors
+    (up to 6 x 6) or sympy's invariant factors (up to 12 rows)."""
+
+    def test_every_branch_is_certified(self):
+        kinds, branches = set(), set()
+        for kind, m in tracked_cases():
+            kinds.add(kind)
+            res, seen = traced_certificate(m)
+            branches |= seen
+            if kind in BRANCHES:
+                assert kind in seen, (kind, seen)
+            assert (res.s @ m) @ res.t == res.d
+            assert el._smith_divisors(m.to_lists()) == res.divisors, (kind, m)
+            assert smith_normal_form(m).divisors == res.divisors, (kind, m)
+            if max(m.rows, m.cols) <= 6:
+                assert res.divisors == elementary_divisors_via_minors(m), (kind, m)
+        assert branches == set(BRANCHES)
+        assert {"empty", "zero", "square", "tall", "wide", "x2", "x3", "x6"} <= kinds
+
+    def test_sympy_invariant_factors(self, sympy_divisors):
+        for kind, m in tracked_cases():
+            assert m.rows <= 12
+            assert certify_smith(m).divisors == sympy_divisors(m), (kind, m)
 
 
 def certificate_cases():

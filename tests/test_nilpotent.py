@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,7 @@ from coincidence_kit.nilpotent import (
     reid_nilpotent_multi,
 )
 from coincidence_kit.reporting import STATUS_OK, STATUS_UNSUPPORTED
+from conftest import count_kernel_calls
 
 HEIS = heisenberg_group()
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -802,18 +804,18 @@ class TestStackAgainstFold:
             lambda **kw: built.append(kw["group"]) or extension(**kw),
         )
         eliminated, reduced = [], []
-        eliminate = exact_linalg._eliminate
+        eliminate = exact_linalg._smith_divisors
         index = exact_linalg._column_index
 
-        def eliminating(a, rows, cols):
-            eliminated.append(tuple(tuple(r[:cols]) for r in a[:rows]))
-            return eliminate(a, rows, cols)
+        def eliminating(rows, t=None):
+            eliminated.append((len(rows), t is not None))
+            return eliminate(rows, t)
 
         def indexing(m):
             reduced.append(m)
             return index(m)
 
-        monkeypatch.setattr(exact_linalg, "_eliminate", eliminating)
+        monkeypatch.setattr(exact_linalg, "_smith_divisors", eliminating)
         monkeypatch.setattr(exact_linalg, "_column_index", indexing)
         code = cli.main(["compute", json.dumps(doc), "--format", "structured"])
         out = json.loads(capsys.readouterr().out)
@@ -832,22 +834,16 @@ class TestStackAgainstFold:
         """The engine counts a square quotient difference by Hermite pivots
         and lifts no delta-vector off it; only the oracle's recount takes
         Smith forms: the quotient and central orders, and no coarse order,
-        which with no delta-vector is the central one.  Eliminations by
-        both Smith kernels count, with transforms or without; the recount
-        eliminates and never asks the certificate."""
-        eliminated = []
-        for name in ("_eliminate", "_smith_divisors", "_certified_divisors"):
-            original = getattr(exact_linalg, name)
-
-            def counting(*args, _name=name, _original=original):
-                eliminated.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(exact_linalg, name, counting)
+        which with no delta-vector is the central one.  Runs of the Smith
+        loop count, with t or without; the recount runs it without t and
+        never asks the certificate."""
+        eliminated = count_kernel_calls(
+            monkeypatch, "_smith_divisors", "_certified_divisors"
+        )
         command, *flags = argv
         path = PROBLEMS / "heisenberg_pair.json"
         assert cli.main([command, str(path), *flags]) == 0
-        assert eliminated == ["_smith_divisors"] * calls
+        assert eliminated == Counter(_smith_divisors=calls)
 
     @pytest.mark.parametrize("argv", [["compute"], ["compute", "--oracle"], ["check"]])
     def test_words_are_checked_once_on_the_heisenberg_pair(self, capsys, monkeypatch, argv):
