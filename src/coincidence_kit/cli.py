@@ -35,6 +35,7 @@ import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .abelian import (
     AbelianSystem,
@@ -401,9 +402,29 @@ def _pc_image(value, codomain: PcGroup, where: str) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _same_json(a, b) -> bool:
+    """Equality of two parsed JSON values that, unlike ==, tells 1, 1.0 and
+    true apart, as the presentation parser does."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(v, b[k]) for k, v in a.items())
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
 def _build_pc_maps(doc: dict):
-    domain = _build_pc_group(_require(doc, "domain"), "domain")
-    codomain = _build_pc_group(_require(doc, "codomain"), "codomain")
+    """The maps of a nilpotent problem, each checked to be a homomorphism.
+    A codomain spec equal to the domain's is built once: the domain object
+    is the codomain too."""
+    spec = _require(doc, "domain")
+    domain = _build_pc_group(spec, "domain")
+    codomain_spec = _require(doc, "codomain")
+    if _same_json(codomain_spec, spec):
+        codomain = domain
+    else:
+        codomain = _build_pc_group(codomain_spec, "codomain")
     specs = _require(doc, "maps")
     if not isinstance(specs, list) or len(specs) < 2:
         raise ProblemError("maps: expected an array of at least two maps")
@@ -815,12 +836,68 @@ def run_check(doc: dict) -> dict:
 # -- emission -----------------------------------------------------------------------
 
 
+def _write_json(value, pad: str, out: list) -> None:
+    """Append to out the text json.dumps(value, sort_keys=True, indent=2)
+    prints at indentation pad, for the types a report holds: str, int, bool,
+    None, lists and tuples, and dicts keyed by str.  Any other type raises
+    TypeError."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if all(type(x) is int for x in value):
+            out.append(f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]")
+            return
+        out.append("[\n" + inner)
+        for n, item in enumerate(value):
+            if n:
+                out.append(sep)
+            _write_json(item, inner, out)
+        out.append(f"\n{pad}]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for n, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"a report has no {type(key).__name__} keys: {key!r}")
+            if n:
+                out.append(sep)
+            out.append(_quote(key) + ": ")
+            _write_json(value[key], inner, out)
+        out.append(f"\n{pad}}}")
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__}: {value!r}")
+
+
 def emit(report: dict, fmt: str, trace: bool) -> str:
+    """The printed report.  Structured output is exactly the bytes of
+    json.dumps(report, sort_keys=True, indent=2) plus a newline, written by
+    _write_json, since json's indenting encoder is its pure-Python one; the
+    trace is emptied unless asked for."""
     if fmt == "structured":
         shown = dict(report)
         if not trace:
             shown["trace"] = []
-        return json.dumps(shown, sort_keys=True, indent=2) + "\n"
+        out = []
+        _write_json(shown, "", out)
+        out.append("\n")
+        return "".join(out)
     lines = [f"status: {report['status']}"]
     value = report["value"]
     lines.append(f"value: {'none' if value is None else value}")

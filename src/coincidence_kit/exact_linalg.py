@@ -187,7 +187,7 @@ class IntMatrix:
             )
         cols = [other.column(j) for j in range(other.cols)]
         return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._data],
+            [[sum(map(mul, row, col)) for col in cols] for row in self._data],
             cols=other.cols,
         )
 
@@ -196,7 +196,7 @@ class IntMatrix:
         v = tuple(vector)
         if len(v) != self.cols:
             raise ShapeError(f"vector length {len(v)}, expected {self.cols}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._data)
+        return tuple([sum(map(mul, row, v)) for row in self._data])
 
     @property
     def is_square(self) -> bool:

@@ -59,9 +59,13 @@ class PcGroup:
     labels names the generators, the first n_noncentral of which form the
     noncentral block.  commutators maps (i, j) with i > j, both noncentral,
     to the central exponent vector of [g_i, g_j]; absent pairs commute.
+    The arithmetic kernels read the relations from a private copy built
+    once here: each is (i, j, terms), terms being the nonzero (word slot,
+    coefficient) pairs of its vector, so a product visits only the central
+    slots it changes.
     """
 
-    __slots__ = ("labels", "n_noncentral", "commutators")
+    __slots__ = ("labels", "n_noncentral", "commutators", "_relations")
 
     def __init__(self, labels, n_noncentral: int, commutators):
         labels = tuple(str(x) for x in labels)
@@ -96,6 +100,10 @@ class PcGroup:
             if any(vec):
                 cleaned[(i, j)] = vec
         self.commutators = cleaned
+        self._relations = tuple(
+            (i, j, tuple((n_noncentral + l, c) for l, c in enumerate(vec) if c))
+            for (i, j), vec in cleaned.items()
+        )
 
     @classmethod
     def from_presentation(cls, noncentral, central, relations) -> PcGroup:
@@ -198,13 +206,11 @@ class PcGroup:
 
     def _multiply(self, u, v) -> tuple[int, ...]:
         w = [a + b for a, b in zip(u, v)]
-        base = self.n_noncentral
-        for (i, j), vec in self.commutators.items():
+        for i, j, terms in self._relations:
             f = u[i] * v[j]
             if f:
-                for l, c in enumerate(vec):
-                    if c:
-                        w[base + l] += f * c
+                for l, c in terms:
+                    w[l] += f * c
         return tuple(w)
 
     def power(self, u, e: int) -> tuple[int, ...]:
@@ -217,13 +223,12 @@ class PcGroup:
         w = [e * x for x in u]
         coef = e * (e - 1) // 2
         if coef:
-            base = self.n_noncentral
-            for (i, j), vec in self.commutators.items():
+            for i, j, terms in self._relations:
                 f = u[i] * u[j]
                 if f:
-                    for l, c in enumerate(vec):
-                        if c:
-                            w[base + l] += coef * f * c
+                    f *= coef
+                    for l, c in terms:
+                        w[l] += f * c
         return tuple(w)
 
     def inverse(self, u) -> tuple[int, ...]:
@@ -234,14 +239,12 @@ class PcGroup:
         return self._commutator(self.check_word(u), self.check_word(v))
 
     def _commutator(self, u, v) -> tuple[int, ...]:
-        w = [0] * self.n
-        base = self.n_noncentral
-        for (i, j), vec in self.commutators.items():
+        w = [0] * len(u)
+        for i, j, terms in self._relations:
             f = u[i] * v[j] - u[j] * v[i]
             if f:
-                for l, c in enumerate(vec):
-                    if c:
-                        w[base + l] += f * c
+                for l, c in terms:
+                    w[l] += f * c
         return tuple(w)
 
     def __eq__(self, other):

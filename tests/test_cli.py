@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -25,8 +26,10 @@ from coincidence_kit.cardinal import Cardinal
 from coincidence_kit.exact_linalg import IntMatrix
 from coincidence_kit.finite import cyclic_group, twisted_reidemeister, FiniteHom
 from conftest import count_kernel_calls
+from golden_cases import MODES, PROBLEM_FILES
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +182,132 @@ class TestOutputContract:
             2,
             12345678901234567890,
         ]
+
+
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def _written(value) -> str:
+    out = []
+    cli._write_json(value, "", out)
+    return "".join(out) + "\n"
+
+
+def _perfbench_problems():
+    """perfbench/problems.py, loaded by path under a name of its own."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_problems", ROOT / "perfbench" / "problems.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def json_checked_emit(monkeypatch):
+    """Wraps cli.emit so that every structured report it prints must equal
+    json.dumps of the same report; yields the list of formats seen."""
+    real, formats = cli.emit, []
+
+    def emit(report, fmt, trace):
+        text = real(report, fmt, trace)
+        if fmt == "structured":
+            shown = dict(report, trace=report["trace"] if trace else [])
+            assert text == _json_text(shown)
+        formats.append(fmt)
+        return text
+
+    monkeypatch.setattr(cli, "emit", emit)
+    yield formats
+
+
+@pytest.fixture
+def no_digit_limit():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+WRITER_CASES = [
+    {},
+    [],
+    [[]],
+    [[], [[]], {}],
+    {"a": [], "b": {}, "c": [[]]},
+    'say "hi"',
+    "back\\slash \\u0041",
+    "tab\tnew\nline\r\x00\x1f\x7f",
+    "Ψ",
+    "\u2028 \u2029",
+    "\U0001f600 caf\u00e9",
+    -1,
+    0,
+    -(10**4400) - 7,
+    True,
+    False,
+    None,
+    (1, -2),
+    (),
+    ("x", (3, [4, -5]), ()),
+    [1, True, 2, False, None],
+    {"b": 1, "a": [1, "x", None], "c": {"z": True, "y": (False,)}},
+    {"Ψ": "ü", "\u2028": [-3], "A": "plain", "a": {"b": {"c": [[1, 2], [3]]}}},
+]
+
+
+class TestStructuredWriter:
+    """emit prints a structured report with its own writer; its bytes must be
+    those of json.dumps(report, sort_keys=True, indent=2) and a newline."""
+
+    @pytest.mark.parametrize("value", WRITER_CASES, ids=range(len(WRITER_CASES)))
+    def test_edge_cases_print_as_json(self, value, no_digit_limit):
+        assert _written(value) == _json_text(value)
+
+    def test_edge_cases_are_sorted_indented_and_escaped(self):
+        text = _written(WRITER_CASES[-1])
+        assert text.index('"A"') < text.index('"a"') < text.index('"\\u03a8"')
+        assert '\n  "a": {\n    "b": {\n      "c": [\n        [\n          1,' in text
+        assert text.isascii()
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, {1, 2}, {"a": 0.5}, [frozenset()], {1: "x"}, b"x", {"a": [(1, 2.0)]}],
+        ids=["float", "set", "float-value", "frozenset", "int-key", "bytes", "nested-float"],
+    )
+    def test_types_no_report_holds_raise(self, value):
+        with pytest.raises(TypeError):
+            cli._write_json(value, "", [])
+
+    def test_emit_calls_no_json_dumps(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("emit called json.dumps")
+
+        monkeypatch.setattr(cli.json, "dumps", refused)
+        report = dict(cli._base_report(), value=3, trace=["one step"])
+        text = cli.emit(report, "structured", trace=False)
+        monkeypatch.undo()
+        assert text == _json_text(dict(report, trace=[]))
+
+    @pytest.mark.parametrize("workload", ["torus", "finite", "nilmanifold", "verify"])
+    def test_reports_of_a_seeded_pass_print_as_json(self, workload, capsys, json_checked_emit):
+        problems = _perfbench_problems().generate(workload, 101, ROOT)
+        for p in problems:
+            cli.main(p["argv"])
+            capsys.readouterr()
+        assert json_checked_emit == ["structured"] * len(problems)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_shipped_problems_print_as_json(self, mode, capsys, json_checked_emit):
+        command, *flags = MODES[mode]
+        for path in PROBLEM_FILES:
+            cli.main([command, str(path), *flags, "--format", "structured"])
+            capsys.readouterr()
+        assert json_checked_emit == ["structured"] * len(PROBLEM_FILES)
 
 
 # -- exit codes ----------------------------------------------------------------------
@@ -489,6 +618,65 @@ class TestInputForms:
         code, out, _ = run_cli(capsys, "compute", vector_form)
         assert code == 0
         assert "value: 16\n" in out
+
+    def test_shared_presentation_is_built_once(self, monkeypatch):
+        built = []
+        real = cli._build_pc_group
+
+        def build(spec, where):
+            built.append(where)
+            return real(spec, where)
+
+        monkeypatch.setattr(cli, "_build_pc_group", build)
+        heis = {"generators": ["a", "b"], "central": ["c"], "commutators": [["a", "b", {"c": 1}]]}
+        maps = [
+            {"a": {"a": 1}, "b": {"b": 1}, "c": {"c": 1}},
+            {"a": {"a": 3}, "b": {"b": -1}, "c": {"c": -3}},
+        ]
+        copy = json.loads(json.dumps(heis))
+        homs = cli._build_pc_maps({"domain": heis, "codomain": copy, "maps": maps})
+        assert built == ["domain"]
+        assert all(h.domain is h.codomain for h in homs)
+        wider = dict(heis, central=["c", "e"])
+        cli._build_pc_maps({"domain": wider, "codomain": heis, "maps": maps})
+        assert built == ["domain", "domain", "codomain"]
+
+    @pytest.mark.parametrize(
+        "codomain, code, shown",
+        [
+            # equal under ==, but the labels read "1" and "True"
+            (
+                {"generators": [True, "b"], "central": ["c"], "commutators": [[0, 1, [1]]]},
+                0,
+                "value: 16\n",
+            ),
+            (
+                {"generators": [1, "b"], "central": ["c"], "commutators": [[0, 1, [1.0]]]},
+                1,
+                "codomain.commutators[0][2][0]: expected an integer, got 1.0",
+            ),
+            (
+                {"generators": [1, "b"], "central": ["c"], "commutators": [[False, 1, [1]]]},
+                1,
+                "codomain.commutators[0][0]: expected an integer, got False",
+            ),
+        ],
+        ids=["bool-label", "float-exponent", "bool-index"],
+    )
+    def test_presentation_equal_only_under_loose_equality_is_built_again(
+        self, capsys, codomain, code, shown
+    ):
+        domain = {"generators": [1, "b"], "central": ["c"], "commutators": [[0, 1, [1]]]}
+        assert domain == codomain
+        label = codomain["generators"][0]
+        first = {"1": {str(label): 1}, "b": {"b": 1}, "c": {"c": 1}}
+        second = {"1": {str(label): 3}, "b": {"b": -1}, "c": {"c": -3}}
+        problem = {
+            "kind": "nilpotent", "domain": domain, "codomain": codomain, "maps": [first, second]
+        }
+        result = run_cli(capsys, "compute", json.dumps(problem))
+        assert result[0] == code
+        assert shown in result[1] + result[2]
 
     def test_permutation_group_spec(self, capsys):
         problem = json.dumps(

@@ -164,6 +164,29 @@ def recount_value(phi: PcHom, psi: PcHom, cap: int = 50_000) -> Cardinal:
 # -- collection arithmetic -------------------------------------------------------
 
 
+# [x0, x1] = z0^2 z2^-1 and [x1, x2] = z1 z2^3: relation words with several
+# nonzero, non-unit entries, and a central slot shared by both relations.
+MIXED = PcGroup.from_presentation(
+    ["x0", "x1", "x2"],
+    ["z0", "z1", "z2"],
+    {("x0", "x1"): {"z0": 2, "z2": -1}, ("x1", "x2"): {"z1": 1, "z2": 3}},
+)
+
+
+def arithmetic_groups():
+    return [HEIS, six_generator_domain(), heis_cross_z(), free_class_two(4), MIXED]
+
+
+def dense_product(group, u, v):
+    """The collected product read straight off the public commutators dict,
+    one central slot at a time."""
+    w = [a + b for a, b in zip(u, v)]
+    for (i, j), vec in group.commutators.items():
+        for l, c in enumerate(vec):
+            w[group.n_noncentral + l] += u[i] * v[j] * c
+    return tuple(w)
+
+
 class TestPcGroupArithmetic:
     def test_collection_worked_product(self):
         # moving b left past a costs one inverse central generator
@@ -184,16 +207,28 @@ class TestPcGroupArithmetic:
 
     def test_associativity_random(self):
         rng = random.Random(11)
-        groups = [HEIS, six_generator_domain(), heis_cross_z()]
-        for _ in range(200):
+        groups = arithmetic_groups()
+        for _ in range(400):
             g = rng.choice(groups)
             u, v, w = (random_word(rng, g) for _ in range(3))
+            assert g.multiply(u, v) == dense_product(g, u, v)
             assert g.multiply(g.multiply(u, v), w) == g.multiply(u, g.multiply(v, w))
+
+    def test_generator_commutators_are_the_relations(self):
+        # every term of every relation word lands in its own central slot
+        for g in arithmetic_groups():
+            basis = IntMatrix.identity(g.n).to_lists()
+            for i in range(g.n):
+                for j in range(i):
+                    vec = g.commutators.get((i, j), (0,) * g.n_central)
+                    assert g.commutator(basis[i], basis[j]) == g.central_word(vec)
+        assert MIXED.commutator((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)) == (0, 0, 0, 2, 0, -1)
+        assert MIXED.commutator((0, 2, 0, 0, 0, 0), (0, 0, 3, 0, 0, 0)) == (0, 0, 0, 0, 6, 18)
 
     def test_inverse_and_power_random(self):
         rng = random.Random(12)
-        for _ in range(50):
-            g = rng.choice([HEIS, six_generator_domain()])
+        for _ in range(100):
+            g = rng.choice(arithmetic_groups())
             u = random_word(rng, g)
             assert g.multiply(u, g.inverse(u)) == g.identity()
             assert g.multiply(g.inverse(u), u) == g.identity()
@@ -205,8 +240,8 @@ class TestPcGroupArithmetic:
 
     def test_commutator_matches_definition(self):
         rng = random.Random(13)
-        for _ in range(100):
-            g = rng.choice([HEIS, six_generator_domain(), heis_cross_z()])
+        for _ in range(200):
+            g = rng.choice(arithmetic_groups())
             u, v = random_word(rng, g), random_word(rng, g)
             direct = g.commutator(u, v)
             chained = g.multiply(
@@ -262,6 +297,24 @@ class TestPcHoms:
             PcHom(HEIS, HEIS, [(1, 0, 0), (0, 1, 0), (0, 0, 2)])
         with pytest.raises(HomomorphismError):
             PcHom(HEIS, HEIS, [(1, 0, 0), (0, 1, 0)])  # wrong count
+
+    def test_rejects_a_broken_relation_with_non_unit_terms(self):
+        # x_i -> x_i^2 sends each [x_i, x_j] to its 4th power, so with
+        # z_i -> z_i^4 every relation holds
+        images = [(2, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0, 0, 2, 0, 0, 0),
+                  (0, 0, 0, 4, 0, 0), (0, 0, 0, 0, 4, 0), (0, 0, 0, 0, 0, 4)]
+        hom = PcHom(MIXED, MIXED, images)
+        rng = random.Random(14)
+        for _ in range(50):
+            u, v = random_word(rng, MIXED), random_word(rng, MIXED)
+            assert hom.apply(MIXED.multiply(u, v)) == MIXED.multiply(hom.apply(u), hom.apply(v))
+        # z1 -> z1^3 breaks only [x1, x2] = z1 z2^3; z2 -> z2^3 breaks both
+        # relations, and the first one checked is [x1, x0]
+        for slot, pair in ((4, "x2 and x1"), (5, "x1 and x0")):
+            broken = list(images)
+            broken[slot] = (0,) * slot + (3,) + (0,) * (5 - slot)
+            with pytest.raises(HomomorphismError, match=pair):
+                PcHom(MIXED, MIXED, broken)
 
     def test_apply_is_multiplicative(self):
         rng = random.Random(21)
