@@ -96,20 +96,16 @@ def reid_pair(phi, psi) -> Cardinal:
 
 def ker_psi_order(system: AbelianSystem) -> Cardinal:
     """Size of the kernel of the blockwise surjection Psi, as the lattice
-    index of the stacked image inside the product of the blockwise images.
+    index of the stacked image inside Im(D_2) x ... x Im(D_k), each factor
+    generated by its block's columns placed in the block's coordinates.
 
-    Only defined when the multi-map number is finite.
+    Only defined when the multi-map number is finite; that is read off the
+    system's kept stacked Smith form, so reid_multi pays nothing for it.
     """
-    stacked = stacked_difference(system)
-    if not cokernel_order(stacked).is_finite:
+    snf = system._stacked_smith()
+    if not snf.cokernel_order().is_finite:
         raise ValueError("ker Psi is defined only when the multi-map number is finite")
-    return _ker_psi_order(system, stacked)
-
-
-def _ker_psi_order(system: AbelianSystem, stacked: IntMatrix) -> Cardinal:
-    """ker_psi_order for a caller that already knows the stacked cokernel of
-    the system is finite; each block's columns, placed in its coordinates,
-    generate its factor of Im(D_2) x ... x Im(D_k)."""
+    stacked = snf.m
     n = system.target_rank
     blockwise = []
     for j, block in enumerate(system.blocks):
@@ -146,7 +142,7 @@ def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
             ker = value
             trace.append(f"|ker Psi| = {ker} (every pairwise value is 1)")
         else:
-            ker = _ker_psi_order(system, stacked)
+            ker = ker_psi_order(system)
             trace.append(f"|ker Psi| = {ker} (lattice index route)")
     intermediates = {
         "pairwise": [p.to_json() for p in pairwise],

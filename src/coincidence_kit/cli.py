@@ -238,13 +238,13 @@ def _build_finite_group_inner(name, spec, resolved, specs, building):
                 for i, m in enumerate(mats)
             ]
             group = close_group(gens, field=field, cap=cap)
+        elif kind == "cyclic":
+            group = cyclic_group(_to_int(spec["cyclic"], f"{where}.cyclic"), cap=cap)
     except SizeCapError as exc:
         # the closure cap is the one cap a user can set; name its knob
         raise SizeCapError(f"{exc}; set {CLOSURE_CAP_ENV} to raise it") from None
     if kind == "table":
         group = FiniteGroup.from_table(_to_matrix(spec["table"], f"{where}.table"))
-    elif kind == "cyclic":
-        group = cyclic_group(_to_int(spec["cyclic"], f"{where}.cyclic"))
     elif kind == "product":
         factors = spec["product"]
         if not isinstance(factors, list) or len(factors) < 2:
@@ -527,12 +527,15 @@ def _base_report() -> dict:
     }
 
 
-def run_snf(doc: dict, oracle: bool) -> dict:
+def run_snf(doc: dict, oracle: bool, check: bool = False) -> dict:
     matrix = IntMatrix(_to_matrix(_require(doc, "matrix"), "matrix"))
-    snf = certify_smith(matrix) if oracle else smith_normal_form(matrix)
+    snf = certify_smith(matrix) if oracle or check else smith_normal_form(matrix)
     order = snf.cokernel_order()
     out = _base_report()
     out["value"] = order.to_json()
+    if check:
+        proof = f"unimodular s, t with s @ m @ t == d prove {list(snf.divisors)}"
+        return _checked(out, [("smith-certificate", True, proof)])
     out["intermediates"] = {
         "divisors": list(snf.divisors),
         "shape": [matrix.rows, matrix.cols],
@@ -552,13 +555,31 @@ def run_snf(doc: dict, oracle: bool) -> dict:
     return out
 
 
-def run_abelian(doc: dict, oracle: bool, pair_only: bool) -> dict:
-    system = _abelian_system(doc, 2, 2 if pair_only else None)
+def run_abelian(doc: dict, oracle: bool, check: bool = False) -> dict:
+    system = _abelian_system(doc, 2, 2 if doc["kind"] == "abelian-pair" else None)
     report = reid_multi(system)
     div = divisibility_report(system, report)
     out = _base_report()
     out["value"] = report.value.to_json()
     out["pairwise"] = [p.to_json() for p in report.pairwise]
+    if check:
+        if div.applicable:
+            rows = [
+                ("pairwise-product-divides", bool(div.pairwise_divides), div.witness),
+                (
+                    "quotient-equals-ker-psi",
+                    bool(div.quotient_equals_ker_psi),
+                    f"quotient {div.quotient}, |ker Psi| {div.ker_psi}",
+                ),
+            ]
+        else:
+            rows = [("pairwise-product-divides", True, div.witness)]
+        rows.append(("ordering-invariance", *_ordering_row(
+            system.homs,
+            report.value,
+            lambda sigma: cokernel_order(stacked_difference(permute_system(system, sigma))),
+        )))
+        return _checked(out, rows)
     out["intermediates"] = dict(report.intermediates)
     out["intermediates"]["divisibility"] = div.witness
     out["trace"] = list(report.trace) + [div.witness]
@@ -613,25 +634,43 @@ def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, 
     return "agreed", notes
 
 
-def _finite_pairwise(partition) -> tuple[tuple[Cardinal, ...], str]:
-    """The partition's pairwise values and a witness on whether their
-    product divides the value; for finite targets it need not."""
-    pairwise = partition.pairwise()
-    product = cardinal_product(pairwise)
-    verdict = "divides" if product.divides(partition.value) else "does NOT divide"
-    return pairwise, f"pairwise product {product} {verdict} {partition.value}"
-
-
-def run_finite(doc: dict, oracle: bool) -> dict:
+def run_finite(doc: dict, oracle: bool, check: bool = False) -> dict:
     homs = _build_finite_maps(doc)
     partition = twisted_reidemeister(homs)
-    pairwise, witness = _finite_pairwise(partition)
-    histogram: dict[int, int] = {}
-    for s in partition.class_sizes:
-        histogram[s] = histogram.get(s, 0) + 1
+    pairwise = partition.pairwise()
+    product = cardinal_product(pairwise)
+    # for finite targets the pairwise product need not divide the value
+    verdict = "divides" if product.divides(partition.value) else "does NOT divide"
+    witness = f"pairwise product {product} {verdict} {partition.value}"
     out = _base_report()
     out["value"] = partition.value.to_json()
     out["pairwise"] = [p.to_json() for p in pairwise]
+    if oracle or check:
+        # Union-find must find the descent's smallest tuple and size for
+        # every class; any one member determines its class, so that makes
+        # the partitions equal.
+        second = twisted_reidemeister(homs, algorithm="union-find")
+        key = (partition.representatives, partition.class_sizes)
+        agreed = (second.representatives, second.class_sizes) == key
+    if check:
+        return _checked(out, [
+            ("pairwise-product-divisibility", True, witness),
+            (
+                "dual-algorithms-agree",
+                agreed,
+                f"orbit and union-find both find {partition.class_count} classes"
+                if agreed
+                else "the two algorithms produce different partitions",
+            ),
+            ("ordering-invariance", *_ordering_row(
+                [h.image for h in homs],
+                partition.value,
+                lambda sigma: twisted_reidemeister([homs[i] for i in sigma]).value,
+            )),
+        ])
+    histogram: dict[int, int] = {}
+    for s in partition.class_sizes:
+        histogram[s] = histogram.get(s, 0) + 1
     out["intermediates"] = {
         "tuple_space": partition.tuple_space,
         "class_count": partition.class_count,
@@ -650,7 +689,7 @@ def run_finite(doc: dict, oracle: bool) -> dict:
         witness,
     ]
     if oracle:
-        if _union_find_agrees(homs, partition):
+        if agreed:
             out["oracle_status"] = "agreed"
             out["trace"].append(
                 "oracle: union-find over a generating subset reproduces the "
@@ -661,22 +700,34 @@ def run_finite(doc: dict, oracle: bool) -> dict:
     return out
 
 
-def _union_find_agrees(homs, partition) -> bool:
-    """Whether union-find finds the descent's smallest tuple and size for
-    every class; any one member determines its class, so that makes the
-    partitions equal."""
-    second = twisted_reidemeister(homs, algorithm="union-find")
-    key = (partition.representatives, partition.class_sizes)
-    return (second.representatives, second.class_sizes) == key
-
-
-def run_nilpotent(doc: dict, oracle: bool) -> dict:
+def run_nilpotent(doc: dict, oracle: bool, check: bool = False) -> dict:
     homs = _build_pc_maps(doc)
     report = reid_nilpotent_multi(homs)
     out = _base_report()
     out["status"] = report.status
     out["value"] = None if report.value is None else report.value.to_json()
     out["pairwise"] = [p.to_json() for p in report.pairwise]
+    if check:
+        if report.status == STATUS_OK and report.value.is_finite:
+            lhs = report.value.value * report.intermediates["im_delta"]
+            rhs = (
+                report.intermediates["sublattice_count"]
+                * report.intermediates["quotient_count"]
+            )
+            law = (
+                lhs == rhs,
+                f"value x |Im delta| = {lhs}, sublattice x quotient counts = {rhs}",
+            )
+        else:
+            law = (True, "skipped: no finite reduced value")
+        return _checked(out, [
+            ("counting-law", *law),
+            ("ordering-invariance", *_ordering_row(
+                [h.images for h in homs],
+                report.value,
+                lambda sigma: reid_nilpotent_multi([homs[i] for i in sigma]).value,
+            )),
+        ])
     out["intermediates"] = dict(report.intermediates)
     out["trace"] = list(report.trace)
     if oracle:
@@ -734,103 +785,28 @@ def _ordering_row(keys, first, solve) -> tuple[bool, str]:
     return False, f"orderings disagree: {sorted(distinct)}"
 
 
-def _ok_value(report):
-    return report.value if report.status == STATUS_OK else None
+def _checked(out: dict, rows) -> dict:
+    """check's report: out's value, pairwise and status with the property
+    rows, each (name, passed, detail), as its intermediates and trace."""
+    out["intermediates"] = {
+        "checks": [{"name": n, "passed": p, "detail": d} for n, p, d in rows]
+    }
+    out["trace"] = [f"{'PASS' if p else 'FAIL'} {n}: {d}" for n, p, d in rows]
+    if not all(p for _, p, _ in rows):
+        out["oracle_status"] = "mismatch: a property check failed"
+    return out
 
 
 def run_check(doc: dict) -> dict:
+    """The property report: the kind's runner solves once and adds its rows."""
     kind = doc["kind"]
-    out = _base_report()
-    checks: list[dict] = []
-
-    def add(name: str, passed: bool, detail: str):
-        checks.append({"name": name, "passed": passed, "detail": detail})
-
     if kind == "snf":
-        matrix = IntMatrix(_to_matrix(_require(doc, "matrix"), "matrix"))
-        snf = certify_smith(matrix)
-        add(
-            "smith-certificate",
-            True,
-            f"unimodular s, t with s @ m @ t == d prove {list(snf.divisors)}",
-        )
-        out["value"] = snf.cokernel_order().to_json()
-    elif kind in ("abelian-pair", "abelian-multi"):
-        system = _abelian_system(doc, 2, 2 if kind == "abelian-pair" else None)
-        report = reid_multi(system)
-        out["value"] = report.value.to_json()
-        out["pairwise"] = [p.to_json() for p in report.pairwise]
-        div = divisibility_report(system, report)
-        if div.applicable:
-            add("pairwise-product-divides", bool(div.pairwise_divides), div.witness)
-            add(
-                "quotient-equals-ker-psi",
-                bool(div.quotient_equals_ker_psi),
-                f"quotient {div.quotient}, |ker Psi| {div.ker_psi}",
-            )
-        else:
-            add("pairwise-product-divides", True, div.witness)
-        add("ordering-invariance", *_ordering_row(
-            system.homs,
-            report.value,
-            lambda sigma: cokernel_order(
-                stacked_difference(permute_system(system, sigma))
-            ),
-        ))
-    elif kind == "finite":
-        homs = _build_finite_maps(doc)
-        partition = twisted_reidemeister(homs)
-        out["value"] = partition.value.to_json()
-        pairwise, witness = _finite_pairwise(partition)
-        out["pairwise"] = [p.to_json() for p in pairwise]
-        add("pairwise-product-divisibility", True, witness)
-        agreed = _union_find_agrees(homs, partition)
-        add(
-            "dual-algorithms-agree",
-            agreed,
-            f"orbit and union-find both find {partition.class_count} classes"
-            if agreed
-            else "the two algorithms produce different partitions",
-        )
-        add("ordering-invariance", *_ordering_row(
-            [h.image for h in homs],
-            partition.value,
-            lambda sigma: twisted_reidemeister([homs[i] for i in sigma]).value,
-        ))
-    else:  # nilpotent
-        homs = _build_pc_maps(doc)
-        report = reid_nilpotent_multi(homs)
-        out["status"] = report.status
-        out["value"] = None if report.value is None else report.value.to_json()
-        out["pairwise"] = [p.to_json() for p in report.pairwise]
-        if report.status == STATUS_OK and report.value.is_finite:
-            lhs = report.value.value * report.intermediates["im_delta"]
-            rhs = (
-                report.intermediates["sublattice_count"]
-                * report.intermediates["quotient_count"]
-            )
-            add(
-                "counting-law",
-                lhs == rhs,
-                f"value x |Im delta| = {lhs}, "
-                f"sublattice x quotient counts = {rhs}",
-            )
-        else:
-            add("counting-law", True, "skipped: no finite reduced value")
-        add("ordering-invariance", *_ordering_row(
-            [h.images for h in homs],
-            _ok_value(report),
-            lambda sigma: _ok_value(reid_nilpotent_multi([homs[i] for i in sigma])),
-        ))
-
-    out["intermediates"]["checks"] = checks
-    out["trace"] = [
-        f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}"
-        for c in checks
-    ]
-    if not all(c["passed"] for c in checks):
-        out["oracle_status"] = "mismatch: a property check failed"
-    return out
+        return run_snf(doc, False, check=True)
+    if kind == "finite":
+        return run_finite(doc, False, check=True)
+    if kind == "nilpotent":
+        return run_nilpotent(doc, False, check=True)
+    return run_abelian(doc, False, check=True)
 
 
 # -- emission -----------------------------------------------------------------------
@@ -986,10 +962,8 @@ def main(argv=None) -> int:
             report = run_check(doc)
         elif doc["kind"] == "snf":
             report = run_snf(doc, args.oracle)
-        elif doc["kind"] == "abelian-pair":
-            report = run_abelian(doc, args.oracle, pair_only=True)
-        elif doc["kind"] == "abelian-multi":
-            report = run_abelian(doc, args.oracle, pair_only=False)
+        elif doc["kind"] in ("abelian-pair", "abelian-multi"):
+            report = run_abelian(doc, args.oracle)
         elif doc["kind"] == "finite":
             report = run_finite(doc, args.oracle)
         else:

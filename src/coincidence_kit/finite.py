@@ -50,6 +50,7 @@ from .errors import (
     SizeCapError,
     StructureError,
 )
+from .exact_linalg import IntMatrix, determinant
 
 DEFAULT_CLOSURE_CAP = 10_000
 DEFAULT_PRODUCT_CAP = 1_000_000
@@ -207,27 +208,6 @@ def _matrix_mul(a, b, p):
     return tuple(tuple(sum(map(operator.mul, row, col)) % p for col in columns) for row in a)
 
 
-def _matrix_det(m, p):
-    m = [list(row) for row in m]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], p - 2, p)
-        for r in range(c + 1, n):
-            f = m[r][c] * inv % p
-            if f:
-                for j in range(c, n):
-                    m[r][j] = (m[r][j] - f * m[c][j]) % p
-    return det % p
-
-
 def close_group(generators, *, field: int | None = None,
                 cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     """Breadth-first closure of permutation or matrix generators.
@@ -279,7 +259,7 @@ def close_group(generators, *, field: int | None = None,
             g = _matrix_mod(g, p)
             if len(g) != size or any(len(r) != size for r in g):
                 raise StructureError("matrix generators must share a square shape")
-            if _matrix_det(g, p) == 0:
+            if determinant(IntMatrix(g)) % p == 0:
                 raise StructureError(f"generator is singular over GF({p}): {g}")
             gens_canon.append(g)
         identity = tuple(
@@ -332,11 +312,15 @@ def close_group(generators, *, field: int | None = None,
     return FiniteGroup(table=table, elements=elements, identity=0)
 
 
-def cyclic_group(n: int) -> FiniteGroup:
+def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
+    """Z/n by its Cayley table, refused above cap elements as a closure is.
+    Row i is range(n) rotated left by i, so all rows share one list's ints."""
     if n < 1:
         raise StructureError(f"cyclic group order must be positive, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table=table, identity=0)
+    if n > cap:
+        raise SizeCapError(f"cyclic group of order {n} exceeds the cap of {cap} elements")
+    base = list(range(n))
+    return FiniteGroup(table=[base[i:] + base[:i] for i in range(n)], identity=0)
 
 
 def binary_icosahedral_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:

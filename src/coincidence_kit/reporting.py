@@ -22,9 +22,10 @@ NIELSEN_NOTE = (
 
 @dataclass
 class ReidemeisterReport:
-    """value is None only under status "unsupported-reduction", where no
-    number can be justified.  pairwise holds R(phi_1, phi_j) for j >= 2 when
-    the computation is a multi-map one."""
+    """value is None exactly under status "unsupported-reduction", where no
+    number can be justified, so a caller reads the value alone; a report
+    that breaks this either way raises ConsistencyError.  pairwise holds R(phi_1, phi_j) for
+    j >= 2 when the computation is a multi-map one."""
 
     value: Cardinal | None
     pairwise: tuple[Cardinal, ...] = ()
@@ -34,8 +35,11 @@ class ReidemeisterReport:
     status: str = STATUS_OK
 
     def __post_init__(self):
-        if self.status == STATUS_OK and self.value is None:
-            raise ConsistencyError("an ok report must carry a value")
+        if (self.value is None) != (self.status == STATUS_UNSUPPORTED):
+            raise ConsistencyError(
+                f"a report has no value exactly under status {STATUS_UNSUPPORTED!r}; "
+                f"got status {self.status!r} with value {self.value}"
+            )
         if (
             self.value is not None
             and self.value.is_finite

@@ -582,6 +582,18 @@ class TestClosureCapEnv:
         assert code == 0
         assert "value: 120\n" in out
 
+    def test_cap_bounds_cyclic_orders(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.CLOSURE_CAP_ENV, "10")
+        too_big = _malformed_finite({"cyclic": 16})
+        code, _, err = run_cli(capsys, "compute", json.dumps(too_big))
+        assert code == 1
+        assert "cyclic group of order 16 exceeds the cap of 10" in err
+        assert cli.CLOSURE_CAP_ENV in err
+        both_identity = _malformed_finite({"cyclic": 10}, [{"identity": True}] * 2)
+        code, out, _ = run_cli(capsys, "compute", json.dumps(both_identity))
+        assert code == 0
+        assert "value: 10\n" in out
+
     def test_invalid_cap_is_an_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.CLOSURE_CAP_ENV, "banana")
         code, _, err = run_cli(

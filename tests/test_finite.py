@@ -182,11 +182,24 @@ class TestGroupConstruction:
         with pytest.raises(SizeCapError):
             close_group([(1, 0, 2, 3), (1, 2, 3, 0)], cap=10)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_cyclic_table_is_addition_mod_n(self, n):
+        g = cyclic_group(n)
+        assert g._table == [[(i + j) % n for j in range(n)] for i in range(n)]
+        assert [g.inv(i) for i in range(n)] == [-i % n for i in range(n)]
+
+    def test_cyclic_cap(self):
+        assert cyclic_group(10, cap=10).order == 10
+        with pytest.raises(SizeCapError, match="order 11 exceeds the cap of 10"):
+            cyclic_group(11, cap=10)
+
     def test_matrix_closure_validation(self):
         with pytest.raises(StructureError):
             close_group([((1, 0), (0, 1))], field=4)  # not prime
         with pytest.raises(StructureError):
             close_group([((1, 1), (2, 2))], field=5)  # singular
+        with pytest.raises(StructureError, match="singular over GF"):
+            close_group([((1, 2), (3, 1))], field=5)  # det -5: singular mod 5 only
         with pytest.raises(StructureError):
             close_group([(0, 1, 1)])  # not a permutation
 

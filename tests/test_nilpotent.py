@@ -43,7 +43,7 @@ from coincidence_kit.nilpotent import (
     reid_nilpotent,
     reid_nilpotent_multi,
 )
-from coincidence_kit.reporting import STATUS_OK, STATUS_UNSUPPORTED
+from coincidence_kit.reporting import STATUS_OK, STATUS_UNSUPPORTED, ReidemeisterReport
 from conftest import count_kernel_calls
 
 HEIS = heisenberg_group()
@@ -575,6 +575,13 @@ class TestHeisenbergPairs:
         assert report.intermediates["quotient_count"] == 2
         assert report.intermediates["sublattice_count"] == "infinite"
         assert any("not" in line and "implemented" in line for line in report.trace)
+
+    def test_report_has_no_value_exactly_when_unsupported(self):
+        with pytest.raises(ConsistencyError):
+            ReidemeisterReport(None)
+        with pytest.raises(ConsistencyError):
+            ReidemeisterReport(Cardinal(1), status=STATUS_UNSUPPORTED)
+        assert ReidemeisterReport(None, status=STATUS_UNSUPPORTED).value is None
 
     def test_identity_pair_is_infinite(self):
         ident = identity_pc_hom(HEIS)
