@@ -37,6 +37,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import exact_linalg
 from .abelian import (
     AbelianSystem,
     divisibility_report,
@@ -55,6 +56,7 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    SnfResult,
     certify_smith,
     cokernel_order,
     smith_normal_form,
@@ -481,9 +483,10 @@ def _abelian_system(doc: dict, minimum: int, maximum: int | None) -> AbelianSyst
 
 
 def _eliminated_order(m: IntMatrix) -> Cardinal:
-    """Cokernel order of m from divisors found by Smith elimination, never
-    by the certificate that smith_normal_form reads off the index."""
-    return smith_normal_form(m, eliminate=True).cokernel_order()
+    """Cokernel order of m from the bare Smith loop, none of smith_normal_form's
+    index route or certificate; the loop is looked up in exact_linalg at call
+    time, so that a wrapper put there reaches it."""
+    return SnfResult(m, exact_linalg._smith_divisors(m.to_lists())).cokernel_order()
 
 
 def _nilpotent_recount(phi: PcHom, psi: PcHom) -> Cardinal:
@@ -528,14 +531,20 @@ def _base_report() -> dict:
 
 
 def run_snf(doc: dict, oracle: bool, check: bool = False) -> dict:
+    """smith_normal_form's divisors, proven by certify_smith under --oracle or check."""
     matrix = IntMatrix(_to_matrix(_require(doc, "matrix"), "matrix"))
-    snf = certify_smith(matrix) if oracle or check else smith_normal_form(matrix)
+    snf = smith_normal_form(matrix)
     order = snf.cokernel_order()
     out = _base_report()
     out["value"] = order.to_json()
+    if oracle or check:
+        proven = list(certify_smith(matrix).divisors)
+        agreed = proven == list(snf.divisors)
+        proof = f"unimodular s, t with s @ m @ t == d prove {proven}" if agreed else (
+            f"the certificate proves {proven}, the engine gives {list(snf.divisors)}"
+        )
     if check:
-        proof = f"unimodular s, t with s @ m @ t == d prove {list(snf.divisors)}"
-        return _checked(out, [("smith-certificate", True, proof)])
+        return _checked(out, [("smith-certificate", agreed, proof)])
     out["intermediates"] = {
         "divisors": list(snf.divisors),
         "shape": [matrix.rows, matrix.cols],
@@ -547,7 +556,9 @@ def run_snf(doc: dict, oracle: bool, check: bool = False) -> dict:
         + (", ".join(str(d) for d in snf.divisors) if snf.divisors else "(none)"),
         f"cokernel order: {order}",
     ]
-    if oracle:
+    if oracle and not agreed:
+        out["oracle_status"] = f"mismatch: {proof}"
+    elif oracle:
         out["oracle_status"] = "agreed"
         out["trace"].append(
             "oracle: unimodular s, t with s @ m @ t == d prove the divisors"
@@ -590,15 +601,16 @@ def run_abelian(doc: dict, oracle: bool, check: bool = False) -> dict:
 
 
 def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, list[str]]:
-    """Recount by Smith elimination, which the engine's orders do not run,
-    each chain checked against the index of its own Bareiss pass: the
-    stacked difference's divisors, which must equal the engine's, and the
-    value they give, each pairwise value from its block phi_j - phi_1, each
-    leave-one-out value (None when none were counted) from its stack, and
-    for a finite value |ker Psi| = [Z : L_S] / [Z : L_blocks], the value
-    over the pairwise product."""
+    """Recount by the bare Smith loop, which runs none of the engine's index
+    route or certificate: the stacked difference's divisors, which must
+    equal the engine's, and the value they give, each pairwise value from
+    its block phi_j - phi_1, each leave-one-out value (None when none were
+    counted) from its stack, and for a finite value
+    |ker Psi| = [Z : L_S] / [Z : L_blocks], the value over the pairwise
+    product."""
     blocks = system.blocks
-    stacked = smith_normal_form(IntMatrix.stack_rows(blocks), eliminate=True)
+    stack = IntMatrix.stack_rows(blocks)
+    stacked = SnfResult(stack, exact_linalg._smith_divisors(stack.to_lists()))
     engine_divisors = system._stacked_smith().divisors
     if stacked.divisors != engine_divisors:
         return (
@@ -931,11 +943,12 @@ def _parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("problem", help="path to a JSON problem file, or literal JSON")
-        p.add_argument(
-            "--oracle",
-            action="store_true",
-            help="also run the independent brute-force cross-check",
-        )
+        if name != "check":  # check runs its own cross-checks
+            p.add_argument(
+                "--oracle",
+                action="store_true",
+                help="also run the independent cross-check",
+            )
         p.add_argument(
             "--trace", action="store_true", help="include the step-by-step trace"
         )

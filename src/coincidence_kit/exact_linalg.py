@@ -10,8 +10,8 @@ its row count, so the order is infinite with no arithmetic; a square m gives
 its Hermite pivots, found modulo D = |det| of rows independent columns,
 which must divide D.  cokernel_order wraps that index, and engines take
 every order whose divisors they do not print from it.  SnfResult's
-cokernel_order multiplies the Smith divisors; oracles recount by that route,
-with the divisors found by elimination.
+cokernel_order multiplies the Smith divisors; the oracles recount by that
+route, with the divisors of the bare Smith loop.
 
 One triangulation, _hermite_rows, serves every Hermite basis modulo a
 multiple d of the index (d * Z^rows lies in the lattice): _hermite_pivots
@@ -32,8 +32,7 @@ which d_1 ... d_(R-1) divides.  A prime dividing d_(R-1) divides d_R too,
 so it divides gcd(g, index) and leaves a with rank at most R - 2 modulo p.
 When gcd(g, index) is 1, or each of its primes is below 1000 and leaves
 rank R - 1 modulo p, the divisors are (1, ..., 1, index) with no
-elimination (_certified_divisors).  Otherwise, and always for the oracles,
-which ask with eliminate set, the one Smith loop, _smith_divisors, reduces
+elimination (_certified_divisors); otherwise _smith_divisors reduces
 a on the live submatrix without transforms.  Either way the divisors must
 number rows, form a chain, start with the gcd of the entries and multiply
 to that index.  The certificate proves every divisor; an eliminated chain
@@ -369,7 +368,7 @@ def _smith_with_transforms(m: IntMatrix) -> SnfResult:
     return SnfResult(m, divisors, s, t, d)
 
 
-def smith_normal_form(m: IntMatrix, *, eliminate: bool = False) -> SnfResult:
+def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Diagonalize m over the integers with a divisor chain on the diagonal.
 
     A tall m is reduced through its transpose a, which has the same
@@ -378,10 +377,10 @@ def smith_normal_form(m: IntMatrix, *, eliminate: bool = False) -> SnfResult:
     from the same Bareiss pass, a gcd g of (R-1)-minors, which
     d_1 ... d_(R-1) divides.  The divisors are (1, ..., 1, D), with no
     elimination, when that certificate decides them (_certified_divisors);
-    otherwise, and always when eliminate is set, _smith_divisors reduces a
-    without transforms.  The oracles set eliminate, so their recount never
-    reads the certificate.  Either way s, t and d stay None (certify_smith
-    returns them), and there must be one divisor per row, forming a chain,
+    otherwise _smith_divisors reduces a without transforms.  The oracles
+    run that loop alone, never this function, and compare its divisors with
+    these.  Either way s, t and d stay None (certify_smith returns them),
+    and there must be one divisor per row, forming a chain,
     multiplying to D, and the first must be the gcd of the entries.  The
     certificate proves every divisor; for an eliminated chain those checks
     pin the rank, the cokernel order, d_1 and the chain, not each middle
@@ -393,7 +392,7 @@ def smith_normal_form(m: IntMatrix, *, eliminate: bool = False) -> SnfResult:
     (1, 2)
     """
     a = m.transpose() if m.rows > m.cols else m
-    index, g = _column_index(a, minors=not eliminate)
+    index, g = _column_index(a, minors=True)
     if not index:
         snf = _smith_with_transforms(m)
         if len(snf.divisors) >= a.rows:
@@ -402,7 +401,7 @@ def smith_normal_form(m: IntMatrix, *, eliminate: bool = False) -> SnfResult:
                 "whose Bareiss pass found a dependent row"
             )
         return snf
-    divisors = None if eliminate else _certified_divisors(a, index, g)
+    divisors = _certified_divisors(a, index, g)
     if divisors is None:
         divisors = _smith_divisors(a.to_lists())
     _check_chain(divisors)

@@ -414,9 +414,11 @@ class TestExitCodes:
         assert "kind 'snf'" in err
 
     def test_usage_error_exits_one(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["compute"])
-        assert exc.value.code == 1
+        # check runs its own cross-checks and takes no --oracle
+        for argv in (["compute"], ["check", str(PROBLEMS / "example2_torus.json"), "--oracle"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 1
 
     def test_invalid_homomorphism_exits_one(self, capsys):
         problem = json.dumps(
@@ -806,12 +808,15 @@ class TestSmithFormReuse:
     check call: once by the engine's Smith form, once by Hermite pivots
     (cokernel_order), once by the Hermite basis that divisibility_report
     triangulates for the leave-one-out values, and once by the oracle's
-    Smith elimination (smith_normal_form with eliminate set).
+    bare Smith loop (_smith_divisors, run from cli).
 
     cli, abelian and nilpotent import both order routes by name, so each
     counting wrapper replaces its route in every namespace that binds it.
     The basis is counted where abelian calls it, keyed by the matrix whose
-    columns it triangulates; exact_linalg's own calls are not counted."""
+    columns it triangulates; exact_linalg's own calls are not counted.  The
+    oracles look the Smith loop up in exact_linalg, where the engine's Smith
+    forms call it too, so only the runs that cli starts are counted, keyed
+    by the matrix they reduce."""
 
     @pytest.fixture
     def reductions(self, monkeypatch):
@@ -831,14 +836,21 @@ class TestSmithFormReuse:
         }
         for route, original in routes.items():
 
-            def counting(m, original=original, route=route, **kwargs):
-                seen["elimination" if kwargs.get("eliminate") else route][m] += 1
-                return original(m, **kwargs)
+            def counting(m, original=original, route=route):
+                seen[route][m] += 1
+                return original(m)
 
             for ns in namespaces:
                 for attr, value in list(vars(ns).items()):
                     if value is original:
                         monkeypatch.setattr(ns, attr, counting)
+
+        def eliminating(rows, t=None, original=exact_linalg._smith_divisors):
+            if sys._getframe(1).f_globals["__name__"] == cli.__name__:
+                seen["elimination"][IntMatrix(rows)] += 1
+            return original(rows, t)
+
+        monkeypatch.setattr(exact_linalg, "_smith_divisors", eliminating)
 
         def triangulating(vectors, width, d, original=abelian._hermite_rows):
             vectors = list(vectors)
@@ -916,19 +928,19 @@ class TestSmithFormReuse:
         total = self._assert_each_once(
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json"), "--oracle"
         )
-        # each number once more, by Smith elimination, which the engine's
-        # orders do not run: the stacked matrix, the three pairwise blocks
-        # and the three leave-one-out stacks; no Hermite pivots past the
-        # engine's
+        # each number once more, by the bare Smith loop with none of the
+        # engine's index route: the stacked matrix, the three pairwise
+        # blocks and the three leave-one-out stacks; no Hermite pivots past
+        # the engine's
         assert total == (1, 4, 1, 1 + 3 + 3)
         assert len(enumerated) == 0  # the oracle lists no class
 
     def test_abelian_oracle_on_a_pair_eliminates_the_block_once(self, capsys, reductions):
         # with two maps the one block is the stack: the engine took its Smith
         # form for the value and its Hermite pivots for the pairwise value (1
-        # here, so no lattice index is reduced for |ker Psi|); the oracle
-        # eliminates it once, for its divisors, the value and the pairwise
-        # value
+        # here, so no lattice index is reduced for |ker Psi|); the oracle's
+        # Smith loop reduces it once, for its divisors, the value and the
+        # pairwise value
         maps = [[[1, 2, 0], [0, 1, 3]], [[3, 2, 5], [1, -1, 3]]]
         problem = json.dumps({"kind": "abelian-pair", "maps": maps})
         total = self._assert_each_once(capsys, reductions, "compute", problem, "--oracle")
@@ -1378,8 +1390,9 @@ class TestTransformFreeSmith:
             assert kernels == Counter(_certified_divisors=1, _smith_divisors=eliminated)
 
     def test_wrong_wide_recount_exits_2(self, capsys, monkeypatch):
-        # the oracle's leave-one-out stacks of example 2 are 2x3; a kernel
-        # that doubles their last divisor misses the Hermite index
+        # the oracle's pairwise blocks and leave-one-out stacks of example 2
+        # are 1x3 and 2x3; a kernel that doubles their last divisor gives
+        # recounts that the engine's values refuse
         original = exact_linalg._smith_divisors
 
         def doubling(rows, t=None):
@@ -1395,14 +1408,16 @@ class TestTransformFreeSmith:
         assert code == 0, err
         code, out, err = run_cli(capsys, "compute", path, "--oracle")
         assert code == 2
-        assert "do not multiply to the Hermite index" in err
+        assert "oracle: mismatch: " in out
+        assert "pairwise values 2, 4, 2 and leave-one-out values 4, 2, 4, the engine" in out
 
 
 class TestOraclesEliminate:
-    """The oracles recount by Smith elimination and never read the
-    certificate that the engine's Smith forms take: under --oracle every
-    recounted matrix runs the Smith loop without transforms, and
-    _certified_divisors runs no more often than under plain compute."""
+    """The oracles recount by the bare Smith loop and never run the index
+    route or the certificate that the engine's Smith forms take: under
+    --oracle every recounted matrix runs the Smith loop without transforms,
+    and _bareiss, _hermite_pivots and _certified_divisors run no more often
+    than under plain compute."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
@@ -1447,16 +1462,31 @@ class TestOraclesEliminate:
             {"_smith_divisors": 3, "_smith_divisors with t": 1, "_certified_divisors": 0}
         )
 
-    def test_lying_certificate_exits_2(self, capsys, monkeypatch):
+    def test_recounts_run_none_of_the_index_route(self, capsys, monkeypatch):
+        # the recounts run the bare Smith loop: no Bareiss pass, Hermite
+        # pivots or minor certificate beyond plain compute's
+        calls = count_kernel_calls(
+            monkeypatch, "_bareiss", "_hermite_pivots", "_certified_divisors"
+        )
+        for problem in (str(PROBLEMS / "example2_torus.json"), _seeded_torus(4, k=4, n=3, m=10)):
+            plain, added = self._added_by_oracle(capsys, calls, problem)
+            assert plain["_bareiss"] and plain["_hermite_pivots"], plain
+            assert not any(added.values()), added
+
+    @pytest.fixture
+    def lying_certificate(self, monkeypatch):
         """A certificate that claims (1, ..., 1, D) whenever the real one
-        declines passes the chain checks on diag(1, 1, 2, 2): compute prints
-        the wrong divisors, and the oracle's elimination refuses them."""
+        declines; on diag(1, 1, 2, 2) the lie passes the chain checks."""
         original = exact_linalg._certified_divisors
 
         def lying(a, index, g):
             return original(a, index, g) or (1,) * (a.rows - 1) + (index,)
 
         monkeypatch.setattr(exact_linalg, "_certified_divisors", lying)
+
+    def test_lying_certificate_exits_2(self, capsys, lying_certificate):
+        """compute prints the wrong divisors, and the oracle's elimination
+        refuses them."""
         zero = [[0] * 4, [0] * 4]
         maps = [zero, [[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 0, 2, 0], [0, 0, 0, 2]]]
         problem = json.dumps({"kind": "abelian-multi", "maps": maps})
@@ -1466,6 +1496,23 @@ class TestOraclesEliminate:
         code, out, err = run_cli(capsys, "compute", problem, "--oracle")
         assert code == 2
         assert "elimination gives invariant factors (1, 1, 2, 2)" in out
+
+    def test_lying_certificate_fails_the_snf_cross_checks(self, capsys, lying_certificate):
+        """snf prints the wrong divisors, and the certificate that --oracle
+        and check run beside it proves the right ones."""
+        problem = _snf_problem([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+        code, out, err = run_cli(capsys, "snf", problem, "--trace")
+        assert code == 0, err
+        assert "invariant factors: 1, 1, 1, 4\n" in out
+        code, out, _ = run_cli(capsys, "snf", problem, "--oracle")
+        assert code == 2
+        assert (
+            "oracle: mismatch: the certificate proves [1, 1, 2, 2], "
+            "the engine gives [1, 1, 1, 4]\n"
+        ) in out
+        code, out, _ = run_cli(capsys, "check", problem)
+        assert code == 2
+        assert "FAIL smith-certificate: " in out
 
 
 # -- the cokernel oracle at scale -------------------------------------------------------
@@ -1708,13 +1755,14 @@ class TestSmithCertificate:
         "argv", [["snf", "--oracle"], ["compute", "--oracle"], ["check"]]
     )
     def test_nonsingular_square_is_eliminated_once(self, capsys, monkeypatch, argv):
-        # one run of the Smith loop with t and the determinants of s and t;
-        # no run without transforms and no determinant of m
+        # the engine's one Bareiss pass, whose minor certificate gives the
+        # printed divisors, then the proof: one run of the Smith loop with t
+        # and the determinants of s and t; no run without transforms
         calls = count_kernel_calls(monkeypatch, "_smith_divisors", "_bareiss")
         command, *flags = argv
         code, _, err = run_cli(capsys, command, self.SQUARE, *flags)
         assert code == 0, err
-        assert calls == {"_smith_divisors with t": 1, "_bareiss": 2}
+        assert calls == {"_smith_divisors with t": 1, "_bareiss": 3}
 
 
 # -- package surface ---------------------------------------------------------------------
