@@ -7,11 +7,11 @@ A cokernel order |Z^rows / (column lattice of m)| is fixed by m's shape
 before any Smith form.  _column_index decides it: a tall m has rank below
 its row count, so the order is infinite with no arithmetic; a square m gives
 |det m| from one Bareiss pass (0: infinite); a wide m gives the product of
-its Hermite pivots, found modulo D = |det| of rows independent columns,
-which must divide D.  cokernel_order wraps that index, and engines take
-every order whose divisors they do not print from it.  SnfResult's
-cokernel_order multiplies the Smith divisors; the oracles recount by that
-route, with the divisors of the bare Smith loop.
+its Hermite pivots, found modulo the gcd d of the maximal minors that its
+Bareiss passes hold, and the product must divide d.  cokernel_order wraps
+that index, and engines take every order whose divisors they do not print
+from it.  SnfResult's cokernel_order multiplies the Smith divisors; the
+oracles recount by that route, with the divisors of the bare Smith loop.
 
 One triangulation, _hermite_rows, serves every Hermite basis modulo a
 multiple d of the index (d * Z^rows lies in the lattice): _hermite_pivots
@@ -373,7 +373,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
     A tall m is reduced through its transpose a, which has the same
     divisors.  When a has full row rank R, _column_index gives its index D
-    (|det| by Bareiss when square, the Hermite index modulo D when wide) and,
+    (|det| by Bareiss when square, the Hermite index when wide) and,
     from the same Bareiss pass, a gcd g of (R-1)-minors, which
     d_1 ... d_(R-1) divides.  The divisors are (1, ..., 1, D), with no
     elimination, when that certificate decides them (_certified_divisors);
@@ -499,14 +499,17 @@ def _bareiss(a, *, minors: bool = False) -> tuple[int, int]:
 
     det is det a for a square a, else the signed determinant of n
     independent columns; 0 at the first row that depends on the rows above
-    it.  With minors set, g is the gcd of the (n-1)-minors that the pass
-    holds: when three rows remain, after k = n - 3 pivots, their entries
-    are the (k+1)-minors on the first k pivot rows and columns, and by
-    Sylvester's identity each 2x2 minor of that block divided by the
-    previous pivot is an (n-1)-minor (Bareiss, Math. Comp. 22, 1968).  With
-    two rows, g is the gcd of the entries, and with fewer it is 1.  So
-    d_1 ... d_(n-1) divides g.  Without minors, g is 0, which every
-    integer divides.
+    it.  A pass of full rank leaves maximal minors in the last row: past
+    column n - 2 it holds, in some order, the n x n minors on the first
+    n - 1 pivot columns and each other column (Sylvester's identity; the
+    first of them is det).  With minors set, g is the gcd of the
+    (n-1)-minors that the pass holds: when three rows remain, after
+    k = n - 3 pivots, their entries are the (k+1)-minors on the first k
+    pivot rows and columns, and by Sylvester's identity each 2x2 minor of
+    that block divided by the previous pivot is an (n-1)-minor (Bareiss,
+    Math. Comp. 22, 1968).  With two rows, g is the gcd of the entries, and
+    with fewer it is 1.  So d_1 ... d_(n-1) divides g.  Without minors, g
+    is 0, which every integer divides.
     """
     n = len(a)
     cols = len(a[0]) if a else 0
@@ -720,6 +723,10 @@ def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:
     return basis
 
 
+# columns past the row count in each window _hermite_pivots passes over
+_WINDOW = 16
+
+
 def _hermite_pivots(m: IntMatrix, *, minors: bool = False) -> tuple[list[int] | None, int]:
     """Diagonal h_1 ... h_n of the Hermite form of the column lattice L of m
     in Z^n, n = m.rows, or None when L has rank < n; and the g of the
@@ -727,18 +734,34 @@ def _hermite_pivots(m: IntMatrix, *, minors: bool = False) -> tuple[list[int] | 
     for wide matrices, where the pivot product is the index and no single
     determinant gives it, and enumerate_cokernel for the pivots themselves.
 
-    One Bareiss pass finds D = |det| of n independent columns, or none.
-    Those columns span a sublattice of index D, so D * Z^n lies in L, and
-    _hermite_rows may triangulate L modulo D.  The index of L is the product
-    of the pivots, which must divide D.
+    A Bareiss pass of full rank leaves n x n minors of m in its last row
+    (see _bareiss).  Each maximal minor M puts M * Z^n in L, so their gcd d
+    is a multiple of the index of L that divides |det|, and _hermite_rows
+    may triangulate L modulo d.  The index is the product of the pivots,
+    which must divide d.
+
+    A very wide m, C > 2 * (n + _WINDOW), is passed on its leading and on
+    its trailing n + _WINDOW columns, far cheaper than one pass over all C.
+    Their minors are minors of m: d is the gcd over the windows of full
+    rank, and g the gcd of their g's.  When neither has full rank, one pass
+    over all C columns decides the rank and gives d and g.
     """
-    det, g = _bareiss(m.to_lists(), minors=minors)
-    if not det:
-        return None, g
-    d = abs(det)
+    w = m.rows + _WINDOW
+    windows = [slice(0, w), slice(-w, None)] if m.cols > 2 * w else []
+    d = g = 0
+    for cuts in (windows, [slice(None)]):
+        for cut in cuts:
+            a = [list(row[cut]) for row in m.iter_rows()]
+            det, h = _bareiss(a, minors=minors)
+            if det:
+                d, g = (gcd(d, *a[-1][m.rows - 1 :]) if a else 1), gcd(g, h)
+        if d:
+            break
+    if not d:
+        return None, h
     pivots = [row[0] for row in _hermite_rows(map(m.column, range(m.cols)), m.rows, d)]
     if d % prod(pivots, start=1):
-        raise ConsistencyError(f"Hermite pivots {pivots} do not divide D = {d}")
+        raise ConsistencyError(f"Hermite pivots {pivots} do not divide the modulus {d}")
     return pivots, g
 
 
@@ -825,7 +848,7 @@ def _column_index(m: IntMatrix, *, minors: bool = False) -> tuple[int, int]:
     The shape picks the route.  A tall m has rank below its row count, so
     the index is infinite with no arithmetic.  A square m has index
     |det m|, from one Bareiss pass.  A wide m has the product of its
-    Hermite pivots, found modulo D.
+    Hermite pivots (_hermite_pivots).
     """
     if m.rows > m.cols:
         return 0, 0
@@ -839,7 +862,7 @@ def _column_index(m: IntMatrix, *, minors: bool = False) -> tuple[int, int]:
 def cokernel_order(m: IntMatrix) -> Cardinal:
     """Order of Z^rows / (column lattice of m), without a Smith form:
     infinite when m is tall or short of full row rank, |det m| when square,
-    and the product of the Hermite pivots found modulo D when wide.
+    and the product of the Hermite pivots when wide.
 
     >>> str(cokernel_order(IntMatrix([[2, 4, 1], [2, 6, 2]])))
     '2'

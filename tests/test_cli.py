@@ -1666,6 +1666,27 @@ class TestHermiteOracle:
             "values 1, 2, 1 and leave-one-out values 3, 1, 2"
         )
 
+    def test_modulus_off_the_wrong_row_is_a_mismatch(self, capsys, monkeypatch):
+        # a wide stack's modulus read off the Bareiss pass's row -2, whose
+        # (n-1)-minors need not be multiples of the index: the engine's
+        # orders come out wrong, and the bare Smith loop's recount differs
+        original = exact_linalg._bareiss
+
+        def wrong_row(a, **kwargs):
+            result = original(a, **kwargs)
+            if len(a) > 1:
+                a[-1] = a[-2]
+            return result
+
+        problem = _seeded_torus(1, k=3, n=2, m=5)
+        code, out, err = run_cli(capsys, "compute", problem, "--oracle")
+        assert code == 0, err
+        assert "value: 7\n" in out
+        monkeypatch.setattr(exact_linalg, "_bareiss", wrong_row)
+        code, out, _ = run_cli(capsys, "compute", problem, "--oracle")
+        assert code == 2
+        assert "oracle: mismatch: " in out
+
     def test_wrong_nilpotent_value_is_a_mismatch(self, capsys, monkeypatch):
         original = cli.reid_nilpotent_multi
 

@@ -396,12 +396,16 @@ class TestLazyTransforms:
 
 def counting_calls(monkeypatch, name):
     """Replace exact_linalg's name by a wrapper; return the list of the
-    shapes of the first argument of each call."""
+    shapes (rows, cols) of the first argument of each call, an IntMatrix or
+    a list of rows."""
     original = getattr(el, name)
     calls = []
 
     def counting(a, *rest, **kwargs):
-        calls.append((a.rows, a.cols) if isinstance(a, IntMatrix) else len(a))
+        if isinstance(a, IntMatrix):
+            calls.append((a.rows, a.cols))
+        else:
+            calls.append((len(a), len(a[0]) if a else 0))
         return original(a, *rest, **kwargs)
 
     monkeypatch.setattr(el, name, counting)
@@ -427,8 +431,50 @@ class TestShapeRoutes:
         assert calls == [(4, 4)] * 2 + [(3, 5)] * 2 + [(5, 3), (3, 5)]
         # one Bareiss pass per index: the Smith forms read their minors'
         # gcd off it, and here the certificate decides every one of them
-        assert passes == [4] * 2 + [3] * 2 + [3]
+        assert passes == [(4, 4)] * 2 + [(3, 5)] * 2 + [(3, 5)]
         assert eliminated == {}
+
+    def test_very_wide_passes_two_windows(self, monkeypatch):
+        # 96 > 2 * (6 + 16) columns: passes over the leading and trailing 22
+        # columns decide a full rank, and none runs over all 96; with both
+        # windows zero, the pass over all 96 decides it
+        rng = random.Random(4696)
+        lit = random_matrix(rng, lo=-4, hi=4, rows=6, cols=96).to_lists()
+        dark = [[0] * 22 + row[22:74] + [0] * 22 for row in lit]
+        passes = counting_calls(monkeypatch, "_bareiss")
+        for data, expected in ((lit, [(6, 22)] * 2), (dark, [(6, 22)] * 2 + [(6, 96)])):
+            m = IntMatrix(data)
+            divisors = el._smith_divisors(m.to_lists())
+            passes.clear()
+            assert cokernel_order(m) == Cardinal.finite(math.prod(divisors))
+            assert len(divisors) == 6
+            assert passes == expected
+
+    def test_wide_modulus_divides_det_and_the_index_divides_it(self, monkeypatch):
+        # the modulus is the gcd of the maximal minors in the pass's last
+        # row, not |det| of its pivot columns
+        moduli = []
+        original = el._hermite_rows
+
+        def recording(vectors, width, d):
+            moduli.append(d)
+            return original(vectors, width, d)
+
+        monkeypatch.setattr(el, "_hermite_rows", recording)
+        rng = random.Random(4898)
+        smaller = 0
+        for _ in range(20):
+            m = random_matrix(rng, lo=-4, hi=4, rows=8, cols=9)
+            det = abs(el._bareiss(m.to_lists())[0])
+            if not det:
+                continue
+            divisors = el._smith_divisors(m.to_lists())
+            moduli.clear()
+            assert cokernel_order(m) == Cardinal.finite(math.prod(divisors))
+            (d,) = moduli
+            assert det % d == 0 and d % math.prod(divisors) == 0
+            smaller += d < det
+        assert smaller > 10
 
     def test_tall_smith_forms_take_transforms_only_below_full_rank(self, monkeypatch):
         rng = random.Random(4343)
@@ -922,11 +968,25 @@ class TestCokernel:
         assert listed > 100
 
     @pytest.mark.parametrize(
-        "shape", ["tall", "square", "wide", "zero-column", "scaled", "unit-det", "row-sum"]
+        "shape",
+        [
+            "tall",
+            "square",
+            "wide",
+            "zero-column",
+            "scaled",
+            "unit-det",
+            "row-sum",
+            "very-wide",
+            "dark-windows",
+            "0x40",
+            "1x40",
+        ],
     )
     def test_hermite_pivots_match_smith(self, shape):
-        # cokernel_order takes Hermite pivots modulo D; the Smith divisors
-        # share none of its code
+        # cokernel_order takes Hermite pivots modulo maximal minors, of
+        # column windows when very wide; the bare Smith loop shares none of
+        # its code
         rng = random.Random(f"hermite-{shape}")
         for _ in range(150):
             rows = rng.randint(2, 5) if shape != "row-sum" else rng.randint(3, 6)
@@ -936,6 +996,11 @@ class TestCokernel:
                 "wide": rows + rng.randint(1, 3),
                 "zero-column": 0,
             }.get(shape, rows + rng.randint(0, 3))
+            window = rows + el._WINDOW
+            if shape in ("very-wide", "dark-windows"):
+                cols = 2 * window + rng.randint(1, 20)
+            elif shape in ("0x40", "1x40"):
+                rows, cols = int(shape[0]), 40
             data = random_matrix(rng, lo=-9, hi=9, rows=rows, cols=cols).to_lists()
             if shape == "scaled":
                 data = [[3 * x for x in row] for row in data]
@@ -944,11 +1009,19 @@ class TestCokernel:
             elif shape == "row-sum":
                 i, j, k = rng.sample(range(rows), 3)
                 data[k] = [x + y for x, y in zip(data[i], data[j])]
-            elif rng.random() < 0.3:
+            elif shape == "dark-windows":
+                # both windows zero: only the pass over all columns decides
+                data = [[0] * window + row[window:-window] + [0] * window for row in data]
+            elif rows and rng.random() < 0.3:
                 # a multiple of the first row makes the rank fall short
                 data[-1] = [2 * x for x in data[0]]
-            m = IntMatrix(data, cols=len(data[0]) if data[0] else cols)
+            m = IntMatrix(data, cols=len(data[0]) if data and data[0] else cols)
+            divisors = el._smith_divisors(m.to_lists())
             order = cokernel_order(m)
+            if len(divisors) < m.rows:
+                assert order == INFINITE
+            else:
+                assert order == Cardinal.finite(math.prod(divisors))
             assert order == smith_normal_form(m).cokernel_order()
             if shape == "unit-det":
                 assert order == Cardinal.finite(1)
@@ -956,6 +1029,23 @@ class TestCokernel:
                 assert order == INFINITE
             elif shape == "scaled" and order.is_finite:
                 assert order.value % 3 ** rows == 0
+
+    @pytest.mark.parametrize("cols", [5, 60])
+    def test_pivots_that_do_not_divide_the_modulus_are_refused(self, monkeypatch, cols):
+        # a last pivot times d + 1 leaves a pivot product above the modulus d,
+        # with one pass (5 columns) and with two windows (60 > 2 * (3 + 16))
+        original = el._hermite_rows
+
+        def inflated(vectors, width, d):
+            basis = original(vectors, width, d)
+            basis[-1][0] *= d + 1
+            return basis
+
+        m = random_matrix(random.Random(4040 + cols), lo=-4, hi=4, rows=3, cols=cols)
+        assert cokernel_order(m).is_finite
+        monkeypatch.setattr(el, "_hermite_rows", inflated)
+        with pytest.raises(ConsistencyError, match="do not divide"):
+            cokernel_order(m)
 
     def test_wide_rank_deficient_stack_is_infinite(self):
         # a row that is the sum of two others: the Bareiss pass stops at the
