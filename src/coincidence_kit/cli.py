@@ -459,7 +459,7 @@ def _build_pc_maps(doc: dict):
                 "an array of exponent vectors"
             )
         try:
-            homs.append(PcHom(domain, codomain, mat))
+            homs.append(PcHom._parsed(domain, codomain, mat))
         except HomomorphismError as exc:
             raise ProblemError(f"{where}: {exc}") from exc
     return homs
@@ -506,7 +506,7 @@ def _nilpotent_recount(phi: PcHom, psi: PcHom) -> Cardinal:
     lifted = delta_image_vectors(red) if diff_bar.cols > diff_bar.rows else []
     central = coarse = _eliminated_order(diff_prime)
     if lifted:
-        deltas = IntMatrix.from_columns(lifted, rows=diff_prime.rows)
+        deltas = IntMatrix._built(lifted, diff_prime.rows).transpose()
         coarse = _eliminated_order(diff_prime.hstack(deltas))
     if not central.is_finite or central.value % coarse.value:
         raise ConsistencyError(
@@ -531,14 +531,19 @@ def _base_report() -> dict:
 
 
 def run_snf(doc: dict, oracle: bool, check: bool = False) -> dict:
-    """smith_normal_form's divisors, proven by certify_smith under --oracle or check."""
+    """smith_normal_form's divisors, proven under --oracle or check: by the
+    determinants of its own s and t when it reduced m with them (m short of
+    full row rank), else by certify_smith."""
     matrix = IntMatrix(_to_matrix(_require(doc, "matrix"), "matrix"))
     snf = smith_normal_form(matrix)
     order = snf.cokernel_order()
     out = _base_report()
     out["value"] = order.to_json()
     if oracle or check:
-        proven = list(certify_smith(matrix).divisors)
+        if snf.s is None:
+            proven = list(certify_smith(matrix).divisors)
+        else:
+            proven = list(exact_linalg._prove_unimodular(snf).divisors)
         agreed = proven == list(snf.divisors)
         proof = f"unimodular s, t with s @ m @ t == d prove {proven}" if agreed else (
             f"the certificate proves {proven}, the engine gives {list(snf.divisors)}"

@@ -50,7 +50,12 @@ certify_smith proves every divisor of m's Smith form, at any size, for one
 run of the loop with transforms and two determinants: it requires
 |det s| == |det t| == 1 (Bareiss).  Since s @ m @ t == d with d the divisor
 chain on its diagonal, unimodular s and t make d the Smith form of m, which
-is unique.
+is unique.  _prove_unimodular takes those two determinants alone, for an
+SnfResult whose s @ m @ t == d was verified where it was built.
+
+IntMatrix's public constructor and from_columns check every entry; what the
+package computes from matrices it holds is built by IntMatrix._built, which
+checks nothing.
 """
 
 from __future__ import annotations
@@ -70,7 +75,14 @@ def _as_int(x, where: str) -> int:
 
 
 class IntMatrix:
-    """Immutable matrix of arbitrary-precision integers, row-major."""
+    """Immutable matrix of arbitrary-precision integers, row-major.
+
+    The public constructor and from_columns check every entry: a float or
+    bool is a ShapeError.  Matrices the package computes from matrices it
+    already holds, or from ints it built itself, take the private _built
+    instead, which checks nothing; every operation below builds its result
+    that way.
+    """
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -97,12 +109,22 @@ class IntMatrix:
             self.cols = 0 if cols is None else cols
 
     @classmethod
+    def _built(cls, rows, cols: int) -> IntMatrix:
+        """The matrix on rows the package computed, each a sequence of cols
+        ints; neither an entry nor a width is checked."""
+        m = cls.__new__(cls)
+        m._data = tuple(map(tuple, rows))
+        m.rows = len(m._data)
+        m.cols = cols
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._built([(0,) * cols] * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._built([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> IntMatrix:
@@ -126,7 +148,7 @@ class IntMatrix:
             if b.cols != width:
                 raise ShapeError(f"block widths differ: {b.cols} vs {width}")
             rows.extend(b._data)
-        return cls(rows, cols=width)
+        return cls._built(rows, width)
 
     def __getitem__(self, key):
         i, j = key
@@ -147,14 +169,14 @@ class IntMatrix:
         return tuple(x for r in self._data for x in r)
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix.from_columns(self._data, rows=self.cols)
+        rows = zip(*self._data) if self._data else [()] * self.cols
+        return IntMatrix._built(rows, self.rows)
 
     def hstack(self, other: IntMatrix) -> IntMatrix:
         if other.rows != self.rows:
             raise ShapeError(f"row counts differ: {self.rows} vs {other.rows}")
-        return IntMatrix(
-            [a + b for a, b in zip(self._data, other._data)],
-            cols=self.cols + other.cols,
+        return IntMatrix._built(
+            [a + b for a, b in zip(self._data, other._data)], self.cols + other.cols
         )
 
     def __add__(self, other):
@@ -162,9 +184,9 @@ class IntMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix addition needs equal shapes")
-        return IntMatrix(
+        return IntMatrix._built(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self.cols,
+            self.cols,
         )
 
     def __sub__(self, other):
@@ -172,9 +194,9 @@ class IntMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix subtraction needs equal shapes")
-        return IntMatrix(
+        return IntMatrix._built(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self.cols,
+            self.cols,
         )
 
     def __matmul__(self, other):
@@ -185,9 +207,8 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         cols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            [[sum(map(mul, row, col)) for col in cols] for row in self._data],
-            cols=other.cols,
+        return IntMatrix._built(
+            [[sum(map(mul, row, col)) for col in cols] for row in self._data], other.cols
         )
 
     def apply(self, vector):
@@ -360,10 +381,12 @@ def _smith_with_transforms(m: IntMatrix) -> SnfResult:
     rows = m.hstack(IntMatrix.identity(r)).to_lists()
     columns = IntMatrix.identity(c).to_lists()
     divisors = _smith_divisors(rows, columns)
-    s = IntMatrix(rows, cols=r)
-    t = IntMatrix.from_columns(columns, rows=c)
+    s = IntMatrix._built(rows, r)
+    t = IntMatrix._built(columns, c).transpose()
     diagonal = divisors + (0,) * (r - len(divisors))
-    d = IntMatrix([[x if i == j else 0 for j in range(c)] for i, x in enumerate(diagonal)], cols=c)
+    d = IntMatrix._built(
+        [[x if i == j else 0 for j in range(c)] for i, x in enumerate(diagonal)], c
+    )
     _verify_snf(m, s, t, d, divisors)
     return SnfResult(m, divisors, s, t, d)
 
@@ -567,7 +590,12 @@ def certify_smith(m: IntMatrix) -> SnfResult:
     >>> certify_smith(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
     (1, 2)
     """
-    snf = _smith_with_transforms(m)
+    return _prove_unimodular(_smith_with_transforms(m))
+
+
+def _prove_unimodular(snf: SnfResult) -> SnfResult:
+    """snf, whose s @ m @ t == d was verified where it was built, once
+    |det s| == |det t| == 1 proves its divisors; else ConsistencyError."""
     for name, u in (("s", snf.s), ("t", snf.t)):
         det = determinant(u)
         if abs(det) != 1:
@@ -879,7 +907,8 @@ def lattice_index(sub_vectors, super_vectors, *, width: int | None = None) -> Ca
 
     Every sub vector must lie in the super lattice (integrally), or a
     ContainmentError is raised.  The index is infinite when the sub lattice
-    has strictly smaller rank.
+    has strictly smaller rank.  Every entry must be an int (else
+    ShapeError), checked here, so the coordinate matrix is built unchecked.
     """
     sub = [tuple(v) for v in sub_vectors]
     sup = [tuple(v) for v in super_vectors]
@@ -893,6 +922,9 @@ def lattice_index(sub_vectors, super_vectors, *, width: int | None = None) -> Ca
     for v in sub + sup:
         if len(v) != width:
             raise ShapeError(f"vector length {len(v)}, expected {width}")
+        for x in v:
+            if type(x) is not int:
+                _as_int(x, "lattice vector")
     basis = hermite_basis(sup, width)
     coords = []
     for v in sub:
@@ -902,8 +934,7 @@ def lattice_index(sub_vectors, super_vectors, *, width: int | None = None) -> Ca
                 f"vector {list(v)} is not in the super lattice"
             )
         coords.append(c)
-    coord_matrix = IntMatrix.from_columns(coords, rows=len(basis))
-    return cokernel_order(coord_matrix)
+    return cokernel_order(IntMatrix._built(coords, len(basis)).transpose())
 
 
 def enumerate_cokernel(m: IntMatrix, cap: int = 1_000_000) -> list[tuple[int, ...]]:

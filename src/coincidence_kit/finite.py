@@ -259,7 +259,7 @@ def close_group(generators, *, field: int | None = None,
             g = _matrix_mod(g, p)
             if len(g) != size or any(len(r) != size for r in g):
                 raise StructureError("matrix generators must share a square shape")
-            if determinant(IntMatrix(g)) % p == 0:
+            if determinant(IntMatrix._built(g, size)) % p == 0:
                 raise StructureError(f"generator is singular over GF({p}): {g}")
             gens_canon.append(g)
         identity = tuple(

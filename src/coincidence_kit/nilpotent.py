@@ -63,6 +63,9 @@ class PcGroup:
     once here: each is (i, j, terms), terms being the nonzero (word slot,
     coefficient) pairs of its vector, so a product visits only the central
     slots it changes.
+
+    The constructor checks every label, key and entry.  from_presentation
+    checks its own input and builds through _init, which checks nothing.
     """
 
     __slots__ = ("labels", "n_noncentral", "commutators", "_relations")
@@ -97,12 +100,19 @@ class PcGroup:
             for x in vec:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise StructureError(f"commutator vector for {key} holds {x!r}")
-            if any(vec):
-                cleaned[(i, j)] = vec
-        self.commutators = cleaned
+            cleaned[(i, j)] = vec
+        self._init(labels, n_noncentral, cleaned)
+
+    def _init(self, labels, n_noncentral, commutators):
+        """Set the group on checked data: labels a tuple of distinct
+        strings, commutators keyed n_noncentral > i > j >= 0 with int
+        vectors over the central block; zero vectors are dropped."""
+        self.labels = labels
+        self.n_noncentral = n_noncentral
+        self.commutators = {key: vec for key, vec in commutators.items() if any(vec)}
         self._relations = tuple(
             (i, j, tuple((n_noncentral + l, c) for l, c in enumerate(vec) if c))
-            for (i, j), vec in cleaned.items()
+            for (i, j), vec in self.commutators.items()
         )
 
     @classmethod
@@ -116,6 +126,8 @@ class PcGroup:
         noncentral = [str(x) for x in noncentral]
         central = [str(x) for x in central]
         labels = noncentral + central
+        if not labels:
+            raise StructureError("a group needs at least one generator")
         m = len(noncentral)
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
@@ -154,7 +166,9 @@ class PcGroup:
             if key in comm:
                 raise StructureError(f"conflicting relations for the pair {key}")
             comm[key] = stored
-        return cls(labels, m, comm)
+        group = cls.__new__(cls)
+        group._init(tuple(labels), m, comm)
+        return group
 
     # -- derived shape -------------------------------------------------------
 
@@ -299,12 +313,22 @@ def direct_power_pc(group: PcGroup, copies: int) -> PcGroup:
     return PcGroup(labels, copies * m, comm)
 
 
+def _terms(word) -> list[tuple[int, int]]:
+    """The (generator index, exponent) pairs of a word's nonzero exponents,
+    in ascending index: the word as PcHom._apply takes it."""
+    return [(g, e) for g, e in enumerate(word) if e]
+
+
 class PcHom:
     """Homomorphism given by the images of the domain generators.
 
     Well-definedness is checked against the domain's structure constants:
     [phi(g_i), phi(g_j)] must equal phi of the relation's value, the
-    identity where the domain has no relation.
+    identity where the domain has no relation.  The constructor checks each
+    image as a codomain word (HomomorphismError) and then, unless check is
+    false, validates.  _parsed takes images that the CLI's parser has
+    already made int words of the codomain's length, one per domain
+    generator, and only validates.
     """
 
     __slots__ = ("domain", "codomain", "images")
@@ -324,40 +348,54 @@ class PcHom:
         if check:
             self.validate()
 
+    @classmethod
+    def _parsed(cls, domain: PcGroup, codomain: PcGroup, images) -> PcHom:
+        hom = cls.__new__(cls)
+        hom.domain, hom.codomain, hom.images = domain, codomain, tuple(images)
+        hom.validate()
+        return hom
+
     def validate(self):
-        """A class-2 commutator reads only the noncentral parts of its
-        arguments, so a pair without a domain relation in which either image
-        is central commutes, and is skipped."""
+        """HomomorphismError at the first generator pair, in (i, j < i)
+        order, whose images do not commute to the image of the pair's
+        relation.  A class-2 commutator reads only the noncentral parts of
+        its arguments, so a pair can fail only when the domain relates it
+        or both images have noncentral parts; only those pairs are visited.
+        A relation's terms are the terms of its central word."""
         dom, cod = self.domain, self.codomain
-        images, relations = self.images, dom.commutators
+        images = self.images
         m = cod.n_noncentral
-        noncentral = [any(w[:m]) for w in images]
+        noncentral = [g for g, w in enumerate(images) if any(w[:m])]
+        relations = {(i, j): terms for i, j, terms in dom._relations}
+        pairs = set(relations)
+        pairs.update((i, j) for a, i in enumerate(noncentral) for j in noncentral[:a])
         identity = cod.identity()
-        for i in range(dom.n):
-            for j in range(i):
-                vec = relations.get((i, j))
-                if vec is None and not (noncentral[i] and noncentral[j]):
-                    continue
-                lhs = cod._commutator(images[i], images[j])
-                rhs = self._apply(dom.central_word(vec)) if vec else identity
-                if lhs != rhs:
-                    raise HomomorphismError(
-                        f"images of {dom.labels[i]} and {dom.labels[j]} violate "
-                        f"the commutator relation: [{dom.labels[i]}, "
-                        f"{dom.labels[j]}] maps to {rhs} but the images "
-                        f"commute to {lhs}"
-                    )
+        for i, j in sorted(pairs):
+            terms = relations.get((i, j))
+            lhs = cod._commutator(images[i], images[j])
+            rhs = self._apply(terms) if terms else identity
+            if lhs != rhs:
+                raise HomomorphismError(
+                    f"images of {dom.labels[i]} and {dom.labels[j]} violate "
+                    f"the commutator relation: [{dom.labels[i]}, "
+                    f"{dom.labels[j]}] maps to {rhs} but the images "
+                    f"commute to {lhs}"
+                )
 
     def apply(self, word) -> tuple[int, ...]:
-        return self._apply(self.domain.check_word(word))
+        return self._apply(_terms(self.domain.check_word(word)))
 
-    def _apply(self, word) -> tuple[int, ...]:
-        cod = self.codomain
-        out = cod.identity()
-        for img, e in zip(self.images, word):
-            if e:
-                out = cod._multiply(out, cod._power(img, e))
-        return out
+    def _apply(self, terms) -> tuple[int, ...]:
+        """The image of the word with these terms (see _terms): the
+        collected product of the images' powers in ascending generator
+        order, starting from the first factor, with an image taken as it is
+        for exponent 1.  No terms give the identity."""
+        cod, images = self.codomain, self.images
+        out = None
+        for g, e in terms:
+            factor = images[g] if e == 1 else cod._power(images[g], e)
+            out = factor if out is None else cod._multiply(out, factor)
+        return cod.identity() if out is None else out
 
     def __repr__(self):
         pairs = ", ".join(
@@ -492,9 +530,11 @@ def central_extension_data(group: PcGroup) -> CentralExtensionData:
         if len(taken) != r:
             raise ConsistencyError("the unit rows of the commutator basis repeat")
         order = pivots + [l for l in range(z) if l not in taken]
-        adapted = coords = IntMatrix([[int(c == l) for c in range(z)] for l in order], cols=z)
+        adapted = coords = IntMatrix._built(
+            [[int(c == l) for c in range(z)] for l in order], z
+        )
     else:
-        snf = certify_smith(IntMatrix(basis))
+        snf = certify_smith(IntMatrix._built(basis, z))
         if any(d != 1 for d in snf.divisors):
             raise StructureError(
                 "the commutator subgroup is not a direct summand of the central "
@@ -547,7 +587,9 @@ def _pair_reductions(homs) -> list[PairReduction]:
     """The reductions of the pairs (phi_1, phi_j), j = 2..k, of a family
     sharing one domain and one codomain (else ShapeError).  Extension data is
     built once per group, and every map is pushed through it once, one basis
-    vector of B and of A at a time."""
+    vector of B and of A at a time: each basis vector's lift is read off
+    as terms once, for all k maps.  On free groups and the Heisenberg group
+    every lift is one generator, so a column is a projected image."""
     homs = list(homs)
     if len(homs) < 2:
         raise ShapeError(f"need at least two maps, got {len(homs)}")
@@ -559,16 +601,20 @@ def _pair_reductions(homs) -> list[PairReduction]:
             raise ShapeError(f"map {i} has a different codomain")
     d1 = central_extension_data(domain)
     d2 = d1 if codomain == domain else central_extension_data(codomain)
-    b_lifts = [d1.section(e) for e in IntMatrix.identity(d1.b_rank).iter_rows()]
-    a_lifts = [d1.a_embed(e) for e in IntMatrix.identity(d1.a_rank).iter_rows()]
+    # a unit vector lifts to a generator (B's noncentral coordinates) or to
+    # the central word of one adapted row (section, a_embed)
+    m, adapted = domain.n_noncentral, list(d1.adapted.iter_rows())
+    central = [[(m + l, c) for l, c in enumerate(row) if c] for row in adapted]
+    b_lifts = [[(g, 1)] for g in range(m)] + central[d1.a_rank :]
+    a_lifts = central[: d1.a_rank]
     what = "a commutator-subgroup element maps"
 
     def matrices(hom):
         bar = [d2._project(hom._apply(w)) for w in b_lifts]
         prime = [_sublattice_coords(d2, hom._apply(w), what) for w in a_lifts]
         return (
-            IntMatrix.from_columns(bar, rows=d2.b_rank),
-            IntMatrix.from_columns(prime, rows=d2.a_rank),
+            IntMatrix._built(bar, d2.b_rank).transpose(),
+            IntMatrix._built(prime, d2.a_rank).transpose(),
         )
 
     phi_bar, phi_prime = matrices(homs[0])
@@ -594,7 +640,7 @@ def _stack(reds) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
     def quotient(mats):
         blocks = [tuple(mat.iter_rows()) for mat in mats]
         rows = [r for b in blocks for r in b[:m]] + [r for b in blocks for r in b[m:]]
-        return IntMatrix(rows, cols=mats[0].cols)
+        return IntMatrix._built(rows, mats[0].cols)
 
     return (
         quotient([r.phi_bar for r in reds]),
@@ -619,7 +665,7 @@ def delta_image_vectors(red: PairReduction) -> list[tuple[int, ...]]:
     cod = d2.group
     vectors = []
     for kappa in kernel_basis(psi_bar - phi_bar):
-        theta = d1.section(kappa)
+        theta = _terms(d1.section(kappa))
         vector = ()
         for r in reds:
             g = cod._multiply(r.psi._apply(theta), cod._power(r.phi._apply(theta), -1))
@@ -675,7 +721,7 @@ def _count(reds) -> ReidemeisterReport:
         deltas = delta_image_vectors(reds) if diff_bar.cols > diff_bar.rows else []
         joint = r_prime
         if deltas:
-            columns = IntMatrix.from_columns(deltas, rows=diff_prime.rows)
+            columns = IntMatrix._built(deltas, diff_prime.rows).transpose()
             joint = cokernel_order(diff_prime.hstack(columns))
         im_delta = r_prime.divide_exact(joint)
         value = (r_prime * r_bar).divide_exact(im_delta)

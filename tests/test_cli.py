@@ -1772,6 +1772,49 @@ class TestSmithCertificate:
             assert code == 2
             assert "not unimodular" in err
 
+    # CI's seeded 48 x 48 input of rank 47: its last row is row 0 - 2 row 1
+    DEFICIENT = _seeded_matrix(47, 48)[:47]
+    DEFICIENT = _snf_problem(
+        DEFICIENT + [[x - 2 * y for x, y in zip(DEFICIENT[0], DEFICIENT[1])]]
+    )
+
+    @pytest.mark.parametrize("argv", [["snf"], ["snf", "--oracle"], ["check"]])
+    def test_rank_deficient_transforms_run_once(self, capsys, monkeypatch, argv):
+        """An input short of full row rank is reduced with its transforms by
+        the engine, which verifies s @ m @ t == d; the proof reads det s and
+        det t of that same run instead of running the loop again."""
+        calls = count_kernel_calls(monkeypatch, "_smith_with_transforms", "determinant")
+        command, *flags = argv
+        code, out, err = run_cli(capsys, command, self.DEFICIENT, *flags, "--format", "structured")
+        assert code == 0, err
+        proofs = 0 if argv == ["snf"] else 2
+        assert calls == Counter(_smith_with_transforms=1, determinant=proofs)
+        doc = json.loads(out)
+        assert doc["value"] == "infinite"
+        if flags:
+            assert doc["oracle_status"] == "agreed"
+
+    def test_doubled_kernel_column_of_t_exits_2(self, capsys, monkeypatch):
+        """Doubling a kernel column of the engine's t keeps s @ m @ t == d,
+        since m sends that column to 0, but makes det t = +-2: plain snf
+        prints, and the proof refuses."""
+        original = exact_linalg._smith_divisors
+
+        def doubling(rows, t=None):
+            divisors = original(rows, t)
+            if t is not None:
+                t[-1] = [2 * x for x in t[-1]]
+            return divisors
+
+        monkeypatch.setattr(exact_linalg, "_smith_divisors", doubling)
+        code, _, err = run_cli(capsys, "snf", self.DEFICIENT)
+        assert code == 0, err
+        for argv in (["snf", "--oracle"], ["check"]):
+            code, out, err = run_cli(capsys, argv[0], self.DEFICIENT, *argv[1:])
+            assert code == 2
+            assert out == ""
+            assert "smith transform t is not unimodular: det t = " in err
+
     @pytest.mark.parametrize(
         "argv", [["snf", "--oracle"], ["compute", "--oracle"], ["check"]]
     )
@@ -1784,6 +1827,51 @@ class TestSmithCertificate:
         code, _, err = run_cli(capsys, command, self.SQUARE, *flags)
         assert code == 0, err
         assert calls == {"_smith_divisors with t": 1, "_bareiss": 3}
+
+
+# -- checks at the input ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", PROBLEM_FILES, ids=[p.stem for p in PROBLEM_FILES])
+def test_only_the_input_takes_the_public_matrix_constructor(capsys, monkeypatch, path):
+    """compute checks each input matrix once, where the parsed document
+    becomes an IntMatrix; every matrix the engines compute after that is
+    built unchecked, so the public constructor sees the snf matrix or the
+    torus maps and nothing else."""
+    init, built = IntMatrix.__init__, []
+
+    def counting(m, data, **kwargs):
+        data = [list(row) for row in data]
+        built.append(data)
+        init(m, data, **kwargs)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting)
+    assert cli.main(["compute", str(path)]) == 0
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    expected = {"snf": [doc.get("matrix")], "abelian-pair": doc.get("maps")}
+    expected["abelian-multi"] = doc.get("maps")
+    assert built == expected.get(doc["kind"], [])
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1.0]],
+        {"a": {"a": 1}, "b": {"b": 1.5}},
+        [[1, 0, 0], [0, 1, 0], [0, 0, True]],
+    ],
+    ids=["float-vector", "float-dict", "bool-vector"],
+)
+def test_a_map_exponent_that_is_no_integer_exits_1(capsys, images):
+    heis = {"generators": ["a", "b"], "central": ["c"], "commutators": [["a", "b", [1]]]}
+    problem = {
+        "kind": "nilpotent", "domain": heis, "codomain": heis,
+        "maps": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], images],
+    }
+    code, out, err = run_cli(capsys, "compute", json.dumps(problem))
+    assert code == 1
+    assert out == ""
+    assert "maps[1]" in err and "expected an integer" in err
 
 
 # -- package surface ---------------------------------------------------------------------

@@ -1276,6 +1276,48 @@ class TestInputValidation:
         with pytest.raises(ShapeError):
             IntMatrix([[True]])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: IntMatrix([[1.0]]),
+            lambda: IntMatrix([[True]]),
+            lambda: IntMatrix([[1, 2], [3, "4"]]),
+            lambda: IntMatrix.from_columns([[1.5]], rows=1),
+            lambda: IntMatrix.from_columns([[1], [False]], rows=1),
+            lambda: lattice_index([(1.0, 0)], [(1, 0), (0, 1)]),
+        ],
+        ids=["float", "bool", "string", "float-column", "bool-column", "float-lattice-vector"],
+    )
+    def test_public_entry_points_check_every_entry(self, build):
+        with pytest.raises(ShapeError):
+            build()
+
+    def test_operations_build_without_the_public_checks(self, monkeypatch):
+        """Matrices computed from matrices already held take the private
+        constructor; each still equals, and hashes as, the public matrix on
+        the same rows, empty shapes included."""
+        rng = random.Random(31)
+        shapes = [(3, 4), (4, 3), (1, 1), (0, 3), (3, 0), (0, 0)]
+        held = {shape: [IntMatrix([[rng.randint(-5, 5) for _ in range(shape[1])]
+                                   for _ in range(shape[0])], cols=shape[1])
+                        for _ in range(2)]
+                for shape in shapes}
+        init, calls = IntMatrix.__init__, []
+        monkeypatch.setattr(
+            IntMatrix, "__init__", lambda m, *a, **k: calls.append(a) or init(m, *a, **k)
+        )
+        built = []
+        for (r, c), (a, b) in held.items():
+            built += [a + b, a - b, a.transpose(), a.hstack(b), IntMatrix.stack_rows([a, b])]
+            built += [a @ b.transpose(), IntMatrix.identity(c), IntMatrix.zeros(r, c)]
+        assert calls == []
+        monkeypatch.setattr(IntMatrix, "__init__", init)
+        for m in built:
+            public = IntMatrix(m.to_lists(), cols=m.cols)
+            assert (m.rows, m.cols) == (public.rows, public.cols)
+            assert m == public and hash(m) == hash(public)
+            assert all(type(row) is tuple for row in m.iter_rows())
+
     def test_big_integers_survive(self):
         big = 10**40
         m = IntMatrix([[big, 0], [0, big]])

@@ -272,6 +272,31 @@ class TestPcGroupArithmetic:
         with pytest.raises(StructureError):
             PcGroup.from_presentation(["a", "b"], ["c"], {("a", "b"): {"x": 1}})
 
+    def test_presentation_skips_the_constructor_checks(self, monkeypatch):
+        """from_presentation checks its own input and builds the group
+        without PcGroup.__init__; the result equals the group the public
+        constructor builds from the same data, relations and all."""
+        init, calls = PcGroup.__init__, []
+        monkeypatch.setattr(
+            PcGroup, "__init__", lambda g, *a: calls.append(a) or init(g, *a)
+        )
+        groups = [HEIS, six_generator_domain(), heis_cross_z(), free_class_two(4), MIXED]
+        built = [
+            PcGroup.from_presentation(["a", "b"], ["c", "e"], {("b", "a"): {"e": 2, "c": 0}}),
+            PcGroup.from_presentation(["a"], [], {}),
+        ]
+        assert calls == []
+        for g in groups + built:
+            public = PcGroup(g.labels, g.n_noncentral, g.commutators)
+            assert public == g
+            assert public._relations == g._relations
+        assert built[0].commutators == {(1, 0): (0, 2)}
+        assert built[0]._relations == ((1, 0, ((3, 2),)),)
+        with pytest.raises(StructureError, match="at least one generator"):
+            PcGroup.from_presentation([], [], {})
+        with pytest.raises(StructureError, match="at least one generator"):
+            PcGroup([], 0, {})
+
     @pytest.mark.parametrize("exponent", [1.9, "3", True])
     def test_presentation_exponents_are_integers(self, exponent):
         # the same check PcGroup itself makes on a commutator vector
@@ -337,6 +362,52 @@ class TestPcHoms:
         for _ in range(20):
             u = random_word(rng, HEIS)
             assert ident.apply(u) == u
+
+    def test_apply_on_terms_matches_the_folded_product(self):
+        """apply multiplies only the word's nonzero terms, from the first
+        factor on; the reference folds every generator's power into the
+        identity with the public multiply and power."""
+        # x_i -> x_i^2 z-tail, z_l -> z_l^4: the tails are central, so every
+        # relation of MIXED still maps to its 4th power
+        images = [(2, 0, 0, 1, -1, 2), (0, 2, 0, 0, 3, 0), (0, 0, 2, -2, 0, 1),
+                  (0, 0, 0, 4, 0, 0), (0, 0, 0, 0, 4, 0), (0, 0, 0, 0, 0, 4)]
+        homs = [PcHom(MIXED, MIXED, images), identity_pc_hom(MIXED)]
+        rng = random.Random(23)
+        words = [MIXED.identity()]
+        for g in range(MIXED.n):
+            for e in (1, -1):
+                words.append(tuple(e if l == g else 0 for l in range(MIXED.n)))
+        words += [random_word(rng, MIXED, -3, 3) for _ in range(200)]
+        for hom in homs:
+            for word in words:
+                folded = MIXED.identity()
+                for img, e in zip(hom.images, word):
+                    folded = MIXED.multiply(folded, MIXED.power(img, e))
+                assert hom.apply(word) == folded
+        assert homs[0].apply(words[1]) == images[0]
+        assert homs[0].apply(MIXED.identity()) == MIXED.identity()
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            [(1, 0, 0), (0, 1, 0)],
+            [(1, 0, 0), (0, 1), (0, 0, 1)],
+            [(1, 0, 0), (0, True, 0), (0, 0, 1)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1.0)],
+        ],
+        ids=["two-images", "short-word", "bool-exponent", "float-exponent"],
+    )
+    def test_public_constructor_checks_every_image(self, images):
+        with pytest.raises(HomomorphismError):
+            PcHom(HEIS, HEIS, images)
+        with pytest.raises(HomomorphismError):
+            PcHom(HEIS, HEIS, images, check=False)
+
+    def test_parsed_images_are_still_validated(self):
+        ok = PcHom._parsed(HEIS, HEIS, [(3, 0, 0), (0, -1, 0), (0, 0, -3)])
+        assert ok.images == ((3, 0, 0), (0, -1, 0), (0, 0, -3))
+        with pytest.raises(HomomorphismError, match="b and a"):
+            PcHom._parsed(HEIS, HEIS, [(1, 0, 0), (0, 1, 0), (0, 0, 2)])
 
 
 # -- central extension data -------------------------------------------------------
@@ -764,6 +835,20 @@ def random_skew_endo(rng) -> PcHom:
     return PcHom(SKEW, SKEW, [u, v, x, y])
 
 
+def random_mixed_endo(rng) -> PcHom:
+    """x_i -> x_i^k times a central tail and z_l -> z_l^(k^2): each relation
+    of MIXED maps to its k^2-th power.  MIXED's adapted basis has negative
+    entries, so its lifts carry signs."""
+    k = rng.choice((-3, -2, -1, 1, 2, 3))
+    images = []
+    for i in range(3):
+        tail = tuple(rng.randint(-2, 2) for _ in range(3))
+        images.append(tuple(k if l == i else 0 for l in range(3)) + tail)
+    for l in range(3):
+        images.append((0, 0, 0) + tuple(k * k if m == l else 0 for m in range(3)))
+    return PcHom(MIXED, MIXED, images)
+
+
 def fold_report(homs):
     """The family folded into one pair targeting the direct power."""
     power = direct_power_pc(homs[0].codomain, len(homs) - 1)
@@ -908,17 +993,47 @@ class TestStackAgainstFold:
     @pytest.mark.parametrize("argv", [["compute"], ["compute", "--oracle"], ["check"]])
     def test_words_are_checked_once_on_the_heisenberg_pair(self, capsys, monkeypatch, argv):
         """Only the six input images (two maps, three generators) have their
-        shape checked; validation, the reductions, the delta lift and the
-        oracle work on words the package built and check nothing again."""
-        checked = []
-        check_word = PcGroup.check_word
+        shape checked, once each, where the parser reads them: _pc_image
+        makes each an int word of the codomain's length, and the maps take
+        them on PcHom's private path, so no check_word follows.
+        Validation, the reductions, the delta lift and the oracle work on
+        words the package built and check nothing again."""
+        parsed, checked = [], []
+        pc_image, check_word = cli._pc_image, PcGroup.check_word
+
+        def parsing(*args):
+            parsed.append(pc_image(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "_pc_image", parsing)
         monkeypatch.setattr(
             PcGroup, "check_word", lambda g, w: checked.append(w) or check_word(g, w)
         )
         command, *flags = argv
         path = PROBLEMS / "heisenberg_pair.json"
         assert cli.main([command, str(path), *flags]) == 0
-        assert checked == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (0, -1, 0), (0, 0, -3)]
+        assert parsed == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (0, -1, 0), (0, 0, -3)]
+        assert checked == []
+
+    @pytest.mark.parametrize("family", sorted(STACK_FAMILIES) + ["mixed"])
+    def test_reductions_match_the_public_route(self, family):
+        """Each column of a pair reduction is a basis vector of B or A,
+        lifted by section or a_embed, mapped by the public apply and read
+        back by project or a_coords."""
+        rng = random.Random(f"public-route:{family}")
+        draw = STACK_FAMILIES.get(family, random_mixed_endo)
+        for _ in range(6):
+            phi, psi = draw(rng), draw(rng)
+            red = central_reduction(phi, psi)
+            d1, d2 = red.domain_data, red.codomain_data
+            b_units = IntMatrix.identity(d1.b_rank).iter_rows()
+            a_units = IntMatrix.identity(d1.a_rank).iter_rows()
+            b_lifts, a_lifts = [d1.section(e) for e in b_units], [d1.a_embed(e) for e in a_units]
+            for hom, bar, prime in ((phi, red.phi_bar, red.phi_prime), (psi, red.psi_bar, red.psi_prime)):
+                columns = [d2.project(hom.apply(w)) for w in b_lifts]
+                assert bar == IntMatrix.from_columns(columns, rows=d2.b_rank)
+                columns = [d2.a_coords(d2.group.central_part(hom.apply(w))) for w in a_lifts]
+                assert prime == IntMatrix.from_columns(columns, rows=d2.a_rank)
 
 
 # -- validation by structure constants ------------------------------------------
@@ -994,6 +1109,44 @@ class TestStructureConstantValidation:
             verdicts.append(verdict is None)
         # both outcomes are exercised
         assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("fault", ["central-made-noncentral", "sign-flip", "swap"])
+    @pytest.mark.parametrize("family", sorted(VALIDATION_FAMILIES))
+    def test_seeded_bad_maps_are_refused_as_all_pairs(self, family, fault):
+        """validate visits only the domain's relation pairs and the pairs
+        whose images both have noncentral parts; on maps broken in three
+        ways it must refuse, and word the first failing pair, exactly as
+        the all-pairs check does."""
+        rng = random.Random(f"bad-maps:{family}:{fault}")
+        draw = VALIDATION_FAMILIES[family]
+        refused = 0
+        for _ in range(40):
+            hom = draw(rng)
+            dom, cod = hom.domain, hom.codomain
+            images = list(hom.images)
+            if fault == "central-made-noncentral":
+                # a central generator's image gains a noncentral part
+                g = rng.randrange(dom.n_noncentral, dom.n)
+                step = [0] * cod.n
+                step[rng.randrange(cod.n_noncentral)] = rng.choice((-1, 1))
+                images[g] = cod.multiply(images[g], tuple(step))
+            elif fault == "sign-flip":
+                # one entry of the image of a central generator that a
+                # relation names changes sign
+                named = sorted({l for _, _, terms in dom._relations for l, _ in terms})
+                g = rng.choice(named)
+                slots = [l for l, x in enumerate(images[g]) if x] or [cod.n - 1]
+                l = rng.choice(slots)
+                word = list(images[g])
+                word[l] = -word[l] if word[l] else 1
+                images[g] = tuple(word)
+            else:
+                i, j = rng.sample(range(dom.n), 2)
+                images[i], images[j] = images[j], images[i]
+            verdict = all_pairs_verdict(dom, cod, images)
+            assert validation_verdict(dom, cod, images) == verdict
+            refused += verdict is not None
+        assert refused >= 20
 
     @pytest.mark.parametrize(
         "domain, images",
