@@ -127,7 +127,10 @@ def _to_vector(value, where: str) -> list[int]:
     ]
 
 
-def _to_matrix(value, where: str) -> list[list[int]]:
+def _to_matrix(value, where: str) -> IntMatrix:
+    """The rows of value as an IntMatrix.  Every entry and width is checked
+    here, where a bad one's JSON location is known, so the matrix is built
+    unchecked."""
     items = _array(value, where, "rows")
     rows = [_to_vector(row, f"{where} row {i}") for i, row in enumerate(items)]
     widths = {len(r) for r in rows}
@@ -137,7 +140,7 @@ def _to_matrix(value, where: str) -> list[list[int]]:
         raise ProblemError(
             f"{where} row {bad} has {len(rows[bad])} entries, expected {want}"
         )
-    return rows
+    return IntMatrix._built(rows, len(rows[0]) if rows else 0)
 
 
 def _require(doc: dict, field: str, where: str = "problem"):
@@ -151,14 +154,17 @@ def load_problem(source: str) -> dict:
     text = source
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ProblemError(f"{source} is not UTF-8: {exc}") from exc
     elif not source.lstrip().startswith("{"):
         raise ProblemError(f"no such file: {source}")
     if not text.strip():
         raise ProblemError("problem: missing required field 'kind'")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProblemError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProblemError("problem: the document must be a JSON object")
@@ -236,7 +242,7 @@ def _build_finite_group_inner(name, spec, resolved, specs, building):
             field = _to_int(_require(spec, "field", where), f"{where}.field")
             mats = _array(spec["matrices"], f"{where}.matrices", "matrices")
             gens = [
-                tuple(tuple(row) for row in _to_matrix(m, f"{where}.matrices[{i}]"))
+                tuple(_to_matrix(m, f"{where}.matrices[{i}]").iter_rows())
                 for i, m in enumerate(mats)
             ]
             group = close_group(gens, field=field, cap=cap)
@@ -246,7 +252,7 @@ def _build_finite_group_inner(name, spec, resolved, specs, building):
         # the closure cap is the one cap a user can set; name its knob
         raise SizeCapError(f"{exc}; set {CLOSURE_CAP_ENV} to raise it") from None
     if kind == "table":
-        group = FiniteGroup.from_table(_to_matrix(spec["table"], f"{where}.table"))
+        group = FiniteGroup.from_table(_to_matrix(spec["table"], f"{where}.table").iter_rows())
     elif kind == "product":
         factors = spec["product"]
         if not isinstance(factors, list) or len(factors) < 2:
@@ -472,11 +478,7 @@ def _abelian_system(doc: dict, minimum: int, maximum: int | None) -> AbelianSyst
     if len(maps) < minimum or (maximum is not None and len(maps) > maximum):
         want = str(minimum) if maximum == minimum else f"at least {minimum}"
         raise ProblemError(f"maps: expected {want} matrices, got {len(maps)}")
-    mats = [_to_matrix(m, f"maps[{i}]") for i, m in enumerate(maps)]
-    widths = {(len(m), len(m[0]) if m else 0) for m in mats}
-    if len(widths) > 1:
-        raise ProblemError("maps: all matrices must share one shape")
-    return AbelianSystem(mats)
+    return AbelianSystem([_to_matrix(m, f"maps[{i}]") for i, m in enumerate(maps)])
 
 
 # -- oracles ------------------------------------------------------------------------
@@ -534,7 +536,7 @@ def run_snf(doc: dict, oracle: bool, check: bool = False) -> dict:
     """smith_normal_form's divisors, proven under --oracle or check: by the
     determinants of its own s and t when it reduced m with them (m short of
     full row rank), else by certify_smith."""
-    matrix = IntMatrix(_to_matrix(_require(doc, "matrix"), "matrix"))
+    matrix = _to_matrix(_require(doc, "matrix"), "matrix")
     snf = smith_normal_form(matrix)
     order = snf.cokernel_order()
     out = _base_report()

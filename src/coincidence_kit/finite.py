@@ -92,39 +92,33 @@ class FiniteGroup:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_table(cls, table, identity=None):
+    def from_table(cls, table):
         """Build from an explicit Cayley table, verifying the group laws.
 
         Rows and columns must be permutations and there must be a two-sided
-        identity (the given one, if any), so the table is a loop.  Associativity then follows, by Light's test,
-        from (x*s)*y == x*(s*y) for all x, y and every s of a generating set:
-        the elements s passing it are closed under the product.  The check
-        is exact and costs order^2 per generator.
+        identity, found by search, so the table is a loop.  Associativity
+        then follows, by Light's test, from (x*s)*y == x*(s*y) for all x, y
+        and every s of a generating set: the elements s passing it are
+        closed under the product.  The check is exact and costs order^2 per
+        generator.
         """
         table = [list(row) for row in table]
         n = len(table)
+        indices = list(range(n))
         for i, row in enumerate(table):
             if len(row) != n:
                 raise StructureError(f"table row {i} has {len(row)} entries, expected {n}")
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise StructureError(f"table row {i} holds a non-index {v!r}")
-            if sorted(row) != list(range(n)):
+            if sorted(row) != indices:
                 raise StructureError(f"table row {i} is not a permutation")
         for j in range(n):
-            col = sorted(table[i][j] for i in range(n))
-            if col != list(range(n)):
+            if sorted(table[i][j] for i in range(n)) != indices:
                 raise StructureError(f"table column {j} is not a permutation")
-        identity = next(
-            (
-                e
-                for e in (range(n) if identity is None else [identity])
-                if e in range(n)
-                and all(table[e][x] == x and table[x][e] == x for x in range(n))
-            ),
-            None,
-        )
-        if identity is None:
+        # permutation columns make the rows distinct: one at most is indices
+        identity = next((e for e, row in enumerate(table) if row == indices), None)
+        if identity is None or any(row[identity] != x for x, row in enumerate(table)):
             raise StructureError("table has no two-sided identity")
         group = cls(table=table, identity=identity)
         for s in group.generators():
@@ -333,16 +327,16 @@ def binary_icosahedral_group(cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
     )
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, *,
-                   order_cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; index of (a, b) is a * h.order + b.
 
     No table is built: products are computed from the factors on demand.
+    A product above DEFAULT_PRODUCT_CAP elements is refused.
     """
     combined = g.order * h.order
-    if combined > order_cap:
+    if combined > DEFAULT_PRODUCT_CAP:
         raise SizeCapError(
-            f"direct product of order {combined} exceeds the cap {order_cap}"
+            f"direct product of order {combined} exceeds the cap {DEFAULT_PRODUCT_CAP}"
         )
     return FiniteGroup(pair=(g, h))
 
@@ -600,9 +594,7 @@ def _generating_set(candidates, identity, mul):
     return gens
 
 
-def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
-                         work_cap: int = DEFAULT_WORK_CAP,
-                         algorithm: str = "orbit") -> TwistedPartition:
+def twisted_reidemeister(homs, *, algorithm: str = "orbit") -> TwistedPartition:
     """Partition codomain^(k-1) under the twisted action of the domain.
 
     algorithm "orbit" descends through stabilizers (see _descend): the
@@ -615,6 +607,10 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
     codomain elements d: 2 * |generators| * (k - 1) * n products in all.
     It keeps each class's smallest tuple and size.  Both are exact and must
     agree; the CLI oracle and tests hold them to that.
+
+    Both refuse with SizeCapError, rather than sample, a tuple space above
+    DEFAULT_TUPLE_CAP, or an estimated |image subgroup| * tuple space above
+    DEFAULT_WORK_CAP.
 
     >>> s3 = close_group([(1, 0, 2), (1, 2, 0)])
     >>> part = twisted_reidemeister([identity_hom(s3), identity_hom(s3), constant_hom(s3, s3)])
@@ -636,15 +632,15 @@ def twisted_reidemeister(homs, *, tuple_cap: int = DEFAULT_TUPLE_CAP,
     arity = k - 1
     n = codomain.order
     tuple_space = n**arity
-    if tuple_space > tuple_cap:
+    if tuple_space > DEFAULT_TUPLE_CAP:
         raise SizeCapError(
-            f"tuple space of size {tuple_space} exceeds the cap {tuple_cap}"
+            f"tuple space of size {tuple_space} exceeds the cap {DEFAULT_TUPLE_CAP}"
         )
     images = _image_tuples(homs)
-    if len(images) * tuple_space > work_cap:
+    if len(images) * tuple_space > DEFAULT_WORK_CAP:
         raise SizeCapError(
-            f"estimated work {len(images) * tuple_space} exceeds the cap {work_cap}; "
-            "refusing rather than sampling"
+            f"estimated work {len(images) * tuple_space} exceeds the cap "
+            f"{DEFAULT_WORK_CAP}; refusing rather than sampling"
         )
 
     if algorithm == "orbit":

@@ -325,15 +325,15 @@ class PcHom:
     Well-definedness is checked against the domain's structure constants:
     [phi(g_i), phi(g_j)] must equal phi of the relation's value, the
     identity where the domain has no relation.  The constructor checks each
-    image as a codomain word (HomomorphismError) and then, unless check is
-    false, validates.  _parsed takes images that the CLI's parser has
-    already made int words of the codomain's length, one per domain
-    generator, and only validates.
+    image as a codomain word (HomomorphismError) and then validates.
+    _parsed takes images that are already int words of the codomain's
+    length, one per domain generator (parsed by the CLI, or built by the
+    package), and only validates.
     """
 
     __slots__ = ("domain", "codomain", "images")
 
-    def __init__(self, domain: PcGroup, codomain: PcGroup, images, check: bool = True):
+    def __init__(self, domain: PcGroup, codomain: PcGroup, images):
         self.domain = domain
         self.codomain = codomain
         images = tuple(images)
@@ -345,8 +345,7 @@ class PcHom:
             self.images = tuple(codomain.check_word(w) for w in images)
         except ShapeError as exc:
             raise HomomorphismError(str(exc)) from exc
-        if check:
-            self.validate()
+        self.validate()
 
     @classmethod
     def _parsed(cls, domain: PcGroup, codomain: PcGroup, images) -> PcHom:
@@ -405,12 +404,14 @@ class PcHom:
 
 
 def identity_pc_hom(group: PcGroup) -> PcHom:
+    """The identity map of group.  Its images are unit words the package
+    builds, so they skip the word check, but the map is validated."""
     images = []
     for i in range(group.n):
         w = [0] * group.n
         w[i] = 1
         images.append(tuple(w))
-    return PcHom(group, group, images, check=False)
+    return PcHom._parsed(group, group, images)
 
 
 def combine_homs(homs, power_group: PcGroup) -> PcHom:

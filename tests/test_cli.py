@@ -328,6 +328,43 @@ class TestExitCodes:
         assert code == 1
         assert "malformed JSON" in err
 
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"kind": "snf", "matrix": [[1]]}\xff')
+        code, out, err = run_cli(capsys, "compute", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad} is not UTF-8: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_json_nested_past_the_recursion_limit_is_an_input_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        for source in (str(deep), '{"kind": ' + "[" * 100_000):
+            code, out, err = run_cli(capsys, "compute", source)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ({"kind": "abelian-pair", "maps": [[[1, 2]], [[3]]]},
+             "hom 1 has shape 1x1, expected 1x2"),
+            ({"kind": "abelian-pair", "maps": [[[1, 2.0]], [[3, 4]]]},
+             "maps[0] row 0[1]: expected an integer, got 2.0"),
+            ({"kind": "abelian-multi", "maps": [[[1]], [[2]], [[True]]]},
+             "maps[2] row 0[0]: expected an integer, got True"),
+            ({"kind": "snf", "matrix": [[1, 2], [3, False]]},
+             "matrix row 1[1]: expected an integer, got False"),
+        ],
+        ids=["shapes-differ", "float-entry", "bool-entry", "snf-bool-entry"],
+    )
+    def test_matrix_input_is_checked_once(self, capsys, problem, message):
+        """The CLI checks every entry and row width with its JSON location;
+        the engine checks that the maps share one shape."""
+        code, out, err = run_cli(capsys, "compute", json.dumps(problem))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "compute", "no/such/file.json")
         assert code == 1
@@ -564,6 +601,81 @@ def test_malformed_group_fields_name_their_path(capsys, problem, field):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {field}: ")
     assert "Traceback" not in err
+
+
+KLEIN_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+ANSWERS_ONE = "status: ok\nvalue: 1\npairwise: 1\npairwise product 1 divides 1\n"
+
+
+def _projection_problem(groups, domain, codomain):
+    return {
+        "kind": "finite",
+        "groups": groups,
+        "domain": domain,
+        "codomain": codomain,
+        "maps": [{"projection": 0}, {"projection": 1}],
+    }
+
+
+@pytest.mark.parametrize(
+    "problem, code, printed",
+    [
+        (
+            _projection_problem(
+                {"C": {"cyclic": 4}, "D": {"cyclic": 4}, "P": {"product": ["C", "C"]}}, "P", "D"
+            ),
+            0,
+            ANSWERS_ONE,
+        ),
+        (
+            _projection_problem(
+                {"C": {"cyclic": 4}, "V": {"table": KLEIN_TABLE}, "P": {"product": ["C", "C"]}},
+                "P",
+                "V",
+            ),
+            1,
+            "error: maps[0]: that projection does not land in the codomain\n",
+        ),
+        (
+            _projection_problem(
+                {
+                    "G": {"cyclic": 2},
+                    "Q": {"product": ["G", "G"]},
+                    "Q2": {"product": ["G", "G"]},
+                    "P": {"product": ["Q", "Q"]},
+                },
+                "P",
+                "Q2",
+            ),
+            0,
+            ANSWERS_ONE,
+        ),
+        (
+            # KLEIN_TABLE is the index arithmetic of G x G = Q
+            _projection_problem(
+                {
+                    "G": {"cyclic": 2},
+                    "Q": {"product": ["G", "G"]},
+                    "T": {"table": KLEIN_TABLE},
+                    "P": {"product": ["Q", "Q"]},
+                },
+                "P",
+                "T",
+            ),
+            1,
+            "error: maps[0]: that projection does not land in the codomain\n",
+        ),
+    ],
+    ids=["equal-tables", "unequal-tables", "pair-against-pair", "table-against-pair"],
+)
+def test_projection_codomain_is_compared_by_backing(capsys, problem, code, printed):
+    """A projection lands in a codomain declared under another name when
+    both are tables and the tables are equal, or both are products of
+    factors that are the same group.  A table and a product are never the
+    same group, even when the table is the product's arithmetic: the
+    comparison is conservative by design."""
+    result = run_cli(capsys, "compute", json.dumps(problem))
+    assert result == ((code, printed, "") if code == 0 else (code, "", printed))
 
 
 class TestClosureCapEnv:
@@ -1834,10 +1946,10 @@ class TestSmithCertificate:
 
 @pytest.mark.parametrize("path", PROBLEM_FILES, ids=[p.stem for p in PROBLEM_FILES])
 def test_only_the_input_takes_the_public_matrix_constructor(capsys, monkeypatch, path):
-    """compute checks each input matrix once, where the parsed document
-    becomes an IntMatrix; every matrix the engines compute after that is
-    built unchecked, so the public constructor sees the snf matrix or the
-    torus maps and nothing else."""
+    """compute checks each input matrix once, where the parser reads the
+    document and can name an entry's JSON location; the IntMatrix it hands
+    the engines, and every matrix they compute from it, is built unchecked,
+    so the public constructor is never called."""
     init, built = IntMatrix.__init__, []
 
     def counting(m, data, **kwargs):
@@ -1847,10 +1959,7 @@ def test_only_the_input_takes_the_public_matrix_constructor(capsys, monkeypatch,
 
     monkeypatch.setattr(IntMatrix, "__init__", counting)
     assert cli.main(["compute", str(path)]) == 0
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    expected = {"snf": [doc.get("matrix")], "abelian-pair": doc.get("maps")}
-    expected["abelian-multi"] = doc.get("maps")
-    assert built == expected.get(doc["kind"], [])
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -224,8 +224,11 @@ class TestGroupConstruction:
             FiniteGroup.from_table([[0, 1], [0, 1]])  # repeated column entries
         # subtraction mod 3: rows and columns permute but no two-sided identity
         sub3 = [[(i - j) % 3 for j in range(3)] for i in range(3)]
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="two-sided identity"):
             FiniteGroup.from_table(sub3)
+        # its transpose: row 0 is a left identity, column 0 is no right one
+        with pytest.raises(StructureError, match="two-sided identity"):
+            FiniteGroup.from_table([list(col) for col in zip(*sub3)])
         # a Latin square with identity that fails associativity:
         # (1*1)*2 = 0*2 = 2 but 1*(1*2) = 1*3 = 4
         loop5 = [
@@ -281,9 +284,9 @@ class TestGroupConstruction:
         assert g.order == 4
         assert g.identity == 0
         assert conjugacy_class_count(g) == 4
-        assert FiniteGroup.from_table(klein, identity=0).identity == 0
-        with pytest.raises(StructureError, match="identity"):
-            FiniteGroup.from_table(klein, identity=1)
+        # x * y = x + y - 2 mod 3: the identity is found at index 2
+        relabelled = [[(i + j - 2) % 3 for j in range(3)] for i in range(3)]
+        assert FiniteGroup.from_table(relabelled).identity == 2
 
     def test_direct_product_small_follows_componentwise_law(self):
         g = direct_product(C2, C3)
@@ -671,7 +674,7 @@ def _table_copy(group: FiniteGroup) -> FiniteGroup:
     index names the same element in both."""
     n = group.order
     table = [[group.mul(i, j) for j in range(n)] for i in range(n)]
-    return FiniteGroup.from_table(table, identity=group.identity)
+    return FiniteGroup.from_table(table)
 
 
 def _backing_families():
@@ -840,13 +843,21 @@ class TestCrossEngineCyclic:
 
 
 class TestGuards:
+    """The caps are module constants; these inputs meet them at their
+    values, 10**7 tuples and 10**8 estimated steps."""
+
+    S5 = close_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+
     def test_tuple_space_cap(self):
-        with pytest.raises(SizeCapError):
-            twisted_reidemeister([P1, P1, CBAR], tuple_cap=10_000)
+        i, c = identity_hom(self.S5), constant_hom(self.S5, self.S5)
+        with pytest.raises(SizeCapError, match="207360000 exceeds the cap 10000000$"):
+            twisted_reidemeister([i, i, i, i, c])
 
     def test_work_cap_refuses_rather_than_samples(self):
-        with pytest.raises(SizeCapError, match="refusing"):
-            twisted_reidemeister([P1, P1, CBAR], work_cap=100_000)
+        square = direct_product(self.S5, self.S5)
+        homs = [projection_hom(square, 0), projection_hom(square, 1), constant_hom(square, self.S5)]
+        with pytest.raises(SizeCapError, match="207360000 exceeds the cap 100000000; refusing"):
+            twisted_reidemeister(homs)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):

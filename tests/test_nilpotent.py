@@ -400,8 +400,6 @@ class TestPcHoms:
     def test_public_constructor_checks_every_image(self, images):
         with pytest.raises(HomomorphismError):
             PcHom(HEIS, HEIS, images)
-        with pytest.raises(HomomorphismError):
-            PcHom(HEIS, HEIS, images, check=False)
 
     def test_parsed_images_are_still_validated(self):
         ok = PcHom._parsed(HEIS, HEIS, [(3, 0, 0), (0, -1, 0), (0, 0, -3)])
@@ -1041,14 +1039,17 @@ class TestStackAgainstFold:
 
 def all_pairs_verdict(domain: PcGroup, codomain: PcGroup, images) -> str | None:
     """The message of the first generator pair, in (i, j < i) order, whose
-    images do not commute to the image of the pair's relation, through the
-    public commutator and apply on every pair; None when no pair fails."""
-    hom = PcHom(domain, codomain, images, check=False)
+    images do not commute to the image of the pair's relation, on every
+    pair and with no PcHom: the public commutator, and the relation's image
+    folded from its central word by the public multiply and power; None
+    when no pair fails."""
     for i in range(domain.n):
         for j in range(i):
             lhs = codomain.commutator(images[i], images[j])
             vec = domain.commutators.get((i, j))
-            rhs = hom.apply(domain.central_word(vec)) if vec else codomain.identity()
+            rhs = codomain.identity()
+            for img, e in zip(images, domain.central_word(vec) if vec else ()):
+                rhs = codomain.multiply(rhs, codomain.power(img, e))
             if lhs != rhs:
                 return (
                     f"images of {domain.labels[i]} and {domain.labels[j]} violate "
@@ -1109,6 +1110,22 @@ class TestStructureConstantValidation:
             verdicts.append(verdict is None)
         # both outcomes are exercised
         assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize(
+        "group", [HEIS, MIXED, free_class_two(4)], ids=["heisenberg", "mixed", "free-rank-4"]
+    )
+    def test_identity_pc_hom_is_validated(self, group, monkeypatch):
+        """identity_pc_hom skips the word check on the unit words it builds,
+        but validates them as the public constructor would."""
+        validated = []
+        validate = PcHom.validate
+        monkeypatch.setattr(PcHom, "validate", lambda hom: validated.append(hom) or validate(hom))
+        ident = identity_pc_hom(group)
+        assert validated == [ident]
+        assert ident.images == tuple(
+            tuple(int(g == l) for l in range(group.n)) for g in range(group.n)
+        )
+        assert all_pairs_verdict(group, group, ident.images) is None
 
     @pytest.mark.parametrize("fault", ["central-made-noncentral", "sign-flip", "swap"])
     @pytest.mark.parametrize("family", sorted(VALIDATION_FAMILIES))
