@@ -341,24 +341,23 @@ def _pc_generator(token, noncentral: list, where: str) -> str:
     return noncentral[i]
 
 
-def _central_word_spec(value, central: list, where: str) -> dict:
-    """A central exponent word, as {label: exp} or as a plain vector."""
+def _pc_word(value, labels, what: str, where: str) -> dict:
+    """A word over the generator labels, written as {label: exp} or as a
+    plain exponent vector over labels in order; read as {label: exp}.  what
+    names the generators in the error for a label outside labels."""
     if isinstance(value, dict):
         word = {}
         for lab, e in value.items():
-            if lab not in central:
-                raise ProblemError(
-                    f"{where}: {lab!r} is not a central generator"
-                )
+            if lab not in labels:
+                raise ProblemError(f"{where}: {lab!r} is not a {what} generator")
             word[lab] = _to_int(e, f"{where}.{lab}")
         return word
     vec = _to_vector(value, where)
-    if len(vec) != len(central):
+    if len(vec) != len(labels):
         raise ProblemError(
-            f"{where}: exponent vector has length {len(vec)}, "
-            f"expected {len(central)}"
+            f"{where}: exponent vector has length {len(vec)}, expected {len(labels)}"
         )
-    return {lab: e for lab, e in zip(central, vec) if e}
+    return {lab: e for lab, e in zip(labels, vec) if e}
 
 
 def _build_pc_group(spec, where: str) -> PcGroup:
@@ -383,31 +382,11 @@ def _build_pc_group(spec, where: str) -> PcGroup:
         key = (x, y)
         if key in relations or key[::-1] in relations:
             raise ProblemError(f"{rwhere}: repeated commutator pair {key}")
-        relations[key] = _central_word_spec(triple[2], central, f"{rwhere}[2]")
+        relations[key] = _pc_word(triple[2], central, "central", f"{rwhere}[2]")
     try:
         return PcGroup.from_presentation(noncentral, central, relations)
     except StructureError as exc:
         raise ProblemError(f"{where}: {exc}") from exc
-
-
-def _pc_image(value, codomain: PcGroup, where: str) -> tuple[int, ...]:
-    """One generator image, as {codomain-label: exp} or a plain vector."""
-    if isinstance(value, dict):
-        slot = {lab: l for l, lab in enumerate(codomain.labels)}
-        word = [0] * codomain.n
-        for lab, e in value.items():
-            if lab not in slot:
-                raise ProblemError(
-                    f"{where}: {lab!r} is not a codomain generator"
-                )
-            word[slot[lab]] += _to_int(e, f"{where}.{lab}")
-        return tuple(word)
-    vec = _to_vector(value, where)
-    if len(vec) != codomain.n:
-        raise ProblemError(
-            f"{where} has {len(vec)} exponents, expected {codomain.n}"
-        )
-    return tuple(vec)
 
 
 def _same_json(a, b) -> bool:
@@ -445,8 +424,8 @@ def _build_pc_maps(doc: dict):
                     raise ProblemError(
                         f"{where}: {lab!r} is not a domain generator"
                     )
-            mat = [
-                _pc_image(images.get(lab, {}), codomain, f"{where}.{lab}")
+            words = [
+                _pc_word(images.get(lab, {}), codomain.labels, "codomain", f"{where}.{lab}")
                 for lab in domain.labels
             ]
         elif isinstance(images, list):
@@ -455,8 +434,8 @@ def _build_pc_maps(doc: dict):
                     f"{where}: got {len(images)} generator images, "
                     f"expected {domain.n}"
                 )
-            mat = [
-                _pc_image(img, codomain, f"{where} row {g}")
+            words = [
+                _pc_word(img, codomain.labels, "codomain", f"{where} row {g}")
                 for g, img in enumerate(images)
             ]
         else:
@@ -464,6 +443,7 @@ def _build_pc_maps(doc: dict):
                 f"{where}: expected an object keyed by domain generators or "
                 "an array of exponent vectors"
             )
+        mat = [tuple(w.get(lab, 0) for lab in codomain.labels) for w in words]
         try:
             homs.append(PcHom._parsed(domain, codomain, mat))
         except HomomorphismError as exc:
@@ -1002,6 +982,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        # a group built as a chain of products nests as deeply as the chain
+        print("error: the problem nests too deeply for Python's recursion limit", file=sys.stderr)
         return EXIT_INPUT
     sys.stdout.write(emit(report, args.format, args.trace))
     if report["oracle_status"].startswith("mismatch"):

@@ -637,45 +637,44 @@ def _pivot_col(row, start=0):
 
 
 def hermite_basis(vectors, width: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical row-HNF basis of the lattice spanned by the given vectors."""
-    # (pivot column, row) pairs, kept in echelon with pivots strictly
-    # increasing; a row is zero left of its pivot
-    rows: list[tuple[int, list[int]]] = []
+    """Canonical row-HNF basis of the lattice spanned by the given vectors,
+    whatever their order.  The echelon is keyed by pivot column, so a vector
+    finds its row without a walk, and the keys are sorted once to normalise."""
+    # pivot column -> the row with that pivot, zero left of it
+    rows: dict[int, list[int]] = {}
     for vec in vectors:
         v = list(vec)
         if len(v) != width:
             raise ShapeError(f"lattice vector has length {len(v)}, expected {width}")
-        idx = 0
         lead = _pivot_col(v)
         while lead is not None:
-            while idx < len(rows) and rows[idx][0] < lead:
-                idx += 1
-            if idx == len(rows) or rows[idx][0] > lead:
-                rows.insert(idx, (lead, v))
+            r = rows.get(lead)
+            if r is None:
+                rows[lead] = v
                 break
             # Same pivot column: fold v into the resident row by gcd steps.
-            r = rows[idx][1]
             while v[lead]:
                 if abs(v[lead]) < abs(r[lead]):
-                    rows[idx], v = (lead, v), r
-                    r = rows[idx][1]
+                    rows[lead], v = v, r
+                    r = rows[lead]
                 q = v[lead] // r[lead]
                 for j in range(lead, width):
                     v[j] -= q * r[j]
             # v now has a later pivot (or is zero); keep reducing it.
             lead = _pivot_col(v, lead + 1)
     # Normalize: positive pivots, entries above pivots reduced mod pivot.
-    for p, r in rows:
+    echelon = [(p, rows[p]) for p in sorted(rows)]
+    for p, r in echelon:
         if r[p] < 0:
             for j in range(p, width):
                 r[j] = -r[j]
-    for i, (p, ri) in enumerate(rows):
-        for _, rj in rows[:i]:
+    for i, (p, ri) in enumerate(echelon):
+        for _, rj in echelon[:i]:
             q = rj[p] // ri[p]
             if q:
                 for c in range(p, width):
                     rj[c] -= q * ri[c]
-    return tuple(tuple(r) for _, r in rows)
+    return tuple(tuple(r) for _, r in echelon)
 
 
 def lattice_coordinates(hnf_rows, vector) -> tuple[int, ...] | None:

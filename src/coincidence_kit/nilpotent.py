@@ -57,18 +57,19 @@ class PcGroup:
     """Torsion-free group of nilpotency class at most 2 on exponent tuples.
 
     labels names the generators, the first n_noncentral of which form the
-    noncentral block.  commutators maps (i, j) with i > j, both noncentral,
-    to the central exponent vector of [g_i, g_j]; absent pairs commute.
-    The arithmetic kernels read the relations from a private copy built
-    once here: each is (i, j, terms), terms being the nonzero (word slot,
-    coefficient) pairs of its vector, so a product visits only the central
-    slots it changes.
+    noncentral block.  Each relation [g_i, g_j] = central word, with
+    n_noncentral > i > j >= 0, is stored once, in _relations, as (i, j,
+    terms): the nonzero (word slot, coefficient) pairs of the word, so a
+    product visits only the central slots it changes.  _relations is sorted
+    by (i, j) and each terms by slot, so it is canonical; absent pairs
+    commute.  commutators is a dense view of it, built when read.
 
-    The constructor checks every label, key and entry.  from_presentation
-    checks its own input and builds through _init, which checks nothing.
+    The constructor checks every label, key and entry of its dense input.
+    from_presentation checks its own input and builds through _init, which
+    checks nothing.
     """
 
-    __slots__ = ("labels", "n_noncentral", "commutators", "_relations")
+    __slots__ = ("labels", "n_noncentral", "_relations")
 
     def __init__(self, labels, n_noncentral: int, commutators):
         labels = tuple(str(x) for x in labels)
@@ -80,10 +81,8 @@ class PcGroup:
             raise StructureError(
                 f"n_noncentral={n_noncentral} out of range for {len(labels)} generators"
             )
-        self.labels = labels
-        self.n_noncentral = n_noncentral
         z = len(labels) - n_noncentral
-        cleaned = {}
+        relations = {}
         for key, vec in dict(commutators).items():
             i, j = key
             if not (isinstance(i, int) and isinstance(j, int)):
@@ -100,19 +99,18 @@ class PcGroup:
             for x in vec:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise StructureError(f"commutator vector for {key} holds {x!r}")
-            cleaned[(i, j)] = vec
-        self._init(labels, n_noncentral, cleaned)
+            relations[(i, j)] = [(n_noncentral + l, c) for l, c in enumerate(vec) if c]
+        self._init(labels, n_noncentral, relations)
 
-    def _init(self, labels, n_noncentral, commutators):
+    def _init(self, labels, n_noncentral, relations):
         """Set the group on checked data: labels a tuple of distinct
-        strings, commutators keyed n_noncentral > i > j >= 0 with int
-        vectors over the central block; zero vectors are dropped."""
+        strings, relations keyed (i, j) with n_noncentral > i > j >= 0, each
+        value the terms: nonzero (word slot, int coefficient) pairs on
+        distinct central slots.  A relation with no terms is dropped."""
         self.labels = labels
         self.n_noncentral = n_noncentral
-        self.commutators = {key: vec for key, vec in commutators.items() if any(vec)}
         self._relations = tuple(
-            (i, j, tuple((n_noncentral + l, c) for l, c in enumerate(vec) if c))
-            for (i, j), vec in self.commutators.items()
+            sorted((i, j, tuple(sorted(t))) for (i, j), t in relations.items() if t)
         )
 
     @classmethod
@@ -121,7 +119,8 @@ class PcGroup:
 
         relations maps a pair of noncentral labels to {central_label: exp};
         either order of the pair is accepted, with the sign adjusted, since
-        [y, x] is the inverse of [x, y] when the value is central.
+        [y, x] is the inverse of [x, y] when the value is central.  Each
+        word becomes its relation's terms as it is read.
         """
         noncentral = [str(x) for x in noncentral]
         central = [str(x) for x in central]
@@ -132,7 +131,7 @@ class PcGroup:
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
             raise StructureError(f"generator labels repeat: {labels}")
-        central_slot = {lab: l for l, lab in enumerate(central)}
+        central_slot = {lab: m + l for l, lab in enumerate(central)}
         comm = {}
         for (x, y), word in dict(relations).items():
             if x not in index or y not in index:
@@ -145,7 +144,10 @@ class PcGroup:
                 )
             if i == j:
                 raise StructureError(f"relation ({x}, {y}) pairs a generator with itself")
-            vec = [0] * len(central)
+            # storage wants [g_i, g_j] with i > j; [g_j, g_i] is its
+            # inverse, and inverting a central word negates it
+            sign = 1 if i > j else -1
+            terms = []
             for lab, e in dict(word).items():
                 if lab not in central_slot:
                     raise StructureError(
@@ -156,16 +158,12 @@ class PcGroup:
                         f"relation ({x}, {y}) gives {lab!r} the exponent {e!r}, "
                         "not an integer"
                     )
-                vec[central_slot[lab]] += e
-            if i > j:
-                key, stored = (i, j), tuple(vec)
-            else:
-                # storage wants [g_j, g_i] with j > i, the inverse of the
-                # stated [g_i, g_j], and inverting a central word negates it
-                key, stored = (j, i), tuple(-v for v in vec)
+                if e:
+                    terms.append((central_slot[lab], sign * e))
+            key = (i, j) if i > j else (j, i)
             if key in comm:
                 raise StructureError(f"conflicting relations for the pair {key}")
-            comm[key] = stored
+            comm[key] = terms
         group = cls.__new__(cls)
         group._init(tuple(labels), m, comm)
         return group
@@ -179,6 +177,19 @@ class PcGroup:
     @property
     def n_central(self) -> int:
         return self.n - self.n_noncentral
+
+    @property
+    def commutators(self) -> dict:
+        """{(i, j): central exponent vector of [g_i, g_j]} for each
+        relation, in (i, j) order; absent pairs commute."""
+        z, m = self.n_central, self.n_noncentral
+        dense = {}
+        for i, j, terms in self._relations:
+            vec = [0] * z
+            for l, c in terms:
+                vec[l - m] = c
+            dense[(i, j)] = tuple(vec)
+        return dense
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.n
@@ -267,13 +278,11 @@ class PcGroup:
         return (
             self.labels == other.labels
             and self.n_noncentral == other.n_noncentral
-            and self.commutators == other.commutators
+            and self._relations == other._relations
         )
 
     def __hash__(self):
-        return hash(
-            (self.labels, self.n_noncentral, tuple(sorted(self.commutators.items())))
-        )
+        return hash((self.labels, self.n_noncentral, self._relations))
 
     def __repr__(self):
         return (
@@ -291,26 +300,29 @@ def direct_power_pc(group: PcGroup, copies: int) -> PcGroup:
     """Direct power with factor-consecutive layout inside each block.
 
     Noncentral generators come factor by factor, then central generators
-    factor by factor, so a tuple of elements concatenates blockwise.
+    factor by factor, so a tuple of elements concatenates blockwise.  Each
+    factor's relations are the group's terms shifted into its blocks, and
+    the power is built through _init: the group's data is already checked.
     """
     if not isinstance(copies, int) or copies < 1:
         raise StructureError(f"copies must be a positive integer, got {copies!r}")
     if copies == 1:
         return group
     m, z = group.n_noncentral, group.n_central
-    labels = [
+    labels = tuple(
         f"{group.labels[i]}_{f + 1}" for f in range(copies) for i in range(m)
-    ] + [
+    ) + tuple(
         f"{group.labels[m + l]}_{f + 1}" for f in range(copies) for l in range(z)
-    ]
-    comm = {}
+    )
+    relations = {}
     for f in range(copies):
-        for (i, j), vec in group.commutators.items():
-            wide = [0] * (copies * z)
-            for l, c in enumerate(vec):
-                wide[f * z + l] = c
-            comm[(f * m + i, f * m + j)] = tuple(wide)
-    return PcGroup(labels, copies * m, comm)
+        # slot m + l of the factor becomes slot copies * m + f * z + l
+        shift = (copies - 1) * m + f * z
+        for i, j, terms in group._relations:
+            relations[(f * m + i, f * m + j)] = [(l + shift, c) for l, c in terms]
+    power = PcGroup.__new__(PcGroup)
+    power._init(labels, copies * m, relations)
+    return power
 
 
 def _terms(word) -> list[tuple[int, int]]:

@@ -345,6 +345,26 @@ class TestExitCodes:
             assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
+    @staticmethod
+    def _product_chain(depth):
+        """G_0 = Z/2 and G_i = G_(i-1) x C1 for i = 1..depth, with two
+        identity maps on G_depth."""
+        groups = {"G0": {"cyclic": 2}, "C1": {"cyclic": 1}}
+        groups.update({f"G{i}": {"product": [f"G{i - 1}", "C1"]} for i in range(1, depth + 1)})
+        top = f"G{depth}"
+        maps = [{"identity": True}, {"identity": True}]
+        return json.dumps(
+            {"kind": "finite", "groups": groups, "domain": top, "codomain": top, "maps": maps}
+        )
+
+    def test_product_chain_past_the_recursion_limit_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "compute", self._product_chain(1000))
+        assert (code, out) == (1, "")
+        assert err == "error: the problem nests too deeply for Python's recursion limit\n"
+        code, out, err = run_cli(capsys, "compute", self._product_chain(400))
+        assert (code, err) == (0, "")
+        assert "value: 2\n" in out
+
     @pytest.mark.parametrize(
         "problem, message",
         [
@@ -601,6 +621,51 @@ def test_malformed_group_fields_name_their_path(capsys, problem, field):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {field}: ")
     assert "Traceback" not in err
+
+
+def _pc_words(relation, first_image):
+    """The Heisenberg pair of heisenberg_pair.json, with its domain relation
+    word and the image of a under its first map written as given."""
+    heis = {"generators": ["a", "b"], "central": ["c"], "commutators": [["a", "b", relation]]}
+    maps = [{"a": first_image, "b": {"b": 1}, "c": {"c": 1}}, [[3, 0, 0], [0, -1, 0], [0, 0, -3]]]
+    return {"kind": "nilpotent", "domain": heis, "codomain": dict(heis), "maps": maps}
+
+
+@pytest.mark.parametrize("relation", [{"c": 1}, [1], {"c": "1"}])
+@pytest.mark.parametrize("first_image", [{"a": 1}, [1, 0, 0], {"a": 1, "c": 0}])
+def test_pc_words_read_as_labels_or_vectors(capsys, relation, first_image):
+    """A relation word and an image read alike as {label: exp} or as an
+    exponent vector over the labels in order."""
+    code, out, err = run_cli(capsys, "compute", json.dumps(_pc_words(relation, first_image)))
+    assert (code, out, err) == (0, "status: ok\nvalue: 16\npairwise: 16\n", "")
+
+
+@pytest.mark.parametrize(
+    "relation, first_image, shown",
+    [
+        ({"q": 1}, {"a": 1}, "domain.commutators[0][2]: 'q' is not a central generator"),
+        ([1, 0], {"a": 1}, "domain.commutators[0][2]: exponent vector has length 2, expected 1"),
+        ({"c": 1.5}, {"a": 1}, "domain.commutators[0][2].c: expected an integer, got 1.5"),
+        ([True], {"a": 1}, "domain.commutators[0][2][0]: expected an integer, got True"),
+        ({"c": 1}, {"q": 1}, "maps[0].a: 'q' is not a codomain generator"),
+        ({"c": 1}, [1, 0], "maps[0].a: exponent vector has length 2, expected 3"),
+        ({"c": 1}, {"a": "x"}, "maps[0].a.a: expected an integer, got 'x'"),
+        ({"c": 1}, [1, None, 0], "maps[0].a[1]: expected an integer, got None"),
+    ],
+    ids=[
+        "relation-label",
+        "relation-length",
+        "relation-entry",
+        "relation-vector-entry",
+        "image-label",
+        "image-length",
+        "image-entry",
+        "image-vector-entry",
+    ],
+)
+def test_malformed_pc_words_name_their_path(capsys, relation, first_image, shown):
+    code, out, err = run_cli(capsys, "compute", json.dumps(_pc_words(relation, first_image)))
+    assert (code, out, err) == (1, "", f"error: {shown}\n")
 
 
 KLEIN_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]

@@ -9,6 +9,7 @@ enumerator lists the Hermite box; a breadth-first closure checks that listing.
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import math
 import random
@@ -1190,6 +1191,43 @@ def _hermite_basis_reference(vectors, width):
     return tuple(tuple(r) for r in rows)
 
 
+def _hermite_basis_sorted_list(vectors, width):
+    """hermite_basis as it was when it kept its echelon as a list sorted by
+    pivot column, walked that list to find each vector's row, and inserted
+    a new pivot's row into it."""
+    rows = []
+    for vec in vectors:
+        v = list(vec)
+        idx = 0
+        lead = el._pivot_col(v)
+        while lead is not None:
+            while idx < len(rows) and rows[idx][0] < lead:
+                idx += 1
+            if idx == len(rows) or rows[idx][0] > lead:
+                rows.insert(idx, (lead, v))
+                break
+            r = rows[idx][1]
+            while v[lead]:
+                if abs(v[lead]) < abs(r[lead]):
+                    rows[idx], v = (lead, v), r
+                    r = rows[idx][1]
+                q = v[lead] // r[lead]
+                for j in range(lead, width):
+                    v[j] -= q * r[j]
+            lead = el._pivot_col(v, lead + 1)
+    for p, r in rows:
+        if r[p] < 0:
+            for j in range(p, width):
+                r[j] = -r[j]
+    for i, (p, ri) in enumerate(rows):
+        for _, rj in rows[:i]:
+            q = rj[p] // ri[p]
+            if q:
+                for c in range(p, width):
+                    rj[c] -= q * ri[c]
+    return tuple(tuple(r) for _, r in rows)
+
+
 def _ker_psi_lattices():
     """The super lattices ker_psi_order hands to lattice_index, and its sub
     lattices, on seeded finite systems: k 2-5, n 1-3, entries within +-4,
@@ -1258,6 +1296,24 @@ class TestHermite:
             lattices.append((vecs, width))
         for vecs, width in lattices:
             assert hermite_basis(vecs, width) == _hermite_basis_reference(vecs, width)
+
+    def test_basis_ignores_the_order_of_the_vectors(self):
+        """Seeded inputs whose leads share a few columns and may be
+        negative, with a zero row and a row dependent on two others: every
+        order of the vectors gives one basis, the sorted-list echelon's."""
+        rng = random.Random(6464)
+        for _ in range(80):
+            width = rng.randint(1, 5)
+            vecs = []
+            for _ in range(rng.randint(2, 3)):
+                lead = rng.randrange(min(2, width))
+                tail = [rng.randint(-5, 5) for _ in range(width - lead - 1)]
+                vecs.append((0,) * lead + (rng.choice([-4, -2, -1, 1, 3, 6]),) + tuple(tail))
+            a, b = rng.sample(vecs, 2)
+            vecs += [(0,) * width, tuple(2 * x - 3 * y for x, y in zip(a, b))]
+            expected = _hermite_basis_sorted_list(vecs, width)
+            for order in itertools.permutations(vecs):
+                assert hermite_basis(order, width) == expected
 
     def test_outside_vector_rejected(self):
         basis = hermite_basis([(2, 0)], 2)

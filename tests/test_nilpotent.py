@@ -311,6 +311,103 @@ class TestPcGroupArithmetic:
 # -- homomorphisms ----------------------------------------------------------------
 
 
+def relation_groups():
+    """The groups of the relation tests, each with the dense commutators
+    dict its presentation gives: relations stated as [x, y] with x listed
+    first are stored as [g_j, g_i] = the negated word."""
+    free = {
+        (j - 1, i - 1): tuple(-int(q == p) for q in range(6))
+        for p, (i, j) in enumerate(itertools.combinations(range(1, 5), 2))
+    }
+    return [
+        (HEIS, {(1, 0): (-1,)}),
+        (MIXED, {(1, 0): (-2, 0, 1), (2, 1): (0, -1, -3)}),
+        (six_generator_domain(), {(1, 0): (-1, 0), (2, 0): (0, -1)}),
+        (heis_cross_z(), {(1, 0): (-1, 0)}),
+        (free_class_two(4), free),
+    ]
+
+
+def dense_power_reference(group, copies):
+    """direct_power_pc as it was built through the public constructor,
+    each factor's relation vectors widened to the power's central block."""
+    if copies == 1:
+        return group
+    m, z = group.n_noncentral, group.n_central
+    labels = [
+        f"{group.labels[i]}_{f + 1}" for f in range(copies) for i in range(m)
+    ] + [
+        f"{group.labels[m + l]}_{f + 1}" for f in range(copies) for l in range(z)
+    ]
+    comm = {}
+    for f in range(copies):
+        for (i, j), vec in group.commutators.items():
+            wide = [0] * (copies * z)
+            for l, c in enumerate(vec):
+                wide[f * z + l] = c
+            comm[(f * m + i, f * m + j)] = tuple(wide)
+    return PcGroup(labels, copies * m, comm)
+
+
+class TestRelationTerms:
+    """A group stores each relation once, as sorted terms; commutators is
+    a dense view built from them."""
+
+    def test_commutators_view_is_the_dense_dict(self):
+        assert "commutators" not in PcGroup.__slots__
+        for g, dense in relation_groups():
+            assert g.commutators == dense
+            with pytest.raises(AttributeError):
+                g.commutators = {}
+
+    def test_relations_are_sorted_terms(self):
+        for g, dense in relation_groups():
+            m = g.n_noncentral
+            assert g._relations == tuple(
+                (i, j, tuple((m + l, c) for l, c in enumerate(vec) if c))
+                for (i, j), vec in sorted(dense.items())
+            )
+
+    def test_public_constructor_round_trips(self):
+        for g, _ in relation_groups():
+            public = PcGroup(g.labels, g.n_noncentral, g.commutators)
+            assert public == g
+            assert hash(public) == hash(g)
+            shuffled = dict(reversed(list(g.commutators.items())))
+            assert PcGroup(g.labels, g.n_noncentral, shuffled)._relations == g._relations
+
+    def test_presentation_takes_either_order_of_a_pair(self):
+        for g, dense in relation_groups():
+            m = g.n_noncentral
+            noncentral, central = g.labels[:m], g.labels[m:]
+            stated = {
+                (g.labels[i], g.labels[j]): dict(zip(central, vec))
+                for (i, j), vec in dense.items()
+            }
+            swapped = {
+                (y, x): {lab: -e for lab, e in word.items()}
+                for (x, y), word in stated.items()
+            }
+            for relations in (stated, swapped):
+                built = PcGroup.from_presentation(noncentral, central, relations)
+                assert built == g
+                assert hash(built) == hash(g)
+
+    def test_direct_power_matches_the_dense_reference(self, monkeypatch):
+        cases = [(g, c) for g, _ in relation_groups() for c in (1, 2, 3)]
+        references = [dense_power_reference(g, c) for g, c in cases]
+        init, calls = PcGroup.__init__, []
+        monkeypatch.setattr(
+            PcGroup, "__init__", lambda g, *a: calls.append(a) or init(g, *a)
+        )
+        powers = [direct_power_pc(g, c) for g, c in cases]
+        assert calls == []
+        for power, reference in zip(powers, references):
+            assert power == reference
+            assert hash(power) == hash(reference)
+            assert power.commutators == reference.commutators
+
+
 class TestPcHoms:
     def test_worked_triple_validates(self):
         domain = six_generator_domain()
@@ -991,26 +1088,29 @@ class TestStackAgainstFold:
     @pytest.mark.parametrize("argv", [["compute"], ["compute", "--oracle"], ["check"]])
     def test_words_are_checked_once_on_the_heisenberg_pair(self, capsys, monkeypatch, argv):
         """Only the six input images (two maps, three generators) have their
-        shape checked, once each, where the parser reads them: _pc_image
-        makes each an int word of the codomain's length, and the maps take
-        them on PcHom's private path, so no check_word follows.
+        shape checked, once each, where the parser reads them: _pc_word
+        reads each over the codomain's labels, the parser widens it to an
+        int word of the codomain's length, and the maps take them on
+        PcHom's private path, so no check_word follows.
         Validation, the reductions, the delta lift and the oracle work on
         words the package built and check nothing again."""
-        parsed, checked = [], []
-        pc_image, check_word = cli._pc_image, PcGroup.check_word
+        images, checked = [], []
+        pc_word, check_word = cli._pc_word, PcGroup.check_word
 
-        def parsing(*args):
-            parsed.append(pc_image(*args))
-            return parsed[-1]
+        def reading(value, labels, what, where):
+            word = pc_word(value, labels, what, where)
+            if tuple(labels) == HEIS.labels:
+                images.append(word)
+            return word
 
-        monkeypatch.setattr(cli, "_pc_image", parsing)
+        monkeypatch.setattr(cli, "_pc_word", reading)
         monkeypatch.setattr(
             PcGroup, "check_word", lambda g, w: checked.append(w) or check_word(g, w)
         )
         command, *flags = argv
         path = PROBLEMS / "heisenberg_pair.json"
         assert cli.main([command, str(path), *flags]) == 0
-        assert parsed == [(1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (0, -1, 0), (0, 0, -3)]
+        assert images == [{"a": 1}, {"b": 1}, {"c": 1}, {"a": 3}, {"b": -1}, {"c": -3}]
         assert checked == []
 
     @pytest.mark.parametrize("family", sorted(STACK_FAMILIES) + ["mixed"])
