@@ -26,23 +26,23 @@ block's must equal the product of the pivots that its projection keeps.
 Smith forms serve callers that print divisors or read transforms.  A tall m
 is replaced by its transpose, which has the same divisors.  When
 _column_index finds that (transposed) matrix a of full row rank R, its
-divisors come without transforms (s, t and d stay None).  The Bareiss pass
-behind the index also returns g, the gcd of the (R-1)-minors it holds,
-which d_1 ... d_(R-1) divides.  A prime dividing d_(R-1) divides d_R too,
-so it divides gcd(g, index) and leaves a with rank at most R - 2 modulo p.
-When gcd(g, index) is 1, or each of its primes is below 1000 and leaves
-rank R - 1 modulo p, the divisors are (1, ..., 1, index) with no
-elimination (_certified_divisors); otherwise _smith_divisors reduces
-a on the live submatrix without transforms.  Either way the divisors must
-number rows, form a chain, start with the gcd of the entries and multiply
-to that index.  The certificate proves every divisor; an eliminated chain
-is pinned by those checks, against an index found by a route that shares
-nothing with the Smith loop, in its rank, cokernel order, d_1 and chain,
-not in each middle divisor.  A matrix short of full row rank is reduced by
-the same loop with its transforms (_smith_with_transforms): each row
-carries its row of s, the column operations act on the columns of t, both
-start as identities, and d is built from the divisors; s @ m @ t == d is
-then re-multiplied against the input.  kernel_basis reads the kernel off
+divisors come without transforms (s, t and d stay None), by one route
+(_certified_divisors).  The Bareiss pass behind the index D also returns g,
+the gcd of the (R-1)-minors it holds, which d_1 ... d_(R-1) divides; so
+each d_i with i < R divides h = gcd(g, D).  With h = 1 the divisors are
+(1, ..., 1, D), every one proven, with no reduction.  Otherwise the lattice
+L + h * Z^R has divisors gcd(d_i, h), whose first R - 1 are d_1 ... d_(R-1)
+exactly: _hermite_rows triangulates it modulo h, _smith_divisors reduces
+those R x R rows, entries below h, and d_R = D / (d_1 ... d_(R-1)).  Either
+way the divisors must number rows, form a chain, start with the gcd of the
+entries and multiply to D, and the loop's last divisor must be gcd(d_R, h).
+Those checks pin the reduced chain, against an index found by a route that
+shares nothing with the Smith loop, in its rank, cokernel order, d_1 and
+chain, not in each middle divisor.  A matrix short of full row rank is
+reduced by the same loop with its transforms (_smith_with_transforms): each
+row carries its row of s, the column operations act on the columns of t,
+both start as identities, and d is built from the divisors; s @ m @ t == d
+is then re-multiplied against the input.  kernel_basis reads the kernel off
 t, and unimodular_inverse takes m^-1 = t @ s from s @ m @ t == I and
 checks m @ m^-1 == I exactly; both take the transform route themselves.
 
@@ -398,18 +398,19 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     divisors.  When a has full row rank R, _column_index gives its index D
     (|det| by Bareiss when square, the Hermite index when wide) and,
     from the same Bareiss pass, a gcd g of (R-1)-minors, which
-    d_1 ... d_(R-1) divides.  The divisors are (1, ..., 1, D), with no
-    elimination, when that certificate decides them (_certified_divisors);
-    otherwise _smith_divisors reduces a without transforms.  The oracles
-    run that loop alone, never this function, and compare its divisors with
-    these.  Either way s, t and d stay None (certify_smith returns them),
-    and there must be one divisor per row, forming a chain,
-    multiplying to D, and the first must be the gcd of the entries.  The
-    certificate proves every divisor; for an eliminated chain those checks
-    pin the rank, the cokernel order, d_1 and the chain, not each middle
-    divisor on its own.  An m short of full row rank (in its transposed
-    form when tall) is reduced by the same loop with its transforms,
-    verified by s @ m @ t == d, and must have fewer divisors than rows.
+    d_1 ... d_(R-1) divides.  _certified_divisors reads the divisors off
+    them: (1, ..., 1, D) when gcd(g, D) is 1, every divisor proven;
+    otherwise d_1 ... d_(R-1) from the Smith loop on an R x R Hermite basis
+    with entries below gcd(g, D), never on a itself, and d_R from D.  The
+    oracles run the loop on the input alone, never this function, and
+    compare its divisors with these.  s, t and d stay None (certify_smith
+    returns them), and there must be one divisor per row, forming a chain,
+    multiplying to D, and the first must be the gcd of the entries; those
+    checks pin a reduced chain in the rank, the cokernel order, d_1 and the
+    chain, not each middle divisor on its own.  An m short of full row rank
+    (in its transposed form when tall) is reduced by the same loop with its
+    transforms, verified by s @ m @ t == d, and must have fewer divisors
+    than rows.
 
     >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
     (1, 2)
@@ -425,8 +426,6 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             )
         return snf
     divisors = _certified_divisors(a, index, g)
-    if divisors is None:
-        divisors = _smith_divisors(a.to_lists())
     _check_chain(divisors)
     if a.is_square:
         kind, name = "nonsingular", "|det m|"
@@ -447,60 +446,34 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(m, divisors)
 
 
-def _certified_divisors(a: IntMatrix, index: int, g: int) -> tuple[int, ...] | None:
-    """Divisors (1, ..., 1, index) of the R x C matrix a of full row rank,
-    proven without elimination, or None when the certificate cannot decide.
+def _certified_divisors(a: IntMatrix, index: int, g: int) -> tuple[int, ...]:
+    """Divisors d_1 | ... | d_R of the R x C matrix a of full row rank,
+    whose column lattice L has the given index, without reducing a.
 
     g is a gcd of (R-1)-minors of a, so d_1 ... d_(R-1) divides it
-    (determinantal divisors; Newman, Integral Matrices, 1972).  A prime p
-    dividing d_(R-1) therefore divides h = gcd(g, index), and it divides d_R
-    too, so a has rank at most R - 2 modulo p: R - rank_p(a) counts the
-    divisors that p divides.  When h is 1, or every prime of h is below 1000
-    and leaves rank R - 1 modulo p, no prime divides d_(R-1), so
-    d_1 = ... = d_(R-1) = 1 and d_R = index.  A prime of h above the bound,
-    or one that leaves rank R - 2 or less, returns None.  Every p here
-    divides the index, so rank R modulo p is a ConsistencyError.
+    (determinantal divisors; Newman, Integral Matrices, 1972), and each d_i
+    with i < R divides h = gcd(g, index).  With h = 1 the divisors are
+    (1, ..., 1, index), every one proven, and nothing is reduced.
+    Otherwise L + h * Z^R has divisors gcd(d_i, h), so its first R - 1 are
+    d_1 ... d_(R-1) exactly (Domich, Kannan and Trotter, Math. Oper.
+    Res. 12, 1987): _hermite_rows gives its R x R triangular basis, entries
+    below h, the Smith loop reduces that, and d_R = index / (d_1 ...
+    d_(R-1)).  The loop's last divisor must be gcd(d_R, h), else
+    ConsistencyError.
     """
     rows = a.rows
-    if not rows:
-        return ()
     h = gcd(g, index)
-    primes = []
-    for p in range(2, 1000):
-        # a composite p never divides h: its prime factors are gone already
-        if h == 1:
-            break
-        if not h % p:
-            primes.append(p)
-            while not h % p:
-                h //= p
-    if h != 1:
-        return None
-    for p in primes:
-        short = rows - _rank_mod(a.iter_rows(), p)
-        if not short:
-            raise ConsistencyError(
-                f"{p} divides the index {index}, yet the rank modulo {p} is full"
-            )
-        if short > 1:
-            return None
-    return (1,) * (rows - 1) + (index,)
-
-
-def _rank_mod(rows, p: int) -> int:
-    """Rank over the field of p elements of the matrix with these rows."""
-    basis = []  # (pivot column, row scaled to 1 there), each reduced by those before it
-    for row in rows:
-        v = [x % p for x in row]
-        for j, b in basis:
-            f = v[j]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, b)]
-        j = next((j for j, x in enumerate(v) if x), None)
-        if j is not None:
-            inv = pow(v[j], -1, p)
-            basis.append((j, [x * inv % p for x in v]))
-    return len(basis)
+    if h == 1:
+        return (1,) * (rows - 1) + (index,) if rows else ()
+    basis = _hermite_rows(map(a.column, range(a.cols)), rows, h)
+    *head, tail = _smith_divisors([[0] * i + row for i, row in enumerate(basis)])
+    last = index // prod(head, start=1)
+    if tail != gcd(last, h):
+        raise ConsistencyError(
+            f"the Smith loop modulo {h} ends in {tail}, "
+            f"not gcd(d_R, {h}) for d_R = {last} from the index {index}"
+        )
+    return (*head, last)
 
 
 def _verify_snf(m, s, t, d, divisors):
@@ -727,7 +700,8 @@ def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:
     Coordinate i is cleared by extended gcd into a pivot seeded with
     d * e_i; the rest carry only the trailing coordinates (Domich, Kannan
     and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, algorithm
-    2.4.8).
+    2.4.8).  A vector with coordinate i already 0 leaves the pivot as it is
+    and passes on its reduced tail untouched; a small d makes those common.
     """
     vectors = [[x % d for x in v] for v in vectors]
     basis = []
@@ -735,14 +709,17 @@ def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:
         pivot = [d] + [0] * (width - i - 1)
         rest = []
         for v in vectors:
-            h = pivot[0]
-            g = gcd(h, v[0])
-            a, b = h // g, v[0] // g
-            w = [(a * y - b * z) % d for y, z in zip(v[1:], pivot[1:])]
-            if a > 1:  # v[0] is no multiple of h: the pivot becomes g
-                t = pow(b, -1, a)
-                s = (1 - t * b) // a
-                pivot = [g] + [(s * z + t * y) % d for y, z in zip(v[1:], pivot[1:])]
+            if not v[0]:
+                w = v[1:]
+            else:
+                h = pivot[0]
+                g = gcd(h, v[0])
+                a, b = h // g, v[0] // g
+                w = [(a * y - b * z) % d for y, z in zip(v[1:], pivot[1:])]
+                if a > 1:  # v[0] is no multiple of h: the pivot becomes g
+                    t = pow(b, -1, a)
+                    s = (1 - t * b) // a
+                    pivot = [g] + [(s * z + t * y) % d for y, z in zip(v[1:], pivot[1:])]
             if any(w):
                 rest.append(w)
         basis.append(pivot)

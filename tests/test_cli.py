@@ -1523,36 +1523,49 @@ class TestLazySmithTransforms:
 
 class TestTransformFreeSmith:
     """Every Smith form of full row rank that a run prints is read off the
-    index's Bareiss pass by _certified_divisors when that certificate
-    decides it, and reduced by the Smith loop without transforms only when
-    it cannot; the loop never runs with t."""
+    index's Bareiss pass by _certified_divisors: at once when gcd(g, D) is
+    1, else by one run of the Smith loop without transforms on the R x R
+    Hermite basis of the lattice plus gcd(g, D) * Z^R, upper triangular
+    with entries in [0, gcd(g, D)].  The loop never runs on the input
+    itself, nor with t."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
-        return count_kernel_calls(monkeypatch, "_smith_divisors", "_certified_divisors")
+        """_certified_divisors calls, and the Smith loop's runs keyed by
+        their shape and by "triangular" when the rows are upper triangular
+        with no negative entry, as _hermite_rows gives them."""
+        calls = count_kernel_calls(monkeypatch, "_certified_divisors")
+        original = exact_linalg._smith_divisors
+
+        def recording(rows, t=None):
+            triangular = all(not any(row[:i]) and min(row) >= 0 for i, row in enumerate(rows))
+            shape = f"{len(rows)}x{len(rows[0])}"
+            calls[f"{shape} {'triangular' if triangular else 'input'}" + (" with t" if t is not None else "")] += 1
+            return original(rows, t)
+
+        monkeypatch.setattr(exact_linalg, "_smith_divisors", recording)
+        return calls
 
     @pytest.mark.parametrize("command", ["snf", "compute"])
     def test_nonsingular_square_snf_problem(self, capsys, kernels, command):
+        # gcd(g, D) > 1 here, and times 6 the primes 2 and 3 divide every
+        # divisor: either way one loop reduces the 16 x 16 Hermite basis
         matrix = _seeded_matrix(1616, 16)
-        code, out, err = run_cli(capsys, command, _snf_problem(matrix))
-        assert code == 0, err
-        assert "value: 3215286139594\n" in out
-        assert kernels == {"_certified_divisors": 1}
-        # times 6, the primes 2 and 3 divide every divisor: the certificate
-        # declines and the kernel reduces the matrix
-        kernels.clear()
         scaled = [[6 * x for x in row] for row in matrix]
-        code, out, err = run_cli(capsys, command, _snf_problem(scaled))
-        assert code == 0, err
-        assert f"value: {3215286139594 * 6**16}\n" in out
-        assert kernels == {"_certified_divisors": 1, "_smith_divisors": 1}
+        for data, value in ((matrix, 3215286139594), (scaled, 3215286139594 * 6**16)):
+            kernels.clear()
+            code, out, err = run_cli(capsys, command, _snf_problem(data))
+            assert code == 0, err
+            assert f"value: {value}\n" in out
+            assert kernels == {"_certified_divisors": 1, "16x16 triangular": 1}
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["square", "wide"])
     def test_stacked_torus_system(self, capsys, kernels, extra):
         # three maps Z^(8 + extra) -> Z^4 stack to an 8 x (8 + extra)
         # difference; pairwise and leave-one-out orders take Hermite pivots.
-        # Times 6, the certificate declines and the kernel runs.
-        for scale, eliminated in ((1, 0), (6, 1)):
+        # Unscaled, gcd(g, D) is 1 for the square stack and not for the wide
+        # one; times 6 it never is.  The loop runs on 8 x 8 rows alone.
+        for scale, reduced in ((1, extra), (6, 1)):
             rng = random.Random(19)
             maps = [
                 [[scale * rng.randint(-4, 4) for _ in range(8 + extra)] for _ in range(4)]
@@ -1564,7 +1577,7 @@ class TestTransformFreeSmith:
             assert code == 0, err
             assert f"stacked difference has shape 8x{8 + extra}\n" in out
             assert "value: infinite" not in out
-            assert kernels == Counter(_certified_divisors=1, _smith_divisors=eliminated)
+            assert kernels == Counter({"_certified_divisors": 1, "8x8 triangular": reduced})
 
     def test_wrong_wide_recount_exits_2(self, capsys, monkeypatch):
         # the oracle's pairwise blocks and leave-one-out stacks of example 2
@@ -1652,12 +1665,11 @@ class TestOraclesEliminate:
 
     @pytest.fixture
     def lying_certificate(self, monkeypatch):
-        """A certificate that claims (1, ..., 1, D) whenever the real one
-        declines; on diag(1, 1, 2, 2) the lie passes the chain checks."""
-        original = exact_linalg._certified_divisors
+        """A certificate that claims (1, ..., 1, D) with no modular step; on
+        diag(1, 1, 2, 2) the lie passes the chain checks."""
 
         def lying(a, index, g):
-            return original(a, index, g) or (1,) * (a.rows - 1) + (index,)
+            return (1,) * (a.rows - 1) + (index,)
 
         monkeypatch.setattr(exact_linalg, "_certified_divisors", lying)
 
@@ -1996,14 +2008,15 @@ class TestSmithCertificate:
         "argv", [["snf", "--oracle"], ["compute", "--oracle"], ["check"]]
     )
     def test_nonsingular_square_is_eliminated_once(self, capsys, monkeypatch, argv):
-        # the engine's one Bareiss pass, whose minor certificate gives the
-        # printed divisors, then the proof: one run of the Smith loop with t
-        # and the determinants of s and t; no run without transforms
+        # the engine's one Bareiss pass and one run of the Smith loop without
+        # t on its 16 x 16 Hermite basis modulo gcd(g, D), which give the
+        # printed divisors, then the proof: one run of the loop with t and
+        # the determinants of s and t
         calls = count_kernel_calls(monkeypatch, "_smith_divisors", "_bareiss")
         command, *flags = argv
         code, _, err = run_cli(capsys, command, self.SQUARE, *flags)
         assert code == 0, err
-        assert calls == {"_smith_divisors with t": 1, "_bareiss": 3}
+        assert calls == {"_smith_divisors": 1, "_smith_divisors with t": 1, "_bareiss": 3}
 
 
 # -- checks at the input ------------------------------------------------------------------

@@ -273,9 +273,9 @@ class TestSmithProperties:
 
 class TestLazyTransforms:
     """An input of full row rank gets its divisors without transforms, from
-    the certificate or else from the Smith loop without t, checked against
-    |det m| when square or its Hermite index when wide; its s, t and d stay
-    None."""
+    the index's Bareiss pass and, when gcd(g, D) > 1, the Smith loop without
+    t on an R x R Hermite basis, checked against |det m| when square or its
+    Hermite index when wide; its s, t and d stay None."""
 
     @pytest.fixture
     def with_transforms(self, monkeypatch):
@@ -291,12 +291,13 @@ class TestLazyTransforms:
 
     @pytest.fixture
     def divisor_kernel(self, monkeypatch):
-        """(rows, tracked) of each Smith loop run; tracked when given t."""
+        """(rows, width, tracked) of each Smith loop run; tracked when given
+        t, and then each row carries its row of s past the matrix entries."""
         original = el._smith_divisors
         calls = []
 
         def counting(rows, t=None):
-            calls.append((len(rows), t is not None))
+            calls.append((len(rows), len(rows[0]), t is not None))
             return original(rows, t)
 
         monkeypatch.setattr(el, "_smith_divisors", counting)
@@ -305,12 +306,13 @@ class TestLazyTransforms:
     def test_nonsingular_square_leaves_transforms_unset(self, with_transforms, divisor_kernel):
         m = random_nonsingular(random.Random(3), 7)
         doubled = _scaled(m, 2)
-        for a, eliminated in ((m, []), (doubled, [(7, False)])):
+        for a, eliminated in ((m, []), (doubled, [(7, 7, False)])):
             del divisor_kernel[:]
             res = smith_normal_form(a)
             assert res.cokernel_order() == Cardinal.finite(abs(determinant(a)))
             assert (res.s, res.t, res.d) == (None, None, None)
-            # the certificate decides m; 2 divides every divisor of 2m
+            # gcd(g, D) is 1 for m; 2 divides every divisor of 2m, so the
+            # loop reduces the 7 x 7 Hermite basis modulo gcd(g, D)
             assert (with_transforms, divisor_kernel) == ([], eliminated)
         # kernel_basis reads t, so it takes the transform route itself
         assert kernel_basis(m) == []
@@ -319,7 +321,8 @@ class TestLazyTransforms:
     def test_full_row_rank_wide_leaves_transforms_unset(self, with_transforms, divisor_kernel):
         m = random_matrix(random.Random(4), lo=-4, hi=4, rows=6, cols=9)
         tripled = _scaled(m, 3)
-        for a, eliminated in ((m, []), (tripled, [(6, False)])):
+        # the loop runs on the 6 x 6 Hermite basis, never on the 6 x 9 input
+        for a, eliminated in ((m, []), (tripled, [(6, 6, False)])):
             del divisor_kernel[:]
             res = smith_normal_form(a)
             assert res.cokernel_order() == cokernel_order(a) != INFINITE
@@ -330,8 +333,8 @@ class TestLazyTransforms:
         res = smith_normal_form(DEFICIENT)
         assert res.divisors == (1, 2)
         assert (res.s @ DEFICIENT) @ res.t == res.d
-        # one run, over the 3 rows of m, with t; none without
-        assert divisor_kernel == [(3, True)]
+        # one run, over the 3 rows of m and of s, with t; none without
+        assert divisor_kernel == [(3, 7, True)]
 
     @pytest.mark.parametrize(
         "m",
@@ -362,7 +365,7 @@ class TestLazyTransforms:
     def test_unimodular_inverse_eliminates_once(self, divisor_kernel):
         m = random_unimodular(random.Random(8), 8)
         assert m @ unimodular_inverse(m) == IntMatrix.identity(8)
-        assert divisor_kernel == [(8, True)]
+        assert divisor_kernel == [(8, 16, True)]
 
     @pytest.mark.parametrize(
         "chain, complaint",
@@ -374,7 +377,7 @@ class TestLazyTransforms:
         ],
     )
     def test_wrong_chain_is_refused(self, monkeypatch, chain, complaint):
-        monkeypatch.setattr(el, "_smith_divisors", lambda rows, t=None: chain)
+        monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g: chain)
         with pytest.raises(ConsistencyError, match=complaint):
             smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
 
@@ -390,7 +393,7 @@ class TestLazyTransforms:
     def test_wrong_wide_chain_is_refused(self, monkeypatch, chain, complaint):
         m = IntMatrix([[2, 0, 4], [0, -6, 0]])
         assert smith_normal_form(m).divisors == (2, 6)
-        monkeypatch.setattr(el, "_smith_divisors", lambda rows, t=None: chain)
+        monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g: chain)
         with pytest.raises(ConsistencyError, match=complaint):
             smith_normal_form(m)
 
@@ -770,8 +773,7 @@ def certificate_cases():
     transposes; x2, x3 and x6 multiples; block-diagonal inputs whose
     d_(R-1) is a prime p, so p^2 divides the index; and diag(q, 1, ..., 1)
     times a unimodular matrix, whose every Bareiss-held minor is a multiple
-    of q while d_(R-1) = 1, for q = 2, 3 and the prime 1009 above the
-    bound."""
+    of q while d_(R-1) = 1, for q = 2, 3 and the prime 1009."""
     rng = random.Random(2323)
     cases = []
     for rows in (1, 2, 3, 4, 5, 6, 8, 11, 16, 23, 31, 40):
@@ -802,30 +804,21 @@ def certificate_cases():
 
 class TestMinorCertificate:
     """smith_normal_form reads (1, ..., 1, D) off the index's Bareiss pass
-    when the gcd g of the (R-1)-minors it holds, with ranks modulo the small
-    primes of gcd(g, D), proves d_(R-1) = 1, and eliminates otherwise.  Each
-    result is held to certify_smith's, whose transforms prove every
-    divisor, and to sympy's where it is installed."""
+    when the gcd g of the (R-1)-minors it holds has gcd(g, D) = 1, and
+    otherwise reads d_1 ... d_(R-1) off one Smith loop on the lattice plus
+    gcd(g, D) * Z^R.  Each result is held to certify_smith's, whose
+    transforms prove every divisor, and to sympy's where it is installed."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        """Route of the latest smith_normal_form: "gcd" when neither a rank
-        modulo p nor the elimination ran, else "mod-p" or "elimination"."""
-        ran = []
-        for name in ("_rank_mod", "_smith_divisors"):
-            original = getattr(el, name)
-
-            def counting(*args, _name=name, _original=original):
-                ran.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(el, name, counting)
+        """Route of the latest smith_normal_form: "modular" when the Smith
+        loop ran, else "gcd"."""
+        calls = count_kernel_calls(monkeypatch, "_smith_divisors")
 
         def route(m):
-            del ran[:]
+            calls.clear()
             res = smith_normal_form(m)
-            kind = "elimination" if "_smith_divisors" in ran else "mod-p" if ran else "gcd"
-            return res, kind
+            return res, "modular" if calls else "gcd"
 
         return route
 
@@ -836,12 +829,13 @@ class TestMinorCertificate:
             assert res.divisors == certify_smith(m).divisors, (kind, m)
             assert (res.s, res.t, res.d) == (None, None, None)
             seen.setdefault(kind.split(" ")[0] if kind.startswith("x") else kind, set()).add(route)
-        assert set().union(*seen.values()) == {"gcd", "mod-p", "elimination"}
-        # p divides two divisors of a scaled or a p-block input; 1009 is past
-        # the bound; 2 and 3 leave rank R - 1, which proves d_(R-1) = 1
-        for kind in ("x2", "x3", "x6", "block p=2", "block p=997", "minors q=1009"):
-            assert seen[kind] == {"elimination"}, kind
-        assert seen["minors q=2"] == seen["minors q=3"] == {"mod-p"}
+        assert set().union(*seen.values()) == {"gcd", "modular"}
+        # p divides two divisors of a scaled or a p-block input, and q every
+        # minor the pass holds, though d_(R-1) = 1: gcd(g, D) > 1 for each
+        for kind in ("x2", "x3", "x6", "block p=2", "block p=997"):
+            assert seen[kind] == {"modular"}, kind
+        for q in (2, 3, 1009):
+            assert seen[f"minors q={q}"] == {"modular"}, q
 
     def test_sympy_invariant_factors(self, sympy_divisors):
         for kind, m in certificate_cases():
@@ -859,12 +853,13 @@ class TestMinorCertificate:
             if a.rows <= 3:  # the pass holds every (R-1)-minor
                 assert g == lead, (kind, g, divisors)
 
-    def test_skipping_the_rank_step_fails(self, monkeypatch):
-        """A certificate that trusts every small prime of gcd(g, D), with no
-        rank modulo p, claims d_(R-1) = 1 for inputs where p divides two
+    def test_skipping_the_modular_step_fails(self, monkeypatch):
+        """A certificate that takes gcd(g, D) to be 1, with no Smith loop
+        modulo it, claims d_(R-1) = 1 for inputs where p divides two
         divisors: the chain checks refuse a scaled one, and a p-block one
         passes them with the wrong divisors."""
-        monkeypatch.setattr(el, "_rank_mod", lambda rows, p: len(list(rows)) - 1)
+        original = el._certified_divisors
+        monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g: original(a, index, 1))
         refused, wrong = [], []
         for kind, m in certificate_cases():
             try:
@@ -877,14 +872,162 @@ class TestMinorCertificate:
         assert "x2" in refused
         assert "block p=2" in wrong and "block p=997" in wrong
 
-    def test_full_rank_modulo_a_prime_of_the_index_is_refused(self, monkeypatch):
-        # 2 divides the index of diag(2, 1, ...) @ u, so the rank modulo 2
-        # must fall short
+    def test_a_loop_that_misses_the_index_is_refused(self, monkeypatch):
+        # diag(2, 1, ...) @ u: every minor the pass holds is even, so the
+        # loop runs modulo 2 and must end in gcd(d_R, 2) = 2; a Hermite
+        # basis of Z^6 ends it in 1, though the divisors it gives are right
         m = _diagonal([2] + [1] * 5) @ random_unimodular(random.Random(7), 6)
         assert smith_normal_form(m).divisors == (1,) * 5 + (2,)
-        monkeypatch.setattr(el, "_rank_mod", lambda rows, p: len(list(rows)))
-        with pytest.raises(ConsistencyError, match="rank modulo 2 is full"):
+        monkeypatch.setattr(
+            el, "_hermite_rows", lambda vectors, width, d: [[1] + [0] * (width - i - 1) for i in range(width)]
+        )
+        with pytest.raises(ConsistencyError, match="modulo 2 ends in 1, not gcd"):
             smith_normal_form(m)
+
+    def test_an_index_that_misses_the_loop_is_refused(self, monkeypatch):
+        # 2u has divisors (2, ..., 2); an index doubled to 2^7 gives
+        # d_R = 4, a chain that multiplies to it and starts with the gcd of
+        # the entries, but the loop modulo gcd(g, D) ends in 2, not 4
+        m = _scaled(random_unimodular(random.Random(7), 6), 2)
+        assert smith_normal_form(m).divisors == (2,) * 6
+        original = el._column_index
+
+        def doubled(a, **kwargs):
+            index, g = original(a, **kwargs)
+            return 2 * index, g
+
+        monkeypatch.setattr(el, "_column_index", doubled)
+        with pytest.raises(ConsistencyError, match="ends in 2, not gcd.* d_R = 4"):
+            smith_normal_form(m)
+
+
+def modular_cases():
+    """(kind, m) pairs whose gcd(g, D) is mostly above 1: seeded square,
+    wide and tall matrices of 2 to 8 rows times 2, 3, 6 and 12; p-blocks
+    whose d_(R-1) is p, for p = 2, 997, 1009 and 65537, and their
+    transposes beside a zero row; and scaled matrices with a row that
+    combines two others, which take the transform route."""
+    rng = random.Random(3333)
+    cases = []
+    for rows in (2, 3, 5, 8):
+        square = random_nonsingular(rng, rows, lo=-4, hi=4)
+        while True:
+            wide = random_matrix(rng, lo=-4, hi=4, rows=rows, cols=rows + rng.randint(1, 3))
+            if cokernel_order(wide) != INFINITE:
+                break
+        for scale in (2, 3, 6, 12):
+            cases.append((f"square x{scale}", _scaled(square, scale)))
+            cases.append((f"wide x{scale}", _scaled(wide, scale)))
+            cases.append((f"tall x{scale}", _scaled(wide, scale).transpose()))
+    for p in (2, 997, 1009, 65537):
+        blocks = []
+        for size in (rng.randint(2, 4), rng.randint(2, 4)):
+            diagonal = _diagonal([1] * (size - 1) + [p])
+            blocks.append(random_unimodular(rng, size) @ diagonal @ random_unimodular(rng, size))
+        block = _block_diagonal(blocks)
+        cases.append((f"block p={p}", block))
+        cases.append((f"tall block p={p}", block.hstack(IntMatrix.zeros(block.rows, 1)).transpose()))
+    for rows in (3, 5, 7):
+        data = random_matrix(rng, lo=-4, hi=4, rows=rows, cols=rows + 1).to_lists()
+        data[-1] = [x - 2 * y for x, y in zip(data[0], data[1])]
+        cases.append(("dependent", _scaled(IntMatrix(data), 6)))
+    return cases
+
+
+def _reference_hermite_rows(vectors, width, d):
+    """_hermite_rows as it was before vectors with a zero leading entry
+    skipped the gcd step: every vector takes the extended gcd with the
+    pivot, whatever its leading entry."""
+    vectors = [[x % d for x in v] for v in vectors]
+    basis = []
+    for i in range(width):
+        pivot = [d] + [0] * (width - i - 1)
+        rest = []
+        for v in vectors:
+            h = pivot[0]
+            g = math.gcd(h, v[0])
+            a, b = h // g, v[0] // g
+            w = [(a * y - b * z) % d for y, z in zip(v[1:], pivot[1:])]
+            if a > 1:
+                t = pow(b, -1, a)
+                s = (1 - t * b) // a
+                pivot = [g] + [(s * z + t * y) % d for y, z in zip(v[1:], pivot[1:])]
+            if any(w):
+                rest.append(w)
+        basis.append(pivot)
+        vectors = rest
+    return basis
+
+
+class TestModularRoute:
+    """A full-rank input never meets the Smith loop itself: its divisors
+    come from at most one run on an R x R Hermite basis modulo gcd(g, D),
+    and they equal the divisors that certify_smith proves."""
+
+    @pytest.fixture
+    def loop_runs(self, monkeypatch):
+        """Copies of the rows of each Smith loop run without t."""
+        original = el._smith_divisors
+        runs = []
+
+        def recording(rows, t=None):
+            if t is None:
+                runs.append([list(row) for row in rows])
+            return original(rows, t)
+
+        monkeypatch.setattr(el, "_smith_divisors", recording)
+        return runs
+
+    def test_scaled_inputs_reduce_a_triangular_basis(self, loop_runs):
+        rng = random.Random(3434)
+        seen = set()
+        for rows in (2, 4, 7):
+            for cols in (rows, rows + 3):
+                for scale in (2, 3, 6):
+                    while True:
+                        m = _scaled(random_matrix(rng, lo=-4, hi=4, rows=rows, cols=cols), scale)
+                        if cokernel_order(m) != INFINITE:
+                            break
+                    index, g = el._column_index(m, minors=True)
+                    h = math.gcd(g, index)
+                    shapes = [("square", m)] if cols == rows else [("wide", m), ("tall", m.transpose())]
+                    for shape, a in shapes:
+                        del loop_runs[:]
+                        assert smith_normal_form(a).divisors == certify_smith(a).divisors
+                        (run,) = loop_runs
+                        # R x R, never the input's shape or its transpose's
+                        # when they differ, and never the input itself
+                        assert (len(run), len(run[0])) == (rows, rows), (shape, a)
+                        assert run != m.to_lists() and h > 1
+                        for i, row in enumerate(run):
+                            assert not any(row[:i]) and 0 < row[i] <= h
+                            assert all(0 <= x < h for x in row[i + 1 :])
+                        seen.add(shape)
+        assert seen == {"square", "wide", "tall"}
+
+    def test_matches_the_transform_certificate(self):
+        kinds = set()
+        for kind, m in modular_cases():
+            res = smith_normal_form(m)
+            assert res.divisors == certify_smith(m).divisors, (kind, m)
+            a = m.transpose() if m.rows > m.cols else m
+            index, g = el._column_index(a, minors=True)
+            if index:
+                kinds.add(kind.split(" ")[0])
+                assert math.gcd(g, index) > 1, (kind, m)
+        assert kinds == {"square", "wide", "tall", "block"}
+
+    def test_hermite_rows_match_the_full_gcd_step(self):
+        rng = random.Random(3535)
+        for d in (2, 4, 6, 12):
+            for _ in range(60):
+                width = rng.randint(1, 8)
+                vectors = [
+                    [rng.randint(-30, 30) if rng.random() < 0.3 else 0 for _ in range(width)]
+                    for _ in range(rng.randint(0, 12))
+                ]
+                want = _reference_hermite_rows(vectors, width, d)
+                assert el._hermite_rows(vectors, width, d) == want, (d, vectors)
 
 
 class TestKernel:
