@@ -11,8 +11,8 @@ pairwise numbers times |ker Psi| recovers the full value.  The failed
 stronger guess, that products of leave-one-out subsystem values also divide,
 is computed alongside so reports can exhibit counterexamples.  A
 leave-one-out value is the index of the stacked lattice's projection that
-drops one block, so all of them come from one Hermite basis of the stack,
-reduced modulo the stack's order, through the dual of its cokernel
+drops one block, so all of them come from the Hermite basis that the
+stack's Smith form keeps, through the dual of its cokernel
 (exact_linalg._dropped_block_indices); no subsystem is stacked.
 """
 
@@ -26,7 +26,6 @@ from .exact_linalg import (
     IntMatrix,
     SnfResult,
     _dropped_block_indices,
-    _hermite_rows,
     cokernel_order,
     lattice_index,
     smith_normal_form,
@@ -60,8 +59,8 @@ class AbelianSystem:
 
     def _stacked_smith(self) -> SnfResult:
         """Smith form of the stacked difference, computed on first use and
-        kept: reid_multi prints its divisors, and divisibility_report reduces
-        the stack's Hermite basis modulo its order."""
+        kept: reid_multi prints its divisors, and divisibility_report reads
+        the Hermite basis of the stack's lattice that it holds."""
         if self._smith is None:
             self._smith = smith_normal_form(stacked_difference(self))
         return self._smith
@@ -125,7 +124,8 @@ def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
     snf = system._stacked_smith()
     stacked = snf.m
     value = snf.cokernel_order()
-    pairwise = tuple(cokernel_order(block) for block in system.blocks)
+    # with two maps the one block is the stack, whose index is the value
+    pairwise = (value,) if system.k == 2 else tuple(map(cokernel_order, system.blocks))
     trace = [
         f"stacked difference has shape {stacked.rows}x{stacked.cols}",
         "invariant factors: "
@@ -176,8 +176,8 @@ class DivisibilityReport:
     product (dropping one non-first map at a time, k >= 4) need not divide;
     `leave_one_out_divides` records what actually happened.  Each
     leave-one-out value is that subsystem's own count, read off the dual of
-    one Hermite basis of the system's stack rather than from a stack of its
-    own.
+    the Hermite basis kept with the system's stacked Smith form rather than
+    from a stack of its own.
     """
 
     applicable: bool
@@ -200,8 +200,8 @@ def divisibility_report(
     """The divisibility facts of a system.  The value, the pairwise values
     and |ker Psi| come from report, the system's reid_multi report, which is
     computed here when not given; only the leave-one-out values are new.
-    They are reduced modulo the order of the system's own stacked Smith form,
-    kept from reid_multi, not modulo report.value."""
+    They are read off the Hermite basis held by the system's own stacked
+    Smith form, kept from reid_multi, and its order, not report.value."""
     if report is None:
         report = reid_multi(system)
     value = report.value
@@ -232,16 +232,12 @@ def divisibility_report(
         # Drop one non-first map at a time, keeping phi_1 as the base point:
         # the subsystem's stack is the system's, less the dropped block, so
         # its value is the index of the stacked lattice's projection that
-        # drops that block's coordinates.  All of them are read off one
-        # Hermite basis of the stacked columns, reduced modulo the stack's
-        # own order (that order times Z^R lies in the lattice).
+        # drops that block's coordinates, read off the stack's kept basis.
         snf = system._stacked_smith()
-        order, stacked = snf.cokernel_order().value, snf.m
-        columns = map(stacked.column, range(stacked.cols))
-        basis = _hermite_rows(columns, stacked.rows, order)
-        subs = [
-            Cardinal(i) for i in _dropped_block_indices(basis, len(system.blocks), order)
-        ]
+        indices = _dropped_block_indices(
+            snf._lattice_basis(), len(system.blocks), snf.cokernel_order().value
+        )
+        subs = [Cardinal(i) for i in indices]
         sub_product = cardinal_product(subs)
         sub_divides = sub_product.divides(value)
         report.leave_one_out = tuple(subs)

@@ -341,9 +341,9 @@ def _pc_generator(token, noncentral: list, where: str) -> str:
     return noncentral[i]
 
 
-def _pc_word(value, labels, what: str, where: str) -> dict:
-    """A word over the generator labels, written as {label: exp} or as a
-    plain exponent vector over labels in order; read as {label: exp}.  what
+def _pc_word(value, labels, what: str, where: str) -> dict | tuple:
+    """A word over the generator labels, as written: {label: exp}, or a
+    plain exponent vector over labels in order, read as a tuple.  what
     names the generators in the error for a label outside labels."""
     if isinstance(value, dict):
         word = {}
@@ -357,7 +357,7 @@ def _pc_word(value, labels, what: str, where: str) -> dict:
         raise ProblemError(
             f"{where}: exponent vector has length {len(vec)}, expected {len(labels)}"
         )
-    return {lab: e for lab, e in zip(labels, vec) if e}
+    return tuple(vec)
 
 
 def _build_pc_group(spec, where: str) -> PcGroup:
@@ -382,7 +382,8 @@ def _build_pc_group(spec, where: str) -> PcGroup:
         key = (x, y)
         if key in relations or key[::-1] in relations:
             raise ProblemError(f"{rwhere}: repeated commutator pair {key}")
-        relations[key] = _pc_word(triple[2], central, "central", f"{rwhere}[2]")
+        w = _pc_word(triple[2], central, "central", f"{rwhere}[2]")
+        relations[key] = w if type(w) is dict else {c: e for c, e in zip(central, w) if e}
     try:
         return PcGroup.from_presentation(noncentral, central, relations)
     except StructureError as exc:
@@ -415,7 +416,7 @@ def _build_pc_maps(doc: dict):
     specs = _require(doc, "maps")
     if not isinstance(specs, list) or len(specs) < 2:
         raise ProblemError("maps: expected an array of at least two maps")
-    homs = []
+    homs, labels = [], codomain.labels
     for i, images in enumerate(specs):
         where = f"maps[{i}]"
         if isinstance(images, dict):
@@ -425,7 +426,7 @@ def _build_pc_maps(doc: dict):
                         f"{where}: {lab!r} is not a domain generator"
                     )
             words = [
-                _pc_word(images.get(lab, {}), codomain.labels, "codomain", f"{where}.{lab}")
+                _pc_word(images.get(lab, {}), labels, "codomain", f"{where}.{lab}")
                 for lab in domain.labels
             ]
         elif isinstance(images, list):
@@ -435,7 +436,7 @@ def _build_pc_maps(doc: dict):
                     f"expected {domain.n}"
                 )
             words = [
-                _pc_word(img, codomain.labels, "codomain", f"{where} row {g}")
+                _pc_word(img, labels, "codomain", f"{where} row {g}")
                 for g, img in enumerate(images)
             ]
         else:
@@ -443,7 +444,7 @@ def _build_pc_maps(doc: dict):
                 f"{where}: expected an object keyed by domain generators or "
                 "an array of exponent vectors"
             )
-        mat = [tuple(w.get(lab, 0) for lab in codomain.labels) for w in words]
+        mat = [w if type(w) is tuple else tuple(w.get(lab, 0) for lab in labels) for w in words]
         try:
             homs.append(PcHom._parsed(domain, codomain, mat))
         except HomomorphismError as exc:

@@ -14,14 +14,15 @@ from it.  SnfResult's cokernel_order multiplies the Smith divisors; the
 oracles recount by that route, with the divisors of the bare Smith loop.
 
 One triangulation, _hermite_rows, serves every Hermite basis modulo a
-multiple d of the index (d * Z^rows lies in the lattice): _hermite_pivots
-keeps its pivots, and a caller that knows the index V of a lattice keeps
-the whole basis.  _dropped_block_indices reads off such a basis, modulo V,
-the index of the projection that drops each block of coordinates: the dual
-group Hom(Z^R / L, Q/Z), found by back-substitution modulo V
-(_dual_generators), restricted to one block has the order of that block's
-image in Z^R / L.  Each index must be an integer dividing V, and the last
-block's must equal the product of the pivots that its projection keeps.
+multiple d of the index (d * Z^rows lies in the lattice).  The wide index
+route keeps its basis (_hermite_index_rows), SnfResult._lattice_basis
+returns it, and every later use of L reads it.  _dropped_block_indices
+reads off it, modulo the index V, the index of the projection that drops
+each block of coordinates: the dual group Hom(Z^R / L, Q/Z), found by
+back-substitution modulo V (_dual_generators), restricted to one block has
+the order of that block's image in Z^R / L.  Each index must be an integer
+dividing V, and the last block's must equal the product of the pivots that
+its projection keeps.
 
 Smith forms serve callers that print divisors or read transforms.  A tall m
 is replaced by its transpose, which has the same divisors.  When
@@ -32,13 +33,14 @@ the gcd of the (R-1)-minors it holds, which d_1 ... d_(R-1) divides; so
 each d_i with i < R divides h = gcd(g, D).  With h = 1 the divisors are
 (1, ..., 1, D), every one proven, with no reduction.  Otherwise the lattice
 L + h * Z^R has divisors gcd(d_i, h), whose first R - 1 are d_1 ... d_(R-1)
-exactly: _hermite_rows triangulates it modulo h, _smith_divisors reduces
-those R x R rows, entries below h, and d_R = D / (d_1 ... d_(R-1)).  Either
-way the divisors must number rows, form a chain, start with the gcd of the
-entries and multiply to D, and the loop's last divisor must be gcd(d_R, h).
-Those checks pin the reduced chain, against an index found by a route that
-shares nothing with the Smith loop, in its rank, cokernel order, d_1 and
-chain, not in each middle divisor.  A matrix short of full row rank is
+exactly: _hermite_rows triangulates it modulo h, from the R kept rows when a
+is wide, _smith_divisors reduces those R x R rows, entries below h, and
+d_R = D / (d_1 ... d_(R-1)).  Either way the divisors must number rows,
+form a chain, start with the gcd of the entries and multiply to D, and the
+loop's last divisor must be gcd(d_R, h).  Those checks pin the reduced
+chain, against an index found by a route that shares nothing with the
+Smith loop, in its rank, cokernel order, d_1 and chain, not in each middle
+divisor.  A matrix short of full row rank is
 reduced by the same loop with its transforms (_smith_with_transforms): each
 row carries its row of s, the column operations act on the columns of t,
 both start as identities, and d is built from the divisors; s @ m @ t == d
@@ -251,12 +253,13 @@ class SnfResult:
     from the divisors; they are None when smith_normal_form found the
     divisors without them, which it does whenever m or, for a tall m, its
     transpose has full row rank.  certify_smith always sets them.
+    _lattice_basis gives the Hermite rows of m's column lattice.
     """
 
-    __slots__ = ("m", "divisors", "s", "t", "d")
+    __slots__ = ("m", "divisors", "s", "t", "d", "_basis")
 
-    def __init__(self, m: IntMatrix, divisors: tuple[int, ...], s=None, t=None, d=None):
-        self.m, self.divisors, self.s, self.t, self.d = m, divisors, s, t, d
+    def __init__(self, m: IntMatrix, divisors, s=None, t=None, d=None, basis=None):
+        self.m, self.divisors, self.s, self.t, self.d, self._basis = m, divisors, s, t, d, basis
 
     def cokernel_order(self) -> Cardinal:
         """Order of Z^rows / (column lattice of m): infinite exactly when the
@@ -264,6 +267,17 @@ class SnfResult:
         if len(self.divisors) < self.m.rows:
             return INFINITE
         return Cardinal(prod(self.divisors, start=1))
+
+    def _lattice_basis(self) -> list[list[int]]:
+        """Hermite rows of m's column lattice, entries modulo a multiple of
+        its index: the wide index route's, else m's columns triangulated
+        modulo the order once.  ValueError when the cokernel is infinite."""
+        if self._basis is None:
+            order, m = self.cokernel_order(), self.m
+            if not order.is_finite:
+                raise ValueError("cokernel is infinite; it has no Hermite basis of full rank")
+            self._basis = _hermite_rows(map(m.column, range(m.cols)), m.rows, order.value)
+        return self._basis
 
 
 def _smith_divisors(rows, t=None) -> tuple[int, ...]:
@@ -416,7 +430,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     (1, 2)
     """
     a = m.transpose() if m.rows > m.cols else m
-    index, g = _column_index(a, minors=True)
+    index, g, basis = _column_index(a, minors=True)
     if not index:
         snf = _smith_with_transforms(m)
         if len(snf.divisors) >= a.rows:
@@ -425,7 +439,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 "whose Bareiss pass found a dependent row"
             )
         return snf
-    divisors = _certified_divisors(a, index, g)
+    divisors = _certified_divisors(a, index, g, basis)
     _check_chain(divisors)
     if a.is_square:
         kind, name = "nonsingular", "|det m|"
@@ -443,10 +457,10 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         raise ConsistencyError(
             f"first divisor of {divisors} is not the gcd of the entries"
         )
-    return SnfResult(m, divisors)
+    return SnfResult(m, divisors, basis=basis if a is m else None)
 
 
-def _certified_divisors(a: IntMatrix, index: int, g: int) -> tuple[int, ...]:
+def _certified_divisors(a: IntMatrix, index: int, g: int, basis) -> tuple[int, ...]:
     """Divisors d_1 | ... | d_R of the R x C matrix a of full row rank,
     whose column lattice L has the given index, without reducing a.
 
@@ -457,16 +471,19 @@ def _certified_divisors(a: IntMatrix, index: int, g: int) -> tuple[int, ...]:
     Otherwise L + h * Z^R has divisors gcd(d_i, h), so its first R - 1 are
     d_1 ... d_(R-1) exactly (Domich, Kannan and Trotter, Math. Oper.
     Res. 12, 1987): _hermite_rows gives its R x R triangular basis, entries
-    below h, the Smith loop reduces that, and d_R = index / (d_1 ...
-    d_(R-1)).  The loop's last divisor must be gcd(d_R, h), else
-    ConsistencyError.
+    below h, from the basis kept by a wide a's index route, the Smith loop
+    reduces that, and d_R = index / (d_1 ... d_(R-1)).  The loop's last
+    divisor must be gcd(d_R, h), else ConsistencyError.
     """
     rows = a.rows
     h = gcd(g, index)
     if h == 1:
         return (1,) * (rows - 1) + (index,) if rows else ()
-    basis = _hermite_rows(map(a.column, range(a.cols)), rows, h)
-    *head, tail = _smith_divisors([[0] * i + row for i, row in enumerate(basis)])
+    vectors = map(a.column, range(a.cols))
+    if basis is not None:  # a wide a: its R kept rows, as vectors
+        vectors = ([0] * i + row for i, row in enumerate(basis))
+    modular = _hermite_rows(vectors, rows, h)
+    *head, tail = _smith_divisors([[0] * i + row for i, row in enumerate(modular)])
     last = index // prod(head, start=1)
     if tail != gcd(last, h):
         raise ConsistencyError(
@@ -727,16 +744,15 @@ def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:
     return basis
 
 
-# columns past the row count in each window _hermite_pivots passes over
+# columns past the row count in each window _hermite_index_rows passes over
 _WINDOW = 16
 
 
-def _hermite_pivots(m: IntMatrix, *, minors: bool = False) -> tuple[list[int] | None, int]:
-    """Diagonal h_1 ... h_n of the Hermite form of the column lattice L of m
-    in Z^n, n = m.rows, or None when L has rank < n; and the g of the
-    Bareiss pass (see _bareiss, with minors).  _column_index takes it
-    for wide matrices, where the pivot product is the index and no single
-    determinant gives it, and enumerate_cokernel for the pivots themselves.
+def _hermite_index_rows(m: IntMatrix, *, minors: bool = False) -> tuple[list | None, int]:
+    """Hermite rows (see _hermite_rows) of the column lattice L of m in Z^n,
+    n = m.rows, modulo a multiple d of the index, or None when L has rank
+    < n; and the g of the Bareiss pass (see _bareiss, with minors).  It is
+    _column_index's route for a wide m, and enumerate_cokernel's.
 
     A Bareiss pass of full rank leaves n x n minors of m in its last row
     (see _bareiss).  Each maximal minor M puts M * Z^n in L, so their gcd d
@@ -763,16 +779,17 @@ def _hermite_pivots(m: IntMatrix, *, minors: bool = False) -> tuple[list[int] | 
             break
     if not d:
         return None, h
-    pivots = [row[0] for row in _hermite_rows(map(m.column, range(m.cols)), m.rows, d)]
+    basis = _hermite_rows(map(m.column, range(m.cols)), m.rows, d)
+    pivots = [row[0] for row in basis]
     if d % prod(pivots, start=1):
         raise ConsistencyError(f"Hermite pivots {pivots} do not divide the modulus {d}")
-    return pivots, g
+    return basis, g
 
 
 def _dual_generators(basis, v: int) -> list[list[int]]:
     """Generators, scaled by v, of the dual Hom(A, Q/Z) of A = Z^R / L, for
-    the Hermite rows basis of a lattice L of index v: vectors y in (Z/v)^R
-    with row . y = 0 mod v for every basis row, R = len(basis).
+    Hermite rows spanning a lattice L of index v, entries modulo a multiple
+    of v: y in (Z/v)^R with row . y = 0 mod v for every row, R = len(basis).
 
     Generator t has y_r = 0 for r > t and y_t = v / h_t, and then for
     i = t - 1 down to 0, h_i y_i = -(sum of basis[i][r - i] y_r, r > i)
@@ -804,8 +821,8 @@ def _dual_generators(basis, v: int) -> list[list[int]]:
 
 
 def _dropped_block_indices(basis, blocks: int, v: int) -> tuple[int, ...]:
-    """For the Hermite rows basis of a lattice L of index v in Z^R, the
-    coordinates cut into `blocks` blocks of n = R / blocks, the index in
+    """For Hermite rows spanning L of index v in Z^R, entries modulo a multiple
+    of v, cut into `blocks` blocks of n = R / blocks coordinates: the index in
     Z^(R - n) of the projection of L that drops block j, for each j.
 
     Dropping block j divides A = Z^R / L by the image I_j of block j's
@@ -844,23 +861,23 @@ def _dropped_block_indices(basis, blocks: int, v: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _column_index(m: IntMatrix, *, minors: bool = False) -> tuple[int, int]:
-    """Index |Z^rows / L| of the column lattice L of m, 0 when infinite, and
-    the g of the same Bareiss pass (see _bareiss, with minors; 0 when tall
-    or without minors).
+def _column_index(m: IntMatrix, *, minors: bool = False) -> tuple[int, int, list | None]:
+    """Index |Z^rows / L| of the column lattice L of m, 0 when infinite; the
+    g of the same Bareiss pass (see _bareiss, with minors; 0 when tall or
+    without minors); and the Hermite rows of a wide m of full rank, else None.
 
     The shape picks the route.  A tall m has rank below its row count, so
     the index is infinite with no arithmetic.  A square m has index
     |det m|, from one Bareiss pass.  A wide m has the product of its
-    Hermite pivots (_hermite_pivots).
+    Hermite pivots (_hermite_index_rows).
     """
     if m.rows > m.cols:
-        return 0, 0
+        return 0, 0, None
     if m.is_square:
         det, g = _bareiss(m.to_lists(), minors=minors)
-        return abs(det), g
-    pivots, g = _hermite_pivots(m, minors=minors)
-    return (0 if pivots is None else prod(pivots, start=1)), g
+        return abs(det), g, None
+    basis, g = _hermite_index_rows(m, minors=minors)
+    return (0 if basis is None else prod(row[0] for row in basis)), g, basis
 
 
 def cokernel_order(m: IntMatrix) -> Cardinal:
@@ -873,7 +890,7 @@ def cokernel_order(m: IntMatrix) -> Cardinal:
     >>> str(cokernel_order(IntMatrix([[1, 2], [2, 4]])))
     'infinite'
     """
-    index, _ = _column_index(m)
+    index = _column_index(m)[0]
     return Cardinal(index) if index else INFINITE
 
 
@@ -928,9 +945,10 @@ def enumerate_cokernel(m: IntMatrix, cap: int = 1_000_000) -> list[tuple[int, ..
     >>> enumerate_cokernel(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     [(0, 0), (0, 1)]
     """
-    pivots, _ = _hermite_pivots(m)
-    if pivots is None:
+    basis, _ = _hermite_index_rows(m)
+    if basis is None:
         raise ValueError("cokernel is infinite; enumeration is impossible")
+    pivots = [row[0] for row in basis]
     bound = prod(pivots, start=1)
     if bound > cap:
         raise SizeCapError(f"cokernel enumeration of size {bound} exceeds cap {cap}")

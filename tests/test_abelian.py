@@ -308,18 +308,29 @@ class TestLeaveOneOutFromDual:
     @pytest.mark.parametrize("scale", [2, 3, 6])
     def test_scaled_stacks(self, scale):
         # map 1 zero and maps 2..k scaled: every pivot of the stack is a
-        # multiple of the scale
+        # multiple of the scale, so each leave-one-out value is a multiple
+        # of scale^(R - n) > 1.  A square stack's basis is triangulated
+        # modulo the value; a wide one's is the one its index route kept,
+        # entries modulo the maximal minors' gcd, or modulo the windows'
+        # past 2 * (R + _WINDOW) columns
         rng = random.Random(scale)
-        for _ in range(5):
+        for extra in [0] * 5 + [1, 2, "window"] * 30:
             k, n = rng.randint(4, 6), rng.randint(1, 3)
-            m = n * (k - 1)
+            rows = n * (k - 1)
+            m = rows + extra if extra != "window" else 2 * (rows + el._WINDOW) + 1
             maps = [[[0] * m] * n] + [
                 [[scale * rng.randint(-2, 2) for _ in range(m)] for _ in range(n)]
                 for _ in range(k - 1)
             ]
             system = AbelianSystem(maps)
             assert _value(system).is_finite
-            assert divisibility_report(system).leave_one_out == stack_by_stack(system)
+            kept = system._stacked_smith()._basis
+            assert (kept is None) == (extra == 0)
+            want = stack_by_stack(system)
+            assert divisibility_report(system).leave_one_out == want
+            if kept is not None:
+                assert system._stacked_smith()._basis is kept
+            assert all(v.value % scale ** (rows - n) == 0 for v in want)
 
     def test_empty_target(self):
         system = AbelianSystem([IntMatrix([], cols=3)] * 4)

@@ -983,17 +983,19 @@ class TestInputForms:
 class TestSmithFormReuse:
     """Each matrix is reduced at most once per order route per compute, snf or
     check call: once by the engine's Smith form, once by Hermite pivots
-    (cokernel_order), once by the Hermite basis that divisibility_report
-    triangulates for the leave-one-out values, and once by the oracle's
-    bare Smith loop (_smith_divisors, run from cli).
+    (cokernel_order), and once by the oracle's bare Smith loop
+    (_smith_divisors, run from cli); and its columns are triangulated
+    (_hermite_rows) at most once in all, whichever route asks.
 
     cli, abelian and nilpotent import both order routes by name, so each
-    counting wrapper replaces its route in every namespace that binds it.
-    The basis is counted where abelian calls it, keyed by the matrix whose
-    columns it triangulates; exact_linalg's own calls are not counted.  The
-    oracles look the Smith loop up in exact_linalg, where the engine's Smith
-    forms call it too, so only the runs that cli starts are counted, keyed
-    by the matrix they reduce."""
+    counting wrapper, the triangulation's too, replaces its function in
+    every namespace that binds it.  A triangulation is counted wherever it
+    runs, keyed by the matrix whose columns it takes, when that matrix (or,
+    for a tall Smith form, its transpose) was handed to either route: the
+    rows a wide index route kept and the dual slices of the leave-one-out
+    values are not input columns.  The oracles look the Smith loop up in exact_linalg, where the engine's
+    Smith forms call it too, so only the runs that cli starts are counted,
+    keyed by the matrix they reduce."""
 
     @pytest.fixture
     def reductions(self, monkeypatch):
@@ -1029,12 +1031,17 @@ class TestSmithFormReuse:
 
         monkeypatch.setattr(exact_linalg, "_smith_divisors", eliminating)
 
-        def triangulating(vectors, width, d, original=abelian._hermite_rows):
+        def triangulating(vectors, width, d, original=exact_linalg._hermite_rows):
             vectors = list(vectors)
-            seen["basis"][IntMatrix.from_columns(vectors, rows=width)] += 1
+            m = IntMatrix.from_columns(vectors, rows=width)
+            if m in seen["hermite"] or m in seen["smith"] or m.transpose() in seen["smith"]:
+                seen["basis"][m] += 1
             return original(vectors, width, d)
 
-        monkeypatch.setattr(abelian, "_hermite_rows", triangulating)
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is exact_linalg._hermite_rows:
+                    monkeypatch.setattr(ns, attr, triangulating)
         return seen
 
     def _assert_each_once(self, capsys, reductions, *argv):
@@ -1065,18 +1072,29 @@ class TestSmithFormReuse:
             for _ in range(4)
         ]
         problem = json.dumps({"kind": "abelian-multi", "maps": maps})
-        # Smith: the stacked matrix, whose divisors are printed; Hermite:
-        # the three pairwise matrices; basis: the stacked matrix once, for
-        # all three leave-one-out values
+        # Smith: the 9 x 10 stacked matrix, whose divisors are printed;
+        # Hermite: the three pairwise matrices; basis: the four of them, by
+        # their index routes, and no triangulation more for the three
+        # leave-one-out values, which read the stack's kept basis
         stacked = stacked_difference(AbelianSystem(maps))
         total = self._assert_each_once(capsys, reductions, "compute", problem)
-        assert total == (1, 3, 1, 0)
-        assert reductions["basis"] == {stacked: 1}
-        # pairwise values above 1 add the lattice-index reduction
+        assert total == (1, 3, 4, 0)
+        assert reductions["basis"][stacked] == 1
+        # a square 9 x 9 stack has no index route basis: the leave-one-out
+        # values triangulate its columns once (its gcd(g, D) is 1, so the
+        # divisors need no triangulation modulo it)
+        system = AbelianSystem([[row[1:] for row in m] for m in maps])
+        stacked = stacked_difference(system)
+        problem = json.dumps({"kind": "abelian-multi", "maps": [h.to_lists() for h in system.homs]})
+        total = self._assert_each_once(capsys, reductions, "compute", problem)
+        assert total == (1, 3, 4, 0)
+        assert reductions["basis"][stacked] == 1
+        # pairwise values above 1 add the lattice-index reduction; its 3 x 3
+        # stack is square too
         total = self._assert_each_once(
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json")
         )
-        assert total == (1, 4, 1, 0)
+        assert total == (1, 4, 4, 0)
 
     def test_check_on_shipped_abelian_problems(self, capsys, reductions):
         for path in sorted(PROBLEMS.glob("*.json")):
@@ -1090,8 +1108,11 @@ class TestSmithFormReuse:
             for _ in range(4)
         ]
         problem = json.dumps({"kind": "abelian-multi", "maps": maps})
-        # compute's reductions, plus the 23 orderings other than the identity
-        assert self._assert_each_once(capsys, reductions, "check", problem) == (1, 26, 1, 0)
+        # compute's reductions, plus the 23 orderings other than the
+        # identity, each a wide stack triangulated once by its index route
+        stacked = stacked_difference(AbelianSystem(maps))
+        assert self._assert_each_once(capsys, reductions, "check", problem) == (1, 26, 27, 0)
+        assert reductions["basis"][stacked] == 1
 
     def test_abelian_oracle_enumerates_once(self, capsys, reductions, monkeypatch):
         original = exact_linalg.enumerate_cokernel
@@ -1107,21 +1128,21 @@ class TestSmithFormReuse:
         )
         # each number once more, by the bare Smith loop with none of the
         # engine's index route: the stacked matrix, the three pairwise
-        # blocks and the three leave-one-out stacks; no Hermite pivots past
-        # the engine's
-        assert total == (1, 4, 1, 1 + 3 + 3)
+        # blocks and the three leave-one-out stacks; no Hermite pivots or
+        # triangulation past the engine's
+        assert total == (1, 4, 4, 1 + 3 + 3)
         assert len(enumerated) == 0  # the oracle lists no class
 
     def test_abelian_oracle_on_a_pair_eliminates_the_block_once(self, capsys, reductions):
         # with two maps the one block is the stack: the engine took its Smith
-        # form for the value and its Hermite pivots for the pairwise value (1
-        # here, so no lattice index is reduced for |ker Psi|); the oracle's
-        # Smith loop reduces it once, for its divisors, the value and the
-        # pairwise value
+        # form, whose index route triangulates it once, for the value and
+        # the pairwise value (1 here, so no lattice index is reduced for
+        # |ker Psi|); the oracle's Smith loop reduces it once, for its
+        # divisors, the value and the pairwise value
         maps = [[[1, 2, 0], [0, 1, 3]], [[3, 2, 5], [1, -1, 3]]]
         problem = json.dumps({"kind": "abelian-pair", "maps": maps})
         total = self._assert_each_once(capsys, reductions, "compute", problem, "--oracle")
-        assert total == (1, 1, 0, 1)
+        assert total == (1, 0, 1, 1)
 
 
 class TestCheckSolvesEachOrderingOnce:
@@ -1606,7 +1627,7 @@ class TestOraclesEliminate:
     """The oracles recount by the bare Smith loop and never run the index
     route or the certificate that the engine's Smith forms take: under
     --oracle every recounted matrix runs the Smith loop without transforms,
-    and _bareiss, _hermite_pivots and _certified_divisors run no more often
+    and _bareiss, _hermite_index_rows and _certified_divisors run no more often
     than under plain compute."""
 
     @pytest.fixture
@@ -1656,11 +1677,11 @@ class TestOraclesEliminate:
         # the recounts run the bare Smith loop: no Bareiss pass, Hermite
         # pivots or minor certificate beyond plain compute's
         calls = count_kernel_calls(
-            monkeypatch, "_bareiss", "_hermite_pivots", "_certified_divisors"
+            monkeypatch, "_bareiss", "_hermite_index_rows", "_certified_divisors"
         )
         for problem in (str(PROBLEMS / "example2_torus.json"), _seeded_torus(4, k=4, n=3, m=10)):
             plain, added = self._added_by_oracle(capsys, calls, problem)
-            assert plain["_bareiss"] and plain["_hermite_pivots"], plain
+            assert plain["_bareiss"] and plain["_hermite_index_rows"], plain
             assert not any(added.values()), added
 
     @pytest.fixture
@@ -1668,7 +1689,7 @@ class TestOraclesEliminate:
         """A certificate that claims (1, ..., 1, D) with no modular step; on
         diag(1, 1, 2, 2) the lie passes the chain checks."""
 
-        def lying(a, index, g):
+        def lying(a, index, g, basis):
             return (1,) * (a.rows - 1) + (index,)
 
         monkeypatch.setattr(exact_linalg, "_certified_divisors", lying)

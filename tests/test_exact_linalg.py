@@ -357,7 +357,7 @@ class TestLazyTransforms:
         # an index pass that stops at a row that is not dependent sends a
         # nonsingular matrix to the transform route, whose chain then has a
         # divisor per row
-        monkeypatch.setattr(el, "_column_index", lambda a, **kwargs: (0, 0))
+        monkeypatch.setattr(el, "_column_index", lambda a, **kwargs: (0, 0, None))
         with pytest.raises(ConsistencyError, match="found a dependent row"):
             smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
         assert smith_normal_form(DEFICIENT).divisors == (1, 2)
@@ -377,7 +377,7 @@ class TestLazyTransforms:
         ],
     )
     def test_wrong_chain_is_refused(self, monkeypatch, chain, complaint):
-        monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g: chain)
+        monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g, basis: chain)
         with pytest.raises(ConsistencyError, match=complaint):
             smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
 
@@ -393,7 +393,7 @@ class TestLazyTransforms:
     def test_wrong_wide_chain_is_refused(self, monkeypatch, chain, complaint):
         m = IntMatrix([[2, 0, 4], [0, -6, 0]])
         assert smith_normal_form(m).divisors == (2, 6)
-        monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g: chain)
+        monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g, basis: chain)
         with pytest.raises(ConsistencyError, match=complaint):
             smith_normal_form(m)
 
@@ -505,7 +505,7 @@ class TestShapeRoutes:
         assert kinds == {True, False}
 
     def test_square_order_is_the_determinant_without_hermite(self, monkeypatch):
-        pivots = counting_calls(monkeypatch, "_hermite_pivots")
+        pivots = counting_calls(monkeypatch, "_hermite_index_rows")
         rng = random.Random(44)
         singular = 0
         for _ in range(100):
@@ -845,7 +845,7 @@ class TestMinorCertificate:
     def test_minor_gcd_is_a_multiple_of_the_leading_divisors(self):
         for kind, m in certificate_cases():
             a = m.transpose() if m.rows > m.cols else m
-            index, g = el._column_index(a, minors=True)
+            index, g, _ = el._column_index(a, minors=True)
             divisors = certify_smith(a).divisors
             assert index == math.prod(divisors), kind
             lead = math.prod(divisors[:-1])
@@ -859,7 +859,9 @@ class TestMinorCertificate:
         divisors: the chain checks refuse a scaled one, and a p-block one
         passes them with the wrong divisors."""
         original = el._certified_divisors
-        monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g: original(a, index, 1))
+        monkeypatch.setattr(
+            el, "_certified_divisors", lambda a, index, g, basis: original(a, index, 1, basis)
+        )
         refused, wrong = [], []
         for kind, m in certificate_cases():
             try:
@@ -893,8 +895,8 @@ class TestMinorCertificate:
         original = el._column_index
 
         def doubled(a, **kwargs):
-            index, g = original(a, **kwargs)
-            return 2 * index, g
+            index, g, basis = original(a, **kwargs)
+            return 2 * index, g, basis
 
         monkeypatch.setattr(el, "_column_index", doubled)
         with pytest.raises(ConsistencyError, match="ends in 2, not gcd.* d_R = 4"):
@@ -988,7 +990,7 @@ class TestModularRoute:
                         m = _scaled(random_matrix(rng, lo=-4, hi=4, rows=rows, cols=cols), scale)
                         if cokernel_order(m) != INFINITE:
                             break
-                    index, g = el._column_index(m, minors=True)
+                    index, g, _ = el._column_index(m, minors=True)
                     h = math.gcd(g, index)
                     shapes = [("square", m)] if cols == rows else [("wide", m), ("tall", m.transpose())]
                     for shape, a in shapes:
@@ -1011,7 +1013,7 @@ class TestModularRoute:
             res = smith_normal_form(m)
             assert res.divisors == certify_smith(m).divisors, (kind, m)
             a = m.transpose() if m.rows > m.cols else m
-            index, g = el._column_index(a, minors=True)
+            index, g, _ = el._column_index(a, minors=True)
             if index:
                 kinds.add(kind.split(" ")[0])
                 assert math.gcd(g, index) > 1, (kind, m)
@@ -1028,6 +1030,62 @@ class TestModularRoute:
                 ]
                 want = _reference_hermite_rows(vectors, width, d)
                 assert el._hermite_rows(vectors, width, d) == want, (d, vectors)
+
+    @pytest.fixture
+    def triangulations(self, monkeypatch):
+        """(vectors, width, d) of each _hermite_rows call."""
+        original = el._hermite_rows
+        calls = []
+
+        def recording(vectors, width, d):
+            vectors = [list(v) for v in vectors]
+            calls.append((vectors, width, d))
+            return original(vectors, width, d)
+
+        monkeypatch.setattr(el, "_hermite_rows", recording)
+        return calls
+
+    def test_wide_inputs_triangulate_the_kept_rows_modulo_h(self, triangulations):
+        # the index route triangulates the C columns modulo the minors' gcd;
+        # the step modulo h = gcd(g, D) takes the R rows it kept, as upper
+        # triangular vectors, and never the columns again
+        rng = random.Random(3636)
+        for rows in (2, 4, 7, 12):
+            for scale in (2, 3, 6):
+                while True:
+                    extra = rng.choice((1, 3, 2 * el._WINDOW + rows + 1))
+                    m = _scaled(random_matrix(rng, lo=-4, hi=4, rows=rows, cols=rows + extra), scale)
+                    if cokernel_order(m) != INFINITE:
+                        break
+                columns = [list(m.column(j)) for j in range(m.cols)]
+                del triangulations[:]
+                snf = smith_normal_form(m)
+                assert snf.divisors == certify_smith(m).divisors
+                (index_call, h_call) = triangulations
+                assert index_call[0] == columns and index_call[2] % math.prod(snf.divisors) == 0
+                vectors, width, h = h_call
+                assert (len(vectors), width) == (rows, rows) and h > 1 and index_call[2] % h == 0
+                assert vectors == [[0] * i + row for i, row in enumerate(snf._basis)]
+                assert vectors != columns
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            DEFICIENT,
+            DEFICIENT.transpose(),
+            _scaled(IntMatrix([[1, 0, 2], [0, 1, 3]]), 2).transpose(),
+            IntMatrix.zeros(2, 2),
+        ],
+        ids=["wide-deficient", "tall-deficient", "tall", "square-zero"],
+    )
+    def test_lattice_basis_of_an_infinite_cokernel_is_refused(self, triangulations, m):
+        # a tall m (whose transpose may have kept a basis) and an m short of
+        # full row rank have an infinite cokernel: no basis, no triangulation
+        snf = smith_normal_form(m)
+        del triangulations[:]
+        with pytest.raises(ValueError, match="cokernel is infinite"):
+            snf._lattice_basis()
+        assert triangulations == [] and snf._basis is None
 
 
 class TestKernel:
