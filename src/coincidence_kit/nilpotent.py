@@ -426,22 +426,28 @@ def identity_pc_hom(group: PcGroup) -> PcHom:
     return PcHom._parsed(group, group, images)
 
 
+def _shared_ends(homs) -> tuple[PcGroup, PcGroup]:
+    """homs[0]'s domain and codomain; ShapeError names a map with others."""
+    domain, codomain = homs[0].domain, homs[0].codomain
+    for i, h in enumerate(homs):
+        if h.domain != domain:
+            raise ShapeError(f"map {i} has a different domain")
+        if h.codomain != codomain:
+            raise ShapeError(f"map {i} has a different codomain")
+    return domain, codomain
+
+
 def combine_homs(homs, power_group: PcGroup) -> PcHom:
     """The map g -> (phi_1(g), ..., phi_m(g)) into the direct power.
 
     Factors commute elementwise, so the product's normal form is the
-    blockwise concatenation of the factor images.
+    blockwise concatenation of the factor images, words the input maps
+    already hold, so the map skips the word check but is validated.
     """
     homs = list(homs)
     if not homs:
         raise ShapeError("need at least one map to combine")
-    domain = homs[0].domain
-    factor = homs[0].codomain
-    for i, h in enumerate(homs):
-        if h.domain != domain:
-            raise ShapeError(f"map {i} has a different domain")
-        if h.codomain != factor:
-            raise ShapeError(f"map {i} has a different codomain")
+    domain, factor = _shared_ends(homs)
     copies = len(homs)
     if power_group != direct_power_pc(factor, copies):
         raise ShapeError("power_group is not the direct power of the shared codomain")
@@ -451,7 +457,7 @@ def combine_homs(homs, power_group: PcGroup) -> PcHom:
         nc = [x for w in parts for x in factor.noncentral_part(w)]
         ce = [x for w in parts for x in factor.central_part(w)]
         images.append(tuple(nc + ce))
-    return PcHom(domain, power_group, images)
+    return PcHom._parsed(domain, power_group, images)
 
 
 # -- central extension reduction -------------------------------------------------
@@ -461,24 +467,41 @@ def combine_homs(homs, power_group: PcGroup) -> PcHom:
 class CentralExtensionData:
     """Coordinates for 1 -> A -> G -> B -> 1 with A the commutator sublattice.
 
-    adapted is a square unimodular matrix on the central block whose first
-    a_rank rows span A; coords is the inverse transpose, turning a central
-    vector into coefficients over the adapted rows.  B keeps the noncentral
-    exponents plus the trailing adapted coordinates.
+    _rows holds the rows of a unimodular basis of the central block whose
+    first a_rank rows span A, and _dual the rows of its inverse transpose,
+    each once, as terms: (word slot, nonzero coefficient) pairs.  Only
+    _coords and _lift multiply by them.  B keeps the noncentral exponents
+    plus the trailing adapted coordinates.  adapted and coords are dense
+    views of _rows and _dual, built when read.
     """
 
     group: PcGroup
     a_rank: int
-    b_rank: int
-    adapted: IntMatrix
-    coords: IntMatrix
+    _rows: tuple
+    _dual: tuple
+    b_rank = property(lambda self: self.group.n - self.a_rank)
+    adapted = property(lambda self: _dense(self._rows, self.group))
+    coords = property(lambda self: _dense(self._dual, self.group))
+
+    def _coords(self, word, first: int) -> tuple[int, ...]:
+        """word's central block over the adapted rows from row first on."""
+        return tuple(sum(c * word[l] for l, c in row) for row in self._dual[first:])
+
+    def _lift(self, vector, first: int) -> tuple[int, ...]:
+        """The word with vector's noncentral head, and as central block its
+        remaining entries times the adapted rows from row first on."""
+        m = self.group.n_noncentral
+        word = list(vector[:m]) + [0] * self.group.n_central
+        for y, row in zip(vector[m:], self._rows[first:]):
+            for l, c in row:
+                word[l] += y * c
+        return tuple(word)
 
     def project(self, word) -> tuple[int, ...]:
         return self._project(self.group.check_word(word))
 
     def _project(self, word) -> tuple[int, ...]:
-        x = self.coords.apply(self.group.central_part(word))
-        return self.group.noncentral_part(word) + tuple(x[self.a_rank :])
+        return self.group.noncentral_part(word) + self._coords(word, self.a_rank)
 
     def section(self, b_vector) -> tuple[int, ...]:
         b_vector = tuple(b_vector)
@@ -486,26 +509,11 @@ class CentralExtensionData:
             raise ShapeError(
                 f"quotient vector has length {len(b_vector)}, expected {self.b_rank}"
             )
-        m = self.group.n_noncentral
-        central = [0] * self.group.n_central
-        for s, y in enumerate(b_vector[m:]):
-            if y:
-                row = self.adapted.row(self.a_rank + s)
-                for l, c in enumerate(row):
-                    central[l] += y * c
-        return tuple(b_vector[:m]) + tuple(central)
+        return self._lift(b_vector, self.a_rank)
 
     def a_coords(self, central_vec) -> tuple[int, ...] | None:
-        central_vec = tuple(central_vec)
-        if len(central_vec) != self.group.n_central:
-            raise ShapeError(
-                f"central vector has length {len(central_vec)}, "
-                f"expected {self.group.n_central}"
-            )
-        x = self.coords.apply(central_vec)
-        if any(x[self.a_rank :]):
-            return None
-        return tuple(x[: self.a_rank])
+        x = self._coords(self.group.central_word(central_vec), 0)
+        return None if any(x[self.a_rank :]) else x[: self.a_rank]
 
     def a_embed(self, a_vector) -> tuple[int, ...]:
         a_vector = tuple(a_vector)
@@ -513,13 +521,13 @@ class CentralExtensionData:
             raise ShapeError(
                 f"sublattice vector has length {len(a_vector)}, expected {self.a_rank}"
             )
-        central = [0] * self.group.n_central
-        for s, y in enumerate(a_vector):
-            if y:
-                row = self.adapted.row(s)
-                for l, c in enumerate(row):
-                    central[l] += y * c
-        return self.group.central_word(central)
+        return self._lift((0,) * self.group.n_noncentral + a_vector, 0)
+
+
+def _dense(rows, group: PcGroup) -> IntMatrix:
+    """The square matrix over the central block with these terms as rows."""
+    m, z = group.n_noncentral, group.n_central
+    return IntMatrix._built([[t.get(l, 0) for l in range(m, m + z)] for t in map(dict, rows)], z)
 
 
 def central_extension_data(group: PcGroup) -> CentralExtensionData:
@@ -530,11 +538,12 @@ def central_extension_data(group: PcGroup) -> CentralExtensionData:
     picture exists, and a StructureError explains that.
 
     A Hermite basis of unit rows (free groups, the Heisenberg group) makes
-    adapted the permutation listing their pivots first: its head is the basis
-    and it is its own inverse transpose, so only distinct pivots are checked.
-    Other bases take certify_smith's t, and both facts are checked.
+    the adapted basis the permutation listing their pivots first, one term
+    per row: its head is the basis and it is its own inverse transpose, so
+    only distinct pivots are checked and no matrix is built.  Other bases
+    take certify_smith's t, both facts are checked, and both are kept as terms.
     """
-    z = group.n_central
+    m, z = group.n_noncentral, group.n_central
     basis = hermite_basis(group.commutators.values(), z)
     r = len(basis)
     if all(row.count(0) == z - 1 and 1 in row for row in basis):
@@ -543,9 +552,7 @@ def central_extension_data(group: PcGroup) -> CentralExtensionData:
         if len(taken) != r:
             raise ConsistencyError("the unit rows of the commutator basis repeat")
         order = pivots + [l for l in range(z) if l not in taken]
-        adapted = coords = IntMatrix._built(
-            [[int(c == l) for c in range(z)] for l in order], z
-        )
+        rows = dual = tuple(((m + l, 1),) for l in order)
     else:
         snf = certify_smith(IntMatrix._built(basis, z))
         if any(d != 1 for d in snf.divisors):
@@ -562,13 +569,11 @@ def central_extension_data(group: PcGroup) -> CentralExtensionData:
             raise ConsistencyError("adapted basis does not span the commutator sublattice")
         if coords @ adapted.transpose() != IntMatrix.identity(z):
             raise ConsistencyError("coords do not invert the adapted basis transpose")
-    return CentralExtensionData(
-        group=group,
-        a_rank=r,
-        b_rank=group.n_noncentral + z - r,
-        adapted=adapted,
-        coords=coords,
-    )
+        rows, dual = (
+            tuple(tuple((m + l, c) for l, c in enumerate(row) if c) for row in mat.iter_rows())
+            for mat in (adapted, coords)
+        )
+    return CentralExtensionData(group=group, a_rank=r, _rows=rows, _dual=dual)
 
 
 @dataclass(frozen=True)
@@ -587,39 +592,33 @@ class PairReduction:
 
 
 def _sublattice_coords(data, word, what: str) -> tuple[int, ...]:
-    """Coordinates over A of a word that must lie in A."""
+    """Coordinates over A of a word the package built that must lie in A;
+    its length is not checked again."""
     if any(data.group.noncentral_part(word)):
         raise ConsistencyError(f"{what} outside the central block")
-    ac = data.a_coords(data.group.central_part(word))
-    if ac is None:
+    x = data._coords(word, 0)
+    if any(x[data.a_rank :]):
         raise ConsistencyError(f"{what} outside the commutator sublattice")
-    return ac
+    return x[: data.a_rank]
 
 
 def _pair_reductions(homs) -> list[PairReduction]:
     """The reductions of the pairs (phi_1, phi_j), j = 2..k, of a family
     sharing one domain and one codomain (else ShapeError).  Extension data is
     built once per group, and every map is pushed through it once, one basis
-    vector of B and of A at a time: each basis vector's lift is read off
-    as terms once, for all k maps.  On free groups and the Heisenberg group
+    vector of B and of A at a time, whose lift (a generator or a stored
+    adapted row) serves all k maps.  On free groups and the Heisenberg group
     every lift is one generator, so a column is a projected image."""
     homs = list(homs)
     if len(homs) < 2:
         raise ShapeError(f"need at least two maps, got {len(homs)}")
-    domain, codomain = homs[0].domain, homs[0].codomain
-    for i, h in enumerate(homs):
-        if h.domain != domain:
-            raise ShapeError(f"map {i} has a different domain")
-        if h.codomain != codomain:
-            raise ShapeError(f"map {i} has a different codomain")
+    domain, codomain = _shared_ends(homs)
     d1 = central_extension_data(domain)
     d2 = d1 if codomain == domain else central_extension_data(codomain)
     # a unit vector lifts to a generator (B's noncentral coordinates) or to
-    # the central word of one adapted row (section, a_embed)
-    m, adapted = domain.n_noncentral, list(d1.adapted.iter_rows())
-    central = [[(m + l, c) for l, c in enumerate(row) if c] for row in adapted]
-    b_lifts = [[(g, 1)] for g in range(m)] + central[d1.a_rank :]
-    a_lifts = central[: d1.a_rank]
+    # the central word of one adapted row, whose stored terms are its lift
+    b_lifts = [[(g, 1)] for g in range(domain.n_noncentral)] + list(d1._rows[d1.a_rank :])
+    a_lifts = d1._rows[: d1.a_rank]
     what = "a commutator-subgroup element maps"
 
     def matrices(hom):
@@ -678,7 +677,7 @@ def delta_image_vectors(red: PairReduction) -> list[tuple[int, ...]]:
     cod = d2.group
     vectors = []
     for kappa in kernel_basis(psi_bar - phi_bar):
-        theta = _terms(d1.section(kappa))
+        theta = _terms(d1._lift(kappa, d1.a_rank))
         vector = ()
         for r in reds:
             g = cod._multiply(r.psi._apply(theta), cod._power(r.phi._apply(theta), -1))

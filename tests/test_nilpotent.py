@@ -624,6 +624,94 @@ class TestCentralExtension:
         assert products == []
         assert widths == [6]
 
+    @pytest.mark.parametrize(
+        "make", [heisenberg_group, lambda: free_class_two(12)], ids=["heisenberg", "free-rank-12"]
+    )
+    def test_unit_row_data_is_one_term_per_row(self, make, monkeypatch):
+        """A unit-row basis is stored as one (slot, 1) term per row, for the
+        adapted rows and their inverse transpose alike, and no IntMatrix is
+        built for it; the dense views are built only when read."""
+        built = []
+        init, raw = IntMatrix.__init__, IntMatrix._built
+        monkeypatch.setattr(
+            IntMatrix, "__init__", lambda m, *a, **k: built.append(a) or init(m, *a, **k)
+        )
+        monkeypatch.setattr(
+            IntMatrix, "_built", classmethod(lambda cls, r, c: built.append(c) or raw(r, c))
+        )
+        group = make()
+        data = central_extension_data(group)
+        assert built == []
+        z, m = group.n_central, group.n_noncentral
+        for rows in (data._rows, data._dual):
+            assert len(rows) == z
+            assert all(len(row) == 1 and row[0][1] == 1 for row in rows)
+            assert sorted(row[0][0] for row in rows) == list(range(m, m + z))
+        assert data.adapted == data.coords
+        assert built == [z, z]
+
+    def test_coordinate_changes_match_the_dense_views(self):
+        """_project, a_coords, section and a_embed equal the products with
+        the dense adapted and coords views, on unit-row groups (permuted or
+        not) and on Smith-adapted ones (MIXED, SKEW)."""
+        square = PcGroup.from_presentation(
+            ["x", "y", "z"], ["u", "v"], {("x", "y"): {"u": 1, "v": 1}, ("x", "z"): {"v": 1}}
+        )
+        groups = arithmetic_groups() + [square, SKEW, free_class_two(4, spare=True)]
+        rng = random.Random(35)
+        branches = set()
+        for group in groups:
+            data = central_extension_data(group)
+            adapted, coords = data.adapted, data.coords
+            m, z, a = group.n_noncentral, group.n_central, data.a_rank
+            assert coords @ adapted.transpose() == IntMatrix.identity(z)
+            branches.add(adapted == coords)
+
+            def combination(ys, first):
+                out = [0] * z
+                for s, y in enumerate(ys):
+                    for l, c in enumerate(adapted.row(first + s)):
+                        out[l] += y * c
+                return tuple(out)
+
+            for _ in range(20):
+                word = random_word(rng, group)
+                central = group.central_part(word)
+                x = coords.apply(central)
+                assert data._project(word) == group.noncentral_part(word) + x[a:]
+                assert data.a_coords(central) == (None if any(x[a:]) else x[:a])
+                inside = group.central_part(group.commutator(word, random_word(rng, group)))
+                assert data.a_coords(inside) == coords.apply(inside)[:a]
+                b = tuple(rng.randint(-4, 4) for _ in range(data.b_rank))
+                assert data.section(b) == b[:m] + combination(b[m:], a)
+                ys = tuple(rng.randint(-4, 4) for _ in range(a))
+                assert data.a_embed(ys) == (0,) * m + combination(ys, 0)
+        # both branches of central_extension_data are covered
+        assert branches == {True, False}
+
+    def test_counts_read_no_dense_view(self, monkeypatch):
+        """reid_nilpotent_multi reads only the stored terms: with the dense
+        views made to raise, k = 3 families on HEIS, MIXED and the free
+        rank-4 group count as before."""
+        rng = random.Random(3535)
+        free = free_class_two(4)
+        families = [
+            [random_heis_endo(rng) for _ in range(3)],
+            [random_mixed_endo(rng) for _ in range(3)],
+            [random_free_hom(rng, free, free) for _ in range(3)],
+        ]
+        expected = [reid_nilpotent_multi(homs) for homs in families]
+
+        def refuse(data):
+            raise AssertionError("a dense view of the extension data was read")
+
+        for name in ("adapted", "coords"):
+            monkeypatch.setattr(nilpotent.CentralExtensionData, name, property(refuse))
+        for homs, report in zip(families, expected):
+            got = reid_nilpotent_multi(homs)
+            assert (got.value, got.pairwise) == (report.value, report.pairwise)
+            assert got.intermediates == report.intermediates
+
     def test_endomorphism_pair_shares_extension_data(self):
         psi = PcHom(HEIS, HEIS, [(3, 0, 0), (0, -1, 0), (0, 0, -3)])
         red = central_reduction(identity_pc_hom(HEIS), psi)
@@ -1310,6 +1398,25 @@ class TestPlumbing:
         other = PcGroup(["x"], 1, {})
         with pytest.raises(ShapeError):
             combine_homs([ident, identity_pc_hom(other)], power)
+
+    def test_combine_homs_checks_no_word(self, monkeypatch):
+        """The folded map's images concatenate words its input maps already
+        hold, so no word is checked again; the folded map is validated."""
+        rng = random.Random(4290)
+        homs = [random_heis_endo(rng) for _ in range(3)]
+        power = direct_power_pc(HEIS, 3)
+        checked, validated = [], []
+        check, validate = PcGroup.check_word, PcHom.validate
+        monkeypatch.setattr(PcGroup, "check_word", lambda g, w: checked.append(w) or check(g, w))
+        monkeypatch.setattr(PcHom, "validate", lambda hom: validated.append(hom) or validate(hom))
+        combined = combine_homs(homs, power)
+        assert checked == []
+        assert validated == [combined]
+        for g in range(HEIS.n):
+            parts = [h.images[g] for h in homs]
+            assert combined.images[g] == tuple(
+                [x for w in parts for x in w[:2]] + [w[2] for w in parts]
+            )
 
     def test_multi_guards(self):
         ident = identity_pc_hom(HEIS)
