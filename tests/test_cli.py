@@ -1089,12 +1089,12 @@ class TestSmithFormReuse:
         total = self._assert_each_once(capsys, reductions, "compute", problem)
         assert total == (1, 3, 4, 0)
         assert reductions["basis"][stacked] == 1
-        # pairwise values above 1 add the lattice-index reduction; its 3 x 3
-        # stack is square too
+        # pairwise values above 1 add no reduction: |ker Psi| is the value
+        # over their product, and no lattice index is taken
         total = self._assert_each_once(
             capsys, reductions, "compute", str(PROBLEMS / "example2_torus.json")
         )
-        assert total == (1, 4, 4, 0)
+        assert total == (1, 3, 4, 0)
 
     def test_check_on_shipped_abelian_problems(self, capsys, reductions):
         for path in sorted(PROBLEMS.glob("*.json")):
@@ -1130,15 +1130,15 @@ class TestSmithFormReuse:
         # engine's index route: the stacked matrix, the three pairwise
         # blocks and the three leave-one-out stacks; no Hermite pivots or
         # triangulation past the engine's
-        assert total == (1, 4, 4, 1 + 3 + 3)
+        assert total == (1, 3, 4, 1 + 3 + 3)
         assert len(enumerated) == 0  # the oracle lists no class
 
     def test_abelian_oracle_on_a_pair_eliminates_the_block_once(self, capsys, reductions):
         # with two maps the one block is the stack: the engine took its Smith
         # form, whose index route triangulates it once, for the value and
-        # the pairwise value (1 here, so no lattice index is reduced for
-        # |ker Psi|); the oracle's Smith loop reduces it once, for its
-        # divisors, the value and the pairwise value
+        # the pairwise value, and |ker Psi| is the value over it; the
+        # oracle's Smith loop reduces it once, for its divisors, the value
+        # and the pairwise value
         maps = [[[1, 2, 0], [0, 1, 3]], [[3, 2, 5], [1, -1, 3]]]
         problem = json.dumps({"kind": "abelian-pair", "maps": maps})
         total = self._assert_each_once(capsys, reductions, "compute", problem, "--oracle")
@@ -1526,7 +1526,7 @@ class TestLazySmithTransforms:
             return [[scale * rng.randint(-4, 4) for _ in range(8)] for _ in range(4)]
 
         # differences divisible by 2 and 3 make both pairwise values exceed
-        # 1, so |ker Psi| also takes the lattice-index route (8x8)
+        # 1, and |ker Psi| is the value over their product
         base = block(1)
         maps = [base] + [
             [[b + v for b, v in zip(rb, rv)] for rb, rv in zip(base, block(scale))]
@@ -1536,7 +1536,7 @@ class TestLazySmithTransforms:
         code, out, err = run_cli(capsys, "compute", problem, "--trace")
         assert code == 0, err
         assert "pairwise: 16, 81\n" in out
-        assert "(lattice index route)" in out
+        assert "(value over the pairwise product)" in out
         # the wide pairwise matrices take Hermite pivots, and the 8x8
         # stacked one is nonsingular
         assert with_transforms == []
@@ -1909,6 +1909,76 @@ class TestHermiteOracle:
         code, doc, _ = _oracle_run(capsys, str(PROBLEMS / "heisenberg_pair.json"))
         assert code == 2
         assert doc["oracle_status"].startswith("mismatch:")
+
+
+# -- |ker Psi| by the paper's factorisation -----------------------------------------------
+
+
+def _x6_torus(seed, k, n, m):
+    """_seeded_torus with map 1 the zero matrix and maps 2..k times 6, so
+    every pairwise value is above 1."""
+    maps = json.loads(_seeded_torus(seed, k, n, m))["maps"]
+    maps = [[[0] * m for _ in range(n)]] + [[[6 * x for x in row] for row in h] for h in maps[1:]]
+    return json.dumps({"kind": "abelian-multi", "maps": maps})
+
+
+class TestKerPsiByQuotient:
+    """compute takes |ker Psi| as the value over the pairwise product and
+    raises when that product does not divide; check alone recounts it as a
+    lattice index."""
+
+    @pytest.fixture
+    def index_calls(self, monkeypatch):
+        """Wrap lattice_index and ker_psi_order in every module that binds
+        them; the returned Counter counts their calls by name."""
+        calls = Counter()
+        for original in (exact_linalg.lattice_index, abelian.ker_psi_order):
+
+            def counting(*args, _original=original, **kwargs):
+                calls[_original.__name__] += 1
+                return _original(*args, **kwargs)
+
+            for ns in (coincidence_kit, abelian, cli, exact_linalg):
+                for attr, value in list(vars(ns).items()):
+                    if value is original:
+                        monkeypatch.setattr(ns, attr, counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "problem",
+        [str(PROBLEMS / "example2_torus.json"), _x6_torus(36, k=4, n=3, m=10)],
+        ids=["example2_torus", "seeded-x6"],
+    )
+    def test_compute_takes_no_lattice_index(self, capsys, index_calls, problem):
+        expected = abelian.ker_psi_order(AbelianSystem(cli.load_problem(problem)["maps"]))
+        index_calls.clear()
+        doc = run_structured(capsys, problem)
+        assert not index_calls, index_calls
+        assert max(doc["pairwise"]) > 1
+        assert doc["intermediates"]["ker_psi_order"] == expected.to_json()
+
+    def test_a_product_that_does_not_divide_exits_2(self, capsys, monkeypatch):
+        original = abelian.cokernel_order
+
+        def second_block_reads_3(m):
+            return Cardinal(3) if m == system.blocks[1] else original(m)
+
+        path = str(PROBLEMS / "example2_torus.json")
+        system = AbelianSystem(cli.load_problem(path)["maps"])
+        code, out, err = run_cli(capsys, "compute", path)
+        assert code == 0, err
+        monkeypatch.setattr(abelian, "cokernel_order", second_block_reads_3)
+        code, out, err = run_cli(capsys, "compute", path)
+        assert code == 2
+        assert out == ""
+        assert err == "consistency failure: pairwise product 3 does not divide the value 10\n"
+
+    def test_check_compares_the_quotient_with_the_lattice_index(self, capsys, monkeypatch):
+        original = cli.ker_psi_order
+        monkeypatch.setattr(cli, "ker_psi_order", lambda s: Cardinal(original(s).value + 1))
+        code, out, _ = run_cli(capsys, "check", str(PROBLEMS / "example2_torus.json"))
+        assert code == 2
+        assert "FAIL quotient-equals-ker-psi: quotient 5, |ker Psi| 6\n" in out
 
 
 # -- the Smith certificate ----------------------------------------------------------------
