@@ -44,9 +44,11 @@ divisor.  A matrix short of full row rank is
 reduced by the same loop with its transforms (_smith_with_transforms): each
 row carries its row of s, the column operations act on the columns of t,
 both start as identities, and d is built from the divisors; s @ m @ t == d
-is then re-multiplied against the input.  kernel_basis reads the kernel off
-t, and unimodular_inverse takes m^-1 = t @ s from s @ m @ t == I and
-checks m @ m^-1 == I exactly; both take the transform route themselves.
+is then re-multiplied against the input.  unimodular_inverse takes
+m^-1 = t @ s from s @ m @ t == I and checks m @ m^-1 == I exactly, by that
+route.  kernel_basis runs no Smith loop: it reads the kernel off the
+Hermite basis of the graph lattice {(m @ x, x)}, which hermite_basis builds
+column by column, reducing above each pivot as soon as it is fixed.
 
 certify_smith proves every divisor of m's Smith form, at any size, for one
 run of the loop with transforms and two determinants: it requires
@@ -628,43 +630,50 @@ def _pivot_col(row, start=0):
 
 def hermite_basis(vectors, width: int) -> tuple[tuple[int, ...], ...]:
     """Canonical row-HNF basis of the lattice spanned by the given vectors,
-    whatever their order.  The echelon is keyed by pivot column, so a vector
-    finds its row without a walk, and the keys are sorted once to normalise."""
-    # pivot column -> the row with that pivot, zero left of it
-    rows: dict[int, list[int]] = {}
+    whatever their order.  Column by column: each live vector waits in the
+    bucket of its leading column, Euclid across a column's bucket leaves one
+    pivot row and moves each vector it clears to the bucket of its next
+    leading column, and the positive pivot at once reduces the earlier
+    rows' entries in its column, so no entry above a pivot grows (Kannan
+    and Bachem, SIAM J. Comput. 8, 1979; Cohen, GTM 138, section 2.4)."""
+    buckets = [[] for _ in range(width)]
     for vec in vectors:
         v = list(vec)
         if len(v) != width:
             raise ShapeError(f"lattice vector has length {len(v)}, expected {width}")
         lead = _pivot_col(v)
-        while lead is not None:
-            r = rows.get(lead)
-            if r is None:
-                rows[lead] = v
-                break
-            # Same pivot column: fold v into the resident row by gcd steps.
-            while v[lead]:
-                if abs(v[lead]) < abs(r[lead]):
-                    rows[lead], v = v, r
-                    r = rows[lead]
-                q = v[lead] // r[lead]
-                for j in range(lead, width):
-                    v[j] -= q * r[j]
-            # v now has a later pivot (or is zero); keep reducing it.
-            lead = _pivot_col(v, lead + 1)
-    # Normalize: positive pivots, entries above pivots reduced mod pivot.
-    echelon = [(p, rows[p]) for p in sorted(rows)]
-    for p, r in echelon:
-        if r[p] < 0:
-            for j in range(p, width):
-                r[j] = -r[j]
-    for i, (p, ri) in enumerate(echelon):
-        for _, rj in echelon[:i]:
-            q = rj[p] // ri[p]
-            if q:
-                for c in range(p, width):
-                    rj[c] -= q * ri[c]
-    return tuple(tuple(r) for _, r in echelon)
+        if lead is not None:
+            buckets[lead].append(v)
+    echelon = []
+    for col, bucket in enumerate(buckets):
+        while len(bucket) > 1:
+            r = min(bucket, key=lambda v: abs(v[col]))
+            support = [j for j in range(col, width) if r[j]]
+            rest = [r]
+            for v in bucket:
+                if v is not r:
+                    q = v[col] // r[col]
+                    for j in support:
+                        v[j] -= q * r[j]
+                    if v[col]:
+                        rest.append(v)
+                    elif (lead := _pivot_col(v, col + 1)) is not None:
+                        buckets[lead].append(v)
+            bucket = rest
+        if bucket:
+            r = bucket[0]
+            p = r[col]
+            if p < 0:
+                p = -p
+                for j in range(col, width):
+                    r[j] = -r[j]
+            for e in echelon:
+                q = e[col] // p
+                if q:
+                    for j in range(col, width):
+                        e[j] -= q * r[j]
+            echelon.append(r)
+    return tuple(map(tuple, echelon))
 
 
 def lattice_coordinates(hnf_rows, vector) -> tuple[int, ...] | None:
@@ -688,23 +697,22 @@ def lattice_coordinates(hnf_rows, vector) -> tuple[int, ...] | None:
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the full integer kernel lattice {v : m @ v = 0}, in canonical
     Hermite form.  The lattice is saturated: any rational kernel vector with
-    integer entries is an integer combination of the basis.  The columns of
-    t past the rank of m's Smith form span it, so this runs the Smith loop
-    with transforms whatever the shape of m.
+    integer entries is an integer combination of the basis.  For m of shape
+    r x c, the vectors (column j of m, e_j) span the graph lattice
+    {(m @ x, x)}; the rows of its Hermite basis whose first r entries are 0
+    span {(0, x) : m @ x = 0} and are already canonical, so their last c
+    entries are the basis, from one triangulation and no Smith form.
 
     >>> kernel_basis(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     [(1, -1, 2)]
     """
-    if m.cols == 0:
-        return []
-    snf = _smith_with_transforms(m)
-    r = len(snf.divisors)
-    raw = [snf.t.column(j) for j in range(r, m.cols)]
-    basis = hermite_basis(raw, m.cols)
+    r, c = m.rows, m.cols
+    graph = [m.column(j) + (0,) * j + (1,) + (0,) * (c - j - 1) for j in range(c)]
+    basis = [row[r:] for row in hermite_basis(graph, r + c) if not any(row[:r])]
     for v in basis:
         if any(m.apply(v)):
             raise ConsistencyError("kernel basis vector fails m @ v = 0")
-    return list(basis)
+    return basis
 
 
 def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:

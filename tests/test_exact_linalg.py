@@ -13,8 +13,10 @@ import itertools
 import json
 import math
 import random
+import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -314,9 +316,10 @@ class TestLazyTransforms:
             # gcd(g, D) is 1 for m; 2 divides every divisor of 2m, so the
             # loop reduces the 7 x 7 Hermite basis modulo gcd(g, D)
             assert (with_transforms, divisor_kernel) == ([], eliminated)
-        # kernel_basis reads t, so it takes the transform route itself
+        # kernel_basis triangulates the graph lattice and runs no Smith loop
+        del divisor_kernel[:]
         assert kernel_basis(m) == []
-        assert with_transforms == [m]
+        assert (with_transforms, divisor_kernel) == ([], [])
 
     def test_full_row_rank_wide_leaves_transforms_unset(self, with_transforms, divisor_kernel):
         m = random_matrix(random.Random(4), lo=-4, hi=4, rows=6, cols=9)
@@ -1116,6 +1119,78 @@ class TestKernel:
         m = IntMatrix([[2, 4, 1], [2, 6, 2]])
         assert kernel_basis(m) == kernel_basis(IntMatrix(m.to_lists()))
 
+    @staticmethod
+    def _kernel_by_transforms(m):
+        """kernel_basis as it was before it triangulated the graph lattice:
+        the columns of t past the rank of m's Smith form, through the
+        folding reference."""
+        snf = el._smith_with_transforms(m)
+        t_columns = [snf.t.column(j) for j in range(len(snf.divisors), m.cols)]
+        return list(_hermite_basis_folded(t_columns, m.cols))
+
+    def test_kernel_equals_the_transform_reference(self):
+        """Seeded m of every shape: wide, square singular and nonsingular,
+        tall, with zero rows, with no rows and with no columns."""
+        rng = random.Random(3738)
+
+        def draw(rows, cols):
+            return [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+
+        for case in range(700):
+            shape = case % 7
+            n = rng.randint(1, 5)
+            if shape == 0:  # wide
+                rows = draw(n, n + rng.randint(1, 4))
+            elif shape == 1:  # square singular: one row a combination of two
+                rows = draw(n + 1, n + 1)
+                rows[0] = [rng.randint(-2, 2) * x - y for x, y in zip(rows[1], rows[-1])]
+            elif shape == 2:
+                rows = random_nonsingular(rng, n, lo=-6, hi=6).to_lists()
+            elif shape == 3:  # tall
+                rows = draw(n + rng.randint(1, 3), n)
+            elif shape == 4:  # zero rows among nonzero ones
+                rows = draw(n + 1, rng.randint(1, 6))
+                for i in rng.sample(range(n + 1), rng.randint(1, n)):
+                    rows[i] = [0] * len(rows[i])
+            if shape == 5:
+                m = IntMatrix([], cols=n)
+            elif shape == 6:
+                m = IntMatrix([()] * n)
+            else:
+                m = IntMatrix(rows)
+            expected = self._kernel_by_transforms(m) if m.cols else []
+            assert kernel_basis(m) == expected, m.to_lists()
+        assert kernel_basis(IntMatrix([], cols=3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+    def test_wide_nilpotent_kernel_keeps_its_entries_small(self, tmp_path, monkeypatch):
+        """The 8 x 40 quotient difference of nil(40, 8, 6)'s fourth pair: the
+        folding loop reached 354 906-bit entries on it.  Every vector that
+        the column-order loop moves to a later column passes _pivot_col, so
+        the bound fails a blow-up here, not just the clock."""
+        from coincidence_kit import cli
+        from coincidence_kit.nilpotent import _pair_reductions
+
+        out = tmp_path / "nil40.json"
+        family = Path(__file__).resolve().parent / "nil_family.py"
+        subprocess.run([sys.executable, str(family), "40", "8", "6", str(out)], check=True)
+        red = _pair_reductions(cli._build_pc_maps(json.loads(out.read_text())))[3]
+        m = red.psi_bar - red.phi_bar
+        assert (m.rows, m.cols) == (8, 40)
+
+        widest = [0]
+        pivot_col = el._pivot_col
+
+        def measuring(row, start=0):
+            widest[0] = max([widest[0]] + [abs(x).bit_length() for x in row])
+            return pivot_col(row, start)
+
+        monkeypatch.setattr(el, "_pivot_col", measuring)
+        basis = kernel_basis(m)
+        assert 0 < widest[0] <= 64
+        assert len(basis) == 32
+        assert math.prod(next(x for x in v if x) for v in basis) == 4668
+        assert not any(x for v in basis for x in m.apply(v))
+
 
 class TestCokernel:
     def test_rank_deficient_is_infinite(self):
@@ -1429,6 +1504,41 @@ def _hermite_basis_sorted_list(vectors, width):
     return tuple(tuple(r) for _, r in rows)
 
 
+def _hermite_basis_folded(vectors, width):
+    """hermite_basis as it was before it triangulated column by column: it
+    folded each vector into the row that held its pivot, by gcd steps with
+    no bound on the entries, and reduced above the pivots once, at the end."""
+    rows = {}
+    for vec in vectors:
+        v = list(vec)
+        lead = el._pivot_col(v)
+        while lead is not None:
+            r = rows.get(lead)
+            if r is None:
+                rows[lead] = v
+                break
+            while v[lead]:
+                if abs(v[lead]) < abs(r[lead]):
+                    rows[lead], v = v, r
+                    r = rows[lead]
+                q = v[lead] // r[lead]
+                for j in range(lead, width):
+                    v[j] -= q * r[j]
+            lead = el._pivot_col(v, lead + 1)
+    echelon = [(p, rows[p]) for p in sorted(rows)]
+    for p, r in echelon:
+        if r[p] < 0:
+            for j in range(p, width):
+                r[j] = -r[j]
+    for i, (p, ri) in enumerate(echelon):
+        for _, rj in echelon[:i]:
+            q = rj[p] // ri[p]
+            if q:
+                for c in range(p, width):
+                    rj[c] -= q * ri[c]
+    return tuple(tuple(r) for _, r in echelon)
+
+
 def _ker_psi_lattices():
     """The super lattices ker_psi_order hands to lattice_index, and its sub
     lattices, on seeded finite systems: k 2-5, n 1-3, entries within +-4,
@@ -1515,6 +1625,34 @@ class TestHermite:
             expected = _hermite_basis_sorted_list(vecs, width)
             for order in itertools.permutations(vecs):
                 assert hermite_basis(order, width) == expected
+
+    def test_basis_equals_the_folding_reference(self):
+        """2 000 seeded inputs of up to 10 vectors, width up to 8 and drawn
+        entries within +-6: the column-order loop gives the folded basis on
+        inputs with zero rows, negative leads, dependent rows and none."""
+        rng = random.Random(3737)
+        seen = Counter()
+        for _ in range(2000):
+            width = rng.randint(0, 8)
+            density = rng.choice([0.3, 0.6, 1.0])
+            vecs = [
+                tuple(rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(width))
+                for _ in range(rng.randint(0, 9))
+            ]
+            if len(vecs) >= 2 and rng.random() < 0.5:
+                a, b = rng.sample(vecs, 2)
+                s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+                vecs.insert(rng.randint(0, len(vecs)), tuple(s * x + t * y for x, y in zip(a, b)))
+            basis = _hermite_basis_folded(vecs, width)
+            assert hermite_basis(vecs, width) == basis
+            leads = [next((x for x in v if x), 0) for v in vecs]
+            seen.update(
+                empty=not vecs,
+                zero_row=0 in leads,
+                negative_lead=any(x < 0 for x in leads),
+                dependent=len(basis) < len(vecs),
+            )
+        assert min(seen[k] for k in ("empty", "zero_row", "negative_lead", "dependent")) > 50, seen
 
     def test_outside_vector_rejected(self):
         basis = hermite_basis([(2, 0)], 2)

@@ -3,9 +3,9 @@ the Smith loop run with its transforms (_smith_with_transforms).
 
 The values in smith_transforms.json come from _smith_divisors given t: each
 row carries its row of s and the column operations act on the columns of t.
-They must not move unnoticed: central_extension_data's adapted basis and
-kernel_basis read t, and a change of pivot order or of the operations the
-loop records would change them without changing any divisor.
+They must not move unnoticed: central_extension_data's adapted basis reads
+t, and a change of pivot order or of the operations the loop records would
+change it without changing any divisor.
 The cases cover empty, zero, singular square, nonsingular square, wide, tall
 and unimodular inputs.  A change meant to alter the transforms on purpose
 regenerates the file with
