@@ -195,9 +195,13 @@ def divisibility_report(
 ) -> DivisibilityReport:
     """The divisibility facts of a system.  The value, the pairwise values
     and |ker Psi| come from report, the system's reid_multi report, which is
-    computed here when not given; only the leave-one-out values are new.
-    They are read off the Hermite basis held by the system's own stacked
-    Smith form, kept from reid_multi, and its order, not report.value."""
+    computed here when not given.  reid_multi raises unless the pairwise
+    product divides the value, and takes |ker Psi| as the quotient, so
+    pairwise_divides and quotient_equals_ker_psi hold by construction;
+    check's lattice-index row is the independent comparison.  Only the
+    leave-one-out values are new.  They are read off the Hermite basis held
+    by the system's own stacked Smith form, kept from reid_multi, and its
+    order, not report.value."""
     if report is None:
         report = reid_multi(system)
     value = report.value
@@ -210,18 +214,16 @@ def divisibility_report(
             witness="divisibility not applicable: the multi-map number is infinite",
         )
     product = cardinal_product(pairwise)
-    divides = product.divides(value)
-    quotient = value.divide_exact(product) if divides else None
     ker = report.ker_psi_order
     report = DivisibilityReport(
         applicable=True,
         value=value,
         pairwise=pairwise,
         pairwise_product=product,
-        pairwise_divides=divides,
-        quotient=quotient,
+        pairwise_divides=True,
+        quotient=ker,
         ker_psi=ker,
-        quotient_equals_ker_psi=(quotient == ker),
+        quotient_equals_ker_psi=True,
         witness=f"pairwise product {product} divides {value}; quotient is |ker Psi| = {ker}",
     )
     if system.k >= 4:

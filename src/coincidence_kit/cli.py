@@ -515,19 +515,15 @@ def _base_report() -> dict:
 
 
 def run_snf(doc: dict, oracle: bool, check: bool = False) -> dict:
-    """smith_normal_form's divisors, proven under --oracle or check: by the
-    determinants of its own s and t when it reduced m with them (m short of
-    full row rank), else by certify_smith."""
+    """smith_normal_form's divisors, proven under --oracle or check by
+    certify_smith, whose Smith loop with transforms no engine route runs."""
     matrix = _to_matrix(_require(doc, "matrix"), "matrix")
     snf = smith_normal_form(matrix)
     order = snf.cokernel_order()
     out = _base_report()
     out["value"] = order.to_json()
     if oracle or check:
-        if snf.s is None:
-            proven = list(certify_smith(matrix).divisors)
-        else:
-            proven = list(exact_linalg._prove_unimodular(snf).divisors)
+        proven = list(certify_smith(matrix).divisors)
         agreed = proven == list(snf.divisors)
         proof = f"unimodular s, t with s @ m @ t == d prove {proven}" if agreed else (
             f"the certificate proves {proven}, the engine gives {list(snf.divisors)}"

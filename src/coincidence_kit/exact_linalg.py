@@ -24,38 +24,29 @@ the order of that block's image in Z^R / L.  Each index must be an integer
 dividing V, and the last block's must equal the product of the pivots that
 its projection keeps.
 
-Smith forms serve callers that print divisors or read transforms.  A tall m
-is replaced by its transpose, which has the same divisors.  When
-_column_index finds that (transposed) matrix a of full row rank R, its
-divisors come without transforms (s, t and d stay None), by one route
-(_certified_divisors).  The Bareiss pass behind the index D also returns g,
-the gcd of the (R-1)-minors it holds, which d_1 ... d_(R-1) divides; so
+Smith forms serve callers that print divisors.  A tall m is replaced by its
+transpose a, which has the same divisors.  When _column_index finds a of
+full row rank R, _certified_divisors reads them off the Bareiss pass behind
+the index D, which also returns g, the gcd of the (R-1)-minors it holds; so
 each d_i with i < R divides h = gcd(g, D).  With h = 1 the divisors are
-(1, ..., 1, D), every one proven, with no reduction.  Otherwise the lattice
-L + h * Z^R has divisors gcd(d_i, h), whose first R - 1 are d_1 ... d_(R-1)
-exactly: _hermite_rows triangulates it modulo h, from the R kept rows when a
-is wide, _smith_divisors reduces those R x R rows, entries below h, and
-d_R = D / (d_1 ... d_(R-1)).  Either way the divisors must number rows,
-form a chain, start with the gcd of the entries and multiply to D, and the
-loop's last divisor must be gcd(d_R, h).  Those checks pin the reduced
-chain, against an index found by a route that shares nothing with the
-Smith loop, in its rank, cokernel order, d_1 and chain, not in each middle
-divisor.  A matrix short of full row rank is
-reduced by the same loop with its transforms (_smith_with_transforms): each
-row carries its row of s, the column operations act on the columns of t,
-both start as identities, and d is built from the divisors; s @ m @ t == d
-is then re-multiplied against the input.  unimodular_inverse takes
-m^-1 = t @ s from s @ m @ t == I and checks m @ m^-1 == I exactly, by that
-route.  kernel_basis runs no Smith loop: it reads the kernel off the
-Hermite basis of the graph lattice {(m @ x, x)}, which hermite_basis builds
-column by column, reducing above each pivot as soon as it is fixed.
+(1, ..., 1, D), every one proven.  Otherwise L + h * Z^R has divisors
+gcd(d_i, h), whose first R - 1 are d_1 ... d_(R-1) exactly: _hermite_rows
+triangulates it modulo h, from the R kept rows when a is wide,
+_smith_divisors reduces those R x R rows, entries below h, and
+d_R = D / (d_1 ... d_(R-1)).  The divisors must number rows, form a chain,
+start with the gcd of the entries and multiply to D, and the loop's last
+must be gcd(d_R, h): checks against an index found with no Smith loop,
+which pin the rank, cokernel order, d_1 and chain, not each middle divisor.
+An a short of full row rank takes that route on the rho < R Hermite rows of
+its columns, which span the same lattice and so have the same divisors.
 
-certify_smith proves every divisor of m's Smith form, at any size, for one
-run of the loop with transforms and two determinants: it requires
-|det s| == |det t| == 1 (Bareiss).  Since s @ m @ t == d with d the divisor
-chain on its diagonal, unimodular s and t make d the Smith form of m, which
-is unique.  _prove_unimodular takes those two determinants alone, for an
-SnfResult whose s @ m @ t == d was verified where it was built.
+The Hermite rows of the graph lattice {(m @ x, x)} (_graph_rows) give
+kernel_basis, the tails of the rows with zero heads, and unimodular_inverse,
+the transposed tails when the heads are the identity.  No engine route runs
+the Smith loop with transforms: certify_smith alone runs it, once
+(_smith_with_transforms), and proves every divisor, at any size, by
+|det s| == |det t| == 1 (Bareiss), since unimodular s and t with
+s @ m @ t == d make d the Smith form of m, which is unique.
 
 IntMatrix's public constructor and from_columns check every entry; what the
 package computes from matrices it holds is built by IntMatrix._built, which
@@ -250,12 +241,11 @@ class SnfResult:
     l1 | l2 | ... | lr, and the decomposition s @ m @ t == d with unimodular
     s and t, where d carries the divisors on its diagonal followed by zeros.
 
-    The divisors are always present.  s, t and d are set when the Smith
-    loop ran with its transforms, checked by s @ m @ t == d with d built
-    from the divisors; they are None when smith_normal_form found the
-    divisors without them, which it does whenever m or, for a tall m, its
-    transpose has full row rank.  certify_smith always sets them.
-    _lattice_basis gives the Hermite rows of m's column lattice.
+    The divisors are always present.  s, t and d are set by certify_smith
+    alone, from its run of the Smith loop with transforms, checked by
+    s @ m @ t == d with d built from the divisors; smith_normal_form leaves
+    them None on every route.  _lattice_basis gives the Hermite rows of m's
+    column lattice.
     """
 
     __slots__ = ("m", "divisors", "s", "t", "d", "_basis")
@@ -387,7 +377,8 @@ def _smith_divisors(rows, t=None) -> tuple[int, ...]:
 
 
 def _smith_with_transforms(m: IntMatrix) -> SnfResult:
-    """Smith form with its transforms, verified by s @ m @ t == d.
+    """Smith form with its transforms, verified by s @ m @ t == d; a helper
+    of certify_smith alone, which proves s and t unimodular.
 
     _smith_divisors reduces m with identity transforms beside it: each row
     carries a row of I_rows, which becomes s, and the columns of I_cols
@@ -403,7 +394,9 @@ def _smith_with_transforms(m: IntMatrix) -> SnfResult:
     d = IntMatrix._built(
         [[x if i == j else 0 for j in range(c)] for i, x in enumerate(diagonal)], c
     )
-    _verify_snf(m, s, t, d, divisors)
+    if (s @ m) @ t != d:
+        raise ConsistencyError("smith decomposition failed verification s@m@t != d")
+    _check_chain(divisors)
     return SnfResult(m, divisors, s, t, d)
 
 
@@ -411,22 +404,15 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Diagonalize m over the integers with a divisor chain on the diagonal.
 
     A tall m is reduced through its transpose a, which has the same
-    divisors.  When a has full row rank R, _column_index gives its index D
-    (|det| by Bareiss when square, the Hermite index when wide) and,
-    from the same Bareiss pass, a gcd g of (R-1)-minors, which
-    d_1 ... d_(R-1) divides.  _certified_divisors reads the divisors off
-    them: (1, ..., 1, D) when gcd(g, D) is 1, every divisor proven;
-    otherwise d_1 ... d_(R-1) from the Smith loop on an R x R Hermite basis
-    with entries below gcd(g, D), never on a itself, and d_R from D.  The
-    oracles run the loop on the input alone, never this function, and
-    compare its divisors with these.  s, t and d stay None (certify_smith
-    returns them), and there must be one divisor per row, forming a chain,
-    multiplying to D, and the first must be the gcd of the entries; those
-    checks pin a reduced chain in the rank, the cokernel order, d_1 and the
-    chain, not each middle divisor on its own.  An m short of full row rank
-    (in its transposed form when tall) is reduced by the same loop with its
-    transforms, verified by s @ m @ t == d, and must have fewer divisors
-    than rows.
+    divisors.  When a has full row rank R, _certified_divisors reads them
+    off the index D and the minor gcd g of _column_index's Bareiss pass,
+    reducing at most an R x R Hermite basis modulo gcd(g, D), never a
+    itself; there must be one divisor per row, forming a chain, multiplying
+    to D, and the first must be the gcd of the entries.  The oracles run the
+    Smith loop on the input alone, never this function.  An a short of full
+    row rank takes that route on the rho < R Hermite rows of its columns,
+    which span the same lattice (rho == R is a ConsistencyError).  s, t and
+    d stay None; certify_smith returns them.
 
     >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
     (1, 2)
@@ -434,13 +420,13 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     a = m.transpose() if m.rows > m.cols else m
     index, g, basis = _column_index(a, minors=True)
     if not index:
-        snf = _smith_with_transforms(m)
-        if len(snf.divisors) >= a.rows:
+        rows = hermite_basis(map(a.column, range(a.cols)), a.rows)
+        if len(rows) >= a.rows:
             raise ConsistencyError(
-                f"{len(snf.divisors)} divisors for a {a.rows}x{a.cols} matrix "
+                f"{len(rows)} Hermite rows for a {a.rows}x{a.cols} matrix "
                 "whose Bareiss pass found a dependent row"
             )
-        return snf
+        return SnfResult(m, smith_normal_form(IntMatrix._built(rows, a.rows)).divisors)
     divisors = _certified_divisors(a, index, g, basis)
     _check_chain(divisors)
     if a.is_square:
@@ -493,12 +479,6 @@ def _certified_divisors(a: IntMatrix, index: int, g: int, basis) -> tuple[int, .
             f"not gcd(d_R, {h}) for d_R = {last} from the index {index}"
         )
     return (*head, last)
-
-
-def _verify_snf(m, s, t, d, divisors):
-    if (s @ m) @ t != d:
-        raise ConsistencyError("smith decomposition failed verification s@m@t != d")
-    _check_chain(divisors)
 
 
 def _check_chain(divisors):
@@ -574,20 +554,15 @@ def determinant(m: IntMatrix) -> int:
 def certify_smith(m: IntMatrix) -> SnfResult:
     """Smith form of m with every divisor proven, or ConsistencyError.
 
-    One run of the Smith loop with transforms checks s @ m @ t == d, where
-    d carries the divisor chain on its diagonal and zeros elsewhere.  What
-    is left is |det s| == |det t| == 1 (Bareiss): then d is the Smith form
-    of m, which is unique, so the divisors are right.
+    The one run of the Smith loop with transforms, which no engine route
+    runs, checks s @ m @ t == d, where d carries the divisor chain on its
+    diagonal and zeros elsewhere.  What is left is |det s| == |det t| == 1
+    (Bareiss): then d is the Smith form of m, which is unique.
 
     >>> certify_smith(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
     (1, 2)
     """
-    return _prove_unimodular(_smith_with_transforms(m))
-
-
-def _prove_unimodular(snf: SnfResult) -> SnfResult:
-    """snf, whose s @ m @ t == d was verified where it was built, once
-    |det s| == |det t| == 1 proves its divisors; else ConsistencyError."""
+    snf = _smith_with_transforms(m)
     for name, u in (("s", snf.s), ("t", snf.t)):
         det = determinant(u)
         if abs(det) != 1:
@@ -595,22 +570,6 @@ def _prove_unimodular(snf: SnfResult) -> SnfResult:
                 f"smith transform {name} is not unimodular: det {name} = {det}"
             )
     return snf
-
-
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix with determinant +-1, read off its Smith
-    form: s @ m @ t == I gives m^-1 = t @ s."""
-    if not m.is_square:
-        raise ShapeError("only square matrices invert")
-    snf = _smith_with_transforms(m)
-    if len(snf.divisors) < m.rows or any(d != 1 for d in snf.divisors):
-        raise ShapeError(
-            f"matrix is not unimodular (invariant factors {snf.divisors})"
-        )
-    inv = snf.t @ snf.s
-    if m @ inv != IntMatrix.identity(m.rows):
-        raise ConsistencyError("unimodular inverse fails m @ inv == I")
-    return inv
 
 
 # --- Hermite machinery ------------------------------------------------------
@@ -694,25 +653,56 @@ def lattice_coordinates(hnf_rows, vector) -> tuple[int, ...] | None:
     return tuple(coeffs)
 
 
+def _graph_rows(m: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """Hermite rows of the graph lattice {(m @ x, x)} of the r x c matrix m,
+    spanned by (column j of m, e_j) (Cohen, GTM 138, section 2.4): c rows
+    (m @ w, w), heads first, whose tails w form a unimodular W.  The rows
+    with nonzero heads come first, their heads the Hermite basis of m's
+    column lattice; the rest span the kernel.  So for c >= r the heads are
+    [I_r; 0], m @ W^T == [I_r 0], exactly when rows[i][i] == 1 for i < r."""
+    r, c = m.rows, m.cols
+    graph = [m.column(j) + (0,) * j + (1,) + (0,) * (c - j - 1) for j in range(c)]
+    return hermite_basis(graph, r + c)
+
+
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the full integer kernel lattice {v : m @ v = 0}, in canonical
     Hermite form.  The lattice is saturated: any rational kernel vector with
-    integer entries is an integer combination of the basis.  For m of shape
-    r x c, the vectors (column j of m, e_j) span the graph lattice
-    {(m @ x, x)}; the rows of its Hermite basis whose first r entries are 0
-    span {(0, x) : m @ x = 0} and are already canonical, so their last c
-    entries are the basis, from one triangulation and no Smith form.
+    integer entries is an integer combination of the basis.  The graph rows
+    of m (_graph_rows) whose first r entries are 0 span {(0, x) : m @ x = 0}
+    and are already canonical, so their tails are the basis, from one
+    triangulation and no Smith form.
 
     >>> kernel_basis(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     [(1, -1, 2)]
     """
-    r, c = m.rows, m.cols
-    graph = [m.column(j) + (0,) * j + (1,) + (0,) * (c - j - 1) for j in range(c)]
-    basis = [row[r:] for row in hermite_basis(graph, r + c) if not any(row[:r])]
+    r = m.rows
+    basis = [row[r:] for row in _graph_rows(m) if not any(row[:r])]
     for v in basis:
         if any(m.apply(v)):
             raise ConsistencyError("kernel basis vector fails m @ v = 0")
     return basis
+
+
+def unimodular_inverse(m: IntMatrix) -> IntMatrix:
+    """Inverse of an integer matrix with determinant +-1, from the graph
+    rows of m (_graph_rows): their heads must be the identity, else m is
+    not unimodular, and then m @ W^T == I for their tails W, so
+    m^-1 = W^T.  m @ m^-1 == I is checked exactly.
+
+    >>> unimodular_inverse(IntMatrix([[2, 1], [1, 1]]))
+    IntMatrix([[1, -1], [-1, 2]])
+    """
+    if not m.is_square:
+        raise ShapeError("only square matrices invert")
+    n = m.rows
+    rows = _graph_rows(m)
+    if any(rows[i][i] != 1 for i in range(n)):
+        raise ShapeError("matrix is not unimodular: its columns do not span Z^n")
+    inv = IntMatrix._built([row[n:] for row in rows], n).transpose()
+    if m @ inv != IntMatrix.identity(n):
+        raise ConsistencyError("unimodular inverse fails m @ inv == I")
+    return inv
 
 
 def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:

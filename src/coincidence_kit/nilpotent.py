@@ -39,10 +39,11 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
-    certify_smith,
+    _graph_rows,
     cokernel_order,
     hermite_basis,
     kernel_basis,
+    smith_normal_form,
     unimodular_inverse,
 )
 from .reporting import (
@@ -540,8 +541,12 @@ def central_extension_data(group: PcGroup) -> CentralExtensionData:
     A Hermite basis of unit rows (free groups, the Heisenberg group) makes
     the adapted basis the permutation listing their pivots first, one term
     per row: its head is the basis and it is its own inverse transpose, so
-    only distinct pivots are checked and no matrix is built.  Other bases
-    take certify_smith's t, both facts are checked, and both are kept as terms.
+    only distinct pivots are checked and no matrix is built.  Other bases B,
+    r x z, take their graph rows (exact_linalg._graph_rows), whose heads
+    must be [I_r; 0], else the r x r head block's invariant factors go in
+    the StructureError.  coords is their tails W, B @ W^T == [I_r 0], and
+    adapted is W^-T, whose first r rows are B, through unimodular_inverse,
+    which checks W^T @ W^-T == I.  Both are kept as terms.
     """
     m, z = group.n_noncentral, group.n_central
     basis = hermite_basis(group.commutators.values(), z)
@@ -554,21 +559,19 @@ def central_extension_data(group: PcGroup) -> CentralExtensionData:
         order = pivots + [l for l in range(z) if l not in taken]
         rows = dual = tuple(((m + l, 1),) for l in order)
     else:
-        snf = certify_smith(IntMatrix._built(basis, z))
-        if any(d != 1 for d in snf.divisors):
+        graph = _graph_rows(IntMatrix._built(basis, z))
+        if any(graph[i][i] != 1 for i in range(r)):
+            head = IntMatrix._built([row[:r] for row in graph[:r]], r)
             raise StructureError(
                 "the commutator subgroup is not a direct summand of the central "
-                f"lattice (invariant factors {snf.divisors}); the abelianized "
-                "group would have torsion, which this reduction does not support"
+                f"lattice (invariant factors {smith_normal_form(head).divisors}); "
+                "the abelianized group would have torsion, which this reduction "
+                "does not support"
             )
-        # s @ basis @ t == [I 0], so the first r rows of t^-1 span the
-        # sublattice and (t^-1)^T inverts to t^T.
-        adapted = unimodular_inverse(snf.t)
-        coords = snf.t.transpose()
+        coords = IntMatrix._built([row[r:] for row in graph], z)
+        adapted = unimodular_inverse(coords.transpose())
         if hermite_basis([adapted.row(s) for s in range(r)], z) != basis:
             raise ConsistencyError("adapted basis does not span the commutator sublattice")
-        if coords @ adapted.transpose() != IntMatrix.identity(z):
-            raise ConsistencyError("coords do not invert the adapted basis transpose")
         rows, dual = (
             tuple(tuple((m + l, c) for l, c in enumerate(row) if c) for row in mat.iter_rows())
             for mat in (adapted, coords)

@@ -2035,10 +2035,10 @@ class TestSmithCertificate:
         """A Smith loop that doubles the row of s of the last divisor, and
         that divisor with it, keeps s @ m @ t == d and the divisor chain;
         only the certificate sees it."""
-        # BIG has rank 9, so plain snf reduces it (tall, with a zero row) by
-        # the loop with t, and s @ m @ t == d is all that reduction checks;
-        # the square input is nonsingular, so plain snf reads its divisors
-        # off the minor certificate and never runs the loop with t
+        # BIG has rank 9, so plain snf reduces the Hermite rows of its
+        # columns (tall, with a zero row); the square input is nonsingular,
+        # so plain snf reads its divisors off the minor certificate; neither
+        # runs the loop with t
         tall = _snf_problem(json.loads(self.BIG)["matrix"] + [[0] * 16])
         for problem in (tall, self.SQUARE):
             code, _, err = run_cli(capsys, "snf", problem)
@@ -2058,25 +2058,27 @@ class TestSmithCertificate:
     )
 
     @pytest.mark.parametrize("argv", [["snf"], ["snf", "--oracle"], ["check"]])
-    def test_rank_deficient_transforms_run_once(self, capsys, monkeypatch, argv):
-        """An input short of full row rank is reduced with its transforms by
-        the engine, which verifies s @ m @ t == d; the proof reads det s and
-        det t of that same run instead of running the loop again."""
+    def test_rank_deficient_transforms_run_only_in_the_certificate(
+        self, capsys, monkeypatch, argv
+    ):
+        """An input short of full row rank gets its divisors from the Hermite
+        rows of its columns, with no transforms; the proof runs the loop with
+        them once, in certify_smith, and takes det s and det t."""
         calls = count_kernel_calls(monkeypatch, "_smith_with_transforms", "determinant")
         command, *flags = argv
         code, out, err = run_cli(capsys, command, self.DEFICIENT, *flags, "--format", "structured")
         assert code == 0, err
-        proofs = 0 if argv == ["snf"] else 2
-        assert calls == Counter(_smith_with_transforms=1, determinant=proofs)
+        proofs = 0 if argv == ["snf"] else 1
+        assert calls == Counter(_smith_with_transforms=proofs, determinant=2 * proofs)
         doc = json.loads(out)
         assert doc["value"] == "infinite"
         if flags:
             assert doc["oracle_status"] == "agreed"
 
     def test_doubled_kernel_column_of_t_exits_2(self, capsys, monkeypatch):
-        """Doubling a kernel column of the engine's t keeps s @ m @ t == d,
-        since m sends that column to 0, but makes det t = +-2: plain snf
-        prints, and the proof refuses."""
+        """Doubling a kernel column of the certificate's t keeps
+        s @ m @ t == d, since m sends that column to 0, but makes
+        det t = +-2: plain snf prints, and the proof refuses."""
         original = exact_linalg._smith_divisors
 
         def doubling(rows, t=None):
@@ -2107,6 +2109,83 @@ class TestSmithCertificate:
         code, _, err = run_cli(capsys, command, self.SQUARE, *flags)
         assert code == 0, err
         assert calls == {"_smith_divisors": 1, "_smith_divisors with t": 1, "_bareiss": 3}
+
+
+class TestSmithRoutesShareNoLoop:
+    """The Smith loop with transforms runs only inside certify_smith: the
+    engine's routes (smith_normal_form, kernel_basis, unimodular_inverse,
+    central_extension_data) never pass it t, so the snf certificate shares
+    no run of the loop with the divisors it proves."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """(t passed, inside certify_smith) of each run of the Smith loop."""
+        runs, depth = [], [0]
+        loop, certify = exact_linalg._smith_divisors, exact_linalg.certify_smith
+
+        def recording(rows, t=None):
+            runs.append((t is not None, depth[0] > 0))
+            return loop(rows, t)
+
+        def certifying(m):
+            depth[0] += 1
+            try:
+                return certify(m)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(exact_linalg, "_smith_divisors", recording)
+        monkeypatch.setattr(cli, "certify_smith", certifying)
+        return runs
+
+    def test_engine_routes_never_pass_t(self, runs):
+        from coincidence_kit.errors import StructureError
+        from coincidence_kit.nilpotent import PcGroup, central_extension_data
+
+        rng = random.Random(3801)
+        for i in range(60):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            data = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            if i % 2 and rows > 1:  # a dependent row
+                data[-1] = [x - 2 * y for x, y in zip(data[0], data[1 % (rows - 1)])]
+            m = IntMatrix([[(i % 4 + 1) * x for x in row] for row in data])
+            exact_linalg.smith_normal_form(m)
+            exact_linalg.kernel_basis(m)
+        unimodular = IntMatrix([[2, 3, 1], [1, 2, 1], [1, 1, 1]])
+        exact_linalg.unimodular_inverse(unimodular)
+        def group(word):
+            return PcGroup.from_presentation(["a", "b"], ["c1", "c2"], {("a", "b"): word})
+
+        central_extension_data(group({"c1": 2, "c2": 3}))
+        with pytest.raises(StructureError, match=r"invariant factors \(2,\)"):
+            central_extension_data(group({"c1": 2, "c2": 4}))
+        # the scaled inputs reduce their Hermite bases without t
+        assert runs and not any(t for t, _ in runs)
+
+    @pytest.mark.parametrize("argv", [["snf", "--oracle"], ["check"]])
+    def test_snf_proof_runs_the_loop_with_t_once(self, capsys, runs, argv):
+        command, *flags = argv
+        code, _, err = run_cli(capsys, command, TestSmithCertificate.DEFICIENT, *flags)
+        assert code == 0, err
+        assert [run for run in runs if run[0]] == [(True, True)]
+
+    def test_nilpotent_compute_on_a_skew_pair_runs_no_smith_loop(self, capsys, runs):
+        # [a, b] = c1^2 c2^3; the second map scales a and b by 2 and the
+        # centre by 4
+        skew = {
+            "generators": ["a", "b"],
+            "central": ["c1", "c2"],
+            "commutators": [["a", "b", {"c1": 2, "c2": 3}]],
+        }
+        doubled = [[2, 0, 1, 0], [0, 2, 0, -1], [0, 0, 4, 0], [0, 0, 0, 4]]
+        identity = [[int(i == j) for j in range(4)] for i in range(4)]
+        problem = json.dumps(
+            {"kind": "nilpotent", "domain": skew, "codomain": skew, "maps": [identity, doubled]}
+        )
+        code, out, err = run_cli(capsys, "compute", problem)
+        assert code == 0, err
+        assert "value: infinite" not in out
+        assert runs == []
 
 
 # -- checks at the input ------------------------------------------------------------------

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import coincidence_kit.exact_linalg as el
+from coincidence_kit.abelian import AbelianSystem, stacked_difference
 from coincidence_kit.cardinal import Cardinal, INFINITE, cardinal_product
 from coincidence_kit.errors import (
     ConsistencyError,
@@ -46,7 +47,7 @@ from conftest import count_kernel_calls, elementary_divisors_via_minors, rank
 
 WORKED = IntMatrix([[2, 4, 1], [2, 6, 2]])
 # WORKED's rows, their sum and a zero column: rank 2 of 3 rows, so
-# smith_normal_form takes the transform route
+# smith_normal_form reduces the 2 Hermite rows of its columns
 DEFICIENT = IntMatrix([[2, 4, 1, 0], [2, 6, 2, 0], [4, 10, 3, 0]])
 
 
@@ -222,7 +223,7 @@ class TestSmithCertificate:
 
         monkeypatch.setattr(el, "_smith_divisors", doubled)
         with pytest.raises(ConsistencyError, match="s@m@t != d"):
-            smith_normal_form(DEFICIENT)
+            certify_smith(DEFICIENT)
 
     def test_every_divisor_must_be_positive(self, monkeypatch):
         original = el._smith_divisors
@@ -235,7 +236,7 @@ class TestSmithCertificate:
 
         monkeypatch.setattr(el, "_smith_divisors", negated)
         with pytest.raises(ConsistencyError, match="chain"):
-            smith_normal_form(DEFICIENT)  # s @ m @ t == d holds with d = [1, -2]
+            certify_smith(DEFICIENT)  # s @ m @ t == d holds with d = [1, -2]
 
 
 class TestSmithProperties:
@@ -277,7 +278,9 @@ class TestLazyTransforms:
     """An input of full row rank gets its divisors without transforms, from
     the index's Bareiss pass and, when gcd(g, D) > 1, the Smith loop without
     t on an R x R Hermite basis, checked against |det m| when square or its
-    Hermite index when wide; its s, t and d stay None."""
+    Hermite index when wide; its s, t and d stay None.  An input short of
+    full row rank takes that route on the Hermite rows of its columns, and
+    only certify_smith runs the loop with t."""
 
     @pytest.fixture
     def with_transforms(self, monkeypatch):
@@ -332,17 +335,24 @@ class TestLazyTransforms:
             assert (res.s, res.t, res.d) == (None, None, None)
             assert (with_transforms, divisor_kernel) == ([], eliminated)
 
-    def test_rank_deficient_input_eliminates_once_with_transforms(self, divisor_kernel):
-        res = smith_normal_form(DEFICIENT)
-        assert res.divisors == (1, 2)
-        assert (res.s @ DEFICIENT) @ res.t == res.d
-        # one run, over the 3 rows of m and of s, with t; none without
-        assert divisor_kernel == [(3, 7, True)]
+    def test_rank_deficient_input_reduces_its_hermite_rows(self, with_transforms, divisor_kernel):
+        # the 2 x 3 Hermite rows of DEFICIENT's columns have entries of gcd
+        # 1, so gcd(g, D) is 1 and no loop runs; doubled, the loop reduces
+        # their 2 x 2 Hermite basis modulo gcd(g, D), without t
+        for a, divisors, eliminated in (
+            (DEFICIENT, (1, 2), []),
+            (_scaled(DEFICIENT, 2), (2, 4), [(2, 2, False)]),
+        ):
+            del divisor_kernel[:]
+            res = smith_normal_form(a)
+            assert res.divisors == divisors
+            assert (res.s, res.t, res.d) == (None, None, None)
+            assert (with_transforms, divisor_kernel) == ([], eliminated)
 
     @pytest.mark.parametrize(
         "m",
-        # a tall matrix takes transforms only when its transpose falls short
-        # of full row rank, as DEFICIENT's does
+        # singular, zero, and short of full row rank wide and, through its
+        # transpose, tall
         [
             IntMatrix([[1, 2], [2, 4]]),
             IntMatrix.zeros(3, 3),
@@ -350,25 +360,33 @@ class TestLazyTransforms:
             DEFICIENT.transpose(),
         ],
     )
-    def test_singular_and_non_square_inputs_are_eager(self, with_transforms, m):
+    def test_singular_and_non_square_inputs_take_no_transforms(self, with_transforms, m):
         res = smith_normal_form(m)
-        assert len(with_transforms) == 1
-        assert (res.s @ m) @ res.t == res.d
-        assert len(with_transforms) == 1
+        assert with_transforms == []
+        assert (res.s, res.t, res.d) == (None, None, None)
+        assert res.divisors == el._smith_with_transforms(m).divisors
 
     def test_full_rank_chain_behind_a_dependent_row_is_refused(self, monkeypatch):
         # an index pass that stops at a row that is not dependent sends a
-        # nonsingular matrix to the transform route, whose chain then has a
-        # divisor per row
-        monkeypatch.setattr(el, "_column_index", lambda a, **kwargs: (0, 0, None))
+        # nonsingular matrix to the rank-deficient route, whose Hermite rows
+        # then number its rows; the square index alone is broken, so the
+        # wide Hermite rows of DEFICIENT still find their index
+        original = el._column_index
+        monkeypatch.setattr(
+            el,
+            "_column_index",
+            lambda a, **kwargs: (0, 0, None) if a.is_square else original(a, **kwargs),
+        )
         with pytest.raises(ConsistencyError, match="found a dependent row"):
             smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
         assert smith_normal_form(DEFICIENT).divisors == (1, 2)
 
-    def test_unimodular_inverse_eliminates_once(self, divisor_kernel):
+    def test_unimodular_inverse_triangulates_once(self, monkeypatch, divisor_kernel):
+        # one Hermite basis of the 8 graph vectors, of width 16; no Smith loop
+        triangulations = counting_calls(monkeypatch, "hermite_basis")
         m = random_unimodular(random.Random(8), 8)
         assert m @ unimodular_inverse(m) == IntMatrix.identity(8)
-        assert divisor_kernel == [(8, 16, True)]
+        assert (triangulations, divisor_kernel) == ([(8, 16)], [])
 
     @pytest.mark.parametrize(
         "chain, complaint",
@@ -483,9 +501,11 @@ class TestShapeRoutes:
             smaller += d < det
         assert smaller > 10
 
-    def test_tall_smith_forms_take_transforms_only_below_full_rank(self, monkeypatch):
+    def test_tall_smith_forms_take_no_transforms(self, monkeypatch):
+        # a tall matrix triangulates the columns of its transpose only when
+        # that falls short of full row rank
         rng = random.Random(4343)
-        eliminated = count_kernel_calls(monkeypatch, "_smith_divisors")
+        eliminated = count_kernel_calls(monkeypatch, "_smith_divisors", "hermite_basis")
         kinds = set()
         for i in range(120):
             cols = rng.randint(1, 5)
@@ -501,8 +521,9 @@ class TestShapeRoutes:
             expected = el._smith_with_transforms(m).divisors
             eliminated.clear()
             res = smith_normal_form(m)
-            assert eliminated["_smith_divisors with t"] == deficient
-            assert (res.s is None) != deficient
+            assert eliminated["_smith_divisors with t"] == 0
+            assert eliminated["hermite_basis"] == deficient
+            assert res.s is None
             assert res.divisors == expected
             assert res.cokernel_order() == INFINITE
         assert kinds == {True, False}
@@ -589,14 +610,14 @@ class TestSympyOracle:
             m = random_unimodular(rng, 4) @ diag @ random_unimodular(rng, 4)
             assert smith_normal_form(m).divisors == sympy_divisors(m) == (1, 2, 12, 12)
 
-    def test_singular_on_the_eager_path(self, sympy_divisors):
+    def test_singular_on_the_hermite_row_route(self, sympy_divisors):
         rng = random.Random(6)
         rows = random_matrix(rng, lo=-9, hi=9, rows=6, cols=6).to_lists()
         rows[5] = [a - 2 * b for a, b in zip(rows[0], rows[3])]
         m = IntMatrix(rows)
         assert determinant(m) == 0
         res = smith_normal_form(m)
-        assert (res.s @ m) @ res.t == res.d
+        assert res.s is None
         assert res.divisors == sympy_divisors(m)
         assert len(res.divisors) == 5
 
@@ -642,6 +663,77 @@ class TestSmithDivisors:
     def test_sympy_invariant_factors(self, sympy_divisors):
         for kind, m in kernel_cases()[:120]:
             assert el._smith_divisors(m.to_lists()) == sympy_divisors(m), (kind, m)
+
+
+class TestHermiteRowRoute:
+    """smith_normal_form on inputs short of full row rank takes the full-rank
+    route on the Hermite rows of their columns, and unimodular_inverse reads
+    the graph lattice's Hermite rows; the Smith loop with transforms is the
+    reference for both."""
+
+    @staticmethod
+    def _deficient_cases():
+        """(kind, scale, matrix) for 2 400 seeded inputs: products of r x k
+        and k x c factors with k below min(r, c), short of full row rank
+        (through the transpose when tall), scaled by 1, 2, 3, 6 or 12; zero
+        matrices; the empty 0 x n and n x 0 shapes; and square or wide
+        stacked torus systems whose second map repeats the first, so one
+        block is zero."""
+        rng = random.Random(3802)
+        out = []
+        for i in range(2400):
+            kind = ("square", "wide", "tall", "zero", "empty", "torus")[i % 6]
+            scale = (1, 2, 3, 6, 12)[i // 6 % 5]
+            n = rng.randint(1, 6)
+            if kind == "zero":
+                m = IntMatrix.zeros(n, rng.randint(1, 6))
+            elif kind == "empty":
+                m = IntMatrix([], cols=n) if i % 12 < 6 else IntMatrix([()] * n)
+            elif kind == "torus":
+                # square or wide, so the zero block leaves the rank short
+                rows, k = rng.randint(1, 3), rng.randint(2, 4)
+                cols = rows * (k - 1) + rng.randint(0, 2)
+                maps = [random_matrix(rng, lo=-4, hi=4, rows=rows, cols=cols) for _ in range(k)]
+                system = AbelianSystem([maps[0], maps[0], *maps[2:]])
+                m = _scaled(stacked_difference(system), scale)
+            else:
+                rows = n + (kind == "tall") * rng.randint(1, 3)
+                cols = n + (kind == "wide") * rng.randint(1, 3)
+                k = rng.randint(0, n - 1)
+                m = IntMatrix.zeros(rows, cols)
+                if k:
+                    left = random_matrix(rng, lo=-3, hi=3, rows=rows, cols=k)
+                    m = _scaled(left @ random_matrix(rng, lo=-3, hi=3, rows=k, cols=cols), scale)
+            out.append((kind, scale, m))
+        return out
+
+    def test_divisors_equal_the_transform_reference(self, monkeypatch):
+        tracked = count_kernel_calls(monkeypatch, "_smith_divisors")
+        seen = Counter()
+        for kind, scale, m in self._deficient_cases():
+            want = el._smith_with_transforms(m).divisors
+            tracked.clear()
+            res = smith_normal_form(m)
+            assert res.divisors == want, (kind, m)
+            assert (res.s, res.t, res.d) == (None, None, None)
+            assert tracked["_smith_divisors with t"] == 0
+            a = m.transpose() if m.rows > m.cols else m
+            if a.rows:
+                assert len(want) < a.rows and res.cokernel_order() == INFINITE
+            seen[kind, scale] += 1
+        assert len(seen) == 30 and min(seen.values()) >= 80, seen
+
+    def test_unimodular_inverse_equals_the_transform_reference(self):
+        rng = random.Random(3803)
+        sizes = set()
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            m = random_unimodular(rng, n)
+            snf = el._smith_with_transforms(m)
+            assert snf.divisors == (1,) * n
+            assert unimodular_inverse(m) == snf.t @ snf.s
+            sizes.add(n)
+        assert sizes == set(range(1, 13))
 
 
 def _scaled(m, scale):

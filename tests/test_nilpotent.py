@@ -581,16 +581,41 @@ class TestCentralExtension:
         with pytest.raises(StructureError, match="direct summand"):
             central_extension_data(torsion)
 
+    def test_graph_adapted_bases_invert_and_span(self):
+        """On MIXED, SKEW and seeded presentations without a unit-row basis,
+        coords inverts the adapted basis's transpose and the first a_rank
+        adapted rows span the commutator sublattice."""
+        for group in [MIXED, SKEW] + seeded_non_unit_groups(3804, 40):
+            data = central_extension_data(group)
+            z, r = group.n_central, data.a_rank
+            basis = hermite_basis(group.commutators.values(), z)
+            assert data.coords @ data.adapted.transpose() == IntMatrix.identity(z)
+            assert hermite_basis([data.adapted.row(s) for s in range(r)], z) == basis
+
+    def test_seeded_non_unit_pairs_agree_with_the_oracle(self, capsys):
+        rng = random.Random(3805)
+        for group in [MIXED, SKEW] + seeded_non_unit_groups(3806, 12):
+            # distinct squares make both differences nonsingular
+            homs = [
+                scaled_endo(rng, group, k * rng.choice((-1, 1)))
+                for k in rng.sample((1, 2, 3), 2)
+            ]
+            code = cli.main(["compute", json.dumps(pc_problem(homs)), "--oracle"])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert "oracle: agreed\n" in out, out
+
     def test_square_commutator_basis_reads_no_transforms(self, monkeypatch):
         """A full-rank commutator lattice has a square Hermite basis.
         Unimodular, that basis is the identity and takes the unit-row branch,
-        which takes no Smith form; otherwise the certified Smith form shows
-        the lattice is no direct summand, before any transform is read."""
+        which takes no Smith form; otherwise the Smith form of the head block
+        of its graph rows shows the lattice is no direct summand, before any
+        tail is read."""
         smith = []
         monkeypatch.setattr(
             nilpotent,
-            "certify_smith",
-            lambda m: smith.append(m) or exact_linalg.certify_smith(m),
+            "smith_normal_form",
+            lambda m: smith.append(m) or exact_linalg.smith_normal_form(m),
         )
 
         def group(second):
@@ -988,6 +1013,61 @@ def free_class_two(rank: int, spare: bool = False) -> PcGroup:
 SKEW = PcGroup.from_presentation(
     ["a", "b"], ["c1", "c2"], {("a", "b"): {"c1": 2, "c2": 3}}
 )
+
+
+def seeded_non_unit_groups(seed, count) -> list[PcGroup]:
+    """count seeded presentations whose commutator lattice is a direct
+    summand with no basis of unit rows: 2 to 4 noncentral and 1 to 4
+    central generators, each pair related with probability 2/3 by a central
+    word with entries in -3..3."""
+    rng = random.Random(seed)
+    groups = []
+    while len(groups) < count:
+        gens = [f"x{i}" for i in range(rng.randint(2, 4))]
+        central = [f"z{l}" for l in range(rng.randint(1, 4))]
+        relations = {}
+        for pair in itertools.combinations(gens, 2):
+            word = {c: e for c in central if (e := rng.randint(-3, 3))}
+            if word and rng.random() < 2 / 3:
+                relations[pair] = word
+        group = PcGroup.from_presentation(gens, central, relations)
+        z = group.n_central
+        basis = hermite_basis(group.commutators.values(), z)
+        if all(row.count(0) == z - 1 and 1 in row for row in basis):
+            continue
+        try:
+            central_extension_data(group)
+        except StructureError:
+            continue
+        groups.append(group)
+    return groups
+
+
+def scaled_endo(rng, group: PcGroup, k: int) -> PcHom:
+    """x_i -> x_i^k times a central tail and z_l -> z_l^(k^2): each relation
+    maps to its k^2-th power, on any class-2 presentation."""
+    m, z = group.n_noncentral, group.n_central
+    images = [
+        tuple(k if l == i else 0 for l in range(m)) + tuple(rng.randint(-2, 2) for _ in range(z))
+        for i in range(m)
+    ]
+    images += [(0,) * m + tuple(k * k if l == c else 0 for l in range(z)) for c in range(z)]
+    return PcHom(group, group, images)
+
+
+def pc_problem(homs) -> dict:
+    """A nilpotent problem document for maps of one group to itself."""
+    group = homs[0].domain
+    labels, m = group.labels, group.n_noncentral
+    spec = {
+        "generators": list(labels[:m]),
+        "central": list(labels[m:]),
+        "commutators": [
+            [labels[i], labels[j], list(vec)] for (i, j), vec in group.commutators.items()
+        ],
+    }
+    maps = [[list(w) for w in hom.images] for hom in homs]
+    return {"kind": "nilpotent", "domain": spec, "codomain": spec, "maps": maps}
 
 
 def random_free_hom(rng, domain: PcGroup, codomain: PcGroup) -> PcHom:
