@@ -3,12 +3,13 @@
 A group is indices 0..order-1 behind one of two backings: a Cayley table
 (closures, cyclic groups, tables read from input) or, for every direct
 product, componentwise arithmetic on its two factors.  A closure forms one
-element product per edge of its right Cayley graph and fills the table from
-that graph by lookups.  Input data is checked exactly against a greedy
-generating set: a table by Light's associativity test, an image table by
-multiplicativity on the generators.  The twisted counts read a
-table-backed codomain's rows and inverse array directly, and call mul and
-inv only on a product-backed one.
+element product per edge of its right Cayley graph, a permutation's as one
+itemgetter gather, and fills the table and the inverse array from that
+graph and its breadth-first tree by lookups.  Input data is checked
+exactly against a greedy generating set: a table by Light's associativity
+test, an image table by multiplicativity on the generators.  The twisted
+counts read a table-backed codomain's rows and inverse array directly, and
+call mul and inv only on a product-backed one.
 
 Tuples (alpha_2, ..., alpha_k) over the codomain are equivalent when some z
 in the domain sends every alpha_i to phi_1(z) * alpha_i * phi_i(z)^{-1}.
@@ -22,13 +23,15 @@ stabilizers, as R(phi_1, ..., phi_k) relates to R(phi_1, phi_2): the orbits
 of Gamma on the first coordinate are the R(phi_1, phi_2) classes, the
 stabilizer of each acts on the second coordinate, and so on.  Each leaf is
 one class, its size |Gamma| / |stabilizer|; no tuple space is swept, and
-every orbit is checked against orbit-stabilizer.  The partition keeps Gamma,
-and each pairwise value R(phi_1, phi_j) is one more descent over Gamma's
-projection onto coordinates 1 and j, which is the image subgroup of
-(phi_1, phi_j): the domain is scanned once per count.  A second, structurally
-different algorithm runs union-find over a generating subset of Gamma and
-reads off each class's smallest tuple and size; the two must agree on both,
-which, as any one member determines its class, makes the partitions equal.
+every orbit is checked against orbit-stabilizer.  R(phi_1, phi_2) is the
+number of distinct leading coordinates among the class representatives.
+The partition keeps Gamma, and each R(phi_1, phi_j) with phi_j unlike phi_2
+is one more descent over Gamma's projection onto coordinates 1 and j, which
+is the image subgroup of (phi_1, phi_j): the domain is scanned once per
+count.  A second, structurally different algorithm runs union-find over a
+generating subset of Gamma and reads off each class's smallest tuple and
+size; the two must agree on both, which, as any one member determines its
+class, makes the partitions equal.
 Each generator moves every coordinate on its own, so union-find tabulates
 its action once per coordinate, 2n codomain products for n elements, and
 moves a tuple index by summing one table entry per coordinate: the whole
@@ -39,7 +42,6 @@ and generator.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 
 from .cardinal import Cardinal
@@ -130,6 +132,16 @@ class FiniteGroup:
                         raise StructureError(f"associativity fails at ({x}, {s}, {y})")
         return group
 
+    @classmethod
+    def _trusted(cls, table, inverses, elements) -> FiniteGroup:
+        """A Cayley table with identity 0 and its inverse array, both built
+        by the package itself, taken as they are: no row is scanned."""
+        group = cls.__new__(cls)
+        group.order, group.identity = len(table), 0
+        group._table, group._inv, group._pair = table, inverses, None
+        group.elements = elements
+        return group
+
     def generators(self) -> list[int]:
         """A greedy generating set, taken in index order."""
         return _generating_set(range(self.order), self.identity, self.mul)
@@ -191,6 +203,36 @@ def _check_entries(values, what):
             raise StructureError(f"{what} holds {x!r}, not an integer")
 
 
+# Miller-Rabin on the first 13 prime bases is exact below _PRIME_BOUND, the
+# least number that is a strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p below _PRIME_BOUND."""
+    if p < 2:
+        return False
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    # p - 1 = d * 2^r with d odd; p > 41 here, so every base is a unit
+    r = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> r
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _matrix_mod(m, p):
     for row in m:
         _check_entries(row, "matrix generator")
@@ -214,10 +256,17 @@ def close_group(generators, *, field: int | None = None,
     breadth-first spanning tree.  The Cayley table is then filled from those
     by lookups, with no further element products: order * len(generators)
     products in all, instead of order^2 (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, ch. 4).  The tree gives each generator's
-    left-multiplication array in order * len(generators) lookups, and each
-    table row is its tree parent's row read through one of those arrays by
-    a single itemgetter call.  Entries must be ints; bools are refused.
+    Computational Group Theory, ch. 4).  A permutation edge el * g is one
+    itemgetter(*g) call on el, the getter built once per generator; a
+    matrix edge is one _matrix_mul.  Permutations of at most one point are
+    all the identity and close as the trivial group.  The tree gives each
+    generator's left-multiplication array in order * len(generators)
+    lookups, and each table row is its tree parent's row read through one of
+    those arrays by a single itemgetter call.  The inverses come off the
+    same tree: a = parent(a) * g_s gives a^-1 = g_s^-1 * parent(a)^-1, one
+    lookup in the inverse of left multiplication by g_s, so no table row is
+    scanned.  Entries must be ints; bools are refused, and a field must be
+    a prime below _PRIME_BOUND.
 
     >>> s3 = close_group([(1, 0, 2), (1, 2, 0)])
     >>> s3.order, s3.elements[:3]
@@ -227,23 +276,24 @@ def close_group(generators, *, field: int | None = None,
     """
     gens = list(generators)
     if field is None:
-        if not gens:
-            identity = (0,)
-            gens_canon = []
-        else:
-            gens_canon = [tuple(g) for g in gens]
-            degree = _perm_degree(gens_canon)
-            for g in gens_canon:
-                _check_entries(g, "permutation generator")
-                _validate_perm(g, degree)
-            identity = tuple(range(degree))
-
-        def mul(a, b):
-            return tuple(map(a.__getitem__, b))
-
+        gens_canon = [tuple(g) for g in gens]
+        degree = _perm_degree(gens_canon) if gens_canon else 1
+        for g in gens_canon:
+            _check_entries(g, "permutation generator")
+            _validate_perm(g, degree)
+        identity = tuple(range(degree))
+        # el * g maps i to el[g[i]]; itemgetter with fewer than two indices
+        # returns no tuple, and a permutation of at most one point is the
+        # identity anyway
+        steps = [operator.itemgetter(*g) for g in gens_canon] if degree > 1 else []
     else:
         p = field
-        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        if p >= _PRIME_BOUND:
+            raise StructureError(
+                f"matrix fields must be primes below {_PRIME_BOUND}, where "
+                f"primality is proven; got {p}"
+            )
+        if not _is_prime(p):
             raise StructureError(f"matrix generators need a prime field, got {p}")
         if not gens:
             raise StructureError("matrix closure needs at least one generator")
@@ -259,9 +309,7 @@ def close_group(generators, *, field: int | None = None,
         identity = tuple(
             tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
         )
-
-        def mul(a, b):
-            return _matrix_mul(a, b, p)
+        steps = [lambda a, g=g: _matrix_mul(a, g, p) for g in gens_canon]
 
     # Breadth-first over the right Cayley graph: the loop visits elements in
     # the order it appends them.  right[a][s] is the index of a * gens[s];
@@ -273,8 +321,8 @@ def close_group(generators, *, field: int | None = None,
     right = []
     for a, el in enumerate(elements):
         row = []
-        for s, g in enumerate(gens_canon):
-            prod = mul(el, g)
+        for s, step in enumerate(steps):
+            prod = step(el)
             b = index.get(prod)
             if b is None:
                 if len(elements) >= cap:
@@ -288,22 +336,27 @@ def close_group(generators, *, field: int | None = None,
         right.append(row)
     # Left multiplication by gens[s] along the same tree:
     # gens[s] * b = (gens[s] * parent(b)) * gens[via(b)] and parent(b) < b, so
-    # left[s] fills left to right by lookups alone.  (p stays the field that
-    # the matrix mul reads.)
+    # left[s] fills left to right by lookups alone.
+    n = len(elements)
     tree = list(zip(parent, via))[1:]
     left = []
-    for s in range(len(gens_canon)):
+    for s in range(len(steps)):
         row = [right[0][s]]
         for up, t in tree:
             row.append(right[row[up]][t])
         left.append(row)
     # a * b = parent(a) * (gens[via(a)] * b): row a is its parent's row read
-    # through left[via(a)], one itemgetter call per row.
+    # through left[via(a)], one itemgetter call per row; and
+    # a^-1 = gens[via(a)]^-1 * parent(a)^-1, read through left[via(a)]'s
+    # inverse, which undo[s] maps back from g_s * b to b.
     through = [operator.itemgetter(*row) for row in left]
-    table = [list(range(len(elements)))]
+    undo = [dict(zip(row, range(n))) for row in left]
+    table = [list(range(n))]
+    inverses = [0]
     for up, s in tree:
         table.append(list(through[s](table[up])))
-    return FiniteGroup(table=table, elements=elements, identity=0)
+        inverses.append(undo[s][inverses[up]])
+    return FiniteGroup._trusted(table, inverses, elements)
 
 
 def cyclic_group(n: int, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroup:
@@ -462,18 +515,25 @@ class TwistedPartition:
     def pairwise(self) -> tuple[Cardinal, ...]:
         """R(phi_1, phi_j) for j = 2..k, counted when asked.
 
-        Projecting Gamma onto coordinates 1 and j and dropping repeats gives
-        the image subgroup of (phi_1, phi_j) in the order a scan of the
-        domain would, so each distinct phi_j is counted once by the same
-        descent and checks as twisted_reidemeister([phi_1, phi_j]), without
-        that scan.  With two maps the one pairwise value is the value itself.
+        R(phi_1, phi_2) is read off the representatives: the first
+        coordinate of a class ranges over one Gamma-orbit, an R(phi_1, phi_2)
+        class, and every such class is so reached, so a class's smallest
+        tuple leads with its orbit's smallest element and the distinct
+        leading coordinates count the R(phi_1, phi_2) classes.  That holds
+        for any partition into classes keyed by their smallest tuples,
+        union-find's as much as the descent's; with two maps it is the value.
+
+        Each phi_j whose image table differs from phi_2's is counted by a
+        descent: projecting Gamma onto coordinates 1 and j and dropping
+        repeats gives the image subgroup of (phi_1, phi_j) in the order a
+        scan of the domain would, so the count runs the same descent and
+        checks as twisted_reidemeister([phi_1, phi_j]), without that scan.
         """
-        if self.arity == 1:
-            return (self.value,)
         first, *rest = self.homs
         codomain = first.codomain
+        weight = codomain.order ** (self.arity - 1)
+        values = {rest[0].image: Cardinal(len({r // weight for r in self.representatives}))}
         columns = list(zip(*self.images))
-        values = {}
         for j, h in enumerate(rest, 1):
             if h.image not in values:
                 images = list(dict.fromkeys(zip(columns[0], columns[j])))

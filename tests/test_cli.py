@@ -1362,9 +1362,10 @@ class TestStabilizerDescent:
         code, out, err = run_cli(capsys, "compute", problem)
         assert code == 0, err
         assert "value: 120\n" in out
-        # 5 280 table reads here, two per action step; sweeping all 14 400
-        # tuples made 59 520 element products, one table read each
-        assert 0 < len(reads) <= 6000
+        # 3 600 table reads here, two per action step, as R(phi_1, phi_2)
+        # is read off the representatives; sweeping all 14 400 tuples made
+        # 59 520 element products, one table read each
+        assert 0 < len(reads) <= 4000
         assert algorithms == ["orbit"]
 
         algorithms.clear()
@@ -1373,7 +1374,7 @@ class TestStabilizerDescent:
         assert code == 0, err
         assert "oracle: agreed\n" in out
         assert algorithms == ["orbit", "union-find"]
-        # union-find tabulates each generator's action per coordinate: 6 954
+        # union-find tabulates each generator's action per coordinate: 4 794
         # reads here with the descent's; moving every tuple through every
         # generator made 121 194
         assert len(reads) <= 8000
@@ -1388,10 +1389,11 @@ class TestStabilizerDescent:
             code, out, err = run_cli(capsys, "compute", problem, *flags)
             assert code == 0, err
             counts.append(len(inversions))
-        # |Gamma| * (k - 1) = 240 for the count and 120 for each pairwise
-        # value; union-find then inverts its generators' images alone, where
-        # inverting all of Gamma first made 724 in all
-        assert counts[0] == 480
+        # |Gamma| * (k - 1) = 240 for the count and 120 for the constant
+        # map's pairwise value, the one descent pairwise() runs; union-find
+        # then inverts its generators' images alone, where inverting all of
+        # Gamma first made 724 in all
+        assert counts[0] == 360
         assert counts[1] - counts[0] <= 8
 
     @pytest.fixture
@@ -1441,9 +1443,10 @@ class TestStabilizerDescent:
     def test_shifted_representative_is_caught(self, capsys, monkeypatch):
         # S4 [ID, ID, CONST]: the last class's representative moves to the
         # largest member of its class, so there is still one per class in
-        # ascending order and the sizes are untouched
+        # ascending order and the sizes are untouched; R(phi_1, phi_2) is read
+        # off the representatives' leading coordinates, so plain compute
+        # shows the moved one as a sixth class there (5 unmutated)
         problem = _finite_problem(S4_GENS, [ID, ID, CONST])
-        _, before, _ = run_cli(capsys, "compute", problem)
         original = finite._descend
 
         def shifted(actions, codomain, arity):
@@ -1456,7 +1459,7 @@ class TestStabilizerDescent:
         monkeypatch.setattr(finite, "_descend", shifted)
         code, after, err = run_cli(capsys, "compute", problem)
         assert code == 0, err
-        assert after == before
+        assert "pairwise: 6, 1\n" in after
         self._assert_disagreement(capsys, problem)
 
     @pytest.mark.parametrize("mutate", [_drop_class, _size_off_by_one])
@@ -1489,6 +1492,38 @@ class TestStabilizerDescent:
             code, out, err = run_cli(capsys, *argv)
             assert code == 2
             assert "breaks orbit-stabilizer" in err
+
+
+def _trivial_group_problem(group):
+    return json.dumps(
+        {"kind": "finite", "groups": {"g": group}, "domain": "g", "codomain": "g",
+         "maps": [ID, CONST]}
+    )
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        {"permutations": [[0]]},
+        {"matrices": [[[1]]], "field": 10000000000000061},
+        {"matrices": [[[1]]], "field": 10**18 + 3},
+    ],
+    ids=["one-point", "gf-1e16", "gf-1e18"],
+)
+def test_trivial_closures_count_one(capsys, group):
+    # trial division up to sqrt(p) took 7 s on the first field and would
+    # take about 70 s on the second
+    code, out, err = run_cli(capsys, "compute", _trivial_group_problem(group))
+    assert code == 0, err
+    assert "value: 1\n" in out
+
+
+def test_a_field_at_the_prime_bound_exits_1(capsys):
+    bound = 3317044064679887385961981
+    group = {"matrices": [[[1]]], "field": bound}
+    code, out, err = run_cli(capsys, "compute", _trivial_group_problem(group))
+    assert (code, out) == (1, "")
+    assert f"primes below {bound}" in err
 
 
 # -- Smith transforms only when read ----------------------------------------------------

@@ -382,6 +382,13 @@ class TestCayleyGraphClosure:
         ]
         assert [g.inv(i) for i in range(g.order)] == scan
 
+    @pytest.mark.parametrize("gens", [[(0,)], [()], []], ids=["one-point", "no-point", "none"])
+    def test_fewer_than_two_points_close_as_the_trivial_group(self, gens):
+        # itemgetter(0) returns a bare int and itemgetter() raises; every
+        # permutation of at most one point is the identity
+        g = close_group(gens)
+        assert (g.order, g._table, g.inv(0)) == (1, [[0]], 0)
+
     def test_table_row_without_the_identity_is_refused(self):
         with pytest.raises(StructureError, match="element 1 has no inverse"):
             FiniteGroup(table=[[0, 1], [1, 1]], identity=0)
@@ -392,6 +399,50 @@ class TestCayleyGraphClosure:
         assert close_group(gens, field=field, cap=order).order == order
         with pytest.raises(SizeCapError):
             close_group(gens, field=field, cap=order - 1)
+
+
+# Strong pseudoprimes to all of the first t prime bases, t = 1..12 (the least
+# for each t; the least for t = 13 is the bound itself), and Carmichael numbers.
+STRONG_PSEUDOPRIMES = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+
+
+class TestPrimeField:
+    """A matrix field is proven prime by Miller-Rabin on the first 13 prime
+    bases, which is exact below finite._PRIME_BOUND; a field at or above the
+    bound is refused rather than tested."""
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(4093)
+        numbers = list(range(-3, 3000)) + STRONG_PSEUDOPRIMES + CARMICHAEL
+        numbers += [rng.randrange(2, 10**e) for e in (6, 12, 18, 24) for _ in range(300)]
+        for e in (5, 9, 12):  # squares and products of two primes near 10^e
+            p, q = sympy.nextprime(rng.randrange(10**e)), sympy.nextprime(rng.randrange(10**e))
+            numbers += [p * p, p * q, p * q + 2]
+        numbers += [10**18 + 3, 10000000000000061, finite._PRIME_BOUND - 1]
+        for n in numbers:
+            assert finite._is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("p", [2, 41, 43, 10000000000000061, 10**18 + 3])
+    def test_large_prime_fields_close(self, p):
+        assert close_group([((1,),)], field=p).order == 1
+        assert close_group([((p - 1,),)], field=p).order == (1 if p == 2 else 2)
+
+    @pytest.mark.parametrize("n", [1, 0, -5, 3215031751, 10**18 + 1])
+    def test_composite_fields_are_refused(self, n):
+        with pytest.raises(StructureError, match=f"need a prime field, got {n}$"):
+            close_group([((1,),)], field=n)
+
+    @pytest.mark.parametrize("offset", [0, 2, 10**6])
+    def test_fields_from_the_bound_on_are_refused(self, offset):
+        # the bound is a strong pseudoprime to all 13 bases, so the test
+        # would pass it; it is refused by size, before any test runs
+        with pytest.raises(StructureError, match=f"primes below {finite._PRIME_BOUND}"):
+            close_group([((1,),)], field=finite._PRIME_BOUND + offset)
 
 
 # -- homomorphisms -------------------------------------------------------------
@@ -722,10 +773,47 @@ def _pairwise_families():
     return families
 
 
+def _inner(group, g):
+    """Conjugation by g, x -> g x g^-1, on a table- or product-backed group."""
+    image = [group.mul(group.mul(g, x), group.inv(g)) for x in range(group.order)]
+    return FiniteHom(group, group, image)
+
+
+def _representative_families():
+    """Seeded families of identity, constant and inner-automorphism maps of
+    S3, S4, A5 and C6, and of projections of S3 x S3 onto S3 (also followed
+    by an inner automorphism), with k = 3 and 4; the first of each three
+    repeats phi_2 as its last map."""
+    rng = random.Random(2929)
+    s4 = close_group([(1, 0, 2, 3), (1, 2, 3, 0)])
+    a5 = close_group([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+    pools = {}
+    for name, group in (("s3", S3), ("s4", s4), ("a5", a5), ("c6", C6)):
+        inner = [_inner(group, rng.randrange(group.order)) for _ in range(3)]
+        pools[name] = [identity_hom(group), constant_hom(group, group), *inner]
+    square = direct_product(S3, S3)
+    projections = [projection_hom(square, 0), projection_hom(square, 1)]
+    pools["s3xs3"] = [*projections, constant_hom(square, S3)]
+    for p in projections:
+        inner = _inner(S3, rng.randrange(1, 6)).image
+        pools["s3xs3"].append(FiniteHom(square, S3, [inner[x] for x in p.image]))
+    families = []
+    for name, pool in pools.items():
+        for k in (3, 4):
+            for i in range(3):
+                homs = [rng.choice(pool) for _ in range(k)]
+                if i == 0:
+                    homs[-1] = homs[1]
+                families.append(pytest.param(homs, id=f"{name}-k{k}-{i}"))
+    return families
+
+
 class TestPairwiseFromImageSubgroup:
-    """R(phi_1, phi_j) comes from projecting the family's image subgroup onto
-    coordinates 1 and j: the same action list, descent and checks as counting
-    the pair on its own, with no second scan of the domain."""
+    """R(phi_1, phi_2) comes from the representatives' leading coordinates,
+    and each other R(phi_1, phi_j) from projecting the family's image
+    subgroup onto coordinates 1 and j: the same action list, descent and
+    checks as counting the pair on its own, with no second scan of the
+    domain."""
 
     @pytest.mark.parametrize("homs", _pairwise_families())
     def test_matches_a_count_of_each_pair(self, homs, monkeypatch):
@@ -746,9 +834,35 @@ class TestPairwiseFromImageSubgroup:
         monkeypatch.setattr(finite, "_descend", recording)
         monkeypatch.setattr(finite, "_image_tuples", pytest.fail)
         assert part.pairwise() == expected
-        # one descent per distinct phi_j, over exactly the pair's own actions
-        assert seen == list(pair_actions.values())
+        # one descent per distinct phi_j whose image differs from phi_2's,
+        # over exactly the pair's own actions; phi_2's is read off the
+        # representatives
+        assert seen == [a for image, a in pair_actions.items() if image != homs[1].image]
         assert uf.pairwise() == expected
+
+    @pytest.mark.parametrize("algorithm", ["orbit", "union-find"])
+    @pytest.mark.parametrize("homs", _representative_families())
+    def test_first_value_is_read_off_the_representatives(self, homs, algorithm, monkeypatch):
+        # a class's smallest tuple leads with the smallest element of its
+        # coordinate-1 orbit, an R(phi_1, phi_2) class, for either algorithm
+        expected = [twisted_reidemeister([homs[0], h]).value for h in homs[1:]]
+        others = {
+            h.image: finite._actions(finite._image_tuples([homs[0], h]), h.codomain)
+            for h in homs[2:]
+            if h.image != homs[1].image
+        }
+        part = twisted_reidemeister(homs, algorithm=algorithm)
+        original = finite._descend
+        seen = []
+
+        def recording(actions, codomain, arity):
+            seen.append(actions)
+            return original(actions, codomain, arity)
+
+        monkeypatch.setattr(finite, "_descend", recording)
+        assert list(part.pairwise()) == expected
+        # no descent for phi_2, one for each other distinct image
+        assert seen == list(others.values())
 
     def test_poincare_triple(self):
         assert twisted_reidemeister([P1, P1, CBAR]).pairwise() == (Cardinal(9), Cardinal(1))
