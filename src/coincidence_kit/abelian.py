@@ -7,7 +7,9 @@ of the (k-1)n x m matrix whose j-th block is matrix(phi_{j+1}) - matrix(phi_1).
 
 Blockwise projection of that cokernel onto the pairwise cokernels is a
 surjection Psi, so a finite value over the product of the pairwise numbers
-is |ker Psi| (the paper's factorisation).  The failed
+is |ker Psi| (the paper's factorisation), and each pairwise number
+divides a finite value, which reid_multi passes to their counts as a known
+multiple.  The failed
 stronger guess, that products of leave-one-out subsystem values also divide,
 is computed alongside so reports can exhibit counterexamples.  A
 leave-one-out value is the index of the stacked lattice's projection that
@@ -25,6 +27,7 @@ from .errors import ConsistencyError, ShapeError
 from .exact_linalg import (
     IntMatrix,
     SnfResult,
+    _cokernel_order,
     _dropped_block_indices,
     cokernel_order,
     lattice_index,
@@ -119,14 +122,24 @@ def ker_psi_order(system: AbelianSystem) -> Cardinal:
 
 def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
     """Multi-map Reidemeister number with pairwise values and, when finite,
-    the kernel size of the blockwise surjection: value / pairwise product."""
+    the kernel size of the blockwise surjection: value / pairwise product.
+
+    Block j's lattice L_j is the projection of the stacked lattice L onto
+    its coordinates, so Z^R / L maps onto Z^n / L_j, and a finite value V
+    is a multiple of every pairwise value.  Each block's order is taken
+    with V as that multiple: V = 1 makes every pairwise value 1 with no
+    matrix work.  A rank-deficient stack passes none, since its pairwise
+    values may still be finite."""
     if not isinstance(system, AbelianSystem):
         system = AbelianSystem(system)
     snf = system._stacked_smith()
     stacked = snf.m
     value = snf.cokernel_order()
     # with two maps the one block is the stack, whose index is the value
-    pairwise = (value,) if system.k == 2 else tuple(map(cokernel_order, system.blocks))
+    multiple = value.value if value.is_finite else 0
+    pairwise = (value,) if system.k == 2 else tuple(
+        _cokernel_order(block, multiple=multiple) for block in system.blocks
+    )
     trace = [
         f"stacked difference has shape {stacked.rows}x{stacked.cols}",
         "invariant factors: "

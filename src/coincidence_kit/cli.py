@@ -60,6 +60,7 @@ from .exact_linalg import (
     SnfResult,
     certify_smith,
     cokernel_order,
+    hermite_basis,
     smith_normal_form,
 )
 from .finite import (
@@ -560,9 +561,11 @@ def run_abelian(doc: dict, oracle: bool, check: bool = False) -> dict:
     out["pairwise"] = [p.to_json() for p in report.pairwise]
     if check:
         if div.applicable:
-            # the lattice index recounts the quotient; a pairwise product of 1
-            # makes ker Psi the class set, and the index would re-triangulate L
-            ker = div.value if div.pairwise_product == Cardinal(1) else ker_psi_order(system)
+            # the lattice index recounts the quotient.  When every block
+            # spans Z^n, ker Psi is the class set and the index would
+            # re-triangulate L; that is decided by the Hermite loop, not
+            # read off the engine's pairwise values.
+            ker = div.value if all(map(_spans, system.blocks)) else ker_psi_order(system)
             rows = [
                 ("pairwise-product-divides", bool(div.pairwise_divides), div.witness),
                 (
@@ -586,6 +589,14 @@ def run_abelian(doc: dict, oracle: bool, check: bool = False) -> dict:
         out["oracle_status"], extra = _abelian_oracle(system, report, div.leave_one_out)
         out["trace"].extend(extra)
     return out
+
+
+def _spans(block: IntMatrix) -> bool:
+    """Whether the columns of block span Z^rows: their canonical Hermite
+    basis (hermite_basis, which the index route does not run) is the
+    identity."""
+    basis = hermite_basis(map(block.column, range(block.cols)), block.rows)
+    return len(basis) == block.rows and all(row[i] == 1 for i, row in enumerate(basis))
 
 
 def _abelian_oracle(system: AbelianSystem, report, leave_one_out) -> tuple[str, list[str]]:

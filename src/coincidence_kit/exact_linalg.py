@@ -10,8 +10,13 @@ its row count, so the order is infinite with no arithmetic; a square m gives
 its Hermite pivots, found modulo the gcd d of the maximal minors that its
 Bareiss passes hold, and the product must divide d.  cokernel_order wraps
 that index, and engines take every order whose divisors they do not print
-from it.  SnfResult's cokernel_order multiplies the Smith divisors; the
-oracles recount by that route, with the divisors of the bare Smith loop.
+from it, through the private _cokernel_order.  That one also takes a known
+multiple of the order: a pairwise order divides the stacked order it is a
+projection of, so a stacked order of 1 makes it 1 with no arithmetic, and
+otherwise a wide block is triangulated modulo gcd(d, multiple).
+SnfResult's cokernel_order multiplies the Smith divisors; the oracles
+recount by that route, with the divisors of the bare Smith loop and no
+multiple.
 
 One triangulation, _hermite_rows, serves every Hermite basis modulo a
 multiple d of the index (d * Z^rows lies in the lattice).  The wide index
@@ -717,7 +722,11 @@ def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:
     and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, algorithm
     2.4.8).  A vector with coordinate i already 0 leaves the pivot as it is
     and passes on its reduced tail untouched; a small d makes those common.
+    With d = 1 the lattice is Z^width, so the rows are the unit rows and
+    no vector is read.
     """
+    if d == 1:
+        return [[1] + [0] * (width - i - 1) for i in range(width)]
     vectors = [[x % d for x in v] for v in vectors]
     basis = []
     for i in range(width):
@@ -746,17 +755,20 @@ def _hermite_rows(vectors, width: int, d: int) -> list[list[int]]:
 _WINDOW = 16
 
 
-def _hermite_index_rows(m: IntMatrix, *, minors: bool = False) -> tuple[list | None, int]:
+def _hermite_index_rows(
+    m: IntMatrix, *, minors: bool = False, multiple: int = 0
+) -> tuple[list | None, int]:
     """Hermite rows (see _hermite_rows) of the column lattice L of m in Z^n,
     n = m.rows, modulo a multiple d of the index, or None when L has rank
     < n; and the g of the Bareiss pass (see _bareiss, with minors).  It is
     _column_index's route for a wide m, and enumerate_cokernel's.
 
     A Bareiss pass of full rank leaves n x n minors of m in its last row
-    (see _bareiss).  Each maximal minor M puts M * Z^n in L, so their gcd d
-    is a multiple of the index of L that divides |det|, and _hermite_rows
-    may triangulate L modulo d.  The index is the product of the pivots,
-    which must divide d.
+    (see _bareiss).  Each maximal minor M puts M * Z^n in L, so their gcd D
+    is a multiple of the index of L that divides |det|.  So is
+    d = gcd(D, multiple) when multiple, if not 0, is a known multiple of
+    the index, and _hermite_rows may triangulate L modulo d.  The index is
+    the product of the pivots, which must divide d.
 
     A very wide m, C > 2 * (n + _WINDOW), is passed on its leading and on
     its trailing n + _WINDOW columns, far cheaper than one pass over all C.
@@ -777,6 +789,7 @@ def _hermite_index_rows(m: IntMatrix, *, minors: bool = False) -> tuple[list | N
             break
     if not d:
         return None, h
+    d = gcd(d, multiple)
     basis = _hermite_rows(map(m.column, range(m.cols)), m.rows, d)
     pivots = [row[0] for row in basis]
     if d % prod(pivots, start=1):
@@ -859,22 +872,34 @@ def _dropped_block_indices(basis, blocks: int, v: int) -> tuple[int, ...]:
     return tuple(indices)
 
 
-def _column_index(m: IntMatrix, *, minors: bool = False) -> tuple[int, int, list | None]:
+def _column_index(
+    m: IntMatrix, *, minors: bool = False, multiple: int = 0
+) -> tuple[int, int, list | None]:
     """Index |Z^rows / L| of the column lattice L of m, 0 when infinite; the
-    g of the same Bareiss pass (see _bareiss, with minors; 0 when tall or
-    without minors); and the Hermite rows of a wide m of full rank, else None.
+    g of the same Bareiss pass (see _bareiss, with minors; 0 when tall,
+    without minors or for a multiple of 1); and the Hermite rows of a wide m
+    of full rank, else None (also for a multiple of 1).
 
-    The shape picks the route.  A tall m has rank below its row count, so
-    the index is infinite with no arithmetic.  A square m has index
-    |det m|, from one Bareiss pass.  A wide m has the product of its
-    Hermite pivots (_hermite_index_rows).
+    multiple, if not 0, is a known multiple of the index of a lattice of
+    full rank, such as a stacked order that the index divides; a wrong one
+    gives a wrong index.  The shape still picks the route first.  A tall m
+    has rank below its row count, so the index is infinite with no
+    arithmetic, whatever the multiple.  A multiple of 1 gives index 1 with
+    no arithmetic.  A square m has index |det m|, from one Bareiss pass,
+    which must divide the multiple.  A wide m has the product of its
+    Hermite pivots (_hermite_index_rows), triangulated modulo the gcd of
+    its maximal minors and the multiple.
     """
     if m.rows > m.cols:
         return 0, 0, None
+    if multiple == 1:
+        return 1, 0, None
     if m.is_square:
         det, g = _bareiss(m.to_lists(), minors=minors)
+        if multiple % (det or 1):
+            raise ConsistencyError(f"|det| = {abs(det)} does not divide the multiple {multiple}")
         return abs(det), g, None
-    basis, g = _hermite_index_rows(m, minors=minors)
+    basis, g = _hermite_index_rows(m, minors=minors, multiple=multiple)
     return (0 if basis is None else prod(row[0] for row in basis)), g, basis
 
 
@@ -888,7 +913,22 @@ def cokernel_order(m: IntMatrix) -> Cardinal:
     >>> str(cokernel_order(IntMatrix([[1, 2], [2, 4]])))
     'infinite'
     """
-    index = _column_index(m)[0]
+    return _cokernel_order(m)
+
+
+def _cokernel_order(m: IntMatrix, *, multiple: int = 0) -> Cardinal:
+    """cokernel_order(m), given multiple, a known multiple of the order when
+    it is finite (0: none; see _column_index).  The engines pass a stacked
+    order, which every order of a coordinate projection of its lattice
+    divides.  A wrong multiple gives a wrong order, so this stays private.
+
+    >>> m = IntMatrix([[2, 4, 1], [2, 6, 2]])
+    >>> [str(_cokernel_order(m, multiple=v)) for v in (0, 6, 10)]
+    ['2', '2', '2']
+    >>> str(_cokernel_order(m.transpose(), multiple=1))
+    'infinite'
+    """
+    index = _column_index(m, multiple=multiple)[0]
     return Cardinal(index) if index else INFINITE
 
 

@@ -39,8 +39,8 @@ from .errors import (
 )
 from .exact_linalg import (
     IntMatrix,
+    _cokernel_order,
     _graph_rows,
-    cokernel_order,
     hermite_basis,
     kernel_basis,
     smith_normal_form,
@@ -689,20 +689,29 @@ def delta_image_vectors(red: PairReduction) -> list[tuple[int, ...]]:
     return vectors
 
 
-def _count(reds) -> ReidemeisterReport:
+def _count(reds, bar: int = 0, prime: int = 0) -> ReidemeisterReport:
     """The count read off the stack of pair reductions (phi_1, phi_j): the
     joint value from the stacked matrices, the pairwise values from each
-    pair's own matrices.  Every order comes from cokernel_order, with no
-    Smith form.
+    pair's own matrices.  Every order comes from the index route
+    (_cokernel_order), with no Smith form.
     A finite R_bar means full row rank, so only a quotient difference with
-    more columns than rows has a kernel to lift delta-vectors from."""
+    more columns than rows has a kernel to lift delta-vectors from.
+
+    bar and prime are known multiples of R_bar and R_prime (0: none).  Each
+    pair's quotient and central differences are coordinate projections of
+    the stacked ones, so a finite stacked R_bar and R_prime are such
+    multiples for every pair; and the joint lattice of the central
+    difference and the delta-vectors contains the one R_prime counts, so
+    R_prime is a multiple of its order.  An order of 1 passes down with no
+    matrix work, and a passed-down R_prime of 1 makes |Im delta| = 1, so no
+    delta-vector is lifted."""
     d1, d2 = reds[0].domain_data, reds[0].codomain_data
     copies = len(reds)
     phi_bar, psi_bar, phi_prime, psi_prime = _stack(reds)
     diff_bar = psi_bar - phi_bar
-    r_bar = cokernel_order(diff_bar)
+    r_bar = _cokernel_order(diff_bar, multiple=bar)
     diff_prime = psi_prime - phi_prime
-    r_prime = cokernel_order(diff_prime)
+    r_prime = _cokernel_order(diff_prime, multiple=prime)
     b_rank, a_rank = copies * d2.b_rank, copies * d2.a_rank
     fold = f"{copies + 1} maps folded into a pair targeting the direct power"
     trace = [f"{fold} with {copies} factors"] if copies > 1 else []
@@ -733,16 +742,20 @@ def _count(reds) -> ReidemeisterReport:
         )
         value, status = None, STATUS_UNSUPPORTED
     else:
-        deltas = delta_image_vectors(reds) if diff_bar.cols > diff_bar.rows else []
+        # R_prime passed down as 1 leaves Im delta trivial: nothing is lifted
+        lifted = diff_bar.cols > diff_bar.rows and prime != 1
+        deltas = delta_image_vectors(reds) if lifted else []
         joint = r_prime
         if deltas:
             columns = IntMatrix._built(deltas, diff_prime.rows).transpose()
-            joint = cokernel_order(diff_prime.hstack(columns))
+            joint = _cokernel_order(diff_prime.hstack(columns), multiple=r_prime.value)
         im_delta = r_prime.divide_exact(joint)
         value = (r_prime * r_bar).divide_exact(im_delta)
         trace.append(
             f"coincidence group of the quotient pair has rank {len(deltas)}; "
             f"its central image has order {im_delta}"
+            if prime != 1
+            else "the sublattice-level count passed down is 1, so the central image is trivial"
         )
         trace.append(f"value = {r_prime} * {r_bar} / {im_delta} = {value}")
         intermediates["delta_vectors"] = [list(v) for v in deltas]
@@ -750,7 +763,8 @@ def _count(reds) -> ReidemeisterReport:
     if status == STATUS_OK and copies == 1:
         pairwise = (value,)
     elif status == STATUS_OK:
-        pairs = [_count([r]) for r in reds]
+        bar, prime = (c.value if c.is_finite else 0 for c in (r_bar, r_prime))
+        pairs = [_count([r], bar, prime) for r in reds]
         if all(p.status == STATUS_OK for p in pairs):
             pairwise = tuple(p.value for p in pairs)
             intermediates["pairwise"] = [v.to_json() for v in pairwise]

@@ -367,3 +367,70 @@ class TestLeaveOneOutFromDual:
             else:
                 unequal += got != stack_by_stack(system)
         assert raised + unequal > 0, "a broken dual went unnoticed"
+
+
+def _bare_smith_order(m: IntMatrix) -> Cardinal:
+    """Cokernel order from the bare Smith loop, with no index route."""
+    return el.SnfResult(m, el._smith_divisors(m.to_lists())).cokernel_order()
+
+
+class TestPairwiseFromTheStackedOrder:
+    """reid_multi takes each pairwise value with the stacked value V as a
+    known multiple, V being finite; a rank-deficient stack passes none.  The
+    values must equal each block's cokernel_order, taken with no multiple,
+    and the bare Smith loop's."""
+
+    @pytest.fixture
+    def multiples(self, monkeypatch):
+        """The multiple of every order reid_multi asks for."""
+        import coincidence_kit.abelian as abelian
+
+        passed = []
+        original = abelian._cokernel_order
+
+        def recording(m, *, multiple=0):
+            passed.append(multiple)
+            return original(m, multiple=multiple)
+
+        monkeypatch.setattr(abelian, "_cokernel_order", recording)
+        return passed
+
+    def _check(self, system, multiples):
+        multiples.clear()
+        report = reid_multi(system)
+        blocks = system.blocks
+        assert report.pairwise == tuple(map(cokernel_order, blocks))
+        assert report.pairwise == tuple(map(_bare_smith_order, blocks))
+        expected = report.value.value if report.value.is_finite else 0
+        assert multiples == [expected] * len(blocks)
+        return report
+
+    def test_square_and_wide_stacks(self, multiples):
+        rng = random.Random(4040)
+        above_one = scaled = 0
+        for trial in range(120):
+            k, n = rng.randint(3, 6), rng.randint(1, 3)
+            m = (k - 1) * n + trial % 2  # square, then wide
+            p = rng.choice([1, 1, 2, 3, 5])
+            maps = [[[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)] for _ in range(k)]
+            maps = [[[p * x for x in row] for row in h] for h in maps]
+            report = self._check(AbelianSystem(maps), multiples)
+            if report.value.is_finite and report.value != Cardinal(1):
+                above_one += 1
+                scaled += p > 1 and max(report.pairwise) > Cardinal(1)
+        assert above_one >= 80 and scaled >= 20, (above_one, scaled)
+
+    def test_rank_deficient_stacks_pass_no_multiple(self, multiples):
+        report = self._check(AbelianSystem([[[1, 2]], [[3, 4]], [[5, 6]]]), multiples)
+        assert report.value == INFINITE
+        assert report.pairwise == (Cardinal(2), Cardinal(4))
+        rng = random.Random(4141)
+        finite = 0
+        for _ in range(60):
+            k, n = rng.randint(3, 6), rng.randint(1, 3)
+            m = rng.randint(n, (k - 1) * n - 1)  # each block wide or square, the stack tall
+            maps = [[[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)] for _ in range(k)]
+            report = self._check(AbelianSystem(maps), multiples)
+            assert report.value == INFINITE
+            finite += all(p.is_finite for p in report.pairwise)
+        assert finite >= 40, finite

@@ -1011,13 +1011,13 @@ class TestSmithFormReuse:
         }
         routes = {
             "smith": exact_linalg.smith_normal_form,
-            "hermite": exact_linalg.cokernel_order,
+            "hermite": exact_linalg._cokernel_order,
         }
         for route, original in routes.items():
 
-            def counting(m, original=original, route=route):
+            def counting(m, original=original, route=route, **multiple):
                 seen[route][m] += 1
-                return original(m)
+                return original(m, **multiple)
 
             for ns in namespaces:
                 for attr, value in list(vars(ns).items()):
@@ -1992,16 +1992,16 @@ class TestKerPsiByQuotient:
         assert doc["intermediates"]["ker_psi_order"] == expected.to_json()
 
     def test_a_product_that_does_not_divide_exits_2(self, capsys, monkeypatch):
-        original = abelian.cokernel_order
+        original = abelian._cokernel_order
 
-        def second_block_reads_3(m):
-            return Cardinal(3) if m == system.blocks[1] else original(m)
+        def second_block_reads_3(m, **multiple):
+            return Cardinal(3) if m == system.blocks[1] else original(m, **multiple)
 
         path = str(PROBLEMS / "example2_torus.json")
         system = AbelianSystem(cli.load_problem(path)["maps"])
         code, out, err = run_cli(capsys, "compute", path)
         assert code == 0, err
-        monkeypatch.setattr(abelian, "cokernel_order", second_block_reads_3)
+        monkeypatch.setattr(abelian, "_cokernel_order", second_block_reads_3)
         code, out, err = run_cli(capsys, "compute", path)
         assert code == 2
         assert out == ""
@@ -2013,6 +2013,37 @@ class TestKerPsiByQuotient:
         code, out, _ = run_cli(capsys, "check", str(PROBLEMS / "example2_torus.json"))
         assert code == 2
         assert "FAIL quotient-equals-ker-psi: quotient 5, |ker Psi| 6\n" in out
+
+
+class TestLyingStackedOrder:
+    """reid_multi passes the stacked value to each pairwise order as a known
+    multiple.  Forced to 1, it makes example2_torus's pairwise values
+    1, 1, 1 instead of 1, 2, 1; the oracle's bare Smith loop and check's
+    lattice index, which take no multiple, must both catch that."""
+
+    @pytest.fixture
+    def lying(self, monkeypatch):
+        original = abelian._cokernel_order
+
+        def forced_to_one(m, *, multiple=0):
+            return original(m, multiple=multiple and 1)
+
+        monkeypatch.setattr(abelian, "_cokernel_order", forced_to_one)
+
+    def test_the_oracle_finds_a_pairwise_mismatch(self, capsys, lying):
+        code, out, _ = run_cli(capsys, "compute", str(PROBLEMS / "example2_torus.json"), "--oracle")
+        assert code == 2
+        assert "pairwise: 1, 1, 1\n" in out
+        assert (
+            "oracle: mismatch: the oracle gives value 10, pairwise values 1, 2, 1 "
+            "and leave-one-out values 2, 1, 2, the engine gives value 10, pairwise "
+            "values 1, 1, 1 and leave-one-out values 2, 1, 2\n"
+        ) in out
+
+    def test_check_fails(self, capsys, lying):
+        code, out, _ = run_cli(capsys, "check", str(PROBLEMS / "example2_torus.json"))
+        assert code == 2
+        assert "FAIL quotient-equals-ker-psi: quotient 10, |ker Psi| 5\n" in out
 
 
 # -- the Smith certificate ----------------------------------------------------------------

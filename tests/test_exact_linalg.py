@@ -1056,6 +1056,107 @@ def _reference_hermite_rows(vectors, width, d):
     return basis
 
 
+def _looped_hermite_rows(vectors, width, d):
+    """_hermite_rows as it was before a modulus of 1 returned the unit rows:
+    the loop runs for every d, and with d = 1 reduces every vector to 0."""
+    vectors = [[x % d for x in v] for v in vectors]
+    basis = []
+    for i in range(width):
+        pivot = [d] + [0] * (width - i - 1)
+        rest = []
+        for v in vectors:
+            if not v[0]:
+                w = v[1:]
+            else:
+                h = pivot[0]
+                g = math.gcd(h, v[0])
+                a, b = h // g, v[0] // g
+                w = [(a * y - b * z) % d for y, z in zip(v[1:], pivot[1:])]
+                if a > 1:
+                    t = pow(b, -1, a)
+                    s = (1 - t * b) // a
+                    pivot = [g] + [(s * z + t * y) % d for y, z in zip(v[1:], pivot[1:])]
+            if any(w):
+                rest.append(w)
+        basis.append(pivot)
+        vectors = rest
+    return basis
+
+
+class TestKnownMultiple:
+    """_column_index and _hermite_index_rows given a known multiple of the
+    index: the shape still decides first, a multiple of 1 gives index 1 with
+    no arithmetic, and a wide matrix is triangulated modulo the gcd of its
+    maximal minors and the multiple."""
+
+    def test_unit_modulus_matches_the_loop(self):
+        rng = random.Random(4343)
+        for d in (1, 1, 2, 6, 35):
+            for _ in range(60):
+                width = rng.randint(0, 8)
+                vectors = [
+                    [rng.randint(-30, 30) if rng.random() < 0.4 else 0 for _ in range(width)]
+                    for _ in range(rng.randint(0, 12))
+                ]
+                want = _looped_hermite_rows(vectors, width, d)
+                assert el._hermite_rows(vectors, width, d) == want, (d, vectors)
+
+    def test_unit_modulus_reads_no_vector(self):
+        def unread():
+            raise AssertionError("a vector was read")
+            yield
+
+        assert el._hermite_rows(unread(), 3, 1) == [[1, 0, 0], [1, 0], [1]]
+
+    def test_true_multiples_give_the_index(self):
+        rng = random.Random(4444)
+        shapes = Counter()
+        for _ in range(300):
+            rows = rng.randint(1, 5)
+            cols = rows + rng.choice((0, 0, 1, 3, 2 * el._WINDOW + rows + 1))
+            m = _scaled(random_matrix(rng, lo=-4, hi=4, rows=rows, cols=cols), rng.choice((1, 2, 3)))
+            index = el._column_index(m)[0]
+            if not index:
+                continue
+            shapes["square" if m.is_square else "wide"] += 1
+            for multiple in (index, 2 * index, index * index, 7 * index):
+                assert el._column_index(m, multiple=multiple)[0] == index
+                assert el._cokernel_order(m, multiple=multiple) == Cardinal(index)
+        assert shapes["square"] >= 50 and shapes["wide"] >= 50, shapes
+
+    def test_wide_route_triangulates_modulo_the_gcd(self, monkeypatch):
+        calls = []
+        original = el._hermite_rows
+
+        def recording(vectors, width, d):
+            calls.append(d)
+            return original(vectors, width, d)
+
+        monkeypatch.setattr(el, "_hermite_rows", recording)
+        m = IntMatrix([[4, 0, 2], [0, 6, 6]])  # index 12
+        assert el._column_index(m)[0] == 12
+        (d,) = calls  # the gcd of the maximal minors that the Bareiss pass holds
+        for multiple in (36, 60):
+            del calls[:]
+            assert el._column_index(m, multiple=multiple)[0] == 12
+            assert calls == [math.gcd(d, multiple)] and calls[0] < d
+        del calls[:]
+        assert el._column_index(m, multiple=1)[0] == 1 and calls == []
+
+    def test_shape_decides_before_the_multiple(self):
+        tall = IntMatrix([[1], [2]])
+        for multiple in (0, 1, 6):
+            assert el._column_index(tall, multiple=multiple) == (0, 0, None)
+            assert el._cokernel_order(tall, multiple=multiple) == INFINITE
+        # a multiple of 1 is taken on trust: nothing is computed
+        for m in (IntMatrix([[2, 0], [0, 3]]), IntMatrix([[2, 4, 1], [2, 6, 2]])):
+            assert el._column_index(m, multiple=1) == (1, 0, None)
+
+    def test_a_square_index_must_divide_the_multiple(self):
+        with pytest.raises(ConsistencyError, match="does not divide the multiple 4"):
+            el._column_index(IntMatrix([[2, 0], [0, 3]]), multiple=4)
+
+
 class TestModularRoute:
     """A full-rank input never meets the Smith loop itself: its divisors
     come from at most one run on an R x R Hermite basis modulo gcd(g, D),

@@ -1219,9 +1219,9 @@ class TestStackAgainstFold:
             eliminated.append((len(rows), t is not None))
             return eliminate(rows, t)
 
-        def indexing(m):
+        def indexing(m, **multiple):
             reduced.append(m)
-            return index(m)
+            return index(m, **multiple)
 
         monkeypatch.setattr(exact_linalg, "_smith_divisors", eliminating)
         monkeypatch.setattr(exact_linalg, "_column_index", indexing)
@@ -1303,6 +1303,61 @@ class TestStackAgainstFold:
 
 
 # -- validation by structure constants ------------------------------------------
+
+
+def scaled_free_hom(rng, domain: PcGroup, codomain: PcGroup, p: int) -> PcHom:
+    """A random hom of a free class-2 domain with no spare central
+    generator, every noncentral image's noncentral part times p, so every
+    commutator image is p^2 times the unscaled one."""
+    m = codomain.n_noncentral
+    images = []
+    for _ in range(domain.n_noncentral):
+        w = random_word(rng, codomain, -2, 2)
+        images.append(tuple(p * x for x in w[:m]) + w[m:])
+    for l in range(domain.n_central):
+        (i, j), vec = next(item for item in domain.commutators.items() if item[1][l])
+        images.append(codomain.power(codomain.commutator(images[i], images[j]), vec[l]))
+    return PcHom(domain, codomain, images)
+
+
+class TestPairwiseFromTheStackedOrders:
+    """The stacked count passes its R_bar and R_prime, when finite, to each
+    pair as known multiples of the pair's orders.  The pairwise values must
+    equal reid_nilpotent's on each pair, which is given none, and the
+    oracle's recount by the bare Smith loop."""
+
+    def test_pairwise_values_match_each_pair(self, monkeypatch):
+        passed = []
+        original = nilpotent._cokernel_order
+
+        def recording(m, *, multiple=0):
+            passed.append(multiple)
+            return original(m, multiple=multiple)
+
+        free3 = free_class_two(3)
+        families = [(4, HEIS, 3), (5, HEIS, 3), (6, HEIS, 4), (6, free3, 3), (7, free3, 3)]
+        rng = random.Random(7171)
+        above_one = 0
+        for trial in range(30):
+            rank, codomain, k = families[trial % len(families)]
+            domain = free_class_two(rank)
+            p = rng.choice([1, 2, 3])
+            homs = [scaled_free_hom(rng, domain, codomain, p) for _ in range(k)]
+            pairs = [reid_nilpotent(homs[0], h) for h in homs[1:]]
+            with monkeypatch.context() as mp:
+                mp.setattr(nilpotent, "_cokernel_order", recording)
+                report = reid_nilpotent_multi(homs)
+            assert report.status == STATUS_OK
+            assert all(pair.status == STATUS_OK for pair in pairs)
+            assert report.pairwise == tuple(pair.value for pair in pairs)
+            # and the bare Smith loop's recount, with no multiple
+            assert report.pairwise == tuple(cli._nilpotent_recount(homs[0], h) for h in homs[1:])
+            r_bar = report.intermediates["quotient_count"]
+            r_prime = report.intermediates["sublattice_count"]
+            if r_bar != "infinite" and r_prime != 1:
+                above_one += 1
+                assert r_bar in passed and r_prime in passed
+        assert above_one >= 15, above_one
 
 
 def all_pairs_verdict(domain: PcGroup, codomain: PcGroup, images) -> str | None:
