@@ -16,6 +16,10 @@ leave-one-out value is the index of the stacked lattice's projection that
 drops one block, so all of them come from the Hermite basis that the
 stack's Smith form keeps, through the dual of its cokernel
 (exact_linalg._dropped_block_indices); no subsystem is stacked.
+
+The value, the pairwise multiple and that basis all come from the stack's
+one index pass; none of them reads the stacked divisors, which are
+computed only when read (the CLI's trace and oracle).
 """
 
 from __future__ import annotations
@@ -62,8 +66,9 @@ class AbelianSystem:
 
     def _stacked_smith(self) -> SnfResult:
         """Smith form of the stacked difference, computed on first use and
-        kept: reid_multi prints its divisors, and divisibility_report reads
-        the Hermite basis of the stack's lattice that it holds."""
+        kept: reid_multi reads its order, divisibility_report the Hermite
+        basis of the stack's lattice that it holds, and the CLI's trace and
+        oracle its divisors, computed on that first read."""
         if self._smith is None:
             self._smith = smith_normal_form(stacked_difference(self))
         return self._smith
@@ -102,8 +107,9 @@ def ker_psi_order(system: AbelianSystem) -> Cardinal:
     generated by its block's columns placed in the block's coordinates.
 
     Only defined when the multi-map number is finite, as read off the
-    system's kept stacked Smith form.  An independent recount of the value
-    over the pairwise product, which is how reid_multi takes |ker Psi|.
+    order of the system's kept stacked Smith form (its divisors stay
+    unread).  An independent recount of the value over the pairwise
+    product, which is how reid_multi takes |ker Psi|.
     """
     snf = system._stacked_smith()
     if not snf.cokernel_order().is_finite:
@@ -129,7 +135,11 @@ def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
     is a multiple of every pairwise value.  Each block's order is taken
     with V as that multiple: V = 1 makes every pairwise value 1 with no
     matrix work.  A rank-deficient stack passes none, since its pairwise
-    values may still be finite."""
+    values may still be finite.
+
+    V is the order of the stack's kept Smith form, from its index pass;
+    the stacked divisors are left unread, so no divisor is computed here,
+    and the trace has no invariant-factor line (the CLI adds it)."""
     if not isinstance(system, AbelianSystem):
         system = AbelianSystem(system)
     snf = system._stacked_smith()
@@ -142,8 +152,6 @@ def reid_multi(system: AbelianSystem) -> ReidemeisterReport:
     )
     trace = [
         f"stacked difference has shape {stacked.rows}x{stacked.cols}",
-        "invariant factors: "
-        + (", ".join(str(d) for d in snf.divisors) if snf.divisors else "(none)"),
         f"value = {value}",
         "pairwise values: " + ", ".join(str(p) for p in pairwise),
     ]
@@ -214,7 +222,8 @@ def divisibility_report(
     check's lattice-index row is the independent comparison.  Only the
     leave-one-out values are new.  They are read off the Hermite basis held
     by the system's own stacked Smith form, kept from reid_multi, and its
-    order, not report.value."""
+    order, not report.value; both come from its index pass, and its
+    divisors stay unread."""
     if report is None:
         report = reid_multi(system)
     value = report.value

@@ -538,8 +538,7 @@ def run_snf(doc: dict, oracle: bool, check: bool = False) -> dict:
     }
     out["trace"] = [
         f"input shape {matrix.rows}x{matrix.cols}",
-        "invariant factors: "
-        + (", ".join(str(d) for d in snf.divisors) if snf.divisors else "(none)"),
+        _factors_line(snf.divisors),
         f"cokernel order: {order}",
     ]
     if oracle and not agreed:
@@ -552,7 +551,14 @@ def run_snf(doc: dict, oracle: bool, check: bool = False) -> dict:
     return out
 
 
-def run_abelian(doc: dict, oracle: bool, check: bool = False) -> dict:
+def _factors_line(divisors) -> str:
+    return "invariant factors: " + (", ".join(map(str, divisors)) if divisors else "(none)")
+
+
+def run_abelian(doc: dict, oracle: bool, check: bool = False, trace: bool = False) -> dict:
+    """The torus count, with check's property rows, or with the oracle's
+    recount.  The stack's divisors are read, and so computed, only for the
+    printed trace and the oracle; reid_multi reads its order alone."""
     system = _abelian_system(doc, 2, 2 if doc["kind"] == "abelian-pair" else None)
     report = reid_multi(system)
     div = divisibility_report(system, report)
@@ -585,6 +591,8 @@ def run_abelian(doc: dict, oracle: bool, check: bool = False) -> dict:
     out["intermediates"] = dict(report.intermediates)
     out["intermediates"]["divisibility"] = div.witness
     out["trace"] = list(report.trace) + [div.witness]
+    if trace:
+        out["trace"].insert(1, _factors_line(system._stacked_smith().divisors))
     if oracle:
         out["oracle_status"], extra = _abelian_oracle(system, report, div.leave_one_out)
         out["trace"].extend(extra)
@@ -975,7 +983,7 @@ def main(argv=None) -> int:
         elif doc["kind"] == "snf":
             report = run_snf(doc, args.oracle)
         elif doc["kind"] in ("abelian-pair", "abelian-multi"):
-            report = run_abelian(doc, args.oracle)
+            report = run_abelian(doc, args.oracle, trace=args.trace)
         elif doc["kind"] == "finite":
             report = run_finite(doc, args.oracle)
         else:

@@ -14,9 +14,9 @@ from it, through the private _cokernel_order.  That one also takes a known
 multiple of the order: a pairwise order divides the stacked order it is a
 projection of, so a stacked order of 1 makes it 1 with no arithmetic, and
 otherwise a wide block is triangulated modulo gcd(d, multiple).
-SnfResult's cokernel_order multiplies the Smith divisors; the oracles
-recount by that route, with the divisors of the bare Smith loop and no
-multiple.
+smith_normal_form's result takes its order from the same index pass; an
+SnfResult built with divisors multiplies them, and the oracles recount by
+that route, with the divisors of the bare Smith loop and no multiple.
 
 One triangulation, _hermite_rows, serves every Hermite basis modulo a
 multiple d of the index (d * Z^rows lies in the lattice).  The wide index
@@ -29,11 +29,14 @@ the order of that block's image in Z^R / L.  Each index must be an integer
 dividing V, and the last block's must equal the product of the pivots that
 its projection keeps.
 
-Smith forms serve callers that print divisors.  A tall m is replaced by its
-transpose a, which has the same divisors.  When _column_index finds a of
-full row rank R, _certified_divisors reads them off the Bareiss pass behind
-the index D, which also returns g, the gcd of the (R-1)-minors it holds; so
-each d_i with i < R divides h = gcd(g, D).  With h = 1 the divisors are
+Smith forms serve callers that print divisors, and compute them only when
+they are read: smith_normal_form runs the index pass at once (a tall m is
+infinite by shape, with no arithmetic) and keeps it, and the first read of
+the divisors runs what follows, with every check, on that pass.  A tall m
+is replaced by its transpose a, which has the same divisors.  When
+_column_index finds a of full row rank R, _certified_divisors reads them
+off the Bareiss pass behind the index D, which also returns g, the gcd of
+the (R-1)-minors it holds; so each d_i with i < R divides h = gcd(g, D).  With h = 1 the divisors are
 (1, ..., 1, D), every one proven.  Otherwise L + h * Z^R has divisors
 gcd(d_i, h), whose first R - 1 are d_1 ... d_(R-1) exactly: _hermite_rows
 triangulates it modulo h, from the R kept rows when a is wide,
@@ -246,24 +249,44 @@ class SnfResult:
     l1 | l2 | ... | lr, and the decomposition s @ m @ t == d with unimodular
     s and t, where d carries the divisors on its diagonal followed by zeros.
 
-    The divisors are always present.  s, t and d are set by certify_smith
-    alone, from its run of the Smith loop with transforms, checked by
-    s @ m @ t == d with d built from the divisors; smith_normal_form leaves
-    them None on every route.  _lattice_basis gives the Hermite rows of m's
-    column lattice.
+    s, t and d are set by certify_smith alone, from its run of the Smith
+    loop with transforms, checked by s @ m @ t == d with d built from the
+    divisors; smith_normal_form leaves them None on every route.
+
+    A result of smith_normal_form knows cokernel_order and _lattice_basis
+    from its index pass at once, and computes divisors on their first read,
+    from that same pass (_checked_divisors).  Every check runs at that
+    read: the rank-deficient route's Hermite row count, the certificate's
+    last divisor, the chain, one divisor per row, their product against the
+    index and the first against the gcd of the entries.  A failed check
+    raises ConsistencyError there, and again at every later read; reading
+    the order or the basis never runs one.  Built with divisors, as the
+    oracles and certify_smith build it, the order is their product.
     """
 
-    __slots__ = ("m", "divisors", "s", "t", "d", "_basis")
+    __slots__ = ("m", "s", "t", "d", "_divisors", "_order", "_basis", "_pass")
 
     def __init__(self, m: IntMatrix, divisors, s=None, t=None, d=None, basis=None):
-        self.m, self.divisors, self.s, self.t, self.d, self._basis = m, divisors, s, t, d, basis
+        self.m, self.s, self.t, self.d, self._basis = m, s, t, d, basis
+        self._divisors, self._order, self._pass = divisors, None, None
+
+    @property
+    def divisors(self) -> tuple[int, ...]:
+        """The divisor chain, computed and checked on the first read."""
+        if self._divisors is None:
+            self._divisors = _checked_divisors(self.m, self._pass)
+        return self._divisors
 
     def cokernel_order(self) -> Cardinal:
         """Order of Z^rows / (column lattice of m): infinite exactly when the
-        rank falls short of the row count, else the product of the divisors."""
-        if len(self.divisors) < self.m.rows:
-            return INFINITE
-        return Cardinal(prod(self.divisors, start=1))
+        rank falls short of the row count, else the product of the divisors
+        (the index, when smith_normal_form gave this result)."""
+        if self._order is None:
+            divisors = self.divisors
+            self._order = (
+                INFINITE if len(divisors) < self.m.rows else Cardinal(prod(divisors, start=1))
+            )
+        return self._order
 
     def _lattice_basis(self) -> list[list[int]]:
         """Hermite rows of m's column lattice, entries modulo a multiple of
@@ -408,22 +431,37 @@ def _smith_with_transforms(m: IntMatrix) -> SnfResult:
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Diagonalize m over the integers with a divisor chain on the diagonal.
 
-    A tall m is reduced through its transpose a, which has the same
-    divisors.  When a has full row rank R, _certified_divisors reads them
-    off the index D and the minor gcd g of _column_index's Bareiss pass,
-    reducing at most an R x R Hermite basis modulo gcd(g, D), never a
-    itself; there must be one divisor per row, forming a chain, multiplying
-    to D, and the first must be the gcd of the entries.  The oracles run the
-    Smith loop on the input alone, never this function.  An a short of full
-    row rank takes that route on the rho < R Hermite rows of its columns,
-    which span the same lattice (rho == R is a ConsistencyError).  s, t and
-    d stay None; certify_smith returns them.
+    The result's cokernel_order and _lattice_basis come at once from the
+    index pass, _column_index(m, minors=True), which decides a tall m by
+    its shape, with no arithmetic.  Its divisors are computed on their
+    first read, by _checked_divisors, from that pass: a tall m is reduced
+    through its transpose a, which has the same divisors, and whose pass
+    runs then.  When a has full row rank R, _certified_divisors reads them
+    off the index D and the minor gcd g of the pass, reducing at most an
+    R x R Hermite basis modulo gcd(g, D), never a itself; there must be one
+    divisor per row, forming a chain, multiplying to D, and the first must
+    be the gcd of the entries.  An a short of full row rank takes that
+    route on the rho < R Hermite rows of its columns, which span the same
+    lattice (rho == R is a ConsistencyError).  A failed check raises at the
+    read.  The oracles run the Smith loop on the input alone, never this
+    function.  s, t and d stay None; certify_smith returns them.
 
-    >>> smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]])).divisors
-    (1, 2)
+    >>> snf = smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]]))
+    >>> str(snf.cokernel_order()), snf.divisors
+    ('2', (1, 2))
     """
+    index, g, basis = _column_index(m, minors=True)
+    snf = SnfResult(m, None, basis=basis)
+    snf._order, snf._pass = (Cardinal(index) if index else INFINITE), (index, g, basis)
+    return snf
+
+
+def _checked_divisors(m: IntMatrix, index_pass) -> tuple[int, ...]:
+    """The divisors of smith_normal_form(m), with every check, from
+    index_pass, the (index, g, basis) of _column_index(m, minors=True); for
+    a tall m, from the pass over its transpose a, run here."""
     a = m.transpose() if m.rows > m.cols else m
-    index, g, basis = _column_index(a, minors=True)
+    index, g, basis = index_pass if a is m else _column_index(a, minors=True)
     if not index:
         rows = hermite_basis(map(a.column, range(a.cols)), a.rows)
         if len(rows) >= a.rows:
@@ -431,7 +469,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 f"{len(rows)} Hermite rows for a {a.rows}x{a.cols} matrix "
                 "whose Bareiss pass found a dependent row"
             )
-        return SnfResult(m, smith_normal_form(IntMatrix._built(rows, a.rows)).divisors)
+        return smith_normal_form(IntMatrix._built(rows, a.rows)).divisors
     divisors = _certified_divisors(a, index, g, basis)
     _check_chain(divisors)
     if a.is_square:
@@ -450,7 +488,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         raise ConsistencyError(
             f"first divisor of {divisors} is not the gcd of the entries"
         )
-    return SnfResult(m, divisors, basis=basis if a is m else None)
+    return divisors
 
 
 def _certified_divisors(a: IntMatrix, index: int, g: int, basis) -> tuple[int, ...]:

@@ -533,10 +533,9 @@ class TwistedPartition:
         codomain = first.codomain
         weight = codomain.order ** (self.arity - 1)
         values = {rest[0].image: Cardinal(len({r // weight for r in self.representatives}))}
-        columns = list(zip(*self.images))
         for j, h in enumerate(rest, 1):
             if h.image not in values:
-                images = list(dict.fromkeys(zip(columns[0], columns[j])))
+                images = list(dict.fromkeys(map(operator.itemgetter(0, j), self.images)))
                 found = _descend(_actions(images, codomain), codomain, 1)
                 values[h.image] = TwistedPartition([first, h], images, *found).value
         return tuple(values[h.image] for h in rest)

@@ -21,7 +21,7 @@ from coincidence_kit.cardinal import Cardinal, INFINITE, cardinal_product
 from coincidence_kit.errors import ConsistencyError, ShapeError
 from coincidence_kit.exact_linalg import IntMatrix, cokernel_order, smith_normal_form
 
-from conftest import ker_psi_order_bruteforce
+from conftest import count_kernel_calls, ker_psi_order_bruteforce
 
 # Four circle-valued maps on the 3-torus; the running example.
 TORUS4 = AbelianSystem([[[1, 1, 1]], [[3, 5, 2]], [[3, 7, 3]], [[2, 1, 3]]])
@@ -233,12 +233,21 @@ class TestReports:
         assert report.applicable is False
         assert "not applicable" in report.witness
 
-    def test_report_invariant_guard(self):
-        report = reid_multi(TORUS4)
+    def test_report_invariant_guard(self, monkeypatch):
+        # reid_multi reads the stack's order alone and leaves its divisors
+        # unread; the first read computes them, from the kept pass
+        calls = count_kernel_calls(monkeypatch, "_certified_divisors", "_smith_divisors", "_bareiss")
+        system = AbelianSystem(TORUS4.homs)
+        report = reid_multi(system)
         assert report.value.is_finite
         assert all(p.is_finite for p in report.pairwise)
         assert report.ker_psi_order == Cardinal.finite(5)
-        assert any("invariant factors" in line for line in report.trace)
+        assert not any("invariant factors" in line for line in report.trace)
+        assert calls["_certified_divisors"] == calls["_smith_divisors"] == 0
+        passes = calls["_bareiss"]
+        divisors = system._stacked_smith().divisors
+        assert calls["_certified_divisors"] == 1 and calls["_bareiss"] == passes
+        assert divisors == el.certify_smith(stacked_difference(system)).divisors
 
     def test_nielsen_annotation_present(self):
         report = reid_multi(TORUS4)

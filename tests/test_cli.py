@@ -1621,6 +1621,7 @@ class TestTransformFreeSmith:
         # difference; pairwise and leave-one-out orders take Hermite pivots.
         # Unscaled, gcd(g, D) is 1 for the square stack and not for the wide
         # one; times 6 it never is.  The loop runs on 8 x 8 rows alone.
+        # Only the traced run prints the divisors, so only it computes them.
         for scale, reduced in ((1, extra), (6, 1)):
             rng = random.Random(19)
             maps = [
@@ -1628,12 +1629,16 @@ class TestTransformFreeSmith:
                 for _ in range(3)
             ]
             problem = json.dumps({"kind": "abelian-multi", "maps": maps})
-            kernels.clear()
-            code, out, err = run_cli(capsys, "compute", problem, "--trace")
-            assert code == 0, err
+            for flags, expected in (
+                ((), {}),
+                (("--trace",), {"_certified_divisors": 1, "8x8 triangular": reduced}),
+            ):
+                kernels.clear()
+                code, out, err = run_cli(capsys, "compute", problem, *flags)
+                assert code == 0, err
+                assert "value: infinite" not in out
+                assert kernels == Counter(expected)
             assert f"stacked difference has shape 8x{8 + extra}\n" in out
-            assert "value: infinite" not in out
-            assert kernels == Counter({"_certified_divisors": 1, "8x8 triangular": reduced})
 
     def test_wrong_wide_recount_exits_2(self, capsys, monkeypatch):
         # the oracle's pairwise blocks and leave-one-out stacks of example 2
@@ -1662,8 +1667,10 @@ class TestOraclesEliminate:
     """The oracles recount by the bare Smith loop and never run the index
     route or the certificate that the engine's Smith forms take: under
     --oracle every recounted matrix runs the Smith loop without transforms,
-    and _bareiss, _hermite_index_rows and _certified_divisors run no more often
-    than under plain compute."""
+    and _bareiss and _hermite_index_rows run no more often than under plain
+    compute.  The engine's stacked divisors, which plain compute never
+    reads, are read for the comparison: one _certified_divisors, from the
+    kept pass."""
 
     @pytest.fixture
     def kernels(self, monkeypatch):
@@ -1694,8 +1701,8 @@ class TestOraclesEliminate:
         ]
         problem = json.dumps({"kind": "abelian-multi", "maps": maps})
         plain, added = self._added_by_oracle(capsys, kernels, problem)
-        assert plain["_certified_divisors"] == 1
-        assert added == Counter(_smith_divisors=recounts, _certified_divisors=0)
+        assert plain["_certified_divisors"] == 0
+        assert added == Counter(_smith_divisors=recounts, _certified_divisors=1)
 
     def test_nilpotent_recounts(self, capsys, kernels):
         # quotient, central and coarse orders; the engine runs no Smith loop,
@@ -1708,15 +1715,19 @@ class TestOraclesEliminate:
         assert added == Counter({"_smith_divisors": 3, "_certified_divisors": 0})
 
     def test_recounts_run_none_of_the_index_route(self, capsys, monkeypatch):
-        # the recounts run the bare Smith loop: no Bareiss pass, Hermite
-        # pivots or minor certificate beyond plain compute's
+        # the recounts run the bare Smith loop: no Bareiss pass or Hermite
+        # pivots beyond plain compute's; the engine's divisors, read for the
+        # comparison, take one certificate off the kept pass
         calls = count_kernel_calls(
             monkeypatch, "_bareiss", "_hermite_index_rows", "_certified_divisors"
         )
         for problem in (str(PROBLEMS / "example2_torus.json"), _seeded_torus(4, k=4, n=3, m=10)):
             plain, added = self._added_by_oracle(capsys, calls, problem)
             assert plain["_bareiss"] and plain["_hermite_index_rows"], plain
-            assert not any(added.values()), added
+            assert plain["_certified_divisors"] == 0, plain
+            assert added == Counter(
+                _bareiss=0, _hermite_index_rows=0, _certified_divisors=1
+            ), added
 
     @pytest.fixture
     def lying_certificate(self, monkeypatch):
@@ -1815,6 +1826,87 @@ def _oracle_run(capsys, problem):
         capsys, "compute", problem, "--oracle", "--trace", "--format", "structured"
     )
     return code, json.loads(out), err
+
+
+class TestStackedDivisorsOnRead:
+    """The stack's Smith form takes its order and its Hermite rows from one
+    index pass, which runs exactly once in every mode; its divisors are
+    computed on their first read, from that pass.  Plain compute and check
+    never read them, so they run no divisor step: no certificate, no
+    Hermite rows of a rank-deficient stack and no pass over a tall stack's
+    transpose.  --trace prints them and --oracle compares them, so each
+    computes them once."""
+
+    # maps Z^m -> Z^4, k = 3, so the stack has 8 rows; the last with map 2 a
+    # copy of map 1, a zero block
+    STACKS = {"square": (8, False), "wide": (9, False), "tall": (6, False), "deficient": (9, True)}
+    MODES = {
+        "compute": ("compute",),
+        "trace": ("compute", "--trace"),
+        "oracle": ("compute", "--oracle"),
+        "check": ("check",),
+    }
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """Counts, for the stack in routes.stack: "index" and "transposed",
+        _column_index on the stack and on its transpose; "bareiss", Bareiss
+        passes over its rows; "hermite_basis", triangulations of its
+        columns; and every _certified_divisors call."""
+        calls = count_kernel_calls(monkeypatch, "_certified_divisors")
+        column_index, bareiss, hermite_basis = (
+            exact_linalg._column_index, exact_linalg._bareiss, exact_linalg.hermite_basis
+        )
+
+        def indexing(m, **kwargs):
+            if m == calls.stack:
+                calls["index"] += 1
+            elif m == calls.stack.transpose():
+                calls["transposed"] += 1
+            return column_index(m, **kwargs)
+
+        def passing(a, **kwargs):
+            calls["bareiss"] += a == calls.stack.to_lists()
+            return bareiss(a, **kwargs)
+
+        def triangulating(vectors, width):
+            vectors = list(vectors)
+            calls["hermite_basis"] += vectors == list(map(calls.stack.column, range(calls.stack.cols)))
+            return hermite_basis(vectors, width)
+
+        monkeypatch.setattr(exact_linalg, "_column_index", indexing)
+        monkeypatch.setattr(exact_linalg, "_bareiss", passing)
+        monkeypatch.setattr(exact_linalg, "hermite_basis", triangulating)
+        return calls
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    @pytest.mark.parametrize("shape", list(STACKS))
+    def test_one_index_pass_and_divisors_only_when_read(self, capsys, routes, shape, mode):
+        cols, repeat = self.STACKS[shape]
+        rng = random.Random(4100 + cols)
+        maps = [[[rng.randint(-4, 4) for _ in range(cols)] for _ in range(4)] for _ in range(3)]
+        if repeat:
+            maps[1] = maps[0]
+        system = AbelianSystem(maps)
+        routes.stack = stack = stacked_difference(system)
+        routes.clear()
+        code, out, err = run_cli(
+            capsys, *self.MODES[mode], json.dumps({"kind": "abelian-multi", "maps": maps})
+        )
+        assert code == 0, err
+        assert ("value: infinite\n" in out) == (shape in ("tall", "deficient"))
+        read = mode in ("trace", "oracle")
+        expected = Counter(
+            index=1,
+            bareiss=shape != "tall",
+            _certified_divisors=read,
+            hermite_basis=read and shape == "deficient",
+            transposed=read and shape == "tall",
+        )
+        assert +routes == +expected
+        divisors = ", ".join(map(str, exact_linalg.certify_smith(stack).divisors))
+        assert (f"invariant factors: {divisors}\n" in out) == (mode == "trace")
+        assert ("oracle: agreed" in out) == (mode == "oracle")
 
 
 def _seeded_torus(seed, k, n, m):
@@ -2215,7 +2307,7 @@ class TestSmithRoutesShareNoLoop:
             if i % 2 and rows > 1:  # a dependent row
                 data[-1] = [x - 2 * y for x, y in zip(data[0], data[1 % (rows - 1)])]
             m = IntMatrix([[(i % 4 + 1) * x for x in row] for row in data])
-            exact_linalg.smith_normal_form(m)
+            exact_linalg.smith_normal_form(m).divisors
             exact_linalg.kernel_basis(m)
         unimodular = IntMatrix([[2, 3, 1], [1, 2, 1], [1, 1, 1]])
         exact_linalg.unimodular_inverse(unimodular)

@@ -280,7 +280,9 @@ class TestLazyTransforms:
     t on an R x R Hermite basis, checked against |det m| when square or its
     Hermite index when wide; its s, t and d stay None.  An input short of
     full row rank takes that route on the Hermite rows of its columns, and
-    only certify_smith runs the loop with t."""
+    only certify_smith runs the loop with t.  The divisors are computed, and
+    every check runs, at their first read: the order comes from the pass
+    alone."""
 
     @pytest.fixture
     def with_transforms(self, monkeypatch):
@@ -315,9 +317,11 @@ class TestLazyTransforms:
             del divisor_kernel[:]
             res = smith_normal_form(a)
             assert res.cokernel_order() == Cardinal.finite(abs(determinant(a)))
-            assert (res.s, res.t, res.d) == (None, None, None)
+            assert (with_transforms, divisor_kernel) == ([], [])
             # gcd(g, D) is 1 for m; 2 divides every divisor of 2m, so the
-            # loop reduces the 7 x 7 Hermite basis modulo gcd(g, D)
+            # first read reduces the 7 x 7 Hermite basis modulo gcd(g, D)
+            assert math.prod(res.divisors) == abs(determinant(a))
+            assert (res.s, res.t, res.d) == (None, None, None)
             assert (with_transforms, divisor_kernel) == ([], eliminated)
         # kernel_basis triangulates the graph lattice and runs no Smith loop
         del divisor_kernel[:]
@@ -332,6 +336,8 @@ class TestLazyTransforms:
             del divisor_kernel[:]
             res = smith_normal_form(a)
             assert res.cokernel_order() == cokernel_order(a) != INFINITE
+            assert (with_transforms, divisor_kernel) == ([], [])
+            assert Cardinal.finite(math.prod(res.divisors)) == res.cokernel_order()
             assert (res.s, res.t, res.d) == (None, None, None)
             assert (with_transforms, divisor_kernel) == ([], eliminated)
 
@@ -370,15 +376,17 @@ class TestLazyTransforms:
         # an index pass that stops at a row that is not dependent sends a
         # nonsingular matrix to the rank-deficient route, whose Hermite rows
         # then number its rows; the square index alone is broken, so the
-        # wide Hermite rows of DEFICIENT still find their index
+        # wide Hermite rows of DEFICIENT still find their index.  The
+        # refusal comes at the first read of the divisors.
         original = el._column_index
         monkeypatch.setattr(
             el,
             "_column_index",
             lambda a, **kwargs: (0, 0, None) if a.is_square else original(a, **kwargs),
         )
+        res = smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
         with pytest.raises(ConsistencyError, match="found a dependent row"):
-            smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
+            res.divisors
         assert smith_normal_form(DEFICIENT).divisors == (1, 2)
 
     def test_unimodular_inverse_triangulates_once(self, monkeypatch, divisor_kernel):
@@ -399,8 +407,11 @@ class TestLazyTransforms:
     )
     def test_wrong_chain_is_refused(self, monkeypatch, chain, complaint):
         monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g, basis: chain)
-        with pytest.raises(ConsistencyError, match=complaint):
-            smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
+        res = smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
+        assert res.cokernel_order() == Cardinal.finite(12)
+        for _ in range(2):  # refused at every read, not only the first
+            with pytest.raises(ConsistencyError, match=complaint):
+                res.divisors
 
     @pytest.mark.parametrize(
         "chain, complaint",
@@ -415,8 +426,33 @@ class TestLazyTransforms:
         m = IntMatrix([[2, 0, 4], [0, -6, 0]])
         assert smith_normal_form(m).divisors == (2, 6)
         monkeypatch.setattr(el, "_certified_divisors", lambda a, index, g, basis: chain)
+        res = smith_normal_form(m)
+        assert res.cokernel_order() == Cardinal.finite(12)
         with pytest.raises(ConsistencyError, match=complaint):
-            smith_normal_form(m)
+            res.divisors
+
+    @pytest.mark.parametrize(
+        "m", [IntMatrix([[2, 0], [0, -6]]), IntMatrix([[2, 0, 4], [0, -6, 0]])], ids=["square", "wide"]
+    )
+    def test_a_lying_certificate_waits_for_the_first_read(self, monkeypatch, m):
+        # the order and the Hermite basis come from the index pass, so
+        # reading them runs no certificate; the lie (1, 12), whose first
+        # divisor is not the entries' gcd 2, is refused at the divisors'
+        # first read
+        calls = []
+
+        def lying(a, index, g, basis):
+            calls.append(index)
+            return (1,) * (a.rows - 1) + (index,)
+
+        monkeypatch.setattr(el, "_certified_divisors", lying)
+        res = smith_normal_form(m)
+        assert res.cokernel_order() == Cardinal.finite(12)
+        assert math.prod(row[0] for row in res._lattice_basis()) == 12
+        assert calls == []
+        with pytest.raises(ConsistencyError, match="not the gcd of the entries"):
+            res.divisors
+        assert calls == [12]
 
 
 def counting_calls(monkeypatch, name):
@@ -449,13 +485,20 @@ class TestShapeRoutes:
         calls = counting_calls(monkeypatch, "_column_index")
         passes = counting_calls(monkeypatch, "_bareiss")
         eliminated = count_kernel_calls(monkeypatch, "_smith_divisors")
+        results = []
         for m in (square, wide, wide.transpose()):
             cokernel_order(m)
-            smith_normal_form(m)
-        # a tall Smith form checks the index of its transpose
-        assert calls == [(4, 4)] * 2 + [(3, 5)] * 2 + [(5, 3), (3, 5)]
-        # one Bareiss pass per index: the Smith forms read their minors'
-        # gcd off it, and here the certificate decides every one of them
+            results.append(smith_normal_form(m))
+        # a tall Smith form is infinite by shape, with no Bareiss pass
+        assert calls == [(4, 4)] * 2 + [(3, 5)] * 2 + [(5, 3)] * 2
+        assert passes == [(4, 4)] * 2 + [(3, 5)] * 2
+        for res in results:
+            res.divisors
+        # reading the divisors runs no second pass; a tall Smith form checks
+        # the index of its transpose then.  One Bareiss pass per index: the
+        # Smith forms read their minors' gcd off it, and here the
+        # certificate decides every one of them
+        assert calls == [(4, 4)] * 2 + [(3, 5)] * 2 + [(5, 3)] * 2 + [(3, 5)]
         assert passes == [(4, 4)] * 2 + [(3, 5)] * 2 + [(3, 5)]
         assert eliminated == {}
 
@@ -502,10 +545,13 @@ class TestShapeRoutes:
         assert smaller > 10
 
     def test_tall_smith_forms_take_no_transforms(self, monkeypatch):
-        # a tall matrix triangulates the columns of its transpose only when
-        # that falls short of full row rank
+        # a tall matrix runs no Bareiss pass until the first read of its
+        # divisors, and then triangulates the columns of its transpose only
+        # when that falls short of full row rank
         rng = random.Random(4343)
-        eliminated = count_kernel_calls(monkeypatch, "_smith_divisors", "hermite_basis")
+        eliminated = count_kernel_calls(
+            monkeypatch, "_smith_divisors", "hermite_basis", "_bareiss"
+        )
         kinds = set()
         for i in range(120):
             cols = rng.randint(1, 5)
@@ -521,11 +567,12 @@ class TestShapeRoutes:
             expected = el._smith_with_transforms(m).divisors
             eliminated.clear()
             res = smith_normal_form(m)
+            assert res.cokernel_order() == INFINITE
+            assert eliminated == {}
+            assert res.divisors == expected
             assert eliminated["_smith_divisors with t"] == 0
             assert eliminated["hermite_basis"] == deficient
             assert res.s is None
-            assert res.divisors == expected
-            assert res.cokernel_order() == INFINITE
         assert kinds == {True, False}
 
     def test_square_order_is_the_determinant_without_hermite(self, monkeypatch):
@@ -907,12 +954,14 @@ class TestMinorCertificate:
     @pytest.fixture
     def routes(self, monkeypatch):
         """Route of the latest smith_normal_form: "modular" when the Smith
-        loop ran, else "gcd"."""
+        loop ran at the first read of its divisors, else "gcd"."""
         calls = count_kernel_calls(monkeypatch, "_smith_divisors")
 
         def route(m):
             calls.clear()
             res = smith_normal_form(m)
+            assert not calls
+            res.divisors
             return res, "modular" if calls else "gcd"
 
         return route
@@ -978,8 +1027,10 @@ class TestMinorCertificate:
         monkeypatch.setattr(
             el, "_hermite_rows", lambda vectors, width, d: [[1] + [0] * (width - i - 1) for i in range(width)]
         )
+        res = smith_normal_form(m)
+        assert res.cokernel_order() == Cardinal.finite(2)
         with pytest.raises(ConsistencyError, match="modulo 2 ends in 1, not gcd"):
-            smith_normal_form(m)
+            res.divisors
 
     def test_an_index_that_misses_the_loop_is_refused(self, monkeypatch):
         # 2u has divisors (2, ..., 2); an index doubled to 2^7 gives
@@ -994,8 +1045,9 @@ class TestMinorCertificate:
             return 2 * index, g, basis
 
         monkeypatch.setattr(el, "_column_index", doubled)
+        res = smith_normal_form(m)
         with pytest.raises(ConsistencyError, match="ends in 2, not gcd.* d_R = 4"):
-            smith_normal_form(m)
+            res.divisors
 
 
 def modular_cases():
