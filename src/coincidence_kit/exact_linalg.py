@@ -30,23 +30,23 @@ dividing V, and the last block's must equal the product of the pivots that
 its projection keeps.
 
 Smith forms serve callers that print divisors, and compute them only when
-they are read: smith_normal_form runs the index pass at once (a tall m is
-infinite by shape, with no arithmetic) and keeps it, and the first read of
-the divisors runs what follows, with every check, on that pass.  A tall m
-is replaced by its transpose a, which has the same divisors.  When
-_column_index finds a of full row rank R, _certified_divisors reads them
-off the Bareiss pass behind the index D, which also returns g, the gcd of
-the (R-1)-minors it holds; so each d_i with i < R divides h = gcd(g, D).  With h = 1 the divisors are
-(1, ..., 1, D), every one proven.  Otherwise L + h * Z^R has divisors
-gcd(d_i, h), whose first R - 1 are d_1 ... d_(R-1) exactly: _hermite_rows
-triangulates it modulo h, from the R kept rows when a is wide,
-_smith_divisors reduces those R x R rows, entries below h, and
-d_R = D / (d_1 ... d_(R-1)).  The divisors must number rows, form a chain,
-start with the gcd of the entries and multiply to D, and the loop's last
-must be gcd(d_R, h): checks against an index found with no Smith loop,
-which pin the rank, cokernel order, d_1 and chain, not each middle divisor.
-An a short of full row rank takes that route on the rho < R Hermite rows of
-its columns, which span the same lattice and so have the same divisors.
+they are read: smith_normal_form runs the index pass at once and keeps it,
+and the first read of the divisors runs what follows, with every check.  A
+tall m is replaced by its transpose a, which has the same divisors, and its
+pass runs then.  Every route has _hermite_rows triangulate L + d * Z^R,
+whose divisors are gcd(d_i, d) (d_i = 0 past the rank rho), modulo d, and
+_smith_divisors reduce those R x R rows, never a itself.  When
+_column_index finds rho = R, _certified_divisors takes d = gcd(g, D) for
+the index D and the gcd g of the (R-1)-minors its pass holds: d = 1 gives
+(1, ..., 1, D); else the loop gives d_1 ... d_(R-1), d_R is D over their
+product, and the loop's last must be gcd(d_R, d).  For rho < R the read
+runs a second pass, which drops each dependent row where the index pass
+stops at the first, and d is the gcd of the rho x rho minors in its last
+row, a multiple of d_1 ... d_rho: the loop's first rho divisors are the
+answer and its last R - rho must equal d.  The divisors must number rho,
+form a chain, start with the gcd of the entries and multiply to D (below
+full rank, to a divisor of d): checks that pin the rank, order, d_1 and
+chain, not each middle divisor.
 
 The Hermite rows of the graph lattice {(m @ x, x)} (_graph_rows) give
 kernel_basis, the tails of the rows with zero heads, and unimodular_inverse,
@@ -255,13 +255,11 @@ class SnfResult:
 
     A result of smith_normal_form knows cokernel_order and _lattice_basis
     from its index pass at once, and computes divisors on their first read,
-    from that same pass (_checked_divisors).  Every check runs at that
-    read: the rank-deficient route's Hermite row count, the certificate's
-    last divisor, the chain, one divisor per row, their product against the
-    index and the first against the gcd of the entries.  A failed check
-    raises ConsistencyError there, and again at every later read; reading
-    the order or the basis never runs one.  Built with divisors, as the
-    oracles and certify_smith build it, the order is their product.
+    from that same pass (_checked_divisors), where every check runs (see
+    smith_normal_form).  A failed check raises ConsistencyError there, and
+    again at every later read; reading the order or the basis never runs
+    one.  Built with divisors, as the oracles and certify_smith build it,
+    the order is their product.
     """
 
     __slots__ = ("m", "s", "t", "d", "_divisors", "_order", "_basis", "_pass")
@@ -436,15 +434,17 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     its shape, with no arithmetic.  Its divisors are computed on their
     first read, by _checked_divisors, from that pass: a tall m is reduced
     through its transpose a, which has the same divisors, and whose pass
-    runs then.  When a has full row rank R, _certified_divisors reads them
-    off the index D and the minor gcd g of the pass, reducing at most an
-    R x R Hermite basis modulo gcd(g, D), never a itself; there must be one
-    divisor per row, forming a chain, multiplying to D, and the first must
-    be the gcd of the entries.  An a short of full row rank takes that
-    route on the rho < R Hermite rows of its columns, which span the same
-    lattice (rho == R is a ConsistencyError).  A failed check raises at the
-    read.  The oracles run the Smith loop on the input alone, never this
-    function.  s, t and d stay None; certify_smith returns them.
+    runs then.  The Smith loop reduces the R x R Hermite rows of
+    L + d * Z^R modulo d, never a: with a of full row rank R,
+    _certified_divisors takes d = gcd(g, D) from the index D and minor gcd
+    g of the pass; with a of rank rho < R (rho == R is a ConsistencyError),
+    a second pass drops each dependent row, and d is the gcd of the
+    rho x rho minors in its last row.  There must be one divisor per unit of
+    rank, forming a chain that starts with the gcd of the entries and
+    multiplies to D, or below full rank to a divisor of d after R - rho
+    trailing d's.  A failed check raises at the read.  The oracles run the
+    Smith loop on the input alone, never this function.  s, t and d stay
+    None; certify_smith returns them.
 
     >>> snf = smith_normal_form(IntMatrix([[2, 4, 1], [2, 6, 2]]))
     >>> str(snf.cokernel_order()), snf.divisors
@@ -457,37 +457,37 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
 
 def _checked_divisors(m: IntMatrix, index_pass) -> tuple[int, ...]:
-    """The divisors of smith_normal_form(m), with every check, from
-    index_pass, the (index, g, basis) of _column_index(m, minors=True); for
-    a tall m, from the pass over its transpose a, run here."""
+    """The divisors of smith_normal_form(m), with every check (see there),
+    from index_pass, the (index, g, basis) of _column_index(m, minors=True);
+    for a tall m, from the pass over its transpose a, run here."""
     a = m.transpose() if m.rows > m.cols else m
     index, g, basis = index_pass if a is m else _column_index(a, minors=True)
-    if not index:
-        rows = hermite_basis(map(a.column, range(a.cols)), a.rows)
-        if len(rows) >= a.rows:
-            raise ConsistencyError(
-                f"{len(rows)} Hermite rows for a {a.rows}x{a.cols} matrix "
-                "whose Bareiss pass found a dependent row"
-            )
-        return smith_normal_form(IntMatrix._built(rows, a.rows)).divisors
-    divisors = _certified_divisors(a, index, g, basis)
-    _check_chain(divisors)
-    if a.is_square:
-        kind, name = "nonsingular", "|det m|"
+    if index:
+        divisors, rank, d = _certified_divisors(a, index, g, basis), a.rows, index
+        kind = "nonsingular" if a.is_square else "full-rank"
+        name = "|det m| =" if a.is_square else "the Hermite index ="
     else:
-        kind, name = "full-rank", "the Hermite index"
-    if len(divisors) != a.rows:
-        raise ConsistencyError(
-            f"{len(divisors)} divisors for a {kind} {a.rows}x{a.cols} matrix"
-        )
-    if prod(divisors, start=1) != index:
-        raise ConsistencyError(
-            f"divisors {divisors} do not multiply to {name} = {index}"
-        )
+        rows = a.to_lists()
+        _bareiss(rows, drop=True)
+        rank, kind, name = len(rows), f"rank-{len(rows)}", "a divisor of the minor gcd"
+        if rank >= a.rows:
+            raise ConsistencyError(
+                f"rank {rank} is not below the {a.rows} rows of a matrix of index 0"
+            )
+        d = gcd(*rows[-1][rank - 1 :]) if rows else 1
+        modular = _hermite_rows(map(a.column, range(a.cols)), a.rows, d)
+        loop = _smith_divisors([[0] * i + row for i, row in enumerate(modular)])
+        divisors, tail = loop[:rank], loop[rank:]
+        if tail != (d,) * (a.rows - rank):
+            raise ConsistencyError(f"the Smith loop modulo the minor gcd {d} ends in {tail}")
+    _check_chain(divisors)
+    if len(divisors) != rank:
+        raise ConsistencyError(f"{len(divisors)} divisors for a {kind} {a.rows}x{a.cols} matrix")
+    product = prod(divisors, start=1)
+    if product != d if index else d % product:
+        raise ConsistencyError(f"divisors {divisors} do not multiply to {name} {d}")
     if divisors and divisors[0] != gcd(*m.entries):
-        raise ConsistencyError(
-            f"first divisor of {divisors} is not the gcd of the entries"
-        )
+        raise ConsistencyError(f"first divisor of {divisors} is not the gcd of the entries")
     return divisors
 
 
@@ -531,16 +531,18 @@ def _check_chain(divisors):
         raise ConsistencyError(f"divisor chain broken: {divisors}")
 
 
-def _bareiss(a, *, minors: bool = False) -> tuple[int, int]:
+def _bareiss(a, *, minors: bool = False, drop: bool = False) -> tuple[int, int]:
     """One fraction-free (Bareiss) pass down the n rows of a (lists, which
     it overwrites), pivoting on columns.  Returns (det, g).
 
     det is det a for a square a, else the signed determinant of n
     independent columns; 0 at the first row that depends on the rows above
-    it.  A pass of full rank leaves maximal minors in the last row: past
-    column n - 2 it holds, in some order, the n x n minors on the first
-    n - 1 pivot columns and each other column (Sylvester's identity; the
-    first of them is det).  With minors set, g is the gcd of the
+    it.  With drop, such a row is deleted from a and the pass goes on: a
+    ends with full row rank, and n and det below are for its kept rows.  A
+    pass of full rank leaves maximal minors in the last row: past column
+    n - 2 it holds, in some order, the n x n minors on the first n - 1
+    pivot columns and each other column (Sylvester's identity; the first
+    of them is det).  With minors set (and no drop), g is the gcd of the
     (n-1)-minors that the pass holds: when three rows remain, after
     k = n - 3 pivots, their entries are the (k+1)-minors on the first k
     pivot rows and columns, and by Sylvester's identity each 2x2 minor of
@@ -553,12 +555,17 @@ def _bareiss(a, *, minors: bool = False) -> tuple[int, int]:
     cols = len(a[0]) if a else 0
     sign, prev = 1, 1
     g = 1 if minors else 0
-    for k, row in enumerate(a):
+    k = 0
+    while k < len(a):
+        row = a[k]
         if minors and k == max(n - 3, 0) and n > 1:
             g = _trailing_minor_gcd(a[k:], k, prev)
         j = next((j for j in range(k, cols) if row[j]), None)
         if j is None:
-            return 0, g
+            if not drop:
+                return 0, g
+            del a[k]
+            continue
         if j != k:
             sign = -sign
             for r in a[k:]:
@@ -568,6 +575,7 @@ def _bareiss(a, *, minors: bool = False) -> tuple[int, int]:
             f = r[k]
             r[k + 1 :] = [(x * p - f * y) // prev for x, y in zip(r[k + 1 :], row[k + 1 :])]
         prev = p
+        k += 1
     return sign * prev, g
 
 

@@ -1833,9 +1833,10 @@ class TestStackedDivisorsOnRead:
     index pass, which runs exactly once in every mode; its divisors are
     computed on their first read, from that pass.  Plain compute and check
     never read them, so they run no divisor step: no certificate, no
-    Hermite rows of a rank-deficient stack and no pass over a tall stack's
-    transpose.  --trace prints them and --oracle compares them, so each
-    computes them once."""
+    row-dropping pass over a rank-deficient stack and no pass over a tall
+    stack's transpose.  --trace prints them and --oracle compares them, so
+    each computes them once; no mode runs an exact Hermite basis of the
+    stack's columns."""
 
     # maps Z^m -> Z^4, k = 3, so the stack has 8 rows; the last with map 2 a
     # copy of map 1, a zero block
@@ -1851,8 +1852,9 @@ class TestStackedDivisorsOnRead:
     def routes(self, monkeypatch):
         """Counts, for the stack in routes.stack: "index" and "transposed",
         _column_index on the stack and on its transpose; "bareiss", Bareiss
-        passes over its rows; "hermite_basis", triangulations of its
-        columns; and every _certified_divisors call."""
+        passes over its rows, and "dropping", those of them that drop
+        dependent rows; "hermite_basis", triangulations of its columns; and
+        every _certified_divisors call."""
         calls = count_kernel_calls(monkeypatch, "_certified_divisors")
         column_index, bareiss, hermite_basis = (
             exact_linalg._column_index, exact_linalg._bareiss, exact_linalg.hermite_basis
@@ -1866,7 +1868,9 @@ class TestStackedDivisorsOnRead:
             return column_index(m, **kwargs)
 
         def passing(a, **kwargs):
-            calls["bareiss"] += a == calls.stack.to_lists()
+            stacked = a == calls.stack.to_lists()
+            calls["bareiss"] += stacked
+            calls["dropping"] += stacked and kwargs.get("drop", False)
             return bareiss(a, **kwargs)
 
         def triangulating(vectors, width):
@@ -1896,17 +1900,57 @@ class TestStackedDivisorsOnRead:
         assert code == 0, err
         assert ("value: infinite\n" in out) == (shape in ("tall", "deficient"))
         read = mode in ("trace", "oracle")
+        dropping = read and shape == "deficient"
         expected = Counter(
             index=1,
-            bareiss=shape != "tall",
-            _certified_divisors=read,
-            hermite_basis=read and shape == "deficient",
+            bareiss=(shape != "tall") + dropping,
+            dropping=dropping,
+            _certified_divisors=read and not dropping,
             transposed=read and shape == "tall",
         )
         assert +routes == +expected
         divisors = ", ".join(map(str, exact_linalg.certify_smith(stack).divisors))
         assert (f"invariant factors: {divisors}\n" in out) == (mode == "trace")
         assert ("oracle: agreed" in out) == (mode == "oracle")
+
+
+class TestRankDeficientStackDivisors:
+    """T(16, 6, 96) with map 2 a copy of map 1, plain and x6, as
+    tests/torus_family.py writes it: a 90 x 96 stack of rank 84.  --trace
+    reads its divisors, 84 ones or 84 sixes, from one row-dropping Bareiss
+    pass and the Smith loop modulo a gcd of 84 x 84 minors: no exact
+    Hermite basis and no second Smith form.  Plain compute and check run no
+    row-dropping pass, so their index pass stops at the first dependent
+    row."""
+
+    @pytest.mark.parametrize("x6", [False, True], ids=["repeat", "repeat-x6"])
+    def test_divisors_modulo_the_minor_gcd(self, capsys, monkeypatch, tmp_path, x6):
+        path = tmp_path / "t16r.json"
+        flags = ["--repeat", "--x6"] if x6 else ["--repeat"]
+        script = Path(__file__).parent / "torus_family.py"
+        subprocess.run([sys.executable, str(script), "16", "6", "96", "2", str(path), *flags], check=True)
+        # smith_normal_form counts the calls made inside exact_linalg: a
+        # second Smith form that the read would run on rows it computed
+        calls = count_kernel_calls(monkeypatch, "hermite_basis", "smith_normal_form")
+        bareiss = exact_linalg._bareiss
+
+        def passing(a, **kwargs):
+            calls["dropping"] += kwargs.get("drop", False)
+            return bareiss(a, **kwargs)
+
+        monkeypatch.setattr(exact_linalg, "_bareiss", passing)
+        for mode in (("compute",), ("check",)):
+            calls.clear()
+            code, out, err = run_cli(capsys, *mode, str(path))
+            assert code == 0, err
+            assert calls["dropping"] == 0, mode
+        calls.clear()
+        code, out, err = run_cli(capsys, "compute", "--trace", str(path))
+        assert code == 0, err
+        assert "value: infinite\n" in out
+        assert "  stacked difference has shape 90x96\n" in out
+        assert f"  invariant factors: {', '.join(['6' if x6 else '1'] * 84)}\n" in out
+        assert +calls == Counter(dropping=1)
 
 
 def _seeded_torus(seed, k, n, m):

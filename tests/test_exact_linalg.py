@@ -47,7 +47,8 @@ from conftest import count_kernel_calls, elementary_divisors_via_minors, rank
 
 WORKED = IntMatrix([[2, 4, 1], [2, 6, 2]])
 # WORKED's rows, their sum and a zero column: rank 2 of 3 rows, so
-# smith_normal_form reduces the 2 Hermite rows of its columns
+# smith_normal_form reduces the Hermite rows of L + d * Z^3 for the gcd d of
+# the 2 x 2 minors of its first two rows
 DEFICIENT = IntMatrix([[2, 4, 1, 0], [2, 6, 2, 0], [4, 10, 3, 0]])
 
 
@@ -278,11 +279,11 @@ class TestLazyTransforms:
     """An input of full row rank gets its divisors without transforms, from
     the index's Bareiss pass and, when gcd(g, D) > 1, the Smith loop without
     t on an R x R Hermite basis, checked against |det m| when square or its
-    Hermite index when wide; its s, t and d stay None.  An input short of
-    full row rank takes that route on the Hermite rows of its columns, and
-    only certify_smith runs the loop with t.  The divisors are computed, and
-    every check runs, at their first read: the order comes from the pass
-    alone."""
+    Hermite index when wide; its s, t and d stay None.  An input of rank
+    rho short of full row rank runs the loop without t on the R x R
+    Hermite rows modulo a gcd of rho x rho minors, and only certify_smith
+    runs the loop with t.  The divisors are computed, and every check runs,
+    at their first read: the order comes from the pass alone."""
 
     @pytest.fixture
     def with_transforms(self, monkeypatch):
@@ -341,19 +342,31 @@ class TestLazyTransforms:
             assert (res.s, res.t, res.d) == (None, None, None)
             assert (with_transforms, divisor_kernel) == ([], eliminated)
 
-    def test_rank_deficient_input_reduces_its_hermite_rows(self, with_transforms, divisor_kernel):
-        # the 2 x 3 Hermite rows of DEFICIENT's columns have entries of gcd
-        # 1, so gcd(g, D) is 1 and no loop runs; doubled, the loop reduces
-        # their 2 x 2 Hermite basis modulo gcd(g, D), without t
-        for a, divisors, eliminated in (
-            (DEFICIENT, (1, 2), []),
-            (_scaled(DEFICIENT, 2), (2, 4), [(2, 2, False)]),
-        ):
+    def test_rank_deficient_input_reduces_its_hermite_rows(
+        self, monkeypatch, with_transforms, divisor_kernel
+    ):
+        # the read's row-dropping pass keeps DEFICIENT's first 2 rows, whose
+        # 2 x 2 minors have gcd d = 2 = d_1 d_2, and the loop reduces the
+        # 3 x 3 Hermite rows of L + 2 * Z^3 without t, ending in d; doubled,
+        # d = 8.  No exact Hermite basis and no second Smith form
+        moduli = []
+        original = el._hermite_rows
+
+        def recording(vectors, width, d):
+            moduli.append(d)
+            return original(vectors, width, d)
+
+        monkeypatch.setattr(el, "_hermite_rows", recording)
+        others = count_kernel_calls(monkeypatch, "hermite_basis", "smith_normal_form")
+        for a, divisors, d in ((DEFICIENT, (1, 2), 2), (_scaled(DEFICIENT, 2), (2, 4), 8)):
             del divisor_kernel[:]
             res = smith_normal_form(a)
+            assert (moduli, divisor_kernel) == ([], [])
             assert res.divisors == divisors
             assert (res.s, res.t, res.d) == (None, None, None)
-            assert (with_transforms, divisor_kernel) == ([], eliminated)
+            assert (with_transforms, divisor_kernel) == ([], [(3, 3, False)])
+            assert moduli.pop() == d and not moduli
+        assert others == {}
 
     @pytest.mark.parametrize(
         "m",
@@ -374,9 +387,9 @@ class TestLazyTransforms:
 
     def test_full_rank_chain_behind_a_dependent_row_is_refused(self, monkeypatch):
         # an index pass that stops at a row that is not dependent sends a
-        # nonsingular matrix to the rank-deficient route, whose Hermite rows
-        # then number its rows; the square index alone is broken, so the
-        # wide Hermite rows of DEFICIENT still find their index.  The
+        # nonsingular matrix to the rank-deficient route, whose row-dropping
+        # pass then keeps all its rows; the square index alone is broken, so
+        # the wide Hermite rows of DEFICIENT still find their index.  The
         # refusal comes at the first read of the divisors.
         original = el._column_index
         monkeypatch.setattr(
@@ -385,9 +398,29 @@ class TestLazyTransforms:
             lambda a, **kwargs: (0, 0, None) if a.is_square else original(a, **kwargs),
         )
         res = smith_normal_form(IntMatrix([[2, 0], [0, -6]]))
-        with pytest.raises(ConsistencyError, match="found a dependent row"):
+        with pytest.raises(ConsistencyError, match="rank 2 is not below the 2 rows"):
             res.divisors
         assert smith_normal_form(DEFICIENT).divisors == (1, 2)
+
+    def test_a_modulus_below_the_minor_gcd_is_refused(self, monkeypatch):
+        # halving the last row of the row-dropping pass halves the minor gcd
+        # of 2 * DEFICIENT from 8 to 4, no multiple of d_1 d_2 = 8: the loop
+        # modulo 4 ends in 4, but (2, 4) multiplies to no divisor of 4.  The
+        # refusal comes at every read of the divisors, not at the order's
+        original = el._bareiss
+
+        def halving(a, **kwargs):
+            result = original(a, **kwargs)
+            if kwargs.get("drop"):
+                a[-1] = [x // 2 for x in a[-1]]
+            return result
+
+        monkeypatch.setattr(el, "_bareiss", halving)
+        res = smith_normal_form(_scaled(DEFICIENT, 2))
+        assert res.cokernel_order() == INFINITE
+        for _ in range(2):
+            with pytest.raises(ConsistencyError, match=r"\(2, 4\) .* divisor of the minor gcd 4"):
+                res.divisors
 
     def test_unimodular_inverse_triangulates_once(self, monkeypatch, divisor_kernel):
         # one Hermite basis of the 8 graph vectors, of width 16; no Smith loop
@@ -546,8 +579,9 @@ class TestShapeRoutes:
 
     def test_tall_smith_forms_take_no_transforms(self, monkeypatch):
         # a tall matrix runs no Bareiss pass until the first read of its
-        # divisors, and then triangulates the columns of its transpose only
-        # when that falls short of full row rank
+        # divisors, then one over its transpose, and a second, row-dropping
+        # one only when that falls short of full row rank; never an exact
+        # Hermite basis
         rng = random.Random(4343)
         eliminated = count_kernel_calls(
             monkeypatch, "_smith_divisors", "hermite_basis", "_bareiss"
@@ -571,7 +605,8 @@ class TestShapeRoutes:
             assert eliminated == {}
             assert res.divisors == expected
             assert eliminated["_smith_divisors with t"] == 0
-            assert eliminated["hermite_basis"] == deficient
+            assert eliminated["hermite_basis"] == 0
+            assert eliminated["_bareiss"] == 1 + deficient
             assert res.s is None
         assert kinds == {True, False}
 
@@ -713,10 +748,11 @@ class TestSmithDivisors:
 
 
 class TestHermiteRowRoute:
-    """smith_normal_form on inputs short of full row rank takes the full-rank
-    route on the Hermite rows of their columns, and unimodular_inverse reads
-    the graph lattice's Hermite rows; the Smith loop with transforms is the
-    reference for both."""
+    """smith_normal_form on inputs of rank rho short of full row rank reduces
+    the Hermite rows of L + d * Z^R, for a gcd d of rho x rho minors from a
+    row-dropping Bareiss pass, and unimodular_inverse reads the graph
+    lattice's Hermite rows; the Smith loop with transforms is the reference
+    for both."""
 
     @staticmethod
     def _deficient_cases():
